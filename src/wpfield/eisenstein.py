@@ -104,17 +104,23 @@ def _q_powers(q: complex, order: int) -> list[complex]:
     return powers
 
 
+def _series_tau(tau: complex) -> complex:
+    """tau as a complex, checked to be high enough for the q-expansions."""
+    tau = require_upper_half(tau)
+    if tau.imag < MIN_IM_TAU:
+        raise ConvergenceDomain(
+            f"Im(tau) = {tau.imag} is below {MIN_IM_TAU}; reduce tau first"
+        )
+    return tau
+
+
 def eisenstein_at(tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION) -> EisensteinValues:
     """Normalized E2, E4, E6 at tau via the divisor-sum q-expansions.
 
     Accepts any Im(tau) >= 0.1; accuracy degrades with |q| and is machine-level
     once tau is reduced.
     """
-    tau = require_upper_half(tau)
-    if tau.imag < MIN_IM_TAU:
-        raise ConvergenceDomain(
-            f"Im(tau) = {tau.imag} is below {MIN_IM_TAU}; reduce tau first"
-        )
+    tau = _series_tau(tau)
     q = nome(tau)
     qn = _q_powers(q, trunc.order)
     s1 = _sigma_table(trunc.order, 1)
@@ -131,6 +137,22 @@ def eisenstein_at(tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION) -> Eise
     e4 = ensure_finite(1.0 + 240.0 * acc3, "E4")
     e6 = ensure_finite(1.0 - 504.0 * acc5, "E6")
     return EisensteinValues(e2=e2, e4=e4, e6=e6)
+
+
+def delta_eta_product(tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION) -> complex:
+    """Discriminant delta = (2*pi)^12 q prod_{n >= 1} (1 - q^n)^24.
+
+    Unlike g2^3 - 27 g3^2, which cancels to rounding noise once |q| is small,
+    the product keeps full relative accuracy at every height.
+    """
+    tau = _series_tau(tau)
+    q = nome(tau)
+    prod = 1.0 + 0.0j
+    qn = 1.0 + 0.0j
+    for _ in range(trunc.order):
+        qn *= q
+        prod *= 1.0 - qn
+    return ensure_finite((2.0 * math.pi) ** 12 * q * prod**24, "delta")
 
 
 def invariants_at(tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION) -> LatticeInvariants:

@@ -32,6 +32,7 @@ from .eisenstein import (
     ZETA2,
     LatticeInvariants,
     QTruncation,
+    delta_eta_product,
     eisenstein_at,
 )
 from .errors import DegenerateConfiguration, NonTermination, PoleProximity
@@ -213,13 +214,16 @@ def zeta_anywhere(
     return WValue(value=value, est_error=est)
 
 
+def _e2_transport(e2_star: complex, c: int, s: complex) -> complex:
+    """E2(tau) from E2(tau*) by inverting G2(gamma tau) = s^2 G2(tau) - pi*i*c*s."""
+    g2_val = (ZETA2 * e2_star + 1j * math.pi * c * s) / (s * s)
+    return ensure_finite(g2_val / ZETA2, "E2")
+
+
 def e2_anywhere(tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION) -> complex:
     """E2 at any tau by inverting the quasimodular transformation law."""
     gamma, tau_star = reduce_tau(tau)
-    s = gamma.scale(tau)
-    g2_star = ZETA2 * eisenstein_at(tau_star, trunc).e2
-    g2_val = (g2_star + 1j * math.pi * gamma.c * s) / (s * s)
-    return ensure_finite(g2_val / ZETA2, "E2")
+    return _e2_transport(eisenstein_at(tau_star, trunc).e2, gamma.c, gamma.scale(tau))
 
 
 def e4_anywhere(tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION) -> complex:
@@ -239,14 +243,21 @@ def e6_anywhere(tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION) -> comple
 def invariants_anywhere(
     tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION
 ) -> LatticeInvariants:
-    """g2, g3, delta, eta1 at any tau, via the transported Eisenstein values."""
-    e4 = e4_anywhere(tau, trunc)
-    e6 = e6_anywhere(tau, trunc)
+    """g2, g3, delta, eta1 at any tau from one reduction and one set of
+    Eisenstein values at tau*, transported with weights 4, 6, 12 and the E2 law.
+
+    delta is the eta product at tau* (weight 12), not g2^3 - 27 g3^2, which
+    cancels badly once |q*| is small."""
+    gamma, tau_star = reduce_tau(tau)
+    s = gamma.scale(tau)
+    e = eisenstein_at(tau_star, trunc)
+    e4 = ensure_finite(e.e4 / s**4, "E4")
+    e6 = ensure_finite(e.e6 / s**6, "E6")
     g2 = (4.0 * math.pi**4 / 3.0) * e4
     g3 = (8.0 * math.pi**6 / 27.0) * e6
-    delta = g2**3 - 27.0 * g3**2
-    eta1 = (math.pi**2 / 3.0) * e2_anywhere(tau, trunc)
-    return LatticeInvariants(g2=g2, g3=g3, delta=ensure_finite(delta, "delta"), eta1=eta1)
+    delta = ensure_finite(delta_eta_product(tau_star, trunc) / s**12, "delta")
+    eta1 = (math.pi**2 / 3.0) * _e2_transport(e.e2, gamma.c, s)
+    return LatticeInvariants(g2=g2, g3=g3, delta=delta, eta1=eta1)
 
 
 def wp_add(

@@ -8,13 +8,20 @@ with Gaussian-rational coefficients (pi is carried as a formal symbol, so every
 coefficient stays exact).  The set is closed under d/dz and d/dtau:
 
     d/dz:   wp -> wp1,  wp1 -> 6 wp^2 - g2/2,  zeta -> -wp
-    d/dtau: E2k by Ramanujan's system, wp and zeta through the chain rule
-            d/dtau = (dg2/dtau) d/dg2 + (dg3/dtau) d/dg3 with the classical
-            parameter derivatives (all carrying 1/delta), and
-            d/dtau wp1 = d/dz (d/dtau wp).
+    d/dtau: E2k by Ramanujan's system; wp and zeta by the theta heat
+            equation d/dtau theta1 = theta1''/(4 pi i), which with
+            eta1 = (pi^2/3) E2 and zeta~ = zeta - eta1 z reads
+
+              4 pi i (d/dtau wp + d/dtau eta1)     = wp'' - 2 (wp + eta1)^2
+                                                     + 2 zeta~ wp1
+              4 pi i (d/dtau zeta - z d/dtau eta1) = -wp1 - 2 zeta~ (wp + eta1)
+
+            (the only denominator is pi, so the rules stay small and well
+            conditioned at every height); and d/dtau wp1 = d/dz (d/dtau wp).
 
 g2, g3, delta are abbreviations: g2 = (4 pi^4/3) E4, g3 = (8 pi^6/27) E6,
-delta = g2^3 - 27 g3^2.
+delta = g2^3 - 27 g3^2.  The classical route through d/dg2 and d/dg3 gives the
+same rules divided by delta, which cancels badly in double precision.
 """
 
 from __future__ import annotations
@@ -22,8 +29,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .core import ensure_finite
 from .eisenstein import DEFAULT_TRUNCATION, QTruncation
-from .errors import NearSingular
+from .errors import NearSingular, NonFiniteValue
 from .reduction import (
     e2_anywhere,
     e4_anywhere,
@@ -309,15 +317,12 @@ def build_rule_table() -> dict[str, tuple[Expr, ...]]:
     Returned fresh so callers (e.g. mutation tests) may alter entries without
     touching the cached default table.
     """
-    g2 = g2_expr()
-    g3 = g3_expr()
-    delta = delta_expr()
-
+    wp2 = 6 * WP**2 - g2_expr() / 2  # wp'', from differentiating the cubic ODE
     z_rules = (
         ONE,  # z
         ZERO,  # tau
         WP1,  # wp
-        6 * WP**2 - g2 / 2,  # wp1, from differentiating the cubic ODE
+        wp2,  # wp1
         -WP,  # zeta
         ZERO,  # E2
         ZERO,  # E4
@@ -329,35 +334,16 @@ def build_rule_table() -> dict[str, tuple[Expr, ...]]:
     de2 = rational(1, 6) * I * PI * (E2**2 - E4)
     de4 = rational(2, 3) * I * PI * (E2 * E4 - E6)
     de6 = I * PI * (E2 * E6 - E4**2)
-    dg2 = rational(4, 3) * PI**4 * de4
-    dg3 = rational(8, 27) * PI**6 * de6
 
-    # Classical parameter derivatives (each right side divided by delta)
-    wp_g2 = (
-        (rational(-9, 2) * g3 * ZETA + rational(1, 4) * g2**2 * Z) * WP1
-        - 9 * g3 * WP**2
-        + rational(1, 2) * g2**2 * WP
-        + rational(3, 2) * g2 * g3
-    ) / delta
-    wp_g3 = (
-        (3 * g2 * ZETA - rational(9, 2) * g3 * Z) * WP1
-        + 6 * g2 * WP**2
-        - 9 * g3 * WP
-        - g2**2
-    ) / delta
-    zeta_g2 = (
-        rational(1, 2) * ZETA * (9 * g3 * WP + rational(1, 2) * g2**2)
-        - rational(1, 2) * g2 * Z * (rational(1, 2) * g2 * WP + rational(3, 4) * g3)
-        + rational(9, 4) * g3 * WP1
-    ) / delta
-    zeta_g3 = (
-        -3 * ZETA * (g2 * WP + rational(3, 2) * g3)
-        + rational(1, 2) * Z * (9 * g3 * WP + rational(1, 2) * g2**2)
-        - rational(3, 2) * g2 * WP1
-    ) / delta
-
-    dwp = wp_g2 * dg2 + wp_g3 * dg3
-    dzeta = zeta_g2 * dg2 + zeta_g3 * dg3
+    # Heat equation d/dtau theta1 = theta1''/(4 pi i), written for wp and zeta
+    # with eta1 = (pi^2/3) E2 and zeta~ = zeta - eta1 z.
+    eta1 = rational(1, 3) * PI**2 * E2
+    deta1 = rational(1, 3) * PI**2 * de2
+    zeta_t = ZETA - eta1 * Z
+    wp_e = WP + eta1
+    over_4pi_i = ONE / (4 * I * PI)
+    dwp = (wp2 - 2 * wp_e**2 + 2 * zeta_t * WP1) * over_4pi_i - deta1
+    dzeta = (-WP1 - 2 * zeta_t * wp_e) * over_4pi_i + Z * deta1
 
     table: dict[str, tuple[Expr, ...]] = {"z": z_rules}
     dwp1 = _differentiate_with(dwp, z_rules)  # d/dtau wp1 = d/dz (d/dtau wp)
@@ -423,7 +409,8 @@ def eval_expr(
     """Evaluate an Expr by binding the generators to the anywhere-evaluators.
 
     z may be omitted for expressions that do not mention z, wp, wp1, or zeta.
-    Raises NearSingular if the denominator lands below 1e-12 in magnitude.
+    Raises NearSingular if the denominator lands below 1e-12 in magnitude and
+    NonFiniteValue if the value overflows.
     """
     used = e.used_generators()
     vals: list[complex] = [0j] * NGEN
@@ -446,10 +433,14 @@ def eval_expr(
         vals[6] = e4_anywhere(tau, trunc)
     if 7 in used:
         vals[7] = e6_anywhere(tau, trunc)
-    den = _p_eval(e.den, vals)
+    try:
+        den = _p_eval(e.den, vals)
+        num = _p_eval(e.num, vals)
+    except OverflowError as exc:  # complex ** overflows by raising
+        raise NonFiniteValue(f"expression overflows at tau = {tau}, z = {z}") from exc
     if abs(den) < _SINGULAR_FLOOR:
         raise NearSingular(f"denominator magnitude {abs(den):.3e} below {_SINGULAR_FLOOR}")
-    return _p_eval(e.num, vals) / den
+    return ensure_finite(num / den, "expression")
 
 
 def fd_check(

@@ -153,9 +153,12 @@ class _Ctx:
 
 
 def _tau_samples(rng: random.Random, count: int) -> list[complex]:
-    """Reduced tau points spread over the fundamental domain bulk and edge."""
+    """Reduced tau points spread over the fundamental domain bulk and edge.
+
+    The walk over the grid starts at a random cell, so single draws reach
+    every height, not only the first row."""
     out: list[complex] = []
-    k = 0
+    k = rng.randrange(len(_RE_GRID) * len(_IM_GRID))
     while len(out) < count:
         re = _RE_GRID[k % len(_RE_GRID)] + rng.uniform(-0.05, 0.05)
         im = _IM_GRID[(k // len(_RE_GRID)) % len(_IM_GRID)] * (1.0 + rng.uniform(-0.05, 0.05))

@@ -62,7 +62,12 @@ def _geometric_tail(first: float, ratio: float, pole_power: int) -> float:
 
 def _series_guards(
     tau: complex, z: complex, pole_guard: float
-) -> tuple[complex, complex]:
+) -> tuple[complex, complex, complex]:
+    """Check the point and return q, u and r = q/u.
+
+    r is formed as exp(2*pi*i*(tau - z)), not as q/u: high in the cell both q
+    and u underflow to 0 while their quotient is still a normal number.
+    """
     tau = require_upper_half(tau)
     z = complex(z)
     dist = lattice_distance(tau, z)
@@ -72,11 +77,12 @@ def _series_guards(
         )
     q = nome(tau)
     u = cmath.exp(TWO_PI_I * z)
-    if abs(q * u) >= 1.0 or abs(q / u) >= 1.0:
+    r = cmath.exp(TWO_PI_I * (tau - z))
+    if abs(q * u) >= 1.0 or abs(r) >= 1.0:
         raise ConvergenceDomain(
             "need |q*u| < 1 and |q/u| < 1; reduce z into the period cell first"
         )
-    return q, u
+    return q, u, r
 
 
 def wp_q(
@@ -87,16 +93,16 @@ def wp_q(
     pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
 ) -> WValue:
     """Weierstrass wp via the q-series; intended for reduced tau and z in the cell."""
-    q, u = _series_guards(tau, z, pole_guard)
+    q, u, r = _series_guards(tau, z, pole_guard)
     n_terms = trunc.order
     w = u
     total = w / (1.0 - w) ** 2  # m = 0
     qm = 1.0 + 0.0j
     for _ in range(1, n_terms + 1):
+        v = r * qm  # q^m / u
         qm *= q
         w = u * qm
         total += w / (1.0 - w) ** 2
-        v = qm / u
         total += v / (1.0 - v) ** 2
         total -= 2.0 * qm / (1.0 - qm) ** 2
     total += 1.0 / 12.0
@@ -106,7 +112,7 @@ def wp_q(
     first = qa ** (n_terms + 1)
     tail = (2.0 * math.pi) ** 2 * (
         _geometric_tail(first * ua, qa, 2)
-        + _geometric_tail(first / ua, qa, 2)
+        + _geometric_tail(abs(r) * qa**n_terms, qa, 2)
         + 2.0 * _geometric_tail(first, qa, 2)
     )
     dist = max(lattice_distance(tau, z), 1e-300)
@@ -123,23 +129,23 @@ def wp_prime_q(
     pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
 ) -> WValue:
     """d(wp)/dz via the term-wise derivative of the wp series (branch-free)."""
-    q, u = _series_guards(tau, z, pole_guard)
+    q, u, r = _series_guards(tau, z, pole_guard)
     n_terms = trunc.order
     w = u
     total = w * (1.0 + w) / (1.0 - w) ** 3  # m = 0
     qm = 1.0 + 0.0j
     for _ in range(1, n_terms + 1):
+        v = r * qm  # q^m / u
         qm *= q
         w = u * qm
         total += w * (1.0 + w) / (1.0 - w) ** 3
-        v = qm / u
         total -= v * (1.0 + v) / (1.0 - v) ** 3  # folded half flips sign
     value = ensure_finite(TWO_PI_I**3 * total, "wp'")
 
     qa, ua = abs(q), abs(u)
     first = qa ** (n_terms + 1)
     tail = (2.0 * math.pi) ** 3 * 2.0 * (
-        _geometric_tail(first * ua, qa, 3) + _geometric_tail(first / ua, qa, 3)
+        _geometric_tail(first * ua, qa, 3) + _geometric_tail(abs(r) * qa**n_terms, qa, 3)
     )
     dist = max(lattice_distance(tau, z), 1e-300)
     est = max(tail + _MACHINE * (1.0 + abs(value)) * max(1.0, 0.01 / dist),
@@ -158,15 +164,15 @@ def zeta_q(
 
     eta1 comes from the same q-data as E2: eta1 = (pi^2/3) E2(tau).
     """
-    q, u = _series_guards(tau, z, pole_guard)
+    q, u, r = _series_guards(tau, z, pole_guard)
     n_terms = trunc.order
     total = -u / (1.0 - u)  # n = 0 term of the u-sum
     qm = 1.0 + 0.0j
     for _ in range(1, n_terms + 1):
+        v = r * qm  # q^m / u
         qm *= q
         w = u * qm
         total -= w / (1.0 - w)
-        v = qm / u
         total += v / (1.0 - v)
     eta1 = (math.pi**2 / 3.0) * eisenstein_at(tau, trunc).e2
     value = ensure_finite(TWO_PI_I * total + eta1 * z - 1j * math.pi, "zeta")
@@ -174,7 +180,7 @@ def zeta_q(
     qa, ua = abs(q), abs(u)
     first = qa ** (n_terms + 1)
     tail = 2.0 * math.pi * (
-        _geometric_tail(first * ua, qa, 1) + _geometric_tail(first / ua, qa, 1)
+        _geometric_tail(first * ua, qa, 1) + _geometric_tail(abs(r) * qa**n_terms, qa, 1)
     )
     dist = max(lattice_distance(tau, z), 1e-300)
     est = max(tail + _MACHINE * (1.0 + abs(value)) * max(1.0, 0.01 / dist),

@@ -209,3 +209,50 @@ def test_reduced_distance_scales():
     tau = complex(0.3, 0.4)
     d = lattice_distance_anywhere(tau, complex(0.15, 0.2))
     assert 0 < d < 0.5
+
+
+def _theta_reference(tau, z, dps=120):
+    """wp, wp', zeta and delta at (tau, z) from Jacobi theta functions (mpmath
+    nome exp(pi*i*tau)), independent of the q-series and of reduction."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        q = mp.exp(1j * mp.pi * mp.mpc(tau.real, tau.imag))
+        eta1 = -mp.pi**2 * mp.jtheta(1, 0, q, 3) / (3 * mp.jtheta(1, 0, q, 1))
+        t2, t3, t4 = (mp.jtheta(k, 0, q) for k in (2, 3, 4))
+        delta = (2 * mp.pi) ** 12 * (t2 * t3 * t4 / 2) ** 8
+        z_m = mp.mpc(z.real, z.imag)
+        th = [mp.jtheta(1, mp.pi * z_m, q, k) for k in range(4)]
+        l1, l2, l3 = th[1] / th[0], th[2] / th[0], th[3] / th[0]
+        wp = -eta1 - mp.pi**2 * (l2 - l1 * l1)
+        wp1 = -mp.pi**3 * (l3 - 3 * l2 * l1 + 2 * l1**3)
+        zeta = eta1 * z_m + mp.pi * l1
+        return tuple(complex(v) for v in (wp, wp1, zeta, delta))
+
+
+@pytest.mark.parametrize(
+    "tau, z",
+    [
+        # tau* has Im 144 and z* Im 134: q and u both underflow to 0, q/u does not
+        (complex(0.002857734964027303, 0.005440996935509459),
+         complex(4.351911097261688, 44.33293627907187)),
+        # tau* has Im 122 and z* Im 91: only q underflows, and wp' ~ 1e-74 lives
+        # on the folded terms q^m/u
+        (complex(-0.0007800464490713699, 0.008148744046559235),
+         complex(33.31150947745894, 9.785318819232941)),
+    ],
+)
+def test_evaluators_survive_underflow_high_in_the_cell(tau, z):
+    wp, wp1, zeta, _ = _theta_reference(tau, z)
+    assert abs(wp_anywhere(tau, z).value - wp) <= 1e-13 * abs(wp)
+    assert abs(wp_prime_anywhere(tau, z).value - wp1) <= 1e-10 * abs(wp1)
+    assert abs(zeta_anywhere(tau, z).value - zeta) <= 1e-13 * abs(zeta)
+
+
+@pytest.mark.parametrize(
+    "tau", [complex(0.1, 5.0), complex(-0.3, 8.0), complex(0.21, 0.03)]
+)
+def test_invariants_anywhere_delta_keeps_relative_accuracy(tau):
+    # high in the cusp g2^3 - 27 g3^2 cancels to noise; the eta product at tau*
+    # keeps its digits, also through weight-12 transport from low Im(tau)
+    delta = _theta_reference(tau, 0.5j, dps=60)[3]
+    assert abs(invariants_anywhere(tau).delta - delta) <= 1e-12 * abs(delta)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from wpfield.errors import NearSingular
+from wpfield.errors import NearSingular, NonFiniteValue
 from wpfield.eisenstein import invariants_at
 from wpfield.symbolic import (
     E2,
@@ -153,6 +153,62 @@ def test_fd_step_validation():
         differentiate(WP, "x")
 
 
+def _classical_tau_rules():
+    """d/dtau of wp, wp1 and zeta by the chain rule through g2 and g3, with the
+    classical parameter derivatives (each divided by delta)."""
+    g2, g3, delta = g2_expr(), g3_expr(), delta_expr()
+    de4 = rational(2, 3) * I * PI * (E2 * E4 - E6)
+    de6 = I * PI * (E2 * E6 - E4**2)
+    dg2 = rational(4, 3) * PI**4 * de4
+    dg3 = rational(8, 27) * PI**6 * de6
+    wp_g2 = (
+        (rational(-9, 2) * g3 * ZETA + rational(1, 4) * g2**2 * Z) * WP1
+        - 9 * g3 * WP**2
+        + rational(1, 2) * g2**2 * WP
+        + rational(3, 2) * g2 * g3
+    ) / delta
+    wp_g3 = (
+        (3 * g2 * ZETA - rational(9, 2) * g3 * Z) * WP1
+        + 6 * g2 * WP**2
+        - 9 * g3 * WP
+        - g2**2
+    ) / delta
+    zeta_g2 = (
+        rational(1, 2) * ZETA * (9 * g3 * WP + rational(1, 2) * g2**2)
+        - rational(1, 2) * g2 * Z * (rational(1, 2) * g2 * WP + rational(3, 4) * g3)
+        + rational(9, 4) * g3 * WP1
+    ) / delta
+    zeta_g3 = (
+        -3 * ZETA * (g2 * WP + rational(3, 2) * g3)
+        + rational(1, 2) * Z * (9 * g3 * WP + rational(1, 2) * g2**2)
+        - rational(3, 2) * g2 * WP1
+    ) / delta
+    dwp = wp_g2 * dg2 + wp_g3 * dg3
+    return dwp, differentiate(dwp, "z"), zeta_g2 * dg2 + zeta_g3 * dg3
+
+
+def test_heat_rules_equal_classical_chain_rule():
+    new = default_rule_table()["tau"][2:5]  # wp, wp1, zeta
+    for got, want in zip(new, _classical_tau_rules()):
+        assert (got - want).is_zero()
+
+
+def test_heat_rules_are_small_and_delta_free():
+    for rule in default_rule_table()["tau"][2:5]:
+        assert rule.used_generators() <= {0, 2, 3, 4, 5, 6, 8}  # no E6 from delta
+        assert len(rule.den) == 1 and len(rule.num) <= 6
+    assert len(differentiate(differentiate(WP * ZETA, "tau"), "tau").num) < 100
+
+
+@pytest.mark.parametrize("im", [0.9, 2.0, 5.0, 8.0])
+@pytest.mark.parametrize("gen", [WP, WP1, ZETA], ids=lambda e: expr_to_text(e))
+def test_tau_derivatives_hold_at_every_height(gen, im):
+    tau = complex(0.13, im)
+    z = 0.31 + 0.35 * tau
+    assert fd_check(gen, "tau", tau, z) <= 1e-9
+    assert fd_check(differentiate(gen, "tau"), "tau", tau, z) <= 1e-9
+
+
 # --- invariants expressions ---------------------------------------------------
 
 
@@ -182,6 +238,12 @@ def test_eval_requires_z_only_when_needed():
 def test_near_singular_denominator():
     with pytest.raises(NearSingular):
         eval_expr(ONE / E6, 1j)  # E6(i) = 0
+
+
+def test_overflow_is_a_wpfield_error():
+    # |wp'| ~ 2/z^3 = 2e6 next to the pole, and (2e6)^60 overflows a double
+    with pytest.raises(NonFiniteValue):
+        eval_expr(WP1**60, 1j, 0.01)
 
 
 # --- serialization ------------------------------------------------------------
