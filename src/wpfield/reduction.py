@@ -7,8 +7,11 @@ the value is transported back with the weight of the function:
     wp'(tau; z) = s^-3 wp'(tau*; z/s)
     zeta(tau;z) = s^-1 [zeta(tau*; z*) + m*eta1(tau*) + n*eta2(tau*)]
 
-where z/s = z* + m + n*tau* and eta1 = 2 zeta(tau*; 1/2),
-eta2 = 2 zeta(tau*; tau*/2).  E2 inverts the quasimodular law
+where z/s = z* + m + n*tau*, eta1 = (pi^2/3) E2(tau*) and, by Legendre's
+relation, eta2 = tau* eta1 - 2*pi*i.  Every z-evaluator is one pipeline:
+reduce (tau, z), run the q-series kernel at (tau*, z*) with the pole guard
+scaled by 1/|s| into the reduced frame, transport.  E2 inverts the
+quasimodular law
 
     G2(gamma tau) = s^2 G2(tau) - pi*i*c*s,      G2 = zeta(2) E2,
 
@@ -35,7 +38,7 @@ from .eisenstein import (
     delta_eta_product,
     eisenstein_at,
 )
-from .errors import DegenerateConfiguration, NonTermination, PoleProximity
+from .errors import DegenerateConfiguration, NonTermination
 from .weier import WValue, wp_prime_q, wp_q, zeta_q
 
 _MAX_REDUCTION_STEPS = 10_000
@@ -152,12 +155,16 @@ def lattice_distance_anywhere(tau: complex, z: complex) -> float:
     return lattice_distance(rr.tau_star, rr.z_star) * abs(rr.scale)
 
 
-def _guard_pole(tau: complex, rr: ReductionResult, pole_guard: float) -> None:
-    dist = lattice_distance(rr.tau_star, rr.z_star) * abs(rr.scale)
-    if dist < pole_guard:
-        raise PoleProximity(
-            f"z within {dist:.3e} of the lattice of tau = {tau} (guard {pole_guard:.1e})"
-        )
+def _series_at_reduced(kernel, tau, z, trunc, pole_guard):
+    """Reduce (tau, z) and run the kernel at (tau*, z*); distances scale by 1/|s|."""
+    rr = reduce_point(tau, z)
+    return rr, kernel(rr.tau_star, rr.z_star, trunc, pole_guard=pole_guard / abs(rr.scale))
+
+
+def _transport(value: complex, est_error: float, s: complex, weight: int, what: str) -> WValue:
+    """A weight-k value and its error from the reduced frame: both divide by s^k."""
+    sk = s**weight
+    return WValue(value=ensure_finite(value / sk, what), est_error=est_error / abs(sk))
 
 
 def wp_anywhere(
@@ -168,12 +175,8 @@ def wp_anywhere(
     pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
 ) -> WValue:
     """wp at any tau in the upper half-plane and any non-lattice z (weight 2)."""
-    rr = reduce_point(tau, z)
-    _guard_pole(tau, rr, pole_guard)
-    inner = wp_q(rr.tau_star, rr.z_star, trunc, pole_guard=0.0)
-    s2 = rr.scale * rr.scale
-    value = ensure_finite(inner.value / s2, "wp")
-    return WValue(value=value, est_error=inner.est_error / abs(s2))
+    rr, inner = _series_at_reduced(wp_q, tau, z, trunc, pole_guard)
+    return _transport(inner.value, inner.est_error, rr.scale, 2, "wp")
 
 
 def wp_prime_anywhere(
@@ -184,12 +187,8 @@ def wp_prime_anywhere(
     pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
 ) -> WValue:
     """d(wp)/dz at any tau, z (weight 3)."""
-    rr = reduce_point(tau, z)
-    _guard_pole(tau, rr, pole_guard)
-    inner = wp_prime_q(rr.tau_star, rr.z_star, trunc, pole_guard=0.0)
-    s3 = rr.scale**3
-    value = ensure_finite(inner.value / s3, "wp'")
-    return WValue(value=value, est_error=inner.est_error / abs(s3))
+    rr, inner = _series_at_reduced(wp_prime_q, tau, z, trunc, pole_guard)
+    return _transport(inner.value, inner.est_error, rr.scale, 3, "wp'")
 
 
 def zeta_anywhere(
@@ -199,19 +198,20 @@ def zeta_anywhere(
     *,
     pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
 ) -> WValue:
-    """zeta at any tau, z: weight-1 transport plus quasi-period unwinding."""
-    rr = reduce_point(tau, z)
-    _guard_pole(tau, rr, pole_guard)
-    ts = rr.tau_star
-    inner = zeta_q(ts, rr.z_star, trunc, pole_guard=0.0)
+    """zeta at any tau, z: closed-form quasi-period unwinding, weight-1 transport."""
+    rr, inner = _series_at_reduced(zeta_q, tau, z, trunc, pole_guard)
     value = inner.value
-    if rr.m != 0:
-        value += rr.m * 2.0 * zeta_q(ts, 0.5, trunc).value
-    if rr.n != 0:
-        value += rr.n * 2.0 * zeta_q(ts, ts / 2.0, trunc).value
-    value = ensure_finite(value / rr.scale, "zeta")
-    est = (inner.est_error * (1.0 + abs(rr.m) + abs(rr.n))) / abs(rr.scale)
-    return WValue(value=value, est_error=est)
+    if rr.m or rr.n:
+        eta1 = (math.pi**2 / 3.0) * eisenstein_at(rr.tau_star, trunc).e2
+        value += (rr.m + rr.n * rr.tau_star) * eta1 - 2j * math.pi * rr.n
+    est = inner.est_error * (1.0 + abs(rr.m) + abs(rr.n))
+    return _transport(value, est, rr.scale, 1, "zeta")
+
+
+def _at_reduced_tau(tau: complex, trunc: QTruncation):
+    """Reduce tau; return gamma, tau*, s = c*tau + d and the Eisenstein values at tau*."""
+    gamma, tau_star = reduce_tau(tau)
+    return gamma, tau_star, gamma.scale(tau), eisenstein_at(tau_star, trunc)
 
 
 def _e2_transport(e2_star: complex, c: int, s: complex) -> complex:
@@ -222,22 +222,20 @@ def _e2_transport(e2_star: complex, c: int, s: complex) -> complex:
 
 def e2_anywhere(tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION) -> complex:
     """E2 at any tau by inverting the quasimodular transformation law."""
-    gamma, tau_star = reduce_tau(tau)
-    return _e2_transport(eisenstein_at(tau_star, trunc).e2, gamma.c, gamma.scale(tau))
+    gamma, _, s, e = _at_reduced_tau(tau, trunc)
+    return _e2_transport(e.e2, gamma.c, s)
 
 
 def e4_anywhere(tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION) -> complex:
     """E4 at any tau (weight-4 modular transport)."""
-    gamma, tau_star = reduce_tau(tau)
-    s = gamma.scale(tau)
-    return ensure_finite(eisenstein_at(tau_star, trunc).e4 / s**4, "E4")
+    _, _, s, e = _at_reduced_tau(tau, trunc)
+    return ensure_finite(e.e4 / s**4, "E4")
 
 
 def e6_anywhere(tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION) -> complex:
     """E6 at any tau (weight-6 modular transport)."""
-    gamma, tau_star = reduce_tau(tau)
-    s = gamma.scale(tau)
-    return ensure_finite(eisenstein_at(tau_star, trunc).e6 / s**6, "E6")
+    _, _, s, e = _at_reduced_tau(tau, trunc)
+    return ensure_finite(e.e6 / s**6, "E6")
 
 
 def invariants_anywhere(
@@ -248,9 +246,7 @@ def invariants_anywhere(
 
     delta is the eta product at tau* (weight 12), not g2^3 - 27 g3^2, which
     cancels badly once |q*| is small."""
-    gamma, tau_star = reduce_tau(tau)
-    s = gamma.scale(tau)
-    e = eisenstein_at(tau_star, trunc)
+    gamma, tau_star, s, e = _at_reduced_tau(tau, trunc)
     e4 = ensure_finite(e.e4 / s**4, "E4")
     e6 = ensure_finite(e.e6 / s**6, "E6")
     g2 = (4.0 * math.pi**4 / 3.0) * e4

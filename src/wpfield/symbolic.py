@@ -383,8 +383,10 @@ def _differentiate_with(e: Expr, gen_rules: tuple[Expr, ...]) -> Expr:
     if e.den == {_UNIT_MONO: _C_ONE}:
         return dn
     dd = _diff_poly(e.den, gen_rules)
-    num_e = Expr(e.num, {_UNIT_MONO: _C_ONE})
     den_e = Expr(e.den, {_UNIT_MONO: _C_ONE})
+    if dd.is_zero():  # constant denominator: no quotient rule, no squaring
+        return dn / den_e
+    num_e = Expr(e.num, {_UNIT_MONO: _C_ONE})
     return (dn * den_e - num_e * dd) / (den_e * den_e)
 
 

@@ -495,20 +495,20 @@ _CASE_TABLE: tuple[tuple[str, object, object], ...] = (
     ("duplication_formula", _case_duplication_formula, 1e-7),
     ("e2_fixed_point", _case_e2_fixed_point, 1e-10),
     ("e2_q_coefficients", _case_e2_q_coefficients, 1e-8),
-    ("eta1_anchor", _case_eta1_anchor, 1e-9),
-    ("half_period_invariants", _case_half_period_invariants, 1e-9),
+    ("eta1_anchor", _case_eta1_anchor, "identity_tol"),
+    ("half_period_invariants", _case_half_period_invariants, "identity_tol"),
     ("half_period_root_sum", _case_half_period_root_sum, 1e-10),
-    ("legendre_relation", _case_legendre, 1e-9),
+    ("legendre_relation", _case_legendre, "identity_tol"),
     ("ode_residual", _case_ode_residual, 1e-8),
     ("oracle_e4", _case_oracle_e4, "oracle_tol"),
     ("oracle_e6", _case_oracle_e6, "oracle_tol"),
     ("oracle_wp", _case_oracle_wp, "oracle_tol"),
     ("oracle_zeta", _case_oracle_zeta, "oracle_tol"),
-    ("quasimodular_law", _case_quasimodular_law, 1e-9),
+    ("quasimodular_law", _case_quasimodular_law, "identity_tol"),
     ("ramanujan_fd", _case_ramanujan_fd, "fd_tol"),
     ("s_law_exponent", _case_s_law_exponent, "oracle_tol"),
     ("sine_limit", _case_sine_limit, 1e-10),
-    ("zeta_quasi_periodicity", _case_zeta_quasi_periodicity, 1e-9),
+    ("zeta_quasi_periodicity", _case_zeta_quasi_periodicity, "identity_tol"),
     ("zeta_three_term", _case_zeta_three_term, 1e-8),
 )
 

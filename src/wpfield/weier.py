@@ -62,8 +62,8 @@ def _geometric_tail(first: float, ratio: float, pole_power: int) -> float:
 
 def _series_guards(
     tau: complex, z: complex, pole_guard: float
-) -> tuple[complex, complex, complex]:
-    """Check the point and return q, u and r = q/u.
+) -> tuple[complex, complex, complex, float]:
+    """Check the point and return q, u, r = q/u and the lattice distance of z.
 
     r is formed as exp(2*pi*i*(tau - z)), not as q/u: high in the cell both q
     and u underflow to 0 while their quotient is still a normal number.
@@ -82,7 +82,24 @@ def _series_guards(
         raise ConvergenceDomain(
             "need |q*u| < 1 and |q/u| < 1; reduce z into the period cell first"
         )
-    return q, u, r
+    return q, u, r, dist
+
+
+def _est_error(value: complex, q: complex, u: complex, r: complex, dist: float,
+               n_terms: int, weight: int, factor: float = 1.0, extra_tail: float = 0.0) -> float:
+    """The error model of the weight-k kernels (k = 2, 3, 1 for wp, wp', zeta):
+    (2*pi)^k * factor * (tails of the u q^m and q^m/u sums + extra_tail), plus
+    rounding inflated as 0.01/dist near a pole, floored at the default policy's
+    series_tail_bound."""
+    qa = abs(q)
+    tails = (
+        _geometric_tail(qa ** (n_terms + 1) * abs(u), qa, weight)
+        + _geometric_tail(abs(r) * qa**n_terms, qa, weight)
+        + extra_tail
+    )
+    tail = (2.0 * math.pi) ** weight * factor * tails
+    rounding = _MACHINE * (1.0 + abs(value)) * max(1.0, 0.01 / max(dist, 1e-300))
+    return max(tail + rounding, DEFAULT_POLICY.series_tail_bound)
 
 
 def wp_q(
@@ -93,7 +110,7 @@ def wp_q(
     pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
 ) -> WValue:
     """Weierstrass wp via the q-series; intended for reduced tau and z in the cell."""
-    q, u, r = _series_guards(tau, z, pole_guard)
+    q, u, r, dist = _series_guards(tau, z, pole_guard)
     n_terms = trunc.order
     w = u
     total = w / (1.0 - w) ** 2  # m = 0
@@ -107,17 +124,8 @@ def wp_q(
         total -= 2.0 * qm / (1.0 - qm) ** 2
     total += 1.0 / 12.0
     value = ensure_finite(TWO_PI_I**2 * total, "wp")
-
-    qa, ua = abs(q), abs(u)
-    first = qa ** (n_terms + 1)
-    tail = (2.0 * math.pi) ** 2 * (
-        _geometric_tail(first * ua, qa, 2)
-        + _geometric_tail(abs(r) * qa**n_terms, qa, 2)
-        + 2.0 * _geometric_tail(first, qa, 2)
-    )
-    dist = max(lattice_distance(tau, z), 1e-300)
-    est = max(tail + _MACHINE * (1.0 + abs(value)) * max(1.0, 0.01 / dist),
-              DEFAULT_POLICY.series_tail_bound)
+    q_sum_tail = 2.0 * _geometric_tail(abs(q) ** (n_terms + 1), abs(q), 2)  # u-free sum
+    est = _est_error(value, q, u, r, dist, n_terms, 2, extra_tail=q_sum_tail)
     return WValue(value=value, est_error=est)
 
 
@@ -129,7 +137,7 @@ def wp_prime_q(
     pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
 ) -> WValue:
     """d(wp)/dz via the term-wise derivative of the wp series (branch-free)."""
-    q, u, r = _series_guards(tau, z, pole_guard)
+    q, u, r, dist = _series_guards(tau, z, pole_guard)
     n_terms = trunc.order
     w = u
     total = w * (1.0 + w) / (1.0 - w) ** 3  # m = 0
@@ -141,15 +149,8 @@ def wp_prime_q(
         total += w * (1.0 + w) / (1.0 - w) ** 3
         total -= v * (1.0 + v) / (1.0 - v) ** 3  # folded half flips sign
     value = ensure_finite(TWO_PI_I**3 * total, "wp'")
-
-    qa, ua = abs(q), abs(u)
-    first = qa ** (n_terms + 1)
-    tail = (2.0 * math.pi) ** 3 * 2.0 * (
-        _geometric_tail(first * ua, qa, 3) + _geometric_tail(abs(r) * qa**n_terms, qa, 3)
-    )
-    dist = max(lattice_distance(tau, z), 1e-300)
-    est = max(tail + _MACHINE * (1.0 + abs(value)) * max(1.0, 0.01 / dist),
-              DEFAULT_POLICY.series_tail_bound)
+    # w (1 + w) / (1 - w)^3 <= 2 |w| / (1 - |w|)^3
+    est = _est_error(value, q, u, r, dist, n_terms, 3, factor=2.0)
     return WValue(value=value, est_error=est)
 
 
@@ -164,7 +165,7 @@ def zeta_q(
 
     eta1 comes from the same q-data as E2: eta1 = (pi^2/3) E2(tau).
     """
-    q, u, r = _series_guards(tau, z, pole_guard)
+    q, u, r, dist = _series_guards(tau, z, pole_guard)
     n_terms = trunc.order
     total = -u / (1.0 - u)  # n = 0 term of the u-sum
     qm = 1.0 + 0.0j
@@ -176,16 +177,7 @@ def zeta_q(
         total += v / (1.0 - v)
     eta1 = (math.pi**2 / 3.0) * eisenstein_at(tau, trunc).e2
     value = ensure_finite(TWO_PI_I * total + eta1 * z - 1j * math.pi, "zeta")
-
-    qa, ua = abs(q), abs(u)
-    first = qa ** (n_terms + 1)
-    tail = 2.0 * math.pi * (
-        _geometric_tail(first * ua, qa, 1) + _geometric_tail(abs(r) * qa**n_terms, qa, 1)
-    )
-    dist = max(lattice_distance(tau, z), 1e-300)
-    est = max(tail + _MACHINE * (1.0 + abs(value)) * max(1.0, 0.01 / dist),
-              DEFAULT_POLICY.series_tail_bound)
-    return WValue(value=value, est_error=est)
+    return WValue(value=value, est_error=_est_error(value, q, u, r, dist, n_terms, 1))
 
 
 def half_periods(

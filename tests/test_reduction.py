@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpfield.core import in_cell, in_fundamental_domain, lattice_distance
+from wpfield import core, reduction, weier
+from wpfield.core import DEFAULT_POLICY, in_cell, in_fundamental_domain, lattice_distance
 from wpfield.eisenstein import eisenstein_at
 from wpfield.errors import DegenerateConfiguration, PoleProximity
 from wpfield.reduction import (
@@ -130,14 +131,26 @@ def test_wp_prime_weight_three():
     assert abs(lhs - rhs) < 1e-9
 
 
-def test_zeta_unwinds_quasi_periods():
-    tau = complex(-0.2, 1.6)
-    z = complex(0.31, 0.52)
-    eta1 = 2.0 * zeta_q(tau, 0.5).value
-    eta2 = 2.0 * zeta_q(tau, tau / 2.0).value
+@pytest.mark.parametrize(
+    "tau, m, n",
+    [
+        (complex(-0.2, 1.6), 3, -2),
+        (complex(-0.2, 1.6), 12, -10),
+        (complex(0.3, 0.4), 2, 5),  # s = tau, |s| = 0.5
+        (complex(0.3, 0.4), -11, 10),
+        (complex(0.21, 0.03), 10, -13),  # |s| = 0.16, Im tau* = 1.2
+    ],
+)
+def test_zeta_unwinds_quasi_periods(tau, m, n):
+    # eta1 = 2 zeta(1/2), eta2 = 2 zeta(tau/2) from the theta reference, not
+    # from the closed forms the evaluator unwinds with
+    eta1 = 2.0 * _theta_reference(tau, 0.5, dps=60)[2]
+    eta2 = 2.0 * _theta_reference(tau, tau / 2.0, dps=60)[2]
+    z = 0.31 + 0.52 * tau
     base = zeta_anywhere(tau, z).value
-    got = zeta_anywhere(tau, z + 3.0 - 2.0 * tau).value
-    assert abs(got - (base + 3.0 * eta1 - 2.0 * eta2)) < 1e-10
+    got = zeta_anywhere(tau, z + m + n * tau).value
+    want = base + m * eta1 + n * eta2
+    assert abs(got - want) < 1e-10
 
 
 def test_e2_translation_and_inversion():
@@ -183,6 +196,59 @@ def test_wp_anywhere_guards_poles_everywhere():
         wp_anywhere(complex(0.3, 0.4), complex(1.0, 0.0))
     with pytest.raises(PoleProximity):
         zeta_anywhere(1j, complex(3.0, 2.0))
+
+
+POINT_EVALUATORS = [wp_anywhere, wp_prime_anywhere, zeta_anywhere]
+
+
+@pytest.mark.parametrize("fn", POINT_EVALUATORS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("tau", [complex(0.3, 0.4), complex(0.01, 0.05)])
+def test_pole_guard_holds_in_the_original_frame(fn, tau):
+    # |s| = 0.5 and 0.05 here: a guard applied in the reduced frame without the
+    # 1/|s| would let the 0.5-guard point through
+    guard = DEFAULT_POLICY.pole_guard_radius
+    lattice_point = 2.0 - 3.0 * tau
+    direction = cmath.exp(0.7j)
+    with pytest.raises(PoleProximity):
+        fn(tau, lattice_point + 0.5 * guard * direction)
+    value = fn(tau, lattice_point + 2.0 * guard * direction).value
+    assert math.isfinite(abs(value))
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Replace `name` in each module by a wrapper that records its calls."""
+    calls = []
+    for module in modules:
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("fn", POINT_EVALUATORS, ids=lambda f: f.__name__)
+def test_one_lattice_distance_per_point_evaluation(fn, monkeypatch):
+    calls = _count_calls(monkeypatch, "lattice_distance", [core, weier, reduction])
+    tau, z = complex(0.3, 0.4), complex(4.3, 1.9)
+    assert reduce_point(tau, z).m != 0
+    fn(tau, z)
+    assert len(calls) == 1
+
+
+def test_unwound_zeta_calls_the_series_once(monkeypatch):
+    series = _count_calls(monkeypatch, "zeta_q", [weier, reduction])
+    eisenstein = _count_calls(monkeypatch, "eisenstein_at", [weier, reduction])
+    tau, z = complex(0.3, 0.4), complex(4.3, 1.9)
+    rr = reduce_point(tau, z)
+    assert rr.m != 0 and rr.n != 0
+    zeta_anywhere(tau, z)
+    # one series at z*; E2(tau*) once inside it for eta1*z*, once for the
+    # unwinding by eta1 and eta2 = tau*eta1 - 2 pi i
+    assert len(series) == 1
+    assert [args[0] for args in eisenstein] == [rr.tau_star, rr.tau_star]
 
 
 def test_wp_add_matches_direct():

@@ -126,10 +126,28 @@ def test_mixed_partials_commute():
 def test_product_and_quotient_rules():
     e = (WP * ZETA) / E4
     d = differentiate(e, "z")
-    # the quotient rule leaves an uncancelled E4/E4^2, so compare exactly by
-    # cross-multiplied difference rather than by structure
+    # compare exactly by cross-multiplied difference rather than by structure
     want = (WP1 * ZETA - WP * WP) / E4
     assert (d - want).is_zero()
+
+
+def _full_quotient_rule(e, var):
+    """(num' den - num den') / den^2, also when den' = 0."""
+    num, den = Expr(e.num, ONE.den), Expr(e.den, ONE.den)
+    return (differentiate(num, var) * den - num * differentiate(den, var)) / (den * den)
+
+
+def test_constant_denominator_is_not_squared():
+    e = parse_expr("(((wp*zeta)+(3*E2))/((E4^2)+(1/3)))")
+    d1 = differentiate(e, "z")
+    d2 = differentiate(d1, "z")
+    full1 = _full_quotient_rule(e, "z")
+    full2 = _full_quotient_rule(full1, "z")
+    assert (d1 - full1).is_zero() and (d2 - full2).is_zero()
+    assert (len(full1.den), len(full2.den)) == (3, 5)
+    assert (len(d1.den), len(d2.den)) == (2, 2)
+    # d/dtau wp1 = d/dz (d/dtau wp), whose denominator is pi
+    assert Expr(default_rule_table()["tau"][3].den, ONE.den) == PI
 
 
 @pytest.mark.parametrize("var", ["z", "tau"])

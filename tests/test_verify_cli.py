@@ -83,6 +83,26 @@ def test_case_tolerance_override_forces_failure():
     assert report.case("sine_limit").tolerance == 1e-30
 
 
+IDENTITY_TOL_CASES = {
+    "eta1_anchor",
+    "half_period_invariants",
+    "legendre_relation",
+    "quasimodular_law",
+    "zeta_quasi_periodicity",
+}
+
+
+def test_identity_tol_sets_the_exact_identity_cases(tmp_path):
+    default = run_identity_suite(seed=42, only=sorted(IDENTITY_TOL_CASES))
+    assert {c.tolerance for c in default.cases} == {TolerancePolicy().identity_tol} == {1e-9}
+    cfg = tmp_path / "strict_identities.cfg"
+    cfg.write_text("series_tail_bound = 1e-31\nidentity_tol = 1e-30\n")
+    policy, overrides = load_tolerance_config(str(cfg))
+    report = run_identity_suite(seed=42, policy=policy, case_tolerances=overrides)
+    assert {c.name for c in report.cases if not c.passed} == IDENTITY_TOL_CASES
+    assert {c.name for c in report.cases if c.tolerance == 1e-30} == IDENTITY_TOL_CASES
+
+
 def test_config_loader(tmp_path):
     cfg = tmp_path / "t.cfg"
     cfg.write_text(
