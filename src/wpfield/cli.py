@@ -14,7 +14,7 @@ import os
 import sys
 
 from .core import DEFAULT_POLICY, TolerancePolicy
-from .eisenstein import DEFAULT_TRUNCATION, q_coefficients
+from .eisenstein import _TAIL_TARGET, q_coefficients
 from .errors import WPFieldError
 from .reduction import (
     e2_anywhere,
@@ -56,7 +56,7 @@ def _print_json(obj) -> None:
 
 def _cmd_eval(args) -> int:
     tau, z, fn = args.tau, args.z, args.fn
-    tail = DEFAULT_TRUNCATION.tail_bound
+    tail = _TAIL_TARGET
     if fn in _NEEDS_Z:
         evaluator = {"wp": wp_anywhere, "wp1": wp_prime_anywhere, "zeta": zeta_anywhere}[fn]
         res = evaluator(tau, z)

@@ -32,7 +32,7 @@ class TolerancePolicy:
 
     Attributes
     ----------
-    series_tail_bound : floor for claimed truncation accuracy
+    series_tail_bound : floor for claimed series accuracy
     identity_tol      : default pass threshold for exact-identity residuals
     oracle_tol        : pass threshold when comparing against lattice-sum oracles
     fd_tol            : pass threshold for finite-difference derivative checks

@@ -14,16 +14,22 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import NOME_RADIUS, TWO_PI_I, ensure_finite, nome, require_upper_half
+from .core import TWO_PI_I, ensure_finite, nome, require_upper_half
 from .errors import ConvergenceDomain
 
-# Below this height the default truncation no longer gives useful tails.
+# Below this height |q| > 0.53 and the E-series would need about 120 terms;
+# callers reduce tau first.
 MIN_IM_TAU = 0.1
+
+# Every q-series stops at the first order whose tail bound is below this, a
+# tenth of an ulp of 1.
+_TAIL_TARGET = 1e-17
 
 ZETA2 = math.pi**2 / 6.0
 ZETA4 = math.pi**4 / 90.0
@@ -60,26 +66,18 @@ def _power_series_tail(q_abs: float, order: int, degree: int, scale: float) -> f
     return first / (1.0 - ratio)
 
 
-@dataclass(frozen=True)
-class QTruncation:
-    """Truncation order for all q-expansions plus an a-priori tail bound.
-
-    The bound covers the worst of the three Eisenstein series (the sigma_5 one,
-    via sigma_5(n) <= n^6) for any |q| <= exp(-pi*sqrt(3)), i.e. for reduced tau.
-    """
-
-    order: int = 40
-    tail_bound: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError("truncation order must be >= 1")
-        if self.tail_bound == 0.0:
-            bound = _power_series_tail(NOME_RADIUS, self.order, 6, 504.0)
-            object.__setattr__(self, "tail_bound", bound)
+def _sigma_tail(q_abs: float, order: int) -> float:
+    """Tail of the E6 series past q^order; it bounds all three (sigma_5(n) <= n^6)."""
+    return _power_series_tail(q_abs, order, 6, 504.0)
 
 
-DEFAULT_TRUNCATION = QTruncation()
+def _series_order(q_abs: float, tail: Callable[[float, int], float]) -> int:
+    """The smallest order N >= 1 with tail(q_abs, N) <= _TAIL_TARGET, where
+    tail(q_abs, N) bounds what a q-series drops by stopping after q^N."""
+    order = 1
+    while tail(q_abs, order) > _TAIL_TARGET:
+        order += 1
+    return order
 
 
 @dataclass(frozen=True)
@@ -114,22 +112,23 @@ def _series_tau(tau: complex) -> complex:
     return tau
 
 
-def eisenstein_at(tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION) -> EisensteinValues:
+def eisenstein_at(tau: complex) -> EisensteinValues:
     """Normalized E2, E4, E6 at tau via the divisor-sum q-expansions.
 
-    Accepts any Im(tau) >= 0.1; accuracy degrades with |q| and is machine-level
-    once tau is reduced.
+    Accepts any Im(tau) >= 0.1, summing as many terms as |q| needs (10 at
+    most once tau is reduced).
     """
     tau = _series_tau(tau)
     q = nome(tau)
-    qn = _q_powers(q, trunc.order)
-    s1 = _sigma_table(trunc.order, 1)
-    s3 = _sigma_table(trunc.order, 3)
-    s5 = _sigma_table(trunc.order, 5)
+    order = _series_order(abs(q), _sigma_tail)
+    qn = _q_powers(q, order)
+    s1 = _sigma_table(order, 1)
+    s3 = _sigma_table(order, 3)
+    s5 = _sigma_table(order, 5)
     acc1 = 0.0 + 0.0j
     acc3 = 0.0 + 0.0j
     acc5 = 0.0 + 0.0j
-    for n in range(trunc.order, 0, -1):  # small terms first
+    for n in range(order, 0, -1):  # small terms first
         acc1 += s1[n - 1] * qn[n]
         acc3 += s3[n - 1] * qn[n]
         acc5 += s5[n - 1] * qn[n]
@@ -139,7 +138,7 @@ def eisenstein_at(tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION) -> Eise
     return EisensteinValues(e2=e2, e4=e4, e6=e6)
 
 
-def delta_eta_product(tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION) -> complex:
+def delta_eta_product(tau: complex) -> complex:
     """Discriminant delta = (2*pi)^12 q prod_{n >= 1} (1 - q^n)^24.
 
     Unlike g2^3 - 27 g3^2, which cancels to rounding noise once |q| is small,
@@ -149,19 +148,19 @@ def delta_eta_product(tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION) -> 
     q = nome(tau)
     prod = 1.0 + 0.0j
     qn = 1.0 + 0.0j
-    for _ in range(trunc.order):
+    for _ in range(_series_order(abs(q), _sigma_tail)):
         qn *= q
         prod *= 1.0 - qn
     return ensure_finite((2.0 * math.pi) ** 12 * q * prod**24, "delta")
 
 
-def invariants_at(tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION) -> LatticeInvariants:
+def invariants_at(tau: complex) -> LatticeInvariants:
     """g2, g3, discriminant, and eta1 for the lattice Z + tau*Z.
 
     Bridges: g2 = (4*pi^4/3) E4, g3 = (8*pi^6/27) E6, delta = g2^3 - 27 g3^2,
     eta1 = (pi^2/3) E2 (sign pinned by eta1(i) = +pi).
     """
-    e = eisenstein_at(tau, trunc)
+    e = eisenstein_at(tau)
     g2 = (4.0 * math.pi**4 / 3.0) * e.e4
     g3 = (8.0 * math.pi**6 / 27.0) * e.e6
     delta = g2**3 - 27.0 * g3**2
@@ -179,7 +178,7 @@ def lattice_sum_eisenstein(tau: complex, k: int, radius: int) -> complex:
         sum' omega^(-2) = 2*zeta(2) + 2 * sum_{m >= 1} pi^2 / sin^2(pi*m*tau).
 
     For k = 2, 3 the absolutely convergent double sum over max(|m|, |n|) <=
-    radius is returned; its truncation error decays like O(radius^(1-2k)).
+    radius is returned; what it leaves out decays like O(radius^(1-2k)).
     """
     tau = require_upper_half(tau)
     if k not in (1, 2, 3):

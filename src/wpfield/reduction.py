@@ -30,15 +30,8 @@ from .core import (
     lattice_distance,
     require_upper_half,
 )
-from .eisenstein import (
-    DEFAULT_TRUNCATION,
-    ZETA2,
-    LatticeInvariants,
-    QTruncation,
-    delta_eta_product,
-    eisenstein_at,
-)
-from .errors import DegenerateConfiguration, NonTermination
+from .eisenstein import ZETA2, LatticeInvariants, delta_eta_product, eisenstein_at
+from .errors import DegenerateConfiguration, NonFiniteValue, NonTermination
 from .weier import WValue, wp_prime_q, wp_q, zeta_q
 
 _MAX_REDUCTION_STEPS = 10_000
@@ -155,103 +148,105 @@ def lattice_distance_anywhere(tau: complex, z: complex) -> float:
     return lattice_distance(rr.tau_star, rr.z_star) * abs(rr.scale)
 
 
-def _series_at_reduced(kernel, tau, z, trunc, pole_guard):
+def _series_at_reduced(kernel, tau, z, pole_guard):
     """Reduce (tau, z) and run the kernel at (tau*, z*); distances scale by 1/|s|."""
     rr = reduce_point(tau, z)
-    return rr, kernel(rr.tau_star, rr.z_star, trunc, pole_guard=pole_guard / abs(rr.scale))
+    return rr, kernel(rr.tau_star, rr.z_star, pole_guard=pole_guard / abs(rr.scale))
+
+
+def _divide_by_sk(value: complex, s: complex, weight: int, what: str) -> complex:
+    """value / s^k; at tiny Im(tau) s^k underflows to 0 or the quotient overflows."""
+    sk = s**weight
+    if sk == 0:
+        raise NonFiniteValue(f"{what}: s^{weight} underflows to 0 at s = {s!r}")
+    return ensure_finite(value / sk, what)
 
 
 def _transport(value: complex, est_error: float, s: complex, weight: int, what: str) -> WValue:
     """A weight-k value and its error from the reduced frame: both divide by s^k."""
-    sk = s**weight
-    return WValue(value=ensure_finite(value / sk, what), est_error=est_error / abs(sk))
+    value = _divide_by_sk(value, s, weight, what)
+    return WValue(value=value, est_error=est_error / abs(s**weight))
 
 
 def wp_anywhere(
     tau: complex,
     z: complex,
-    trunc: QTruncation = DEFAULT_TRUNCATION,
     *,
     pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
 ) -> WValue:
     """wp at any tau in the upper half-plane and any non-lattice z (weight 2)."""
-    rr, inner = _series_at_reduced(wp_q, tau, z, trunc, pole_guard)
+    rr, inner = _series_at_reduced(wp_q, tau, z, pole_guard)
     return _transport(inner.value, inner.est_error, rr.scale, 2, "wp")
 
 
 def wp_prime_anywhere(
     tau: complex,
     z: complex,
-    trunc: QTruncation = DEFAULT_TRUNCATION,
     *,
     pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
 ) -> WValue:
     """d(wp)/dz at any tau, z (weight 3)."""
-    rr, inner = _series_at_reduced(wp_prime_q, tau, z, trunc, pole_guard)
+    rr, inner = _series_at_reduced(wp_prime_q, tau, z, pole_guard)
     return _transport(inner.value, inner.est_error, rr.scale, 3, "wp'")
 
 
 def zeta_anywhere(
     tau: complex,
     z: complex,
-    trunc: QTruncation = DEFAULT_TRUNCATION,
     *,
     pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
 ) -> WValue:
     """zeta at any tau, z: closed-form quasi-period unwinding, weight-1 transport."""
-    rr, inner = _series_at_reduced(zeta_q, tau, z, trunc, pole_guard)
+    rr, inner = _series_at_reduced(zeta_q, tau, z, pole_guard)
     value = inner.value
     if rr.m or rr.n:
-        eta1 = (math.pi**2 / 3.0) * eisenstein_at(rr.tau_star, trunc).e2
+        eta1 = (math.pi**2 / 3.0) * eisenstein_at(rr.tau_star).e2
         value += (rr.m + rr.n * rr.tau_star) * eta1 - 2j * math.pi * rr.n
     est = inner.est_error * (1.0 + abs(rr.m) + abs(rr.n))
     return _transport(value, est, rr.scale, 1, "zeta")
 
 
-def _at_reduced_tau(tau: complex, trunc: QTruncation):
+def _at_reduced_tau(tau: complex):
     """Reduce tau; return gamma, tau*, s = c*tau + d and the Eisenstein values at tau*."""
     gamma, tau_star = reduce_tau(tau)
-    return gamma, tau_star, gamma.scale(tau), eisenstein_at(tau_star, trunc)
+    return gamma, tau_star, gamma.scale(tau), eisenstein_at(tau_star)
 
 
 def _e2_transport(e2_star: complex, c: int, s: complex) -> complex:
     """E2(tau) from E2(tau*) by inverting G2(gamma tau) = s^2 G2(tau) - pi*i*c*s."""
-    g2_val = (ZETA2 * e2_star + 1j * math.pi * c * s) / (s * s)
-    return ensure_finite(g2_val / ZETA2, "E2")
+    return _divide_by_sk(ZETA2 * e2_star + 1j * math.pi * c * s, s, 2, "E2") / ZETA2
 
 
-def e2_anywhere(tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION) -> complex:
+def e2_anywhere(tau: complex) -> complex:
     """E2 at any tau by inverting the quasimodular transformation law."""
-    gamma, _, s, e = _at_reduced_tau(tau, trunc)
+    gamma, _, s, e = _at_reduced_tau(tau)
     return _e2_transport(e.e2, gamma.c, s)
 
 
-def e4_anywhere(tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION) -> complex:
+def e4_anywhere(tau: complex) -> complex:
     """E4 at any tau (weight-4 modular transport)."""
-    _, _, s, e = _at_reduced_tau(tau, trunc)
-    return ensure_finite(e.e4 / s**4, "E4")
+    _, _, s, e = _at_reduced_tau(tau)
+    return _divide_by_sk(e.e4, s, 4, "E4")
 
 
-def e6_anywhere(tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION) -> complex:
+def e6_anywhere(tau: complex) -> complex:
     """E6 at any tau (weight-6 modular transport)."""
-    _, _, s, e = _at_reduced_tau(tau, trunc)
-    return ensure_finite(e.e6 / s**6, "E6")
+    _, _, s, e = _at_reduced_tau(tau)
+    return _divide_by_sk(e.e6, s, 6, "E6")
 
 
-def invariants_anywhere(
-    tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION
-) -> LatticeInvariants:
+def invariants_anywhere(tau: complex) -> LatticeInvariants:
     """g2, g3, delta, eta1 at any tau from one reduction and one set of
     Eisenstein values at tau*, transported with weights 4, 6, 12 and the E2 law.
 
     delta is the eta product at tau* (weight 12), not g2^3 - 27 g3^2, which
     cancels badly once |q*| is small."""
-    gamma, tau_star, s, e = _at_reduced_tau(tau, trunc)
-    e4 = ensure_finite(e.e4 / s**4, "E4")
-    e6 = ensure_finite(e.e6 / s**6, "E6")
+    gamma, tau_star, s, e = _at_reduced_tau(tau)
+    e4 = _divide_by_sk(e.e4, s, 4, "E4")
+    e6 = _divide_by_sk(e.e6, s, 6, "E6")
     g2 = (4.0 * math.pi**4 / 3.0) * e4
     g3 = (8.0 * math.pi**6 / 27.0) * e6
-    delta = ensure_finite(delta_eta_product(tau_star, trunc) / s**12, "delta")
+    delta = _divide_by_sk(delta_eta_product(tau_star), s, 12, "delta")
     eta1 = (math.pi**2 / 3.0) * _e2_transport(e.e2, gamma.c, s)
     return LatticeInvariants(g2=g2, g3=g3, delta=delta, eta1=eta1)
 
@@ -260,7 +255,6 @@ def wp_add(
     tau: complex,
     z1: complex,
     z2: complex,
-    trunc: QTruncation = DEFAULT_TRUNCATION,
     *,
     pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
 ) -> complex:
@@ -276,18 +270,18 @@ def wp_add(
     tau = require_upper_half(tau)
     if lattice_distance_anywhere(tau, z1 + z2) < pole_guard:
         raise DegenerateConfiguration("z1 + z2 is on (or nearly on) the lattice")
-    p1 = wp_anywhere(tau, z1, trunc, pole_guard=pole_guard).value
-    p2 = wp_anywhere(tau, z2, trunc, pole_guard=pole_guard).value
+    p1 = wp_anywhere(tau, z1, pole_guard=pole_guard).value
+    p2 = wp_anywhere(tau, z2, pole_guard=pole_guard).value
     same_point = (
         lattice_distance_anywhere(tau, z1 - z2) < 1e-6
         and abs(p1 - p2) < 1e-8 * max(1.0, abs(p1))
     )
     if same_point:
-        pp = wp_prime_anywhere(tau, z1, trunc, pole_guard=pole_guard).value
-        g2 = invariants_anywhere(tau, trunc).g2
+        pp = wp_prime_anywhere(tau, z1, pole_guard=pole_guard).value
+        g2 = invariants_anywhere(tau).g2
         second = 6.0 * p1 * p1 - 0.5 * g2
         return ensure_finite((second / (2.0 * pp)) ** 2 - 2.0 * p1, "wp_add")
-    pp1 = wp_prime_anywhere(tau, z1, trunc, pole_guard=pole_guard).value
-    pp2 = wp_prime_anywhere(tau, z2, trunc, pole_guard=pole_guard).value
+    pp1 = wp_prime_anywhere(tau, z1, pole_guard=pole_guard).value
+    pp2 = wp_prime_anywhere(tau, z2, pole_guard=pole_guard).value
     slope = (pp1 - pp2) / (p1 - p2)
     return ensure_finite(0.25 * slope * slope - p1 - p2, "wp_add")

@@ -30,7 +30,6 @@ import math
 from fractions import Fraction
 
 from .core import ensure_finite
-from .eisenstein import DEFAULT_TRUNCATION, QTruncation
 from .errors import NearSingular, NonFiniteValue
 from .reduction import (
     e2_anywhere,
@@ -406,7 +405,6 @@ def eval_expr(
     e: Expr,
     tau: complex,
     z: complex | None = None,
-    trunc: QTruncation = DEFAULT_TRUNCATION,
 ) -> complex:
     """Evaluate an Expr by binding the generators to the anywhere-evaluators.
 
@@ -424,17 +422,17 @@ def eval_expr(
     if 0 in used:
         vals[0] = complex(z)  # type: ignore[arg-type]
     if 2 in used:
-        vals[2] = wp_anywhere(tau, z, trunc).value
+        vals[2] = wp_anywhere(tau, z).value
     if 3 in used:
-        vals[3] = wp_prime_anywhere(tau, z, trunc).value
+        vals[3] = wp_prime_anywhere(tau, z).value
     if 4 in used:
-        vals[4] = zeta_anywhere(tau, z, trunc).value
+        vals[4] = zeta_anywhere(tau, z).value
     if 5 in used:
-        vals[5] = e2_anywhere(tau, trunc)
+        vals[5] = e2_anywhere(tau)
     if 6 in used:
-        vals[6] = e4_anywhere(tau, trunc)
+        vals[6] = e4_anywhere(tau)
     if 7 in used:
-        vals[7] = e6_anywhere(tau, trunc)
+        vals[7] = e6_anywhere(tau)
     try:
         den = _p_eval(e.den, vals)
         num = _p_eval(e.num, vals)
@@ -452,20 +450,19 @@ def fd_check(
     z: complex | None = None,
     h: float = 1e-4,
     rules: dict[str, tuple[Expr, ...]] | None = None,
-    trunc: QTruncation = DEFAULT_TRUNCATION,
 ) -> float:
     """Relative residual between the symbolic derivative and a Richardson
     finite difference with step h: |fd - sym| / max(1, |sym|)."""
     if not 1e-6 <= h <= 1e-3:
         raise ValueError(f"h must lie in [1e-6, 1e-3], got {h}")
-    sym = eval_expr(differentiate(e, var, rules), tau, z, trunc)
+    sym = eval_expr(differentiate(e, var, rules), tau, z)
 
     if var == "z":
         if z is None:
             raise ValueError("z must be given to difference in z")
-        f = lambda offset: eval_expr(e, tau, z + offset, trunc)
+        f = lambda offset: eval_expr(e, tau, z + offset)
     else:
-        f = lambda offset: eval_expr(e, tau + offset, z, trunc)
+        f = lambda offset: eval_expr(e, tau + offset, z)
 
     def central(step: float) -> complex:
         return (f(step) - f(-step)) / (2.0 * step)

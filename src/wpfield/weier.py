@@ -30,7 +30,7 @@ from .core import (
     nome,
     require_upper_half,
 )
-from .eisenstein import DEFAULT_TRUNCATION, QTruncation, eisenstein_at, invariants_at
+from .eisenstein import _series_order, _series_tau, eisenstein_at, invariants_at
 from .errors import ConvergenceDomain, PoleProximity
 
 _MACHINE = 1e-15
@@ -60,15 +60,22 @@ def _geometric_tail(first: float, ratio: float, pole_power: int) -> float:
     return first / ((1.0 - first) ** pole_power * (1.0 - ratio))
 
 
+def _kernel_tail(q_abs: float, n_terms: int) -> float:
+    """What the kernels drop by stopping after q^n_terms, at its worst: the
+    wp' tails of _est_error with |u q| and |r| at their limit 1."""
+    return 4.0 * (2.0 * math.pi) ** 3 * _geometric_tail(q_abs**n_terms, q_abs, 3)
+
+
 def _series_guards(
     tau: complex, z: complex, pole_guard: float
-) -> tuple[complex, complex, complex, float]:
-    """Check the point and return q, u, r = q/u and the lattice distance of z.
+) -> tuple[complex, complex, complex, float, int]:
+    """Check the point and return q, u, r = q/u, the lattice distance of z and
+    the number of terms the kernels sum at this |q|.
 
     r is formed as exp(2*pi*i*(tau - z)), not as q/u: high in the cell both q
     and u underflow to 0 while their quotient is still a normal number.
     """
-    tau = require_upper_half(tau)
+    tau = _series_tau(tau)
     z = complex(z)
     dist = lattice_distance(tau, z)
     if dist < pole_guard:
@@ -82,7 +89,7 @@ def _series_guards(
         raise ConvergenceDomain(
             "need |q*u| < 1 and |q/u| < 1; reduce z into the period cell first"
         )
-    return q, u, r, dist
+    return q, u, r, dist, _series_order(abs(q), _kernel_tail)
 
 
 def _est_error(value: complex, q: complex, u: complex, r: complex, dist: float,
@@ -105,13 +112,11 @@ def _est_error(value: complex, q: complex, u: complex, r: complex, dist: float,
 def wp_q(
     tau: complex,
     z: complex,
-    trunc: QTruncation = DEFAULT_TRUNCATION,
     *,
     pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
 ) -> WValue:
     """Weierstrass wp via the q-series; intended for reduced tau and z in the cell."""
-    q, u, r, dist = _series_guards(tau, z, pole_guard)
-    n_terms = trunc.order
+    q, u, r, dist, n_terms = _series_guards(tau, z, pole_guard)
     w = u
     total = w / (1.0 - w) ** 2  # m = 0
     qm = 1.0 + 0.0j
@@ -132,13 +137,11 @@ def wp_q(
 def wp_prime_q(
     tau: complex,
     z: complex,
-    trunc: QTruncation = DEFAULT_TRUNCATION,
     *,
     pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
 ) -> WValue:
     """d(wp)/dz via the term-wise derivative of the wp series (branch-free)."""
-    q, u, r, dist = _series_guards(tau, z, pole_guard)
-    n_terms = trunc.order
+    q, u, r, dist, n_terms = _series_guards(tau, z, pole_guard)
     w = u
     total = w * (1.0 + w) / (1.0 - w) ** 3  # m = 0
     qm = 1.0 + 0.0j
@@ -157,7 +160,6 @@ def wp_prime_q(
 def zeta_q(
     tau: complex,
     z: complex,
-    trunc: QTruncation = DEFAULT_TRUNCATION,
     *,
     pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
 ) -> WValue:
@@ -165,8 +167,7 @@ def zeta_q(
 
     eta1 comes from the same q-data as E2: eta1 = (pi^2/3) E2(tau).
     """
-    q, u, r, dist = _series_guards(tau, z, pole_guard)
-    n_terms = trunc.order
+    q, u, r, dist, n_terms = _series_guards(tau, z, pole_guard)
     total = -u / (1.0 - u)  # n = 0 term of the u-sum
     qm = 1.0 + 0.0j
     for _ in range(1, n_terms + 1):
@@ -175,27 +176,25 @@ def zeta_q(
         w = u * qm
         total -= w / (1.0 - w)
         total += v / (1.0 - v)
-    eta1 = (math.pi**2 / 3.0) * eisenstein_at(tau, trunc).e2
+    eta1 = (math.pi**2 / 3.0) * eisenstein_at(tau).e2
     value = ensure_finite(TWO_PI_I * total + eta1 * z - 1j * math.pi, "zeta")
     return WValue(value=value, est_error=_est_error(value, q, u, r, dist, n_terms, 1))
 
 
-def half_periods(
-    tau: complex, trunc: QTruncation = DEFAULT_TRUNCATION
-) -> HalfPeriodData:
+def half_periods(tau: complex) -> HalfPeriodData:
     """e1 = wp(1/2), e2 = wp(tau/2), e3 = wp((1+tau)/2); the roots of
     4 t^3 - g2 t - g3, so e1 + e2 + e3 = 0."""
     tau = require_upper_half(tau)
-    e1 = wp_q(tau, 0.5, trunc).value
-    e2 = wp_q(tau, tau / 2.0, trunc).value
-    e3 = wp_q(tau, (1.0 + tau) / 2.0, trunc).value
+    e1 = wp_q(tau, 0.5).value
+    e2 = wp_q(tau, tau / 2.0).value
+    e3 = wp_q(tau, (1.0 + tau) / 2.0).value
     return HalfPeriodData(e1=e1, e2=e2, e3=e3)
 
 
-def wp_second_derivative(tau: complex, z: complex, trunc: QTruncation = DEFAULT_TRUNCATION) -> complex:
+def wp_second_derivative(tau: complex, z: complex) -> complex:
     """wp'' = 6 wp^2 - g2/2, differentiating the cubic ODE once."""
-    p = wp_q(tau, z, trunc).value
-    g2 = invariants_at(tau, trunc).g2
+    p = wp_q(tau, z).value
+    g2 = invariants_at(tau).g2
     return 6.0 * p * p - 0.5 * g2
 
 
@@ -213,7 +212,7 @@ def wp_lattice_oracle(
     *,
     pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
 ) -> complex:
-    """Direct lattice sum 1/z^2 + sum' [1/(z-w)^2 - 1/w^2], truncated at
+    """Direct lattice sum 1/z^2 + sum' [1/(z-w)^2 - 1/w^2] over
     max(|m|, |n|) <= radius.  Slow; error O(1/radius).  Cross-check only."""
     tau = require_upper_half(tau)
     z = complex(z)

@@ -9,7 +9,6 @@ from wpfield.eisenstein import (
     ZETA2,
     ZETA4,
     ZETA6,
-    QTruncation,
     eisenstein_at,
     invariants_at,
     lattice_sum_eisenstein,
@@ -50,12 +49,6 @@ def test_e2_coefficients_match_divisor_sums():
     coeffs = q_coefficients("e2", 10)
     for n in range(1, 11):
         assert coeffs[n] == -24 * sigma(n, 1)
-
-
-def test_truncation_validation():
-    with pytest.raises(ValueError):
-        QTruncation(order=0)
-    assert QTruncation(order=40).tail_bound < 1e-80
 
 
 def test_low_imaginary_part_rejected():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from wpfield import core, reduction, weier
 from wpfield.core import DEFAULT_POLICY, in_cell, in_fundamental_domain, lattice_distance
 from wpfield.eisenstein import eisenstein_at
-from wpfield.errors import DegenerateConfiguration, PoleProximity
+from wpfield.errors import DegenerateConfiguration, NonFiniteValue, PoleProximity
 from wpfield.reduction import (
     UnimodularMatrix,
     e2_anywhere,
@@ -26,7 +26,7 @@ from wpfield.reduction import (
     wp_prime_anywhere,
     zeta_anywhere,
 )
-from wpfield.weier import wp_q, zeta_q
+from wpfield.weier import wp_prime_q, wp_q, zeta_q
 
 
 def test_matrix_determinant_validated():
@@ -322,3 +322,57 @@ def test_invariants_anywhere_delta_keeps_relative_accuracy(tau):
     # keeps its digits, also through weight-12 transport from low Im(tau)
     delta = _theta_reference(tau, 0.5j, dps=60)[3]
     assert abs(invariants_anywhere(tau).delta - delta) <= 1e-12 * abs(delta)
+
+
+def _theta_eisenstein(tau, dps=60):
+    """E2, E4, E6 at tau from Jacobi theta constants (mpmath nome exp(pi*i*tau))."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        q = mp.exp(1j * mp.pi * mp.mpc(tau.real, tau.imag))
+        eta1 = -mp.pi**2 * mp.jtheta(1, 0, q, 3) / (3 * mp.jtheta(1, 0, q, 1))
+        t2, t3, t4 = (mp.jtheta(k, 0, q) for k in (2, 3, 4))
+        e4 = (t2**8 + t3**8 + t4**8) / 2
+        e6 = (t2**4 + t3**4) * (t3**4 + t4**4) * (t4**4 - t2**4) / 2
+        return tuple(complex(v) for v in (3 * eta1 / mp.pi**2, e4, e6))
+
+
+def test_eisenstein_at_low_height_sums_enough_terms():
+    # |q| = 0.47 at tau = 0.12i: a fixed 40 terms left E6 off by 1.4e-8
+    e = eisenstein_at(0.12j)
+    for got, ref in zip((e.e2, e.e4, e.e6), _theta_eisenstein(0.12j)):
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("a, b", [(0.9, 0.3), (0.95, 0.7), (0.97, 0.5)])
+def test_series_at_the_worst_reduced_nome(a, b):
+    # tau = rho has the largest |q| of the fundamental domain, and z = b + a*rho
+    # high in the cell makes |q/u| close to 1: the fewest terms for the most work
+    rho = cmath.exp(2j * math.pi / 3.0)
+    z = b + a * rho
+    wp, wp1, zeta, _ = _theta_reference(rho, z, dps=60)
+    assert abs(wp_q(rho, z).value - wp) <= 1e-14 * abs(wp)
+    assert abs(wp_prime_q(rho, z).value - wp1) <= 1e-14 * abs(wp1)
+    assert abs(zeta_q(rho, z).value - zeta) <= 1e-14 * abs(zeta)
+    e = eisenstein_at(rho)
+    for got, ref in zip((e.e2, e.e4, e.e6), _theta_eisenstein(rho)):
+        assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))  # E4(rho) = 0
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: wp_anywhere(1e-300j, 0.3),
+        lambda: wp_prime_anywhere(1e-300j, 0.3),
+        lambda: e2_anywhere(0.5 + 1e-200j),
+        lambda: e4_anywhere(0.5 + 1e-200j),
+        lambda: e6_anywhere(0.5 + 1e-200j),
+        lambda: e6_anywhere(0.1 + 1e-60j),
+        lambda: invariants_anywhere(0.1 + 1e-30j),
+    ],
+    ids=["wp", "wp1", "e2", "e4", "e6", "e6-1e-60", "invariants"],
+)
+def test_weight_factor_underflow_is_non_finite(evaluate):
+    # s^k underflows to 0 at these heights; the division must not leak a
+    # ZeroDivisionError
+    with pytest.raises(NonFiniteValue):
+        evaluate()

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -127,13 +128,30 @@ def test_config_loader_rejects_bad_lines(tmp_path):
 # --- CLI ----------------------------------------------------------------------
 
 
-def test_cli_eval_e2_fixed_point(capsys):
-    code, out, _ = run_cli(capsys, ["eval", "--fn", "e2", "--tau", "0,1"])
+_G2_I = math.gamma(0.25) ** 8 / (16.0 * math.pi**2)  # g2(i)
+
+
+@pytest.mark.parametrize(
+    "fn, expected",
+    [
+        ("e2", 3.0 / math.pi),
+        ("e4", 3.0 * math.gamma(0.25) ** 8 / (2.0 * math.pi) ** 6),
+        ("e6", 0.0),
+        ("g2", _G2_I),
+        ("g3", 0.0),
+        ("delta", _G2_I**3),
+    ],
+    ids=["e2", "e4", "e6", "g2", "g3", "delta"],
+)
+def test_cli_eval_tau_only_at_i(capsys, fn, expected):
+    code, out, _ = run_cli(capsys, ["eval", "--fn", fn, "--tau", "0,1"])
     assert code == 0
     doc = json.loads(out)
-    assert abs(doc["re"] - 0.954929658551372) < 1e-12
-    assert abs(doc["im"]) < 1e-15
+    assert abs(doc["re"] - expected) < 1e-12 * max(1.0, abs(expected))
+    assert abs(doc["im"]) < 1e-15 * max(1.0, abs(expected))
     assert doc["est_error"] >= 1e-12
+    if fn != "delta":  # delta's estimate carries the g2 tail times 3|g2|^2
+        assert doc["est_error"] == 1e-12
 
 
 def test_cli_eval_wp_needs_z(capsys):
@@ -156,6 +174,24 @@ def test_cli_eval_pole_is_exit_3(capsys):
     assert out == ""
     doc = json.loads(err)
     assert doc["error"] == "PoleProximity"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--fn", "wp", "--tau", "0,1e-300", "--z", "0.3,0"],
+        ["--fn", "wp1", "--tau", "0,1e-300", "--z", "0.3,0"],
+        ["--fn", "e2", "--tau", "0.5,1e-200"],
+        ["--fn", "e4", "--tau", "0.5,1e-200"],
+        ["--fn", "e6", "--tau", "0.5,1e-200"],
+        ["--fn", "e6", "--tau", "0.1,1e-60"],
+        ["--fn", "delta", "--tau", "0.1,1e-30"],
+    ],
+)
+def test_cli_eval_weight_factor_underflow_is_exit_3(capsys, argv):
+    code, _, err = run_cli(capsys, ["eval", *argv])
+    assert code == 3
+    assert json.loads(err)["error"] == "NonFiniteValue"
 
 
 def test_cli_eval_lower_half_plane_is_exit_3(capsys):

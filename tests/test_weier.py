@@ -129,6 +129,22 @@ def test_convergence_guard_far_below_the_cell():
         wp_q(1j, complex(0.5, 2.2) + 2j)
 
 
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda tau: wp_q(tau, 0.3),
+        lambda tau: wp_prime_q(tau, 0.3),
+        lambda tau: zeta_q(tau, 0.3),
+        half_periods,
+    ],
+    ids=["wp_q", "wp_prime_q", "zeta_q", "half_periods"],
+)
+def test_kernels_refuse_tau_below_the_series_domain(kernel):
+    # |q| = 0.73 at Im(tau) = 0.05: the series would need hundreds of terms
+    with pytest.raises(ConvergenceDomain):
+        kernel(0.05j)
+
+
 def test_est_error_floor_and_sanity():
     res = wp_q(1j, 0.25 + 0.25j)
     assert res.est_error >= 1e-12
