@@ -6,8 +6,9 @@ The fast route is the normalized q-expansion
     E4 = 1 + 240 sum sigma_3(n) q^n
     E6 = 1 - 504 sum sigma_5(n) q^n
 
-and the slow route is a direct sum over lattice points, kept deliberately
-independent so the two can cross-check each other.
+each summed on its own by Horner's rule, with its integer coefficients taken
+from the one table _Q_SERIES.  The slow route is a direct sum over lattice
+points, kept deliberately independent so the two can cross-check each other.
 """
 
 from __future__ import annotations
@@ -50,11 +51,6 @@ def sigma(n: int, k: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _sigma_table(order: int, k: int) -> tuple[int, ...]:
-    return tuple(sigma(n, k) for n in range(1, order + 1))
-
-
 def _power_series_tail(q_abs: float, order: int, degree: int, scale: float) -> float:
     """Bound scale * sum_{n > order} n**degree * q_abs**n by a geometric majorant."""
     if not 0.0 <= q_abs < 1.0:
@@ -73,8 +69,13 @@ def _sigma_tail(q_abs: float, order: int) -> float:
 
 def _series_order(q_abs: float, tail: Callable[[float, int], float]) -> int:
     """The smallest order N >= 1 with tail(q_abs, N) <= _TAIL_TARGET, where
-    tail(q_abs, N) bounds what a q-series drops by stopping after q^N."""
+    tail(q_abs, N) bounds what a q-series drops by stopping after q^N.
+
+    Every tail given here is at least q_abs^(N+1), so no N below
+    log(_TAIL_TARGET)/log(q_abs) - 1 can pass; the walk starts there."""
     order = 1
+    if q_abs > 0.0:
+        order = max(1, math.ceil(math.log(_TAIL_TARGET) / math.log(q_abs)) - 1)
     while tail(q_abs, order) > _TAIL_TARGET:
         order += 1
     return order
@@ -95,13 +96,6 @@ class LatticeInvariants:
     eta1: complex
 
 
-def _q_powers(q: complex, order: int) -> list[complex]:
-    powers = [1.0 + 0.0j] * (order + 1)
-    for n in range(1, order + 1):
-        powers[n] = powers[n - 1] * q
-    return powers
-
-
 def _series_tau(tau: complex) -> complex:
     """tau as a complex, checked to be high enough for the q-expansions."""
     tau = require_upper_half(tau)
@@ -112,30 +106,26 @@ def _series_tau(tau: complex) -> complex:
     return tau
 
 
+def _e_series(kind: str, q: complex, order: int | None = None) -> complex:
+    """E2, E4 or E6 (kind "e2", "e4", "e6") from its q-expansion to q^order,
+    by Horner's rule; the order defaults to the one the tail bound needs."""
+    if order is None:
+        order = _series_order(abs(q), _sigma_tail)
+    acc = 0j
+    for c in reversed(_coefficients(kind, order)):
+        acc = acc * q + c
+    return ensure_finite(acc, kind.upper())
+
+
 def eisenstein_at(tau: complex) -> EisensteinValues:
     """Normalized E2, E4, E6 at tau via the divisor-sum q-expansions.
 
     Accepts any Im(tau) >= 0.1, summing as many terms as |q| needs (10 at
     most once tau is reduced).
     """
-    tau = _series_tau(tau)
-    q = nome(tau)
+    q = nome(_series_tau(tau))
     order = _series_order(abs(q), _sigma_tail)
-    qn = _q_powers(q, order)
-    s1 = _sigma_table(order, 1)
-    s3 = _sigma_table(order, 3)
-    s5 = _sigma_table(order, 5)
-    acc1 = 0.0 + 0.0j
-    acc3 = 0.0 + 0.0j
-    acc5 = 0.0 + 0.0j
-    for n in range(order, 0, -1):  # small terms first
-        acc1 += s1[n - 1] * qn[n]
-        acc3 += s3[n - 1] * qn[n]
-        acc5 += s5[n - 1] * qn[n]
-    e2 = ensure_finite(1.0 - 24.0 * acc1, "E2")
-    e4 = ensure_finite(1.0 + 240.0 * acc3, "E4")
-    e6 = ensure_finite(1.0 - 504.0 * acc5, "E6")
-    return EisensteinValues(e2=e2, e4=e4, e6=e6)
+    return EisensteinValues(*(_e_series(kind, q, order) for kind in ("e2", "e4", "e6")))
 
 
 def delta_eta_product(tau: complex) -> complex:
@@ -154,18 +144,12 @@ def delta_eta_product(tau: complex) -> complex:
     return ensure_finite((2.0 * math.pi) ** 12 * q * prod**24, "delta")
 
 
-def invariants_at(tau: complex) -> LatticeInvariants:
-    """g2, g3, discriminant, and eta1 for the lattice Z + tau*Z.
-
-    Bridges: g2 = (4*pi^4/3) E4, g3 = (8*pi^6/27) E6, delta = g2^3 - 27 g3^2,
-    eta1 = (pi^2/3) E2 (sign pinned by eta1(i) = +pi).
-    """
-    e = eisenstein_at(tau)
-    g2 = (4.0 * math.pi**4 / 3.0) * e.e4
-    g3 = (8.0 * math.pi**6 / 27.0) * e.e6
-    delta = g2**3 - 27.0 * g3**2
-    eta1 = (math.pi**2 / 3.0) * e.e2
-    return LatticeInvariants(g2=g2, g3=g3, delta=ensure_finite(delta, "delta"), eta1=eta1)
+def _lattice_points(tau: complex, radius: int) -> np.ndarray:
+    """The nonzero lattice points m + n*tau with max(|m|, |n|) <= radius."""
+    ms = np.arange(-radius, radius + 1)
+    m_grid, n_grid = np.meshgrid(ms, ms, indexing="ij")
+    mask = (m_grid != 0) | (n_grid != 0)
+    return m_grid[mask] + n_grid[mask] * complex(tau)
 
 
 def lattice_sum_eisenstein(tau: complex, k: int, radius: int) -> complex:
@@ -196,11 +180,7 @@ def lattice_sum_eisenstein(tau: complex, k: int, radius: int) -> complex:
                 qm = cmath.exp(TWO_PI_I * m * tau)
                 total += -4.0 * math.pi**2 * qm / (1.0 - qm) ** 2
         return ensure_finite(2.0 * total, "weight-2 oracle")
-    ms = np.arange(-radius, radius + 1)
-    m_grid, n_grid = np.meshgrid(ms, ms, indexing="ij")
-    mask = (m_grid != 0) | (n_grid != 0)
-    omega = m_grid[mask] + n_grid[mask] * complex(tau)
-    total = np.sum(omega ** (-2 * k))
+    total = np.sum(_lattice_points(tau, radius) ** (-2 * k))
     return ensure_finite(complex(total), "eisenstein oracle")
 
 
@@ -211,6 +191,12 @@ _Q_SERIES = {
 }
 
 
+@lru_cache(maxsize=None)
+def _coefficients(kind: str, order: int) -> tuple[int, ...]:
+    scale, power = _Q_SERIES[kind]
+    return (1,) + tuple(scale * sigma(n, power) for n in range(1, order + 1))
+
+
 def q_coefficients(kind: str, order: int) -> list[int]:
     """Integer q-expansion coefficients [c_0, ..., c_order] of E2, E4, or E6."""
     key = kind.lower()
@@ -218,6 +204,4 @@ def q_coefficients(kind: str, order: int) -> list[int]:
         raise ValueError(f"kind must be one of {sorted(_Q_SERIES)}, got {kind!r}")
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    scale, power = _Q_SERIES[key]
-    table = _sigma_table(order, power) if order >= 1 else ()
-    return [1] + [scale * table[n - 1] for n in range(1, order + 1)]
+    return list(_coefficients(key, order))

@@ -28,9 +28,10 @@ from .core import (
     coords_wrt_lattice,
     ensure_finite,
     lattice_distance,
+    nome,
     require_upper_half,
 )
-from .eisenstein import ZETA2, LatticeInvariants, delta_eta_product, eisenstein_at
+from .eisenstein import ZETA2, LatticeInvariants, _e_series, delta_eta_product, eisenstein_at
 from .errors import DegenerateConfiguration, NonFiniteValue, NonTermination
 from .weier import WValue, wp_prime_q, wp_q, zeta_q
 
@@ -200,16 +201,10 @@ def zeta_anywhere(
     rr, inner = _series_at_reduced(zeta_q, tau, z, pole_guard)
     value = inner.value
     if rr.m or rr.n:
-        eta1 = (math.pi**2 / 3.0) * eisenstein_at(rr.tau_star).e2
+        eta1 = (math.pi**2 / 3.0) * _e_series("e2", nome(rr.tau_star))
         value += (rr.m + rr.n * rr.tau_star) * eta1 - 2j * math.pi * rr.n
     est = inner.est_error * (1.0 + abs(rr.m) + abs(rr.n))
     return _transport(value, est, rr.scale, 1, "zeta")
-
-
-def _at_reduced_tau(tau: complex):
-    """Reduce tau; return gamma, tau*, s = c*tau + d and the Eisenstein values at tau*."""
-    gamma, tau_star = reduce_tau(tau)
-    return gamma, tau_star, gamma.scale(tau), eisenstein_at(tau_star)
 
 
 def _e2_transport(e2_star: complex, c: int, s: complex) -> complex:
@@ -219,20 +214,20 @@ def _e2_transport(e2_star: complex, c: int, s: complex) -> complex:
 
 def e2_anywhere(tau: complex) -> complex:
     """E2 at any tau by inverting the quasimodular transformation law."""
-    gamma, _, s, e = _at_reduced_tau(tau)
-    return _e2_transport(e.e2, gamma.c, s)
+    gamma, tau_star = reduce_tau(tau)
+    return _e2_transport(_e_series("e2", nome(tau_star)), gamma.c, gamma.scale(tau))
 
 
 def e4_anywhere(tau: complex) -> complex:
     """E4 at any tau (weight-4 modular transport)."""
-    _, _, s, e = _at_reduced_tau(tau)
-    return _divide_by_sk(e.e4, s, 4, "E4")
+    gamma, tau_star = reduce_tau(tau)
+    return _divide_by_sk(_e_series("e4", nome(tau_star)), gamma.scale(tau), 4, "E4")
 
 
 def e6_anywhere(tau: complex) -> complex:
     """E6 at any tau (weight-6 modular transport)."""
-    _, _, s, e = _at_reduced_tau(tau)
-    return _divide_by_sk(e.e6, s, 6, "E6")
+    gamma, tau_star = reduce_tau(tau)
+    return _divide_by_sk(_e_series("e6", nome(tau_star)), gamma.scale(tau), 6, "E6")
 
 
 def invariants_anywhere(tau: complex) -> LatticeInvariants:
@@ -241,7 +236,9 @@ def invariants_anywhere(tau: complex) -> LatticeInvariants:
 
     delta is the eta product at tau* (weight 12), not g2^3 - 27 g3^2, which
     cancels badly once |q*| is small."""
-    gamma, tau_star, s, e = _at_reduced_tau(tau)
+    gamma, tau_star = reduce_tau(tau)
+    s = gamma.scale(tau)
+    e = eisenstein_at(tau_star)
     e4 = _divide_by_sk(e.e4, s, 4, "E4")
     e6 = _divide_by_sk(e.e6, s, 6, "E6")
     g2 = (4.0 * math.pi**4 / 3.0) * e4

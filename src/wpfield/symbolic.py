@@ -361,26 +361,25 @@ def default_rule_table() -> dict[str, tuple[Expr, ...]]:
 
 
 def _diff_poly(poly: dict, gen_rules: tuple[Expr, ...]) -> Expr:
+    """sum_i (dP/dg_i) * rule_i, each partial formed as a polynomial first, so
+    a rule's denominator enters the sum once per generator, not per monomial."""
     total = ZERO
-    for mono, coef in poly.items():
-        for gi in range(NGEN):
+    for gi, rule in enumerate(gen_rules):
+        if rule.is_zero():
+            continue
+        partial = {}  # lowering g_i is one-to-one, so no two terms collide
+        for mono, coef in poly.items():
             e = mono[gi]
-            if e == 0:
-                continue
-            rule = gen_rules[gi]
-            if rule.is_zero():
-                continue
-            lowered = mono[:gi] + (e - 1,) + mono[gi + 1 :]
-            factor = Expr({lowered: _c_mul(coef, (Fraction(e), Fraction(0)))},
-                          {_UNIT_MONO: _C_ONE})
-            total = total + factor * rule
+            if e:
+                lowered = mono[:gi] + (e - 1,) + mono[gi + 1 :]
+                partial[lowered] = _c_mul(coef, (Fraction(e), Fraction(0)))
+        if partial:
+            total = total + Expr(partial, {_UNIT_MONO: _C_ONE}) * rule
     return total
 
 
 def _differentiate_with(e: Expr, gen_rules: tuple[Expr, ...]) -> Expr:
     dn = _diff_poly(e.num, gen_rules)
-    if e.den == {_UNIT_MONO: _C_ONE}:
-        return dn
     dd = _diff_poly(e.den, gen_rules)
     den_e = Expr(e.den, {_UNIT_MONO: _C_ONE})
     if dd.is_zero():  # constant denominator: no quotient rule, no squaring

@@ -30,7 +30,7 @@ from .core import (
     nome,
     require_upper_half,
 )
-from .eisenstein import _series_order, _series_tau, eisenstein_at, invariants_at
+from .eisenstein import _e_series, _lattice_points, _series_order, _series_tau
 from .errors import ConvergenceDomain, PoleProximity
 
 _MACHINE = 1e-15
@@ -176,7 +176,7 @@ def zeta_q(
         w = u * qm
         total -= w / (1.0 - w)
         total += v / (1.0 - v)
-    eta1 = (math.pi**2 / 3.0) * eisenstein_at(tau).e2
+    eta1 = (math.pi**2 / 3.0) * _e_series("e2", q)
     value = ensure_finite(TWO_PI_I * total + eta1 * z - 1j * math.pi, "zeta")
     return WValue(value=value, est_error=_est_error(value, q, u, r, dist, n_terms, 1))
 
@@ -189,20 +189,6 @@ def half_periods(tau: complex) -> HalfPeriodData:
     e2 = wp_q(tau, tau / 2.0).value
     e3 = wp_q(tau, (1.0 + tau) / 2.0).value
     return HalfPeriodData(e1=e1, e2=e2, e3=e3)
-
-
-def wp_second_derivative(tau: complex, z: complex) -> complex:
-    """wp'' = 6 wp^2 - g2/2, differentiating the cubic ODE once."""
-    p = wp_q(tau, z).value
-    g2 = invariants_at(tau).g2
-    return 6.0 * p * p - 0.5 * g2
-
-
-def _lattice_points(tau: complex, radius: int) -> np.ndarray:
-    ms = np.arange(-radius, radius + 1)
-    m_grid, n_grid = np.meshgrid(ms, ms, indexing="ij")
-    mask = (m_grid != 0) | (n_grid != 0)
-    return m_grid[mask] + n_grid[mask] * complex(tau)
 
 
 def wp_lattice_oracle(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wpfield
 from wpfield.core import (
     NOME_RADIUS,
     TolerancePolicy,
@@ -140,3 +141,8 @@ def test_in_m_delta_big_nome_excluded():
     # Im(tau) = 0.5 puts |q| above exp(-pi*sqrt(3))
     q = nome(complex(0.0, 0.5))
     assert not in_m_delta(q, cmath.exp(2j * math.pi * 0.3))
+
+
+def test_every_exported_name_resolves():
+    # a function deleted from the package must leave __all__ with it
+    assert [name for name in wpfield.__all__ if not hasattr(wpfield, name)] == []

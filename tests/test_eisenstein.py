@@ -6,16 +6,20 @@ import math
 import pytest
 
 from wpfield.eisenstein import (
+    _TAIL_TARGET,
     ZETA2,
     ZETA4,
     ZETA6,
+    _series_order,
+    _sigma_tail,
     eisenstein_at,
-    invariants_at,
     lattice_sum_eisenstein,
     q_coefficients,
     sigma,
 )
 from wpfield.errors import ConvergenceDomain
+from wpfield.reduction import invariants_anywhere
+from wpfield.weier import _kernel_tail
 
 RHO = cmath.exp(1j * math.pi / 3.0)
 
@@ -51,6 +55,22 @@ def test_e2_coefficients_match_divisor_sums():
         assert coeffs[n] == -24 * sigma(n, 1)
 
 
+@pytest.mark.parametrize("tail", [_sigma_tail, _kernel_tail], ids=["eisenstein", "kernel"])
+def test_series_order_equals_the_walk_from_one(tail):
+    # the closed-form start may skip steps of the walk but never its answer
+    def walk(q_abs):
+        order = 1
+        while tail(q_abs, order) > _TAIL_TARGET:
+            order += 1
+        return order
+
+    linear = [0.53 * k / 150 for k in range(1, 151)]
+    logarithmic = [0.53 * 10.0 ** (-30 * k / 150) for k in range(1, 151)]
+    for q_abs in linear + logarithmic:
+        assert _series_order(q_abs, tail) == walk(q_abs), q_abs
+    assert _series_order(0.0, tail) == 1  # q underflows high in the cusp
+
+
 def test_low_imaginary_part_rejected():
     with pytest.raises(ConvergenceDomain):
         eisenstein_at(complex(0.0, 0.05))
@@ -70,7 +90,7 @@ def test_e4_at_i_against_gamma_quarter():
 
 def test_g2_at_i_against_gamma_quarter():
     expected = math.gamma(0.25) ** 8 / (16.0 * math.pi**2)
-    assert abs(invariants_at(1j).g2 - expected) < 1e-10
+    assert abs(invariants_anywhere(1j).g2 - expected) < 1e-10
 
 
 def test_e2_at_i_fixed_point():
@@ -87,13 +107,13 @@ def test_e4_vanishes_at_rho():
 
 def test_delta_never_raises_on_fundamental_domain_samples():
     for tau in (1j, RHO + 1e-8j, complex(0.49, 2.0), complex(-0.5, 0.9)):
-        inv = invariants_at(tau)
+        inv = invariants_anywhere(tau)
         assert abs(inv.delta - (inv.g2**3 - 27.0 * inv.g3**2)) < 1e-6
 
 
 def test_eta1_bridge_sign():
     # eta1 = (pi^2/3) E2; at tau = i this is exactly pi
-    assert abs(invariants_at(1j).eta1 - math.pi) < 1e-13
+    assert abs(invariants_anywhere(1j).eta1 - math.pi) < 1e-13
 
 
 # --- lattice-sum oracle cross-checks ----------------------------------------

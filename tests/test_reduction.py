@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpfield import core, reduction, weier
-from wpfield.core import DEFAULT_POLICY, in_cell, in_fundamental_domain, lattice_distance
+from wpfield import core, eisenstein, reduction, weier
+from wpfield.core import DEFAULT_POLICY, in_cell, in_fundamental_domain, lattice_distance, nome
 from wpfield.eisenstein import eisenstein_at
 from wpfield.errors import DegenerateConfiguration, NonFiniteValue, PoleProximity
 from wpfield.reduction import (
@@ -240,15 +240,28 @@ def test_one_lattice_distance_per_point_evaluation(fn, monkeypatch):
 
 def test_unwound_zeta_calls_the_series_once(monkeypatch):
     series = _count_calls(monkeypatch, "zeta_q", [weier, reduction])
-    eisenstein = _count_calls(monkeypatch, "eisenstein_at", [weier, reduction])
+    sums = _count_calls(monkeypatch, "_e_series", [eisenstein, weier, reduction])
+    full = _count_calls(monkeypatch, "eisenstein_at", [eisenstein, reduction])
     tau, z = complex(0.3, 0.4), complex(4.3, 1.9)
     rr = reduce_point(tau, z)
     assert rr.m != 0 and rr.n != 0
     zeta_anywhere(tau, z)
-    # one series at z*; E2(tau*) once inside it for eta1*z*, once for the
-    # unwinding by eta1 and eta2 = tau*eta1 - 2 pi i
+    # one series at z*; E2(tau*) alone, once inside it for eta1*z*, once for
+    # the unwinding by eta1 and eta2 = tau*eta1 - 2 pi i; no E4 or E6
     assert len(series) == 1
-    assert [args[0] for args in eisenstein] == [rr.tau_star, rr.tau_star]
+    q_star = nome(rr.tau_star)
+    assert [args[:2] for args in sums] == [("e2", q_star), ("e2", q_star)]
+    assert full == []
+
+
+@pytest.mark.parametrize(
+    "kind, fn", [("e2", e2_anywhere), ("e4", e4_anywhere), ("e6", e6_anywhere)]
+)
+def test_eisenstein_evaluators_sum_only_their_own_series(kind, fn, monkeypatch):
+    sums = _count_calls(monkeypatch, "_e_series", [eisenstein, weier, reduction])
+    tau = complex(0.3, 0.4)
+    fn(tau)
+    assert [args[:2] for args in sums] == [(kind, nome(reduce_tau(tau)[1]))]
 
 
 def test_wp_add_matches_direct():

@@ -5,11 +5,12 @@ import math
 import pytest
 
 from wpfield.errors import NearSingular, NonFiniteValue
-from wpfield.eisenstein import invariants_at
+from wpfield.reduction import invariants_anywhere
 from wpfield.symbolic import (
     E2,
     E4,
     E6,
+    GEN_NAMES,
     I,
     ONE,
     PI,
@@ -218,6 +219,14 @@ def test_heat_rules_are_small_and_delta_free():
     assert len(differentiate(differentiate(WP * ZETA, "tau"), "tau").num) < 100
 
 
+def test_rule_denominators_enter_once_per_generator():
+    # summing one Expr per monomial multiplied the denominator by each rule's
+    # pi once per term (Expr has no gcd): pi^15 here
+    d2 = differentiate(differentiate(WP * ZETA, "tau"), "tau")
+    pi = GEN_NAMES.index("pi")
+    assert max(mono[pi] for mono in d2.den) <= 5
+
+
 @pytest.mark.parametrize("im", [0.9, 2.0, 5.0, 8.0])
 @pytest.mark.parametrize("gen", [WP, WP1, ZETA], ids=lambda e: expr_to_text(e))
 def test_tau_derivatives_hold_at_every_height(gen, im):
@@ -231,10 +240,12 @@ def test_tau_derivatives_hold_at_every_height(gen, im):
 
 
 def test_invariant_expressions_match_numeric_bridges():
-    inv = invariants_at(1j)
+    inv = invariants_anywhere(1j)
     assert abs(eval_expr(g2_expr(), 1j) - inv.g2) < 1e-10
     assert abs(eval_expr(g3_expr(), 1j) - inv.g3) < 1e-10
-    assert abs(eval_expr(delta_expr(), 1j) - inv.delta) < 1e-9
+    # the float formula, not inv.delta: that is the eta product, which keeps
+    # its own digits (pinned in test_reduction.py) and differs here by 2e-8
+    assert abs(eval_expr(delta_expr(), 1j) - (inv.g2**3 - 27 * inv.g3**2)) < 1e-9
 
 
 def test_delta_equals_g2_cubed_at_i():

@@ -4,14 +4,13 @@ import math
 
 import pytest
 
-from wpfield.eisenstein import invariants_at
 from wpfield.errors import ConvergenceDomain, PoleProximity
+from wpfield.reduction import invariants_anywhere
 from wpfield.weier import (
     half_periods,
     wp_lattice_oracle,
     wp_prime_q,
     wp_q,
-    wp_second_derivative,
     zeta_lattice_oracle,
     zeta_q,
 )
@@ -47,7 +46,7 @@ def test_zeta_live_oracle_cross_check():
 
 def test_ode_at_sample_point():
     tau, z = 1j, 0.25 + 0.25j
-    inv = invariants_at(tau)
+    inv = invariants_anywhere(tau)
     p = wp_q(tau, z).value
     pp = wp_prime_q(tau, z).value
     assert abs(pp * pp - (4.0 * p**3 - inv.g2 * p - inv.g3)) < 1e-10
@@ -79,22 +78,16 @@ def test_wp_prime_branch_near_origin():
     # Laurent expansion: wp' = -2/z^3 + g2 z/10 + g2^2 z^5/200 + ... (g3(i) = 0);
     # fixes the sign convention of the odd function wp'
     z = 0.05
-    g2 = invariants_at(1j).g2.real
+    g2 = invariants_anywhere(1j).g2.real
     expected = -2.0 / z**3 + g2 * z / 10.0 + g2**2 * z**5 / 200.0
     got = wp_prime_q(1j, z).value
     assert got.real < 0
     assert abs(got - expected) < 1e-8
 
 
-def test_wp_second_derivative_matches_finite_difference():
-    tau, z, h = 1j, 0.31 + 0.22j, 1e-4
-    fd = (wp_prime_q(tau, z + h).value - wp_prime_q(tau, z - h).value) / (2.0 * h)
-    assert abs(wp_second_derivative(tau, z) - fd) < 1e-4
-
-
 def test_half_periods_square_lattice():
     hp = half_periods(1j)
-    g2 = invariants_at(1j).g2
+    g2 = invariants_anywhere(1j).g2
     assert abs(hp.e1 + hp.e2 + hp.e3) < 1e-12
     assert abs(hp.e3) < 1e-12  # the (1+tau)/2 value vanishes on the square lattice
     assert abs(hp.e1 - math.sqrt(g2.real) / 2.0) < 1e-12
@@ -109,7 +102,7 @@ def test_wp_prime_vanishes_at_half_periods():
 def test_half_period_symmetric_functions():
     tau = complex(0.2, 1.4)
     hp = half_periods(tau)
-    inv = invariants_at(tau)
+    inv = invariants_anywhere(tau)
     sym2 = hp.e1 * hp.e2 + hp.e1 * hp.e3 + hp.e2 * hp.e3
     assert abs(-4.0 * sym2 - inv.g2) < 1e-10
     assert abs(4.0 * hp.e1 * hp.e2 * hp.e3 - inv.g3) < 1e-10
