@@ -13,7 +13,7 @@ import math
 import os
 import sys
 
-from .core import DEFAULT_POLICY, TolerancePolicy
+from .core import TolerancePolicy
 from .eisenstein import _TAIL_TARGET, q_coefficients
 from .errors import WPFieldError
 from .reduction import (
@@ -29,6 +29,7 @@ from .reduction import (
 )
 from .symbolic import differentiate, expr_to_text, parse_expr
 from .verify import load_tolerance_config, run_identity_suite
+from .weier import _EST_FLOOR
 
 TOL_FILE_ENV = "WPFIELD_TOL_FILE"
 
@@ -62,7 +63,8 @@ def _cmd_eval(args) -> int:
         res = evaluator(tau, z)
         value, est = res.value, res.est_error
     else:
-        scale = abs(reduce_tau(tau)[0].scale(tau))
+        gamma, tau_star = reduce_tau(tau)
+        scale = abs(gamma.scale(tau))
         if fn == "e2":
             value, est = e2_anywhere(tau), tail / scale**2
         elif fn == "e4":
@@ -78,9 +80,14 @@ def _cmd_eval(args) -> int:
             elif fn == "g3":
                 value, est = inv.g3, g3_est
             else:
+                # Rounding relative to |delta|: in the eta product and the s^12
+                # division (64), and in tau* through d(delta)/d(tau) =
+                # 2*pi*i*E2*delta with 2*pi*|E2| <= 8 on the reduced domain,
+                # where tau*'s own rounding is amplified by d(tau*)/d(tau) = 1/s^2.
                 value = inv.delta
-                est = 3.0 * abs(inv.g2) ** 2 * g2_est + 54.0 * abs(inv.g3) * g3_est
-        est = max(est, DEFAULT_POLICY.series_tail_bound)
+                conditioning = 64.0 + 8.0 * (abs(tau_star) + abs(tau) / scale**2)
+                est = abs(value) * sys.float_info.epsilon * conditioning
+        est = max(est, _EST_FLOOR)
     out = {"fn": fn, "tau": _pair(tau), "re": value.real, "im": value.imag, "est_error": est}
     if z is not None:
         out["z"] = _pair(z)
@@ -128,40 +135,11 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
-_WP0_TERM = "u*q^{m}/(1-u*q^{m})^2 + (q^{m}/u)/(1-q^{m}/u)^2 - 2*q^{m}/(1-q^{m})^2"
-_ZETA0_TERM = "-q^{n}*u/(1-q^{n}*u) + (q^{n}/u)/(1-q^{n}/u)"
-
-
 def _cmd_series(args) -> int:
     fn, order = args.fn, args.order
     if order < 0:
         raise WPFieldError(f"order must be >= 0, got {order}")
-    if fn in ("e2", "e4", "e6"):
-        _print_json({"fn": fn, "order": order, "coefficients": q_coefficients(fn, order)})
-        return 0
-    # wp0/zeta0 coefficients are rational functions of u, not numbers; print
-    # the exact m-indexed summands instead (q^m collected per index m).
-    if fn == "wp0":
-        terms = [{"m": 0, "term": "u/(1-u)^2"}]
-        terms += [{"m": m, "term": _WP0_TERM.format(m=m)} for m in range(1, order + 1)]
-        out = {
-            "fn": fn,
-            "order": order,
-            "prefactor": "(2*pi*i)^2",
-            "constant": "1/12",
-            "terms": terms,
-        }
-    else:
-        terms = [{"n": 0, "term": "-u/(1-u)"}]
-        terms += [{"n": n, "term": _ZETA0_TERM.format(n=n)} for n in range(1, order + 1)]
-        out = {
-            "fn": fn,
-            "order": order,
-            "prefactor": "2*pi*i",
-            "affine_part": "eta1*z - pi*i",
-            "terms": terms,
-        }
-    _print_json(out)
+    _print_json({"fn": fn, "order": order, "coefficients": q_coefficients(fn, order)})
     return 0
 
 
@@ -205,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--csv", action="store_true", help="emit the report as CSV")
     p_ver.set_defaults(run=_cmd_verify)
 
-    p_ser = sub.add_parser("series", help="print q-expansion data")
-    p_ser.add_argument("--fn", required=True, choices=("wp0", "zeta0", "e2", "e4", "e6"))
+    p_ser = sub.add_parser("series", help="print the integer q-coefficients of E2, E4 or E6")
+    p_ser.add_argument("--fn", required=True, choices=("e2", "e4", "e6"))
     p_ser.add_argument("--order", type=int, required=True)
     p_ser.set_defaults(run=_cmd_series)
 

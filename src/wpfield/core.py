@@ -5,6 +5,9 @@ Conventions used throughout the package:
 * ``tau`` lives in the upper half-plane, ``q = exp(2*pi*i*tau)``.
 * ``z`` is the elliptic argument, ``u = exp(2*pi*i*z)``.
 * The lattice attached to ``tau`` is ``Z + tau*Z``.
+
+The tolerance policy holds the three pass thresholds of the identity suite,
+the only tolerances a config file can set; the pole guard is a constant.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar
 
-from .errors import NonFiniteValue, ZeroArgument
+from .errors import NonFiniteValue
 
 TWO_PI = 2.0 * math.pi
 TWO_PI_I = 2j * math.pi
@@ -22,54 +25,38 @@ TWO_PI_I = 2j * math.pi
 # Lower edge of the reduced strip: every reduced tau has Im(tau) >= sqrt(3)/2.
 FUNDAMENTAL_IM_MIN = math.sqrt(3.0) / 2.0
 
-# Matching nome-disk radius exp(-2*pi*sqrt(3)/2), about 4.33e-3.
-NOME_RADIUS = math.exp(-TWO_PI * FUNDAMENTAL_IM_MIN)
-
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Numeric tolerances shared by evaluation and verification.
+    """Pass thresholds of the identity suite, with identity_tol <= oracle_tol.
 
     Attributes
     ----------
-    series_tail_bound : floor for claimed series accuracy
     identity_tol      : default pass threshold for exact-identity residuals
     oracle_tol        : pass threshold when comparing against lattice-sum oracles
     fd_tol            : pass threshold for finite-difference derivative checks
-    pole_guard_radius : lattice distance below which evaluation is refused
+    pole_guard_radius : lattice distance below which evaluation is refused; a
+                        class constant, not a field, so no config file or
+                        constructor sets it
     """
 
-    series_tail_bound: float = 1e-12
     identity_tol: float = 1e-9
     oracle_tol: float = 1e-4
     fd_tol: float = 1e-5
-    pole_guard_radius: float = 1e-3
+    pole_guard_radius: ClassVar[float] = 1e-3
 
     def __post_init__(self) -> None:
-        fields = (
-            self.series_tail_bound,
-            self.identity_tol,
-            self.oracle_tol,
-            self.fd_tol,
-            self.pole_guard_radius,
-        )
+        fields = (self.identity_tol, self.oracle_tol, self.fd_tol)
         if any(not (v > 0.0 and math.isfinite(v)) for v in fields):
             raise ValueError("all tolerances must be finite and positive")
-        if not (self.series_tail_bound <= self.identity_tol <= self.oracle_tol):
+        if not self.identity_tol <= self.oracle_tol:
             raise ValueError(
-                "need series_tail_bound <= identity_tol <= oracle_tol, got "
-                f"{self.series_tail_bound} / {self.identity_tol} / {self.oracle_tol}"
+                "need identity_tol <= oracle_tol, got "
+                f"{self.identity_tol} / {self.oracle_tol}"
             )
 
 
 DEFAULT_POLICY = TolerancePolicy()
-
-
-class CellCoordinates(NamedTuple):
-    """Real coordinates (a, b) of z = a*tau + b with respect to the lattice basis."""
-
-    a: float
-    b: float
 
 
 def require_upper_half(tau: complex) -> complex:
@@ -92,7 +79,7 @@ def in_fundamental_domain(tau: complex) -> bool:
     return -0.5 <= tau.real < 0.5 and tau.imag >= FUNDAMENTAL_IM_MIN
 
 
-def coords_wrt_lattice(tau: complex, z: complex) -> CellCoordinates:
+def coords_wrt_lattice(tau: complex, z: complex) -> tuple[float, float]:
     """Solve z = a*tau + b over the reals.
 
     a = Im(z)/Im(tau) and b = Re(z) - a*Re(tau); exact up to rounding for any
@@ -102,13 +89,7 @@ def coords_wrt_lattice(tau: complex, z: complex) -> CellCoordinates:
     z = complex(z)
     a = z.imag / tau.imag
     b = z.real - a * tau.real
-    return CellCoordinates(a, b)
-
-
-def in_cell(tau: complex, z: complex) -> bool:
-    """True iff z = a*tau + b with 0 <= a < 1 and 0 <= b < 1 (half-open cell)."""
-    a, b = coords_wrt_lattice(tau, z)
-    return 0.0 <= a < 1.0 and 0.0 <= b < 1.0
+    return a, b
 
 
 def lattice_distance(tau: complex, z: complex) -> float:
@@ -140,39 +121,3 @@ def nome(tau: complex) -> complex:
     tau = require_upper_half(tau)
     re = math.remainder(tau.real, 1.0)
     return cmath.exp(TWO_PI_I * complex(re, tau.imag))
-
-
-def tau_from_nome(q: complex) -> complex:
-    """Invert q = exp(2*pi*i*tau) with the principal log; Re into [-1/2, 1/2)."""
-    q = complex(q)
-    if q == 0:
-        raise ZeroArgument("q must be nonzero")
-    re = cmath.phase(q) / TWO_PI
-    if re >= 0.5:
-        re -= 1.0
-    im = -math.log(abs(q)) / TWO_PI
-    return complex(re, im)
-
-
-def in_m_delta(q: complex, u: complex) -> bool:
-    """Membership in the model domain: |q| <= exp(-pi*sqrt(3)) and z inside the
-    shrunken cell, the parallelogram with corners (1+tau)/8, (3+tau)/8,
-    (1+3*tau)/8, (3+3*tau)/8.
-
-    q and u are inverted with principal logarithm branches; z is the principal
-    preimage of u.
-    """
-    q = complex(q)
-    u = complex(u)
-    if q == 0:
-        raise ZeroArgument("q must be nonzero")
-    if u == 0:
-        raise ZeroArgument("u must be nonzero")
-    if abs(q) > NOME_RADIUS:
-        return False
-    tau = tau_from_nome(q)
-    z = cmath.log(u) / TWO_PI_I
-    # z = (1+tau)/8 + (b + a*tau)/4 with a, b in [0, 1] <=> lattice coordinates
-    # of z - (1+tau)/8 both in [0, 1/4].
-    alpha, beta = coords_wrt_lattice(tau, z - (1.0 + tau) / 8.0)
-    return 0.0 <= alpha <= 0.25 and 0.0 <= beta <= 0.25

@@ -5,10 +5,6 @@ class WPFieldError(Exception):
     """Base class for all library-specific failures."""
 
 
-class ZeroArgument(WPFieldError):
-    """An argument that must be nonzero (a nome or exponential coordinate) was zero."""
-
-
 class ConvergenceDomain(WPFieldError):
     """Series parameters outside the region where the q-expansion converges."""
 

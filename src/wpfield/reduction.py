@@ -100,7 +100,8 @@ def reduce_tau(tau: complex) -> tuple[UnimodularMatrix, complex]:
 
     Boundary tie-break: points with |tau| = 1 and Re(tau) > 0 get one more
     inversion, so the canonical representative has Re <= 0 on the unit circle.
-    Returns (gamma, tau*) with tau* = gamma(tau).
+    Returns (gamma, tau*) with tau* = gamma(tau); raises NonFiniteValue when
+    tau* overflows.
     """
     cur = require_upper_half(tau)
     gamma = UnimodularMatrix.identity()
@@ -117,7 +118,8 @@ def reduce_tau(tau: complex) -> tuple[UnimodularMatrix, complex]:
         if norm2 <= 1.0 + _CIRCLE_EPS and cur.real > _CIRCLE_EPS:
             cur = -1.0 / cur
             gamma = UnimodularMatrix.inversion() @ gamma
-        return gamma, cur
+        # at subnormal Im(tau) an inversion overflows to an infinite tau*
+        return gamma, ensure_finite(cur, "tau*")
     raise NonTermination(f"tau reduction did not settle after {_MAX_REDUCTION_STEPS} steps")
 
 
@@ -248,13 +250,7 @@ def invariants_anywhere(tau: complex) -> LatticeInvariants:
     return LatticeInvariants(g2=g2, g3=g3, delta=delta, eta1=eta1)
 
 
-def wp_add(
-    tau: complex,
-    z1: complex,
-    z2: complex,
-    *,
-    pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
-) -> complex:
+def wp_add(tau: complex, z1: complex, z2: complex) -> complex:
     """wp(z1 + z2) from values at z1 and z2 via the algebraic addition formula.
 
     Generic branch:  wp(z1+z2) = ((wp'(z1)-wp'(z2))/(wp(z1)-wp(z2)))^2 / 4
@@ -265,20 +261,20 @@ def wp_add(
     z1 + z2 lies on the lattice (the result would be the pole).
     """
     tau = require_upper_half(tau)
-    if lattice_distance_anywhere(tau, z1 + z2) < pole_guard:
+    if lattice_distance_anywhere(tau, z1 + z2) < DEFAULT_POLICY.pole_guard_radius:
         raise DegenerateConfiguration("z1 + z2 is on (or nearly on) the lattice")
-    p1 = wp_anywhere(tau, z1, pole_guard=pole_guard).value
-    p2 = wp_anywhere(tau, z2, pole_guard=pole_guard).value
+    p1 = wp_anywhere(tau, z1).value
+    p2 = wp_anywhere(tau, z2).value
     same_point = (
         lattice_distance_anywhere(tau, z1 - z2) < 1e-6
         and abs(p1 - p2) < 1e-8 * max(1.0, abs(p1))
     )
     if same_point:
-        pp = wp_prime_anywhere(tau, z1, pole_guard=pole_guard).value
+        pp = wp_prime_anywhere(tau, z1).value
         g2 = invariants_anywhere(tau).g2
         second = 6.0 * p1 * p1 - 0.5 * g2
         return ensure_finite((second / (2.0 * pp)) ** 2 - 2.0 * p1, "wp_add")
-    pp1 = wp_prime_anywhere(tau, z1, pole_guard=pole_guard).value
-    pp2 = wp_prime_anywhere(tau, z2, pole_guard=pole_guard).value
+    pp1 = wp_prime_anywhere(tau, z1).value
+    pp2 = wp_prime_anywhere(tau, z2).value
     slope = (pp1 - pp2) / (p1 - p2)
     return ensure_finite(0.25 * slope * slope - p1 - p2, "wp_add")

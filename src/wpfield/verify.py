@@ -14,7 +14,7 @@ import csv
 import io
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
 from .core import TolerancePolicy, lattice_distance
@@ -587,19 +587,13 @@ def run_identity_suite(
 # Tolerance config files: `key = value` lines, '#' comments.
 
 
-_POLICY_KEYS = {
-    "series_tail_bound",
-    "identity_tol",
-    "oracle_tol",
-    "fd_tol",
-    "pole_guard_radius",
-}
+_POLICY_KEYS = {f.name for f in fields(TolerancePolicy)}
 
 
 def load_tolerance_config(path: str) -> tuple[TolerancePolicy, dict[str, float]]:
     """Parse a tolerance file into (policy, per-case overrides).
 
-    Recognized keys: the five TolerancePolicy fields, plus `tol.<case_name>`
+    Recognized keys: the three TolerancePolicy fields, plus `tol.<case_name>`
     entries overriding a single case's pass threshold.
     """
     policy_kwargs: dict[str, float] = {}

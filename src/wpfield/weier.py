@@ -35,6 +35,9 @@ from .errors import ConvergenceDomain, PoleProximity
 
 _MACHINE = 1e-15
 
+# Smallest est_error any evaluator claims.
+_EST_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class WValue:
@@ -96,8 +99,7 @@ def _est_error(value: complex, q: complex, u: complex, r: complex, dist: float,
                n_terms: int, weight: int, factor: float = 1.0, extra_tail: float = 0.0) -> float:
     """The error model of the weight-k kernels (k = 2, 3, 1 for wp, wp', zeta):
     (2*pi)^k * factor * (tails of the u q^m and q^m/u sums + extra_tail), plus
-    rounding inflated as 0.01/dist near a pole, floored at the default policy's
-    series_tail_bound."""
+    rounding inflated as 0.01/dist near a pole, floored at _EST_FLOOR."""
     qa = abs(q)
     tails = (
         _geometric_tail(qa ** (n_terms + 1) * abs(u), qa, weight)
@@ -106,7 +108,7 @@ def _est_error(value: complex, q: complex, u: complex, r: complex, dist: float,
     )
     tail = (2.0 * math.pi) ** weight * factor * tails
     rounding = _MACHINE * (1.0 + abs(value)) * max(1.0, 0.01 / max(dist, 1e-300))
-    return max(tail + rounding, DEFAULT_POLICY.series_tail_bound)
+    return max(tail + rounding, _EST_FLOOR)
 
 
 def wp_q(
@@ -191,39 +193,27 @@ def half_periods(tau: complex) -> HalfPeriodData:
     return HalfPeriodData(e1=e1, e2=e2, e3=e3)
 
 
-def wp_lattice_oracle(
-    tau: complex,
-    z: complex,
-    radius: int,
-    *,
-    pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
-) -> complex:
+def wp_lattice_oracle(tau: complex, z: complex, radius: int) -> complex:
     """Direct lattice sum 1/z^2 + sum' [1/(z-w)^2 - 1/w^2] over
     max(|m|, |n|) <= radius.  Slow; error O(1/radius).  Cross-check only."""
     tau = require_upper_half(tau)
     z = complex(z)
     if radius < 50:
         raise ValueError(f"radius must be >= 50, got {radius}")
-    if lattice_distance(tau, z) < pole_guard:
+    if lattice_distance(tau, z) < DEFAULT_POLICY.pole_guard_radius:
         raise PoleProximity(f"z = {z} too close to the lattice for the oracle")
     omega = _lattice_points(tau, radius)
     total = np.sum((z - omega) ** (-2) - omega ** (-2))
     return ensure_finite(complex(total) + 1.0 / z**2, "wp oracle")
 
 
-def zeta_lattice_oracle(
-    tau: complex,
-    z: complex,
-    radius: int,
-    *,
-    pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
-) -> complex:
+def zeta_lattice_oracle(tau: complex, z: complex, radius: int) -> complex:
     """Direct lattice sum 1/z + sum' [1/(z-w) + 1/w + z/w^2]; error O(1/radius)."""
     tau = require_upper_half(tau)
     z = complex(z)
     if radius < 50:
         raise ValueError(f"radius must be >= 50, got {radius}")
-    if lattice_distance(tau, z) < pole_guard:
+    if lattice_distance(tau, z) < DEFAULT_POLICY.pole_guard_radius:
         raise PoleProximity(f"z = {z} too close to the lattice for the oracle")
     omega = _lattice_points(tau, radius)
     total = np.sum(1.0 / (z - omega) + 1.0 / omega + z / omega**2)

@@ -1,6 +1,5 @@
 """Tests for domain predicates, lattice geometry, and nome plumbing."""
 
-import cmath
 import math
 
 import pytest
@@ -9,28 +8,30 @@ from hypothesis import strategies as st
 
 import wpfield
 from wpfield.core import (
-    NOME_RADIUS,
+    DEFAULT_POLICY,
     TolerancePolicy,
     coords_wrt_lattice,
-    in_cell,
     in_fundamental_domain,
-    in_m_delta,
     lattice_distance,
     nome,
-    tau_from_nome,
 )
-from wpfield.errors import ZeroArgument
 
 
 def test_policy_defaults_are_ordered():
     policy = TolerancePolicy()
-    assert policy.series_tail_bound <= policy.identity_tol <= policy.oracle_tol
+    assert policy.identity_tol <= policy.oracle_tol
     assert policy.pole_guard_radius > 0
 
 
 def test_policy_rejects_bad_ordering():
     with pytest.raises(ValueError):
-        TolerancePolicy(series_tail_bound=1e-3, identity_tol=1e-9)
+        TolerancePolicy(identity_tol=1e-3, oracle_tol=1e-4)
+
+
+def test_pole_guard_is_a_constant_not_a_setting():
+    assert DEFAULT_POLICY.pole_guard_radius == 1e-3
+    with pytest.raises(TypeError):
+        TolerancePolicy(pole_guard_radius=1e-2)
 
 
 def test_policy_rejects_nonpositive():
@@ -53,18 +54,9 @@ def test_coords_round_trip():
     tau = complex(0.3, 1.7)
     a, b = 0.62, -1.25
     z = b + a * tau
-    got = coords_wrt_lattice(tau, z)
-    assert abs(got.a - a) < 1e-12
-    assert abs(got.b - b) < 1e-12
-
-
-def test_in_cell_half_open():
-    tau = complex(-0.2, 1.4)
-    assert in_cell(tau, 0.0)
-    assert in_cell(tau, 0.999 + 0.999 * tau)
-    assert not in_cell(tau, 1.0)
-    assert not in_cell(tau, tau)
-    assert not in_cell(tau, -0.001)
+    got_a, got_b = coords_wrt_lattice(tau, z)
+    assert abs(got_a - a) < 1e-12
+    assert abs(got_b - b) < 1e-12
 
 
 def test_lattice_distance_on_lattice_points():
@@ -105,42 +97,6 @@ def test_nome_basics():
     assert abs(nome(tau + 1.0) - nome(tau)) <= 1e-15 * abs(nome(tau))
     with pytest.raises(ValueError):
         nome(complex(0.3, -1.0))
-
-
-def test_nome_round_trip():
-    tau = complex(0.21, 1.33)
-    back = tau_from_nome(nome(tau))
-    assert abs(back - tau) < 1e-12
-
-
-def test_tau_from_nome_zero_rejected():
-    with pytest.raises(ZeroArgument):
-        tau_from_nome(0.0)
-
-
-def test_in_m_delta_zero_arguments():
-    with pytest.raises(ZeroArgument):
-        in_m_delta(0.0, 1.0)
-    with pytest.raises(ZeroArgument):
-        in_m_delta(0.01, 0.0)
-
-
-def test_in_m_delta_membership():
-    tau = complex(0.1, 1.1)
-    q = nome(tau)
-    assert abs(q) <= NOME_RADIUS
-    center = (2.0 + 2.0 * tau) / 8.0  # middle of the shrunken cell
-    corner = (1.0 + tau) / 8.0
-    outside = 0.9 + 0.9 * tau
-    assert in_m_delta(q, cmath.exp(2j * math.pi * center))
-    assert in_m_delta(q, cmath.exp(2j * math.pi * corner))
-    assert not in_m_delta(q, cmath.exp(2j * math.pi * outside))
-
-
-def test_in_m_delta_big_nome_excluded():
-    # Im(tau) = 0.5 puts |q| above exp(-pi*sqrt(3))
-    q = nome(complex(0.0, 0.5))
-    assert not in_m_delta(q, cmath.exp(2j * math.pi * 0.3))
 
 
 def test_every_exported_name_resolves():

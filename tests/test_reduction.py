@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpfield import core, eisenstein, reduction, weier
-from wpfield.core import DEFAULT_POLICY, in_cell, in_fundamental_domain, lattice_distance, nome
+from wpfield.core import (
+    DEFAULT_POLICY,
+    coords_wrt_lattice,
+    in_fundamental_domain,
+    lattice_distance,
+    nome,
+)
 from wpfield.eisenstein import eisenstein_at
 from wpfield.errors import DegenerateConfiguration, NonFiniteValue, PoleProximity
 from wpfield.reduction import (
@@ -81,7 +87,8 @@ def test_reduce_z_splits_exactly():
     tau = complex(-0.2, 1.6)
     z = complex(3.7, -2.9)
     m, n, z_star = reduce_z(tau, z)
-    assert in_cell(tau, z_star)
+    a, b = coords_wrt_lattice(tau, z_star)
+    assert 0.0 <= a < 1.0 and 0.0 <= b < 1.0
     assert abs(z_star + m + n * tau - z) < 1e-12
 
 
@@ -389,3 +396,11 @@ def test_weight_factor_underflow_is_non_finite(evaluate):
     # ZeroDivisionError
     with pytest.raises(NonFiniteValue):
         evaluate()
+
+
+def test_overflowing_tau_star_is_non_finite():
+    # at subnormal Im(tau), -1/tau overflows: tau* = inf*i must not escape
+    with pytest.raises(NonFiniteValue):
+        reduce_tau(1e-320j)
+    with pytest.raises(NonFiniteValue):
+        wp_anywhere(0.5 + 1e-320j, 0.3)

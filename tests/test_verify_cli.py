@@ -4,9 +4,11 @@ import csv
 import io
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
+from wpfield import verify
 from wpfield.cli import main
 from wpfield.core import TolerancePolicy
 from wpfield.verify import case_names, load_tolerance_config, run_identity_suite
@@ -51,6 +53,7 @@ def test_report_json_schema():
     doc = report.to_json_dict()
     assert set(doc) == {"seed", "timestamp", "policy", "resolved", "all_passed", "cases"}
     assert doc["seed"] == 3
+    assert set(doc["policy"]) == {"identity_tol", "oracle_tol", "fd_tol"}
     assert isinstance(doc["all_passed"], bool)
     for case in doc["cases"]:
         assert set(case) == {
@@ -97,7 +100,7 @@ def test_identity_tol_sets_the_exact_identity_cases(tmp_path):
     default = run_identity_suite(seed=42, only=sorted(IDENTITY_TOL_CASES))
     assert {c.tolerance for c in default.cases} == {TolerancePolicy().identity_tol} == {1e-9}
     cfg = tmp_path / "strict_identities.cfg"
-    cfg.write_text("series_tail_bound = 1e-31\nidentity_tol = 1e-30\n")
+    cfg.write_text("identity_tol = 1e-30\n")
     policy, overrides = load_tolerance_config(str(cfg))
     report = run_identity_suite(seed=42, policy=policy, case_tolerances=overrides)
     assert {c.name for c in report.cases if not c.passed} == IDENTITY_TOL_CASES
@@ -113,16 +116,30 @@ def test_config_loader(tmp_path):
     policy, overrides = load_tolerance_config(str(cfg))
     assert policy.oracle_tol == 5e-5
     assert policy.fd_tol == 1e-6
-    assert policy.series_tail_bound == TolerancePolicy().series_tail_bound
+    assert policy.identity_tol == TolerancePolicy().identity_tol
     assert overrides == {"sine_limit": 1e-11}
 
 
 def test_config_loader_rejects_bad_lines(tmp_path):
-    for text in ("mystery = 1.0\n", "oracle_tol 1e-4\n", "fd_tol = banana\n"):
+    bad = (
+        "mystery = 1.0\n",
+        "oracle_tol 1e-4\n",
+        "fd_tol = banana\n",
+        # keys that once parsed but reached no evaluator
+        "series_tail_bound = 1e-12\n",
+        "pole_guard_radius = 1e-3\n",
+    )
+    for text in bad:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
         with pytest.raises(ValueError):
             load_tolerance_config(str(cfg))
+
+
+def test_every_policy_field_sets_some_case():
+    # a parsed key that no case reads would be a knob that does nothing
+    read = {tol for _, _, tol in verify._CASE_TABLE if isinstance(tol, str)}
+    assert {f.name for f in fields(TolerancePolicy)} == read
 
 
 # --- CLI ----------------------------------------------------------------------
@@ -150,7 +167,7 @@ def test_cli_eval_tau_only_at_i(capsys, fn, expected):
     assert abs(doc["re"] - expected) < 1e-12 * max(1.0, abs(expected))
     assert abs(doc["im"]) < 1e-15 * max(1.0, abs(expected))
     assert doc["est_error"] >= 1e-12
-    if fn != "delta":  # delta's estimate carries the g2 tail times 3|g2|^2
+    if fn != "delta":  # delta's estimate is relative to |delta(i)| ~ 6.8e6
         assert doc["est_error"] == 1e-12
 
 
@@ -186,12 +203,44 @@ def test_cli_eval_pole_is_exit_3(capsys):
         ["--fn", "e6", "--tau", "0.5,1e-200"],
         ["--fn", "e6", "--tau", "0.1,1e-60"],
         ["--fn", "delta", "--tau", "0.1,1e-30"],
+        # subnormal Im(tau): -1/tau overflows and tau* is not finite
+        ["--fn", "zeta", "--tau", "0,1e-320", "--z", "0.3,0"],
     ],
 )
 def test_cli_eval_weight_factor_underflow_is_exit_3(capsys, argv):
     code, _, err = run_cli(capsys, ["eval", *argv])
     assert code == 3
     assert json.loads(err)["error"] == "NonFiniteValue"
+
+
+def test_cli_reduce_overflowing_tau_star_is_exit_3(capsys):
+    code, out, err = run_cli(capsys, ["reduce", "--tau", "0,1e-320"])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "NonFiniteValue"
+
+
+def _delta_reference(tau):
+    """delta = (2*pi)^12 (th2*th3*th4/2)^8 from mpmath theta constants at tau
+    itself; 100 digits cover the cancellation in th4 down to Im(tau) = 0.01."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(100):
+        q = mp.exp(1j * mp.pi * mp.mpc(tau.real, tau.imag))
+        t2, t3, t4 = (mp.jtheta(k, 0, q) for k in (2, 3, 4))
+        return complex((2 * mp.pi) ** 12 * (t2 * t3 * t4 / 2) ** 8)
+
+
+@pytest.mark.parametrize(
+    "tau", [1j, 0.01j, complex(0.3, 8.0), complex(-0.3740, 0.1448)],
+    ids=["i", "0.01i", "0.3+8i", "low"],
+)
+def test_cli_delta_estimate_is_a_tight_bound(capsys, tau):
+    code, out, _ = run_cli(capsys, ["eval", "--fn", "delta", f"--tau={tau.real},{tau.imag}"])
+    assert code == 0
+    doc = json.loads(out)
+    value = complex(doc["re"], doc["im"])
+    assert abs(value - _delta_reference(tau)) <= doc["est_error"]
+    assert doc["est_error"] <= max(1e-12, 1e-10 * abs(value))
 
 
 def test_cli_eval_lower_half_plane_is_exit_3(capsys):
@@ -244,20 +293,12 @@ def test_cli_series_e2_golden(capsys):
     assert json.loads(out)["coefficients"] == [1, -24, -72, -96, -168, -144]
 
 
-def test_cli_series_term_tables(capsys):
-    code, out, _ = run_cli(capsys, ["series", "--fn", "wp0", "--order", "3"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["prefactor"] == "(2*pi*i)^2"
-    assert doc["constant"] == "1/12"
-    assert len(doc["terms"]) == 4
-    assert doc["terms"][0] == {"m": 0, "term": "u/(1-u)^2"}
-
-    code, out, _ = run_cli(capsys, ["series", "--fn", "zeta0", "--order", "2"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["affine_part"] == "eta1*z - pi*i"
-    assert [t["n"] for t in doc["terms"]] == [0, 1, 2]
+@pytest.mark.parametrize("fn", ["wp0", "zeta0"])
+def test_cli_series_offers_only_eisenstein(capsys, fn):
+    with pytest.raises(SystemExit) as exc:
+        main(["series", "--fn", fn, "--order", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_cli_verify_json_subset(capsys):
