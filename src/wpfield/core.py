@@ -41,7 +41,7 @@ class TolerancePolicy:
     """
 
     identity_tol: float = 1e-9
-    oracle_tol: float = 1e-4
+    oracle_tol: float = 1e-9
     fd_tol: float = 1e-5
     pole_guard_radius: ClassVar[float] = 1e-3
 

@@ -7,8 +7,10 @@ The fast route is the normalized q-expansion
     E6 = 1 - 504 sum sigma_5(n) q^n
 
 each summed on its own by Horner's rule, with its integer coefficients taken
-from the one table _Q_SERIES.  The slow route is a direct sum over lattice
-points, kept deliberately independent so the two can cross-check each other.
+from the one table _Q_SERIES.  The slow route is a sum over the rows of the
+lattice, each row in closed form, kept deliberately independent so the two can
+cross-check each other: it reduces the lattice basis itself and never touches
+the q-series.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .core import TWO_PI_I, ensure_finite, nome, require_upper_half
+from .core import ensure_finite, nome, require_upper_half
 from .errors import ConvergenceDomain
 
 # Below this height |q| > 0.53 and the E-series would need about 120 terms;
@@ -144,44 +144,92 @@ def delta_eta_product(tau: complex) -> complex:
     return ensure_finite((2.0 * math.pi) ** 12 * q * prod**24, "delta")
 
 
-def _lattice_points(tau: complex, radius: int) -> np.ndarray:
-    """The nonzero lattice points m + n*tau with max(|m|, |n|) <= radius."""
-    ms = np.arange(-radius, radius + 1)
-    m_grid, n_grid = np.meshgrid(ms, ms, indexing="ij")
-    mask = (m_grid != 0) | (n_grid != 0)
-    return m_grid[mask] + n_grid[mask] * complex(tau)
+# Past this |Im(pi*a)| a row is written in the nome exp(2*pi*i*a) (or its
+# inverse) instead of through sin(pi*a), which overflows at 710.
+_ROW_IM_MAX = 300.0
+
+
+def _csc2(a: complex) -> complex:
+    """csc^2(pi*a), so that sum_m (a + m)^-2 = pi^2 * _csc2(a)."""
+    w = math.pi * a
+    if abs(w.imag) < _ROW_IM_MAX:
+        return 1.0 / cmath.sin(w) ** 2
+    x = cmath.exp(2j * (w if w.imag > 0.0 else -w))  # |x| < e^-600
+    return -4.0 * x / (1.0 - x) ** 2
+
+
+def _cot(a: complex) -> complex:
+    """cot(pi*a), so that the symmetric sum_m (a + m)^-1 = pi * _cot(a).
+    cmath.tan tends to +-i at large |Im a| without overflowing."""
+    return 1.0 / cmath.tan(math.pi * a)
+
+
+def _row_sum(a: complex, k: int) -> complex:
+    """sum_m (a + m)^(-2k) for k = 1, 2, 3, in closed form.
+
+    The even derivatives of csc^2 are polynomials in csc^2, so with
+    s = csc^2(pi*a) the row is pi^(2k) times s, s^2 - 2s/3 or
+    s^3 - s^2 + 2s/15."""
+    s = _csc2(a)
+    if k == 1:
+        poly = s
+    elif k == 2:
+        poly = s * (s - 2.0 / 3.0)
+    else:
+        poly = s * (s * (s - 1.0) + 2.0 / 15.0)
+    return math.pi ** (2 * k) * poly
+
+
+def _reduced_basis(tau: complex) -> tuple[complex, complex]:
+    """(omega1, tau_r) with Z + tau*Z = omega1 * (Z + tau_r*Z), where tau_r
+    is Lagrange-reduced: |Re tau_r| <= 1/2 and |tau_r| >= 1, so
+    Im tau_r >= sqrt(3)/2.
+
+    Lagrange's algorithm runs on the integer coefficients of the basis
+    omega1 = c*tau + d, omega2 = a*tau + b, forming each vector afresh from
+    tau; a swap also negates, which keeps the orientation.  This is a second
+    implementation of the reduction, apart from the SL(2,Z) walk in
+    reduction.py, so that the lattice-sum oracles stay independent of it.
+    """
+    tau = require_upper_half(tau)
+    a, b, c, d = 1, 0, 0, 1
+    while True:
+        omega1 = c * tau + d
+        ratio = ensure_finite((a * tau + b) / omega1, "reduced basis")
+        k = round(ratio.real)
+        a, b = a - k * c, b - k * d
+        omega2 = a * tau + b
+        if abs(omega2) >= abs(omega1):
+            return omega1, ensure_finite(omega2 / omega1, "reduced tau")
+        a, b, c, d = -c, -d, a, b
 
 
 def lattice_sum_eisenstein(tau: complex, k: int, radius: int) -> complex:
     """Slow oracle: sum of omega^(-2k) over nonzero lattice points of Z + tau*Z.
 
-    Equals 2*zeta(2k)*E_{2k} for every k.  For k = 1 the sum is only
-    conditionally convergent, so the row-by-row order is mandatory; each row is
-    summed in closed form,
+    Equals 2*zeta(2k)*E_{2k} for every k.  The sum runs over the rows
+    n = -radius..radius of a basis (omega1, omega1*tau_r), each row in closed
+    form (_row_sum):
 
-        sum' omega^(-2) = 2*zeta(2) + 2 * sum_{m >= 1} pi^2 / sin^2(pi*m*tau).
+        sum' omega^(-2k) = omega1^(-2k) [2*zeta(2k) + 2 sum_{n=1..radius}
+                                         sum_m (m + n*tau_r)^(-2k)].
 
-    For k = 2, 3 the absolutely convergent double sum over max(|m|, |n|) <=
-    radius is returned; what it leaves out decays like O(radius^(1-2k)).
+    For k = 2, 3 the sum converges absolutely, so the basis is the reduced
+    one (_reduced_basis) and the rows decay like exp(-2*pi*n*Im tau_r), with
+    Im tau_r >= sqrt(3)/2.  For k = 1 the sum converges only conditionally
+    and the row order of the basis (1, tau) is what defines it, so omega1 = 1
+    and tau_r = tau.
     """
     tau = require_upper_half(tau)
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2, or 3, got {k}")
     if radius < 10:
         raise ValueError(f"radius must be >= 10, got {radius}")
-    if k == 1:
-        total = complex(ZETA2)
-        for m in range(1, radius + 1):
-            w = math.pi * m * tau
-            if abs(w.imag) < 300.0:
-                total += (math.pi / cmath.sin(w)) ** 2
-            else:
-                # identical closed form, written in the nome to dodge sinh overflow
-                qm = cmath.exp(TWO_PI_I * m * tau)
-                total += -4.0 * math.pi**2 * qm / (1.0 - qm) ** 2
-        return ensure_finite(2.0 * total, "weight-2 oracle")
-    total = np.sum(_lattice_points(tau, radius) ** (-2 * k))
-    return ensure_finite(complex(total), "eisenstein oracle")
+    omega1, tau_r = (1.0, tau) if k == 1 else _reduced_basis(tau)
+    total = complex((ZETA2, ZETA4, ZETA6)[k - 1])
+    for n in range(1, radius + 1):
+        total += _row_sum(n * tau_r, k)
+    return ensure_finite(2.0 * total / omega1 ** (2 * k), "eisenstein oracle")
 
 
 _Q_SERIES = {

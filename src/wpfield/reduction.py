@@ -105,21 +105,26 @@ def reduce_tau(tau: complex) -> tuple[UnimodularMatrix, complex]:
     """
     cur = require_upper_half(tau)
     gamma = UnimodularMatrix.identity()
-    for _ in range(_MAX_REDUCTION_STEPS):
-        k = math.floor(cur.real + 0.5)
-        if k != 0:
-            cur = cur - k
-            gamma = UnimodularMatrix.translation(-k) @ gamma
-        norm2 = cur.real * cur.real + cur.imag * cur.imag
-        if norm2 < 1.0 - _CIRCLE_EPS:
-            cur = -1.0 / cur
-            gamma = UnimodularMatrix.inversion() @ gamma
-            continue
-        if norm2 <= 1.0 + _CIRCLE_EPS and cur.real > _CIRCLE_EPS:
-            cur = -1.0 / cur
-            gamma = UnimodularMatrix.inversion() @ gamma
-        # at subnormal Im(tau) an inversion overflows to an infinite tau*
-        return gamma, ensure_finite(cur, "tau*")
+    try:
+        for _ in range(_MAX_REDUCTION_STEPS):
+            k = math.floor(cur.real + 0.5)
+            if k != 0:
+                cur = cur - k
+                gamma = UnimodularMatrix.translation(-k) @ gamma
+            norm2 = cur.real * cur.real + cur.imag * cur.imag
+            if norm2 < 1.0 - _CIRCLE_EPS:
+                cur = -1.0 / cur
+                gamma = UnimodularMatrix.inversion() @ gamma
+                continue
+            if norm2 <= 1.0 + _CIRCLE_EPS and cur.real > _CIRCLE_EPS:
+                cur = -1.0 / cur
+                gamma = UnimodularMatrix.inversion() @ gamma
+            # at subnormal Im(tau) an inversion overflows to an infinite tau*
+            return gamma, ensure_finite(cur, "tau*")
+    except OverflowError as exc:
+        # when both parts of tau are subnormal, -1/tau is -inf+inf*i and the
+        # next floor(inf) raises before the check at the return
+        raise NonFiniteValue(f"tau* is not finite: reducing {tau!r} overflows") from exc
     raise NonTermination(f"tau reduction did not settle after {_MAX_REDUCTION_STEPS} steps")
 
 

@@ -63,7 +63,7 @@ from .weier import (
     zeta_q,
 )
 
-ORACLE_RADIUS = 400
+ORACLE_RADIUS = 50
 
 _RE_GRID = (-0.4, -0.2, 0.0, 0.2, 0.4)
 _IM_GRID = (0.9, 1.2, 2.0, 5.0)

@@ -20,8 +20,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     DEFAULT_POLICY,
     TWO_PI_I,
@@ -30,7 +28,7 @@ from .core import (
     nome,
     require_upper_half,
 )
-from .eisenstein import _e_series, _lattice_points, _series_order, _series_tau
+from .eisenstein import _cot, _csc2, _e_series, _reduced_basis, _series_order, _series_tau
 from .errors import ConvergenceDomain, PoleProximity
 
 _MACHINE = 1e-15
@@ -193,28 +191,48 @@ def half_periods(tau: complex) -> HalfPeriodData:
     return HalfPeriodData(e1=e1, e2=e2, e3=e3)
 
 
-def wp_lattice_oracle(tau: complex, z: complex, radius: int) -> complex:
-    """Direct lattice sum 1/z^2 + sum' [1/(z-w)^2 - 1/w^2] over
-    max(|m|, |n|) <= radius.  Slow; error O(1/radius).  Cross-check only."""
-    tau = require_upper_half(tau)
-    z = complex(z)
+def _oracle_frame(tau: complex, z: complex, radius: int) -> tuple[complex, complex, complex]:
+    """(omega1, tau_r, z/omega1): the oracles' own reduced basis of the lattice
+    (see eisenstein._reduced_basis) and z in its frame, after checking the
+    radius and, exactly in that basis, the pole guard."""
     if radius < 50:
         raise ValueError(f"radius must be >= 50, got {radius}")
-    if lattice_distance(tau, z) < DEFAULT_POLICY.pole_guard_radius:
+    omega1, tau_r = _reduced_basis(tau)
+    z_r = complex(z) / omega1
+    if lattice_distance(tau_r, z_r) * abs(omega1) < DEFAULT_POLICY.pole_guard_radius:
         raise PoleProximity(f"z = {z} too close to the lattice for the oracle")
-    omega = _lattice_points(tau, radius)
-    total = np.sum((z - omega) ** (-2) - omega ** (-2))
-    return ensure_finite(complex(total) + 1.0 / z**2, "wp oracle")
+    return omega1, tau_r, z_r
+
+
+def wp_lattice_oracle(tau: complex, z: complex, radius: int) -> complex:
+    """Lattice sum 1/z^2 + sum' [1/(z-w)^2 - 1/w^2] over the rows
+    n = -radius..radius of a reduced basis, each row in closed form:
+
+        sum_m [1/(z - m - n*tau)^2 - 1/(m + n*tau)^2]
+            = pi^2/sin^2(pi*(z - n*tau)) - pi^2/sin^2(pi*n*tau),
+
+    and pi^2/sin^2(pi*z) - pi^2/3 for n = 0.  Rows decay like
+    exp(-2*pi*|n|*Im tau_r) with Im tau_r >= sqrt(3)/2.  Cross-check only:
+    it calls neither the tau reduction nor the q-series it checks."""
+    omega1, tau_r, z_r = _oracle_frame(tau, z, radius)
+    total = _csc2(z_r) - 1.0 / 3.0
+    for n in range(1, radius + 1):
+        w = n * tau_r
+        total += _csc2(z_r - w) + _csc2(z_r + w) - 2.0 * _csc2(w)
+    return ensure_finite(math.pi**2 * total / omega1**2, "wp oracle")
 
 
 def zeta_lattice_oracle(tau: complex, z: complex, radius: int) -> complex:
-    """Direct lattice sum 1/z + sum' [1/(z-w) + 1/w + z/w^2]; error O(1/radius)."""
-    tau = require_upper_half(tau)
-    z = complex(z)
-    if radius < 50:
-        raise ValueError(f"radius must be >= 50, got {radius}")
-    if lattice_distance(tau, z) < DEFAULT_POLICY.pole_guard_radius:
-        raise PoleProximity(f"z = {z} too close to the lattice for the oracle")
-    omega = _lattice_points(tau, radius)
-    total = np.sum(1.0 / (z - omega) + 1.0 / omega + z / omega**2)
-    return ensure_finite(complex(total) + 1.0 / z, "zeta oracle")
+    """Lattice sum 1/z + sum' [1/(z-w) + 1/w + z/w^2] over the rows
+    n = -radius..radius of a reduced basis, each row in closed form:
+
+        pi*cot(pi*(z - n*tau)) + pi*cot(pi*n*tau) + z*pi^2/sin^2(pi*n*tau),
+
+    and pi*cot(pi*z) + z*pi^2/3 for n = 0; the rows n and -n are summed
+    together, so the pi*cot(pi*n*tau) terms cancel."""
+    omega1, tau_r, z_r = _oracle_frame(tau, z, radius)
+    total = _cot(z_r) + z_r * math.pi / 3.0
+    for n in range(1, radius + 1):
+        w = n * tau_r
+        total += _cot(z_r - w) + _cot(z_r + w) + 2.0 * math.pi * z_r * _csc2(w)
+    return ensure_finite(math.pi * total / omega1, "zeta oracle")

@@ -96,14 +96,14 @@ def test_criterion_07_oracle_cross_validation(report):
     cases = [report.case(n) for n in names]
     exponent = report.resolved.get("s_law_exponent")
     ok = (
-        all(c.passed and c.tolerance <= 1e-4 for c in cases)
+        all(c.passed and c.tolerance <= 1e-9 for c in cases)
         and report.case("oracle_wp").sample_count == 30
         and report.case("oracle_zeta").sample_count == 30
         and report.case("s_law_exponent").passed
         and exponent == 2
     )
     worst = max(c.max_residual for c in cases)
-    announce(7, "radius-400 lattice oracles incl. Im(tau) < 1", ok,
+    announce(7, "row-summed lattice oracles incl. Im(tau) < 1", ok,
              f"worst max={worst:.3e} s-law weight={exponent}")
 
 

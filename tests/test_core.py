@@ -1,6 +1,9 @@
 """Tests for domain predicates, lattice geometry, and nome plumbing."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,16 @@ def test_policy_defaults_are_ordered():
     policy = TolerancePolicy()
     assert policy.identity_tol <= policy.oracle_tol
     assert policy.pole_guard_radius > 0
+
+
+def test_import_does_not_load_numpy():
+    # NumPy is a test-only dependency: no module of the package imports it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import wpfield; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_policy_rejects_bad_ordering():

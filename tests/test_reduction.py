@@ -402,5 +402,8 @@ def test_overflowing_tau_star_is_non_finite():
     # at subnormal Im(tau), -1/tau overflows: tau* = inf*i must not escape
     with pytest.raises(NonFiniteValue):
         reduce_tau(1e-320j)
+    # with both parts subnormal, -1/tau is -inf+inf*i inside the walk
+    with pytest.raises(NonFiniteValue):
+        reduce_tau(1e-320 + 1e-320j)
     with pytest.raises(NonFiniteValue):
         wp_anywhere(0.5 + 1e-320j, 0.3)

@@ -107,6 +107,14 @@ def test_identity_tol_sets_the_exact_identity_cases(tmp_path):
     assert {c.name for c in report.cases if c.tolerance == 1e-30} == IDENTITY_TOL_CASES
 
 
+def test_suite_passes_seeds_1_to_20_at_the_default_tolerances():
+    # the row-summed oracles agree with the evaluators to about 1e-12 on
+    # every seed, so oracle_tol holds at 1e-9, and a suite takes about 0.1 s
+    assert TolerancePolicy().oracle_tol <= 1e-9
+    failed = [seed for seed in range(1, 21) if not run_identity_suite(seed).all_passed]
+    assert failed == []
+
+
 def test_config_loader(tmp_path):
     cfg = tmp_path / "t.cfg"
     cfg.write_text(
@@ -205,6 +213,7 @@ def test_cli_eval_pole_is_exit_3(capsys):
         ["--fn", "delta", "--tau", "0.1,1e-30"],
         # subnormal Im(tau): -1/tau overflows and tau* is not finite
         ["--fn", "zeta", "--tau", "0,1e-320", "--z", "0.3,0"],
+        ["--fn", "e2", "--tau", "1e-320,1e-320"],
     ],
 )
 def test_cli_eval_weight_factor_underflow_is_exit_3(capsys, argv):

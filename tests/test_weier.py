@@ -35,13 +35,13 @@ def test_zeta_frozen_oracle_values():
 def test_wp_live_oracle_cross_check():
     for tau, z in ((1j, 0.25 + 0.25j), (complex(-0.2, 1.3), complex(0.6, 0.4))):
         direct = wp_lattice_oracle(tau, z, 100)
-        assert abs(direct - wp_q(tau, z).value) < 1e-4
+        assert abs(direct - wp_q(tau, z).value) < 1e-13
 
 
 def test_zeta_live_oracle_cross_check():
     for tau, z in ((1j, 0.25 + 0.25j), (complex(-0.2, 1.3), complex(0.6, 0.4))):
         direct = zeta_lattice_oracle(tau, z, 100)
-        assert abs(direct - zeta_q(tau, z).value) < 1e-4
+        assert abs(direct - zeta_q(tau, z).value) < 1e-13
 
 
 def test_ode_at_sample_point():
