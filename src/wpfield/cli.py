@@ -36,6 +36,18 @@ TOL_FILE_ENV = "WPFIELD_TOL_FILE"
 _EVAL_FUNCTIONS = ("wp", "wp1", "zeta", "e2", "e4", "e6", "g2", "g3", "delta")
 _NEEDS_Z = frozenset({"wp", "wp1", "zeta"})
 
+# For each function of tau alone: its weight k, its factor over E_k, and on
+# the reduced domain the bound on |E_k'| from Ramanujan's system and the sum
+# of |term| over E_k's q-series (both taken at the bottom of the domain,
+# where |q| = exp(-pi*sqrt(3)) is largest).
+_EISENSTEIN_ERROR = {
+    "e2": (2, 1.0, 0.7, 1.2),
+    "e4": (4, 1.0, 6.1, 2.1),
+    "e6": (6, 1.0, 10.0, 3.6),
+    "g2": (4, 4.0 * math.pi**4 / 3.0, 6.1, 2.1),
+    "g3": (6, 8.0 * math.pi**6 / 27.0, 10.0, 3.6),
+}
+
 
 def _parse_complex(text: str) -> complex:
     """Parse 'RE,IM' (or a bare real part) into a complex number."""
@@ -57,36 +69,41 @@ def _print_json(obj) -> None:
 
 def _cmd_eval(args) -> int:
     tau, z, fn = args.tau, args.z, args.fn
-    tail = _TAIL_TARGET
     if fn in _NEEDS_Z:
         evaluator = {"wp": wp_anywhere, "wp1": wp_prime_anywhere, "zeta": zeta_anywhere}[fn]
         res = evaluator(tau, z)
         value, est = res.value, res.est_error
     else:
         gamma, tau_star = reduce_tau(tau)
-        scale = abs(gamma.scale(tau))
-        if fn == "e2":
-            value, est = e2_anywhere(tau), tail / scale**2
-        elif fn == "e4":
-            value, est = e4_anywhere(tau), tail / scale**4
-        elif fn == "e6":
-            value, est = e6_anywhere(tau), tail / scale**6
+        if fn in ("e2", "e4", "e6"):
+            value = {"e2": e2_anywhere, "e4": e4_anywhere, "e6": e6_anywhere}[fn](tau)
         else:
-            inv = invariants_anywhere(tau)
-            g2_est = (4.0 * math.pi**4 / 3.0) * tail / scale**4
-            g3_est = (8.0 * math.pi**6 / 27.0) * tail / scale**6
-            if fn == "g2":
-                value, est = inv.g2, g2_est
-            elif fn == "g3":
-                value, est = inv.g3, g3_est
-            else:
-                # Rounding relative to |delta|: in the eta product and the s^12
-                # division (64), and in tau* through d(delta)/d(tau) =
-                # 2*pi*i*E2*delta with 2*pi*|E2| <= 8 on the reduced domain,
-                # where tau*'s own rounding is amplified by d(tau*)/d(tau) = 1/s^2.
-                value = inv.delta
-                conditioning = 64.0 + 8.0 * (abs(tau_star) + abs(tau) / scale**2)
-                est = abs(value) * sys.float_info.epsilon * conditioning
+            value = getattr(invariants_anywhere(tau), fn)
+        scale = abs(gamma.scale(tau))
+        eps = sys.float_info.epsilon
+        if fn == "delta":
+            # Rounding relative to |delta|: in the eta product and the s^12
+            # division (64), and in tau* through d(delta)/d(tau) =
+            # 2*pi*i*E2*delta with 2*pi*|E2| <= 8 on the reduced domain,
+            # where tau*'s own rounding is amplified by d(tau*)/d(tau) = 1/s^2.
+            conditioning = 64.0 + 8.0 * (abs(tau_star) + abs(tau) / scale**2)
+            est = abs(value) * eps * conditioning
+        else:
+            weight, factor, slope, terms = _EISENSTEIN_ERROR[fn]
+            # E_k(tau*) carries the series tail, the rounding of its terms and
+            # tau*'s rounding through |E_k'| <= slope.  Translations by
+            # integers are exact, so with no inversion tau* rounds only in the
+            # nome (|tau*|); the first inversion rounds at |tau|, which
+            # d(tau*)/d(tau) = 1/s^2 carries to tau*.  The transport rounds
+            # relative to its terms, k times through s = c*tau + d, which is
+            # itself off by eps*(1 + |c*tau|/|s|).
+            tau_star_error = abs(tau_star) + (abs(tau) / scale**2 if gamma.c else 0.0)
+            reduced = _TAIL_TARGET + eps * (terms + slope * tau_star_error)
+            transport = abs(value)
+            if fn == "e2":
+                transport += 6.0 * abs(gamma.c) / (math.pi * scale)
+            s_error = 1.0 + abs(gamma.c * tau) / scale
+            est = factor * reduced / scale**weight + eps * weight * s_error * transport
         est = max(est, _EST_FLOOR)
     out = {"fn": fn, "tau": _pair(tau), "re": value.real, "im": value.imag, "est_error": est}
     if z is not None:

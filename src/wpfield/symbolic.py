@@ -5,7 +5,12 @@ An Expr is a quotient of polynomials in the generators
     z, tau, wp, wp1, zeta, E2, E4, E6, pi
 
 with Gaussian-rational coefficients (pi is carried as a formal symbol, so every
-coefficient stays exact).  The set is closed under d/dz and d/dtau:
+coefficient stays exact).  Both polynomials are stored with Gaussian-integer
+coefficients (a, b) = a + b i, in the one form of the quotient whose
+denominator has a positive integer leading coefficient and whose components
+have gcd 1; arithmetic and differentiation run on ints alone.  Expr.num and
+Expr.den read the quotient back with that leading coefficient scaled to 1, as
+(Fraction, Fraction) pairs.  The set is closed under d/dz and d/dtau:
 
     d/dz:   wp -> wp1,  wp1 -> 6 wp^2 - g2/2,  zeta -> -wp
     d/dtau: E2k by Ramanujan's system; wp and zeta by the theta heat
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 from .core import ensure_finite
 from .errors import NearSingular, NonFiniteValue
@@ -48,77 +54,55 @@ _UNIT_MONO = (0,) * NGEN
 _SINGULAR_FLOOR = 1e-12
 
 # ---------------------------------------------------------------------------
-# Gaussian-rational coefficients as (real, imag) Fraction pairs.
+# Polynomials: dicts mapping exponent tuples to Gaussian-integer coefficients
+# (a, b) = a + b i.  No stored coefficient is zero, and no function here
+# changes a polynomial it is given, so _UNIT_DEN may be shared.
 
-_C_ZERO = (Fraction(0), Fraction(0))
-_C_ONE = (Fraction(1), Fraction(0))
-
-
-def _c_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _c_neg(a):
-    return (-a[0], -a[1])
-
-
-def _c_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _c_inv(a):
-    n = a[0] * a[0] + a[1] * a[1]
-    if n == 0:
-        raise ZeroDivisionError("zero coefficient")
-    return (a[0] / n, -a[1] / n)
-
-
-def _c_is_zero(a) -> bool:
-    return a[0] == 0 and a[1] == 0
-
-
-# ---------------------------------------------------------------------------
-# Polynomials: dict mapping exponent tuples to coefficients.
+_UNIT_DEN = {_UNIT_MONO: (1, 0)}
 
 
 def _p_add(p, q):
     out = dict(p)
     for mono, c in q.items():
-        s = _c_add(out.get(mono, _C_ZERO), c)
-        if _c_is_zero(s):
-            out.pop(mono, None)
+        s = out.get(mono)
+        if s is None:
+            out[mono] = c
+            continue
+        re, im = s[0] + c[0], s[1] + c[1]
+        if re or im:
+            out[mono] = (re, im)
         else:
-            out[mono] = s
+            del out[mono]
     return out
 
 
 def _p_neg(p):
-    return {mono: _c_neg(c) for mono, c in p.items()}
+    return {mono: (-a, -b) for mono, (a, b) in p.items()}
 
 
 def _p_mul(p, q):
     out: dict = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            mono = tuple(a + b for a, b in zip(m1, m2))
-            s = _c_add(out.get(mono, _C_ZERO), _c_mul(c1, c2))
-            if _c_is_zero(s):
-                out.pop(mono, None)
-            else:
-                out[mono] = s
+    for m1, (a1, b1) in p.items():
+        for m2, (a2, b2) in q.items():
+            mono = tuple(map(add, m1, m2))
+            re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            s = out.get(mono)
+            if s is not None:
+                re += s[0]
+                im += s[1]
+                if not (re or im):
+                    del out[mono]
+                    continue
+            out[mono] = (re, im)
     return out
 
 
-def _p_scale(p, c):
-    if _c_is_zero(c):
-        return {}
-    return {mono: _c_mul(coef, c) for mono, coef in p.items()}
-
-
-def _p_eval(p, vals) -> complex:
+def _p_eval(p, n: int, vals) -> complex:
+    """p / n at the generator values.  Int true division rounds correctly, so
+    each coefficient is the double nearest to its exact value."""
     total = 0j
-    for mono, (re, im) in p.items():
-        term = complex(float(re), float(im))
+    for mono, (a, b) in p.items():
+        term = complex(a / n, b / n)
         for v, e in zip(vals, mono):
             if e:
                 term *= v**e
@@ -126,55 +110,104 @@ def _p_eval(p, vals) -> complex:
     return total
 
 
-class Expr:
-    """A normalized quotient of generator polynomials with exact coefficients.
+def _canonical(num: dict, den: dict) -> tuple[dict, dict]:
+    """The one representative of {(c num, c den) : c in Q(i)*} whose
+    denominator has a positive integer leading coefficient and whose
+    components have gcd 1.  num and den are Gaussian-integer, den nonzero."""
+    if not num:
+        return {}, _UNIT_DEN
+    a, b = den[max(den)]
+    if b or a < 0:  # times conj(lead): the lead becomes a^2 + b^2 > 0
+        num = {m: (x * a + y * b, y * a - x * b) for m, (x, y) in num.items()}
+        den = {m: (x * a + y * b, y * a - x * b) for m, (x, y) in den.items()}
+    g = math.gcd(*[x for c in den.values() for x in c])
+    if g != 1:
+        g = math.gcd(g, *[x for c in num.values() for x in c])
+    if g != 1:
+        num = {m: (x // g, y // g) for m, (x, y) in num.items()}
+        den = {m: (x // g, y // g) for m, (x, y) in den.items()}
+    return num, den
 
-    Normalization is light: zero terms dropped, and both sides divided by the
-    denominator's leading coefficient (no polynomial gcd).  Equality is
-    structural on the normalized form.
+
+def _cleared(poly: dict, scale: int) -> dict:
+    """A Gaussian-rational polynomial times scale, a common denominator."""
+    return {
+        m: (re.numerator * (scale // re.denominator), im.numerator * (scale // im.denominator))
+        for m, (re, im) in poly.items()
+        if re or im
+    }
+
+
+def _view(poly: dict, n: int) -> dict:
+    return {m: (Fraction(a, n), Fraction(b, n)) for m, (a, b) in poly.items()}
+
+
+class Expr:
+    """A quotient of generator polynomials with exact coefficients, held in a
+    canonical form.
+
+    Both sides carry Gaussian-integer coefficients.  Of all the pairs
+    (c num, c den), c a nonzero Gaussian rational, the one kept has a positive
+    integer as the denominator's leading coefficient (the one at its largest
+    exponent tuple) and gcd 1 over the components of both sides.  There is no
+    polynomial gcd, so equality and hashing are structural on this form.
+    `num` and `den` read it back with the leading coefficient scaled to 1, as
+    (Fraction, Fraction) pairs.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, num: dict, den: dict) -> None:
-        num = {m: c for m, c in num.items() if not _c_is_zero(c)}
-        den = {m: c for m, c in den.items() if not _c_is_zero(c)}
+        """num, den: dicts from exponent tuples to (re, im) pairs of ints or
+        Fractions.  Their denominators are cleared here, once."""
+        scale = math.lcm(*(x.denominator for p in (num, den) for c in p.values() for x in c))
+        num, den = _cleared(num, scale), _cleared(den, scale)
         if not den:
             raise ZeroDivisionError("zero denominator polynomial")
-        if not num:
-            self.num = {}
-            self.den = {_UNIT_MONO: _C_ONE}
-            return
-        lead = den[max(den)]
-        if lead != _C_ONE:
-            inv = _c_inv(lead)
-            num = _p_scale(num, inv)
-            den = _p_scale(den, inv)
-            den[max(den)] = _C_ONE  # exact by construction; re-pin against drift
-        self.num = num
-        self.den = den
+        self._num, self._den = _canonical(num, den)
+
+    @classmethod
+    def _new(cls, num: dict, den: dict) -> "Expr":
+        """From Gaussian-integer polynomials, den nonzero."""
+        e = object.__new__(cls)
+        e._num, e._den = _canonical(num, den)
+        return e
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def constant(cls, re: Fraction | int, im: Fraction | int = 0) -> "Expr":
-        c = (Fraction(re), Fraction(im))
-        return cls({_UNIT_MONO: c}, {_UNIT_MONO: _C_ONE})
+        return cls({_UNIT_MONO: (Fraction(re), Fraction(im))}, _UNIT_DEN)
 
     @classmethod
     def generator(cls, name: str) -> "Expr":
         idx = _GEN_INDEX[name]
         mono = tuple(1 if k == idx else 0 for k in range(NGEN))
-        return cls({mono: _C_ONE}, {_UNIT_MONO: _C_ONE})
+        return cls._new({mono: (1, 0)}, _UNIT_DEN)
+
+    # -- the lead-1 view ------------------------------------------------------
+
+    def _lead(self) -> int:
+        return self._den[max(self._den)][0]
+
+    @property
+    def num(self) -> dict:
+        """The numerator over the denominator's leading coefficient."""
+        return _view(self._num, self._lead())
+
+    @property
+    def den(self) -> dict:
+        """The denominator, its leading coefficient (Fraction(1), Fraction(0))."""
+        return _view(self._den, self._lead())
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._num
 
     def used_generators(self) -> set[int]:
         used: set[int] = set()
-        for poly in (self.num, self.den):
+        for poly in (self._num, self._den):
             for mono in poly:
                 for k, e in enumerate(mono):
                     if e:
@@ -188,20 +221,20 @@ class Expr:
         if isinstance(x, Expr):
             return x
         if isinstance(x, (int, Fraction)):
-            return Expr.constant(Fraction(x))
+            return Expr.constant(x)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
         other = Expr._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        num = _p_add(_p_mul(self.num, other.den), _p_mul(other.num, self.den))
-        return Expr(num, _p_mul(self.den, other.den))
+        num = _p_add(_p_mul(self._num, other._den), _p_mul(other._num, self._den))
+        return Expr._new(num, _p_mul(self._den, other._den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr(_p_neg(self.num), self.den)
+        return Expr._new(_p_neg(self._num), self._den)
 
     def __sub__(self, other):
         other = Expr._coerce(other)
@@ -216,7 +249,7 @@ class Expr:
         other = Expr._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Expr(_p_mul(self.num, other.num), _p_mul(self.den, other.den))
+        return Expr._new(_p_mul(self._num, other._num), _p_mul(self._den, other._den))
 
     __rmul__ = __mul__
 
@@ -226,7 +259,7 @@ class Expr:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero expression")
-        return Expr(_p_mul(self.num, other.den), _p_mul(self.den, other.num))
+        return Expr._new(_p_mul(self._num, other._den), _p_mul(self._den, other._num))
 
     def __rtruediv__(self, other):
         other = Expr._coerce(other)
@@ -254,13 +287,13 @@ class Expr:
             other = Expr._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
         return hash(
             (
-                frozenset(self.num.items()),
-                frozenset(self.den.items()),
+                frozenset(self._num.items()),
+                frozenset(self._den.items()),
             )
         )
 
@@ -368,23 +401,23 @@ def _diff_poly(poly: dict, gen_rules: tuple[Expr, ...]) -> Expr:
         if rule.is_zero():
             continue
         partial = {}  # lowering g_i is one-to-one, so no two terms collide
-        for mono, coef in poly.items():
+        for mono, (a, b) in poly.items():
             e = mono[gi]
             if e:
                 lowered = mono[:gi] + (e - 1,) + mono[gi + 1 :]
-                partial[lowered] = _c_mul(coef, (Fraction(e), Fraction(0)))
+                partial[lowered] = (a * e, b * e)
         if partial:
-            total = total + Expr(partial, {_UNIT_MONO: _C_ONE}) * rule
+            total = total + Expr._new(partial, _UNIT_DEN) * rule
     return total
 
 
 def _differentiate_with(e: Expr, gen_rules: tuple[Expr, ...]) -> Expr:
-    dn = _diff_poly(e.num, gen_rules)
-    dd = _diff_poly(e.den, gen_rules)
-    den_e = Expr(e.den, {_UNIT_MONO: _C_ONE})
+    dn = _diff_poly(e._num, gen_rules)
+    dd = _diff_poly(e._den, gen_rules)
+    den_e = Expr._new(e._den, _UNIT_DEN)
     if dd.is_zero():  # constant denominator: no quotient rule, no squaring
         return dn / den_e
-    num_e = Expr(e.num, {_UNIT_MONO: _C_ONE})
+    num_e = Expr._new(e._num, _UNIT_DEN)
     return (dn * den_e - num_e * dd) / (den_e * den_e)
 
 
@@ -433,8 +466,9 @@ def eval_expr(
     if 7 in used:
         vals[7] = e6_anywhere(tau)
     try:
-        den = _p_eval(e.den, vals)
-        num = _p_eval(e.num, vals)
+        n = e._lead()
+        den = _p_eval(e._den, n, vals)
+        num = _p_eval(e._num, n, vals)
     except OverflowError as exc:  # complex ** overflows by raising
         raise NonFiniteValue(f"expression overflows at tau = {tau}, z = {z}") from exc
     if abs(den) < _SINGULAR_FLOOR:
@@ -475,30 +509,32 @@ def fd_check(
 # as literal tokens.  parse(expr_to_text(e)) == e on normalized forms.
 
 
-def _frac_text(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"({f.numerator}/{f.denominator})"
+def _frac_text(p: int, n: int) -> str:
+    g = math.gcd(p, n)
+    p, n = p // g, n // g
+    if n == 1:
+        return str(p)
+    return f"({p}/{n})"
 
 
-def _coef_factors(re: Fraction, im: Fraction, have_gens: bool) -> list[str]:
-    if im == 0:
-        if re == 1 and have_gens:
+def _coef_factors(a: int, b: int, n: int, have_gens: bool) -> list[str]:
+    if b == 0:
+        if a == n and have_gens:
             return []
-        return [_frac_text(re)]
-    if re == 0:
-        if im == 1:
+        return [_frac_text(a, n)]
+    if a == 0:
+        if b == n:
             return ["I"]
-        return [f"({_frac_text(im)}*I)"]
-    return [f"({_frac_text(re)}+({_frac_text(im)}*I))"]
+        return [f"({_frac_text(b, n)}*I)"]
+    return [f"({_frac_text(a, n)}+({_frac_text(b, n)}*I))"]
 
 
-def _term_text(mono: tuple, coef) -> str:
-    re, im = coef
-    negative = re < 0 or (re == 0 and im < 0)
+def _term_text(mono: tuple, coef, n: int) -> str:
+    a, b = coef
+    negative = a < 0 or (a == 0 and b < 0)
     if negative:
-        re, im = -re, -im
-    factors = _coef_factors(re, im, any(mono))
+        a, b = -a, -b
+    factors = _coef_factors(a, b, n, any(mono))
     for gi, e in enumerate(mono):
         if e == 0:
             continue
@@ -513,10 +549,11 @@ def _term_text(mono: tuple, coef) -> str:
     return f"-({body})" if negative else body
 
 
-def _poly_text(poly: dict) -> str:
+def _poly_text(poly: dict, n: int) -> str:
+    """poly / n, each coefficient in lowest terms."""
     if not poly:
         return "0"
-    terms = [_term_text(m, poly[m]) for m in sorted(poly, reverse=True)]
+    terms = [_term_text(m, poly[m], n) for m in sorted(poly, reverse=True)]
     out = terms[0]
     for t in terms[1:]:
         out = f"({out}+{t})"
@@ -524,10 +561,11 @@ def _poly_text(poly: dict) -> str:
 
 
 def expr_to_text(e: Expr) -> str:
-    num_s = _poly_text(e.num)
-    if e.den == {_UNIT_MONO: _C_ONE}:
+    n = e._lead()
+    num_s = _poly_text(e._num, n)
+    if e._den == {_UNIT_MONO: (n, 0)}:  # the denominator is 1
         return num_s
-    return f"({num_s}/{_poly_text(e.den)})"
+    return f"({num_s}/{_poly_text(e._den, n)})"
 
 
 class _Tokenizer:
@@ -660,5 +698,11 @@ class _Parser:
 
 
 def parse_expr(text: str) -> Expr:
-    """Parse the textual expression language back into a normalized Expr."""
-    return _Parser(text).parse()
+    """Parse the textual expression language back into a normalized Expr.
+
+    Malformed text, and a division by an expression that is zero, raise
+    ValueError."""
+    try:
+        return _Parser(text).parse()
+    except ZeroDivisionError as exc:
+        raise ValueError(f"division by zero in {text!r}") from exc

@@ -1,9 +1,12 @@
 """Exact symbolic layer: arithmetic, derivative closure, serialization."""
 
+import hashlib
 import math
+from fractions import Fraction
 
 import pytest
 
+from wpfield import symbolic
 from wpfield.errors import NearSingular, NonFiniteValue
 from wpfield.reduction import invariants_anywhere
 from wpfield.symbolic import (
@@ -79,6 +82,44 @@ def test_structural_hash():
 def test_complex_rational_coefficients():
     e = (ONE + I) * (ONE - I)
     assert e == rational(2)
+
+
+# --- canonical form -------------------------------------------------------------
+
+_SCALARS = [rational(2, 3), ONE + I, -I, rational(7, 5) + rational(3, 4) * I]
+_QUOTIENTS = [
+    (WP * ZETA + 3 * E2, E4**2 + rational(1, 3)),
+    (Z * E6 + 2 * ZETA, Z**2 + rational(1, 2)),
+    (WP1, I * WP + 2),
+    (PI * E2 - TAU, (ONE + I) * WP1**2 - rational(5, 7) * E6),
+]
+
+
+@pytest.mark.parametrize("c", _SCALARS, ids=str)
+@pytest.mark.parametrize("a, b", _QUOTIENTS, ids=str)
+def test_common_scalar_cancels(a, b, c):
+    assert (c * a) / (c * b) == a / b
+    assert hash((c * a) / (c * b)) == hash(a / b)
+
+
+@pytest.mark.parametrize("a, b", _QUOTIENTS, ids=str)
+def test_num_den_view_round_trips(a, b):
+    e = a / b
+    assert Expr(e.num, e.den) == e
+    assert Expr(a.num, ONE.den) == a
+    lead = e.den[max(e.den)]
+    assert lead == (Fraction(1), Fraction(0))
+    assert all(type(x) is Fraction for c in (*e.num.values(), *e.den.values()) for x in c)
+
+
+def test_division_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        ONE / ZERO
+    with pytest.raises(ZeroDivisionError):
+        (WP - WP) ** -1
+    for text in ("1/0", "(wp-wp)^-1", "wp/(E4-E4)"):
+        with pytest.raises(ValueError):
+            parse_expr(text)
 
 
 # --- differentiation ----------------------------------------------------------
@@ -309,6 +350,89 @@ def test_parse_rejects_garbage():
     for bad in ("wp+", "(wp", "q", "wp^x", "2.5", ""):
         with pytest.raises(ValueError):
             parse_expr(bad)
+
+
+# --- goldens --------------------------------------------------------------------
+
+# sha256 of expr_to_text of each expression of perfbench's symbolic catalogue
+# differentiated by z, by tau and by tau then z: how coefficients are stored
+# must not change what is printed
+CATALOGUE_DERIVATIVE_SHA256 = {
+    "(E2*E2+3*E4)/(zeta^2+1/3)": (
+        "467c2333a101a40b6479adda60c256538bb9a81d3c05cedfbf37deca2dda0c53",
+        "dd556b77ea00be12884da7f35d93baab13bbd29570bf82ccbaf4df3e8b4bf23d",
+        "4109536dfeec6b5d55df46b80801edf62debda0df0352ceec29d23ee091adb94",
+    ),
+    "(z*zeta+3*z)/(tau^2+1/3)": (
+        "e28801fb356ac14c7b5c720652ffa786f5d90402026d83b97da838f1579dca9a",
+        "33a6a946d58dfaa8822d04a57ddc1997a286b583b53f50511eec7705b7e819b8",
+        "f683d3e4eab49f8442806e3564b0816d3b22a8cd9f29e552f8211c265b26f48d",
+    ),
+    "(zeta*E4+4*wp1)/(E6^2+1/4)": (
+        "68871685fcb4d52e325ca11e402f5a1492f2c4891212ef1f715d502ecdb93e72",
+        "c754fc6717bf327ccd7f6ec31d0d2444944f918b76a3e7f4b5cc47da631c43c4",
+        "586eb2444f3e2ebc58feb0c1cef852c0c9ca11ef09343576bbb1961794877e58",
+    ),
+    "(z*E4+2*E2)/(wp^2+1/2)": (
+        "b775a2205fab41f8ebe69efa4c785e8800ab616547335479b105d786da2aabea",
+        "72d1b847cfaf0d39d2f264fbf2afadf4eb3e110a2d6f6850784f8cc1367c03fc",
+        "469b24ae984b47da25189430b77bb4bb2766245e9a0da5de4afb0030375e1f58",
+    ),
+    "(z*wp+3*tau)/(E4^2+1/3)": (
+        "be09e16d77e178cd9543f260a4ffac267d075b37374b7672451a72991de7272f",
+        "61c28862b72fbb7973726cabf634f28cd8f191c44e729dd18255e9d95dcf4573",
+        "1084830685631f0a016c56298cf4ef87bb1e97ad351a5e8c123fc7a34309a3df",
+    ),
+    "(E4*E6+4*E4)/(E2^2+1/4)": (
+        "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        "de9580d789c098bc2df6e5a03ef460193a205364765d14b77230aab1a5d647bc",
+        "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    ),
+    "(E6*z+2*zeta)/(z^2+1/2)": (
+        "8a3eeacbfb3d9ee977a7aed8e7e6a757ecb1b442017af2b715d4c0736d9aeef6",
+        "11799cdfab0ef45b44b520a1da66dafbcd92719864f024855fb564cf26e30898",
+        "9133202882a2ec3046d74c59fa05ddab605315fd7ba5fc0e0e44a3a64c0fa05e",
+    ),
+    "(E6*zeta+3*E6)/(wp1^2+1/3)": (
+        "9fcbb524c551c71c3c8bcf3d121da04c6506a6523f539a0264b382a0cae3738c",
+        "aeb949a395da8dbd0b605cdd1d7e691c89c0e4cbdedd1911e2ec7df448a773db",
+        "721c5f0d381b53e76931d4bbd30c9e3ecb331931dd29e8ff4015b6b2075e2ade",
+    ),
+}
+
+
+def test_catalogue_derivatives_print_the_recorded_text():
+    for text, want in CATALOGUE_DERIVATIVE_SHA256.items():
+        e = parse_expr(text)
+        d_tau = differentiate(e, "tau")
+        got = tuple(
+            hashlib.sha256(expr_to_text(d).encode()).hexdigest()
+            for d in (differentiate(e, "z"), d_tau, differentiate(d_tau, "z"))
+        )
+        assert got == want, text
+
+
+class _NoFraction:
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("Fraction built on the differentiation path")
+
+
+def test_differentiation_does_no_fraction_arithmetic(monkeypatch):
+    e = parse_expr("(E6*zeta+3*E6)/(wp1^2+1/3)")
+    default_rule_table()
+    want = differentiate(differentiate(e, "tau"), "z")
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic on the differentiation path")
+
+    monkeypatch.setattr(symbolic, "Fraction", _NoFraction)
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__neg__"):
+        monkeypatch.setattr(Fraction, op, forbidden)
+    got = differentiate(differentiate(e, "tau"), "z")
+    assert got == want
+    expr_to_text(got)
+    eval_expr(got, TAU0, Z0)
 
 
 # --- mutation sensitivity -----------------------------------------------------

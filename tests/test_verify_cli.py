@@ -252,6 +252,40 @@ def test_cli_delta_estimate_is_a_tight_bound(capsys, tau):
     assert doc["est_error"] <= max(1e-12, 1e-10 * abs(value))
 
 
+def _eisenstein_reference(tau):
+    """E2, E4, E6, g2, g3 from mpmath theta constants at tau itself, at 100
+    digits: E2 = -th1'''(0)/th1'(0), E4 = (th2^8 + th3^8 + th4^8)/2 and
+    E6 = (th2^4 + th3^4)(th3^4 + th4^4)(th4^4 - th2^4)/2."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(100):
+        q = mp.exp(1j * mp.pi * mp.mpc(tau.real, tau.imag))
+        t2, t3, t4 = (mp.jtheta(k, 0, q) for k in (2, 3, 4))
+        e4 = (t2**8 + t3**8 + t4**8) / 2
+        e6 = (t2**4 + t3**4) * (t3**4 + t4**4) * (t4**4 - t2**4) / 2
+        return {
+            "e2": complex(-mp.jtheta(1, 0, q, 3) / mp.jtheta(1, 0, q, 1)),
+            "e4": complex(e4),
+            "e6": complex(e6),
+            "g2": complex(4 * mp.pi**4 / 3 * e4),
+            "g3": complex(8 * mp.pi**6 / 27 * e6),
+        }
+
+
+@pytest.mark.parametrize("fn", ["e2", "e4", "e6", "g2", "g3"])
+@pytest.mark.parametrize(
+    "tau",
+    [1j, 0.01j, complex(0.3, 8.0), complex(-0.3740, 0.1448), complex(-0.9167, 0.00584)],
+    ids=["i", "0.01i", "0.3+8i", "low", "lower"],
+)
+def test_cli_eisenstein_estimates_are_tight_bounds(capsys, tau, fn):
+    code, out, _ = run_cli(capsys, ["eval", "--fn", fn, f"--tau={tau.real},{tau.imag}"])
+    assert code == 0
+    doc = json.loads(out)
+    value = complex(doc["re"], doc["im"])
+    assert abs(value - _eisenstein_reference(tau)[fn]) <= doc["est_error"]
+    assert doc["est_error"] <= max(1e-12, 1e-10 * abs(value))
+
+
 def test_cli_eval_lower_half_plane_is_exit_3(capsys):
     code, _, err = run_cli(capsys, ["eval", "--fn", "e4", "--tau", "0,-1"])
     assert code == 3
@@ -273,6 +307,14 @@ def test_cli_diff_round_trips_through_eval(capsys):
 def test_cli_diff_bad_expression_exit_3(capsys):
     code, _, err = run_cli(capsys, ["diff", "--expr", "(wp", "--var", "z"])
     assert code == 3
+    assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("expr", ["1/0", "(wp-wp)^-1"])
+def test_cli_diff_division_by_zero_exit_3(capsys, expr):
+    code, out, err = run_cli(capsys, ["diff", "--expr", expr, "--var", "z"])
+    assert code == 3
+    assert out == ""
     assert json.loads(err)["error"] == "ValueError"
 
 
