@@ -60,9 +60,13 @@ DEFAULT_POLICY = TolerancePolicy()
 
 
 def require_upper_half(tau: complex) -> complex:
+    """tau as a complex: ValueError unless Im(tau) > 0, NonFiniteValue if a
+    component is NaN or infinite."""
     tau = complex(tau)
     if not tau.imag > 0.0:
         raise ValueError(f"tau must lie in the upper half-plane, got {tau!r}")
+    if not cmath.isfinite(tau):
+        raise NonFiniteValue(f"tau is not finite: {tau!r}")
     return tau
 
 
@@ -83,12 +87,15 @@ def coords_wrt_lattice(tau: complex, z: complex) -> tuple[float, float]:
     """Solve z = a*tau + b over the reals.
 
     a = Im(z)/Im(tau) and b = Re(z) - a*Re(tau); exact up to rounding for any
-    tau in the upper half-plane.
+    tau in the upper half-plane.  NonFiniteValue if a or b is NaN or infinite,
+    as for a non-finite z.
     """
     tau = require_upper_half(tau)
     z = complex(z)
     a = z.imag / tau.imag
     b = z.real - a * tau.real
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NonFiniteValue(f"lattice coordinates of z = {z!r} are not finite")
     return a, b
 
 

@@ -156,10 +156,12 @@ def lattice_distance_anywhere(tau: complex, z: complex) -> float:
     return lattice_distance(rr.tau_star, rr.z_star) * abs(rr.scale)
 
 
-def _series_at_reduced(kernel, tau, z, pole_guard):
-    """Reduce (tau, z) and run the kernel at (tau*, z*); distances scale by 1/|s|."""
+def _series_at_reduced(kernel, tau, z):
+    """Reduce (tau, z) and run the kernel at (tau*, z*), with the pole guard
+    scaled by 1/|s| as distances are."""
     rr = reduce_point(tau, z)
-    return rr, kernel(rr.tau_star, rr.z_star, pole_guard=pole_guard / abs(rr.scale))
+    guard = DEFAULT_POLICY.pole_guard_radius / abs(rr.scale)
+    return rr, kernel(rr.tau_star, rr.z_star, pole_guard=guard)
 
 
 def _divide_by_sk(value: complex, s: complex, weight: int, what: str) -> complex:
@@ -176,36 +178,21 @@ def _transport(value: complex, est_error: float, s: complex, weight: int, what: 
     return WValue(value=value, est_error=est_error / abs(s**weight))
 
 
-def wp_anywhere(
-    tau: complex,
-    z: complex,
-    *,
-    pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
-) -> WValue:
+def wp_anywhere(tau: complex, z: complex) -> WValue:
     """wp at any tau in the upper half-plane and any non-lattice z (weight 2)."""
-    rr, inner = _series_at_reduced(wp_q, tau, z, pole_guard)
+    rr, inner = _series_at_reduced(wp_q, tau, z)
     return _transport(inner.value, inner.est_error, rr.scale, 2, "wp")
 
 
-def wp_prime_anywhere(
-    tau: complex,
-    z: complex,
-    *,
-    pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
-) -> WValue:
+def wp_prime_anywhere(tau: complex, z: complex) -> WValue:
     """d(wp)/dz at any tau, z (weight 3)."""
-    rr, inner = _series_at_reduced(wp_prime_q, tau, z, pole_guard)
+    rr, inner = _series_at_reduced(wp_prime_q, tau, z)
     return _transport(inner.value, inner.est_error, rr.scale, 3, "wp'")
 
 
-def zeta_anywhere(
-    tau: complex,
-    z: complex,
-    *,
-    pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
-) -> WValue:
+def zeta_anywhere(tau: complex, z: complex) -> WValue:
     """zeta at any tau, z: closed-form quasi-period unwinding, weight-1 transport."""
-    rr, inner = _series_at_reduced(zeta_q, tau, z, pole_guard)
+    rr, inner = _series_at_reduced(zeta_q, tau, z)
     value = inner.value
     if rr.m or rr.n:
         eta1 = (math.pi**2 / 3.0) * _e_series("e2", nome(rr.tau_star))

@@ -32,8 +32,9 @@ same rules divided by delta, which cancels badly in double precision.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
-from operator import add
+from operator import add, mul, sub, truediv
 
 from .core import ensure_finite
 from .errors import NearSingular, NonFiniteValue
@@ -568,133 +569,84 @@ def expr_to_text(e: Expr) -> str:
     return f"({num_s}/{_poly_text(e._den, n)})"
 
 
-class _Tokenizer:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def next(self) -> tuple[str, str] | None:
-        t = self.text
-        n = len(t)
-        while self.pos < n and t[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= n:
-            return None
-        ch = t[self.pos]
-        if ch in "+-*/^()":
-            self.pos += 1
-            return ("op", ch)
-        if ch.isdigit():
-            start = self.pos
-            while self.pos < n and t[self.pos].isdigit():
-                self.pos += 1
-            return ("int", t[start : self.pos])
-        if ch.isalpha():
-            start = self.pos
-            while self.pos < n and (t[self.pos].isalnum() or t[self.pos] == "_"):
-                self.pos += 1
-            return ("name", t[start : self.pos])
-        raise ValueError(f"unexpected character {ch!r} at {self.pos}")
+_TOKEN = re.compile(r"\d+|\w+|\S")
+_ATOMS = dict(zip(GEN_NAMES, (Z, TAU, WP, WP1, ZETA, E2, E4, E6, PI)), I=I)
+_BINARY = {"+": (0, add), "-": (0, sub), "*": (1, mul), "/": (1, truediv)}
 
 
-class _Parser:
-    """Recursive descent over: expr := term (('+'|'-') term)*;
-    term := unary (('*'|'/') unary)*; unary := ('-'|'+') unary | power;
-    power := atom ('^' exponent)?; atom := INT | NAME | '(' expr ')'."""
+def _reduce(values: list, ops: list, prec: int) -> None:
+    """Apply the stacked binary operators that bind at least as tightly as prec."""
+    while ops and ops[-1] in _BINARY and _BINARY[ops[-1]][0] >= prec:
+        rhs = values.pop()
+        values[-1] = _BINARY[ops.pop()][1](values[-1], rhs)
 
-    def __init__(self, text: str) -> None:
-        tok = _Tokenizer(text)
-        self.tokens: list[tuple[str, str]] = []
-        while True:
-            t = tok.next()
-            if t is None:
-                break
-            self.tokens.append(t)
-        self.k = 0
 
-    def _peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.k] if self.k < len(self.tokens) else None
+def _parse(text: str) -> Expr:
+    """One pass over the tokens with a value stack and an operator stack, for
 
-    def _take(self) -> tuple[str, str]:
-        t = self._peek()
-        if t is None:
-            raise ValueError("unexpected end of expression")
-        self.k += 1
-        return t
+        expr  := term (('+' | '-') term)*
+        term  := unary (('*' | '/') unary)*
+        unary := ('+' | '-')* atom ('^' '-'? INT)?
+        atom  := INT | NAME | '(' expr ')'
 
-    def parse(self) -> Expr:
-        e = self._expr()
-        if self._peek() is not None:
-            raise ValueError(f"trailing input at token {self.k}")
-        return e
-
-    def _expr(self) -> Expr:
-        e = self._term()
-        while True:
-            t = self._peek()
-            if t == ("op", "+"):
-                self._take()
-                e = e + self._term()
-            elif t == ("op", "-"):
-                self._take()
-                e = e - self._term()
+    Binary operators are left-associative.  A sign binds looser than '^' and
+    tighter than '*', so -wp^2 is -(wp^2) and -wp*zeta is (-wp)*zeta.  Nothing
+    recurses, so the nesting depth is unbounded."""
+    tokens = _TOKEN.findall(text)
+    values: list[Expr] = []
+    ops: list[str] = []  # binary operators, '(' and '~' for a pending sign
+    k, n = 0, len(tokens)
+    operand = True  # an atom, a sign or '(' comes next
+    while k < n:
+        tok = tokens[k]
+        k += 1
+        if operand:
+            if tok in ("-", "("):
+                ops.append("~" if tok == "-" else tok)
+                continue
+            if tok == "+":
+                continue
+            if tok in _ATOMS:
+                atom = _ATOMS[tok]
+            elif tok.isdecimal():
+                v = int(tok)
+                atom = Expr._new({_UNIT_MONO: (v, 0)}, _UNIT_DEN) if v else ZERO
             else:
-                return e
-
-    def _term(self) -> Expr:
-        e = self._unary()
-        while True:
-            t = self._peek()
-            if t == ("op", "*"):
-                self._take()
-                e = e * self._unary()
-            elif t == ("op", "/"):
-                self._take()
-                e = e / self._unary()
-            else:
-                return e
-
-    def _unary(self) -> Expr:
-        t = self._peek()
-        if t == ("op", "-"):
-            self._take()
-            return -self._unary()
-        if t == ("op", "+"):
-            self._take()
-            return self._unary()
-        return self._power()
-
-    def _power(self) -> Expr:
-        base = self._atom()
-        if self._peek() == ("op", "^"):
-            self._take()
+                raise ValueError(f"unexpected {tok!r} at token {k}")
+        elif tok in _BINARY:
+            _reduce(values, ops, _BINARY[tok][0])
+            ops.append(tok)
+            operand = True
+            continue
+        elif tok == ")":
+            _reduce(values, ops, 0)
+            if not ops:
+                raise ValueError(f"unmatched ')' at token {k}")
+            ops.pop()  # its '('
+            atom = values.pop()
+        else:
+            raise ValueError(f"unexpected {tok!r} at token {k}")
+        # the atom is complete: its power, then the signs in front of it
+        if k < n and tokens[k] == "^":
+            k += 1
             sign = 1
-            if self._peek() == ("op", "-"):
-                self._take()
-                sign = -1
-            kind, text = self._take()
-            if kind != "int":
+            if k < n and tokens[k] == "-":
+                sign, k = -1, k + 1
+            if k >= n or not tokens[k].isdecimal():
                 raise ValueError("exponent must be an integer literal")
-            return base ** (sign * int(text))
-        return base
-
-    def _atom(self) -> Expr:
-        kind, text = self._take()
-        if kind == "int":
-            return Expr.constant(int(text))
-        if kind == "name":
-            if text == "I":
-                return I
-            if text in _GEN_INDEX:
-                return Expr.generator(text)
-            raise ValueError(f"unknown symbol {text!r}")
-        if (kind, text) == ("op", "("):
-            e = self._expr()
-            closing = self._take()
-            if closing != ("op", ")"):
-                raise ValueError("expected ')'")
-            return e
-        raise ValueError(f"unexpected token {text!r}")
+            atom = atom ** (sign * int(tokens[k]))
+            k += 1
+        while ops and ops[-1] == "~":
+            ops.pop()
+            atom = -atom
+        values.append(atom)
+        operand = False
+    if operand:
+        raise ValueError("unexpected end of expression")
+    _reduce(values, ops, 0)
+    if ops:
+        raise ValueError("expected ')'")
+    return values[0]
 
 
 def parse_expr(text: str) -> Expr:
@@ -703,6 +655,6 @@ def parse_expr(text: str) -> Expr:
     Malformed text, and a division by an expression that is zero, raise
     ValueError."""
     try:
-        return _Parser(text).parse()
+        return _parse(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"division by zero in {text!r}") from exc

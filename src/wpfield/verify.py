@@ -526,7 +526,8 @@ def run_identity_suite(
     """Run the identity suite and collect an IdentityReport.
 
     only: optional subset of case names.  case_tolerances: per-case overrides
-    (config file `tol.<case>` entries end up here).
+    (config file `tol.<case>` entries end up here), each finite and positive
+    like the policy's fields; anything else raises ValueError.
     """
     policy = policy or TolerancePolicy()
     ctx = _Ctx(seed=seed, policy=policy, rules=rules or default_rule_table())
@@ -539,6 +540,9 @@ def run_identity_suite(
     unknown = set(overrides) - known
     if unknown:
         raise ValueError(f"unknown case tolerance overrides: {sorted(unknown)}")
+    bad = {name: tol for name, tol in overrides.items() if not (tol > 0.0 and math.isfinite(tol))}
+    if bad:
+        raise ValueError(f"case tolerance overrides must be finite and positive: {bad}")
 
     cases: list[IdentityCase] = []
     for name, runner, tol_entry in _CASE_TABLE:

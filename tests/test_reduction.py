@@ -398,6 +398,33 @@ def test_weight_factor_underflow_is_non_finite(evaluate):
         evaluate()
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: wp_anywhere(complex(NAN, 1.0), 0.3),
+        lambda: wp_anywhere(1j, NAN),
+        lambda: wp_anywhere(1j, INF),
+        lambda: e2_anywhere(complex(NAN, 1.0)),
+        lambda: invariants_anywhere(complex(NAN, 1.0)),
+        lambda: reduce_point(1j, complex(NAN, NAN)),
+        lambda: lattice_distance(1j, NAN),
+        lambda: wp_q(1j, NAN),
+        # finite z, but Im(z)/Im(tau) overflows
+        lambda: lattice_distance(1e-10j, 1e300j),
+    ],
+    ids=["wp-tau", "wp-z-nan", "wp-z-inf", "e2", "invariants", "reduce_point",
+         "lattice_distance", "wp_q", "coordinate-overflow"],
+)
+def test_non_finite_input_is_non_finite_value(evaluate):
+    # math.floor of a NaN or infinite coordinate must not leak its own
+    # ValueError or OverflowError
+    with pytest.raises(NonFiniteValue):
+        evaluate()
+
+
 def test_overflowing_tau_star_is_non_finite():
     # at subnormal Im(tau), -1/tau overflows: tau* = inf*i must not escape
     with pytest.raises(NonFiniteValue):

@@ -344,12 +344,34 @@ def test_parse_simple_forms():
     assert parse_expr("wp^-2") == WP**-2
     assert parse_expr("-(wp)") == -WP
     assert parse_expr("(I*pi)") == I * PI
+    # any number of signs before an atom; a sign binds looser than '^'
+    assert parse_expr("--wp") == WP
+    assert parse_expr("+-wp") == -WP
+    assert parse_expr("wp*-zeta") == WP * -ZETA
+    assert parse_expr("((wp))^-3") == WP**-3
 
 
 def test_parse_rejects_garbage():
-    for bad in ("wp+", "(wp", "q", "wp^x", "2.5", ""):
+    bad_inputs = (
+        "wp+", "(wp", "q", "wp^x", "2.5", "",
+        # one integer exponent per atom, optionally negated, nothing else
+        "wp^2^3", "wp^+2", "wp^(2)", "wp**2", "wp^--2",
+        # atoms need an operator between them, parentheses a body
+        "wp wp", "()", "wp)", "2wp",
+    )
+    for bad in bad_inputs:
         with pytest.raises(ValueError):
             parse_expr(bad)
+
+
+def test_deep_derivative_text_parses_back():
+    # d/dtau d/dtau d/dz of a catalogue expression: 1209 numerator terms,
+    # printed with parentheses nested 1217 deep, past any recursion limit
+    e = parse_expr("(E6*zeta+3*E6)/(wp1^2+1/3)")
+    d = differentiate(differentiate(differentiate(e, "tau"), "tau"), "z")
+    text = expr_to_text(d)
+    assert len(d._num) == 1209
+    assert parse_expr(text) == d
 
 
 # --- goldens --------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from wpfield import verify
 from wpfield.cli import main
 from wpfield.core import TolerancePolicy
+from wpfield.symbolic import differentiate, expr_to_text, parse_expr
 from wpfield.verify import case_names, load_tolerance_config, run_identity_suite
 
 FAST_CASES = ["sine_limit", "e2_fixed_point", "eta1_anchor", "legendre_relation"]
@@ -38,6 +39,10 @@ def test_subset_run_and_unknown_case():
         run_identity_suite(only=["no_such_case"])
     with pytest.raises(ValueError):
         run_identity_suite(case_tolerances={"no_such_case": 1.0})
+    # an override holds to the policy's rule: finite and positive
+    for tol in (math.inf, math.nan, -1.0, 0.0):
+        with pytest.raises(ValueError):
+            run_identity_suite(only=["oracle_wp"], case_tolerances={"oracle_wp": tol})
 
 
 def test_determinism_same_seed():
@@ -310,6 +315,26 @@ def test_cli_diff_bad_expression_exit_3(capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def test_cli_diff_output_is_diff_input(capsys):
+    # tau derivatives grow fast; each printed one must parse back
+    text = "(E6*zeta+3*E6)/(wp1^2+1/3)"
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, ["diff", "--expr", text, "--var", "tau"])
+        assert code == 0
+        text = out.strip()
+    code, out, _ = run_cli(capsys, ["diff", "--expr", text, "--var", "z"])
+    assert code == 0
+    assert out.strip() == expr_to_text(differentiate(parse_expr(text), "z"))
+
+
+@pytest.mark.parametrize("tau, z", [("nan,1", "0.3,0"), ("0,1", "inf,0"), ("0,1", "0.3,nan")])
+def test_cli_eval_non_finite_input_is_exit_3(capsys, tau, z):
+    code, out, err = run_cli(capsys, ["eval", "--fn", "wp", "--tau", tau, "--z", z])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "NonFiniteValue"
+
+
 @pytest.mark.parametrize("expr", ["1/0", "(wp-wp)^-1"])
 def test_cli_diff_division_by_zero_exit_3(capsys, expr):
     code, out, err = run_cli(capsys, ["diff", "--expr", expr, "--var", "z"])
@@ -398,10 +423,19 @@ def test_cli_verify_env_var_config(tmp_path, capsys, monkeypatch):
 
 def test_cli_verify_bad_config_exit_3(tmp_path, capsys):
     cfg = tmp_path / "broken.cfg"
-    cfg.write_text("who_knows = 1\n")
-    code, _, err = run_cli(capsys, ["verify", "--tol-file", str(cfg)])
-    assert code == 3
-    assert json.loads(err)["error"] == "ValueError"
+    bad = (
+        "who_knows = 1\n",
+        # an infinite override would pass the case unchecked, nan and -1 fail it
+        "tol.oracle_wp = inf\n",
+        "tol.oracle_wp = nan\n",
+        "tol.oracle_wp = -1\n",
+    )
+    for text in bad:
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, ["verify", "--tol-file", str(cfg)])
+        assert code == 3, text
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
 
 
 def test_cli_verify_resolved_fields_present(capsys):
