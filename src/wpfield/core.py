@@ -90,8 +90,11 @@ def coords_wrt_lattice(tau: complex, z: complex) -> tuple[float, float]:
     tau in the upper half-plane.  NonFiniteValue if a or b is NaN or infinite,
     as for a non-finite z.
     """
-    tau = require_upper_half(tau)
-    z = complex(z)
+    return _coords(require_upper_half(tau), complex(z))
+
+
+def _coords(tau: complex, z: complex) -> tuple[float, float]:
+    """coords_wrt_lattice for a tau already checked and a complex z."""
     a = z.imag / tau.imag
     b = z.real - a * tau.real
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -107,7 +110,7 @@ def lattice_distance(tau: complex, z: complex) -> float:
     """
     tau = require_upper_half(tau)
     z = complex(z)
-    a, b = coords_wrt_lattice(tau, z)
+    a, b = _coords(tau, z)
     na0 = math.floor(a)
     nb0 = math.floor(b)
     best = math.inf
@@ -125,6 +128,10 @@ def nome(tau: complex) -> complex:
     The fold keeps the exponential argument small and makes nome(tau + 1)
     bit-identical to nome(tau).
     """
-    tau = require_upper_half(tau)
+    return _nome(require_upper_half(tau))
+
+
+def _nome(tau: complex) -> complex:
+    """nome for a tau already checked."""
     re = math.remainder(tau.real, 1.0)
     return cmath.exp(TWO_PI_I * complex(re, tau.imag))

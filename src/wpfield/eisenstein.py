@@ -81,14 +81,14 @@ def _series_order(q_abs: float, tail: Callable[[float, int], float]) -> int:
     return order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EisensteinValues:
     e2: complex
     e4: complex
     e6: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticeInvariants:
     g2: complex
     g3: complex

@@ -8,10 +8,11 @@ the value is transported back with the weight of the function:
     zeta(tau;z) = s^-1 [zeta(tau*; z*) + m*eta1(tau*) + n*eta2(tau*)]
 
 where z/s = z* + m + n*tau*, eta1 = (pi^2/3) E2(tau*) and, by Legendre's
-relation, eta2 = tau* eta1 - 2*pi*i.  Every z-evaluator is one pipeline:
-reduce (tau, z), run the q-series kernel at (tau*, z*) with the pole guard
-scaled by 1/|s| into the reduced frame, transport.  E2 inverts the
-quasimodular law
+relation, eta2 = tau* eta1 - 2*pi*i.  Every evaluator is one pipeline,
+frame -> sum -> transport: _frame reduces (tau, z) once and checks the point
+once (the pole guard scaled by 1/|s| into the reduced frame, and the
+convergence checks), the q-series sum runs at (tau*, z*), and the value is
+transported back.  E2 inverts the quasimodular law
 
     G2(gamma tau) = s^2 G2(tau) - pi*i*c*s,      G2 = zeta(2) E2,
 
@@ -21,25 +22,26 @@ and E4, E6 transport with weights 4 and 6.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .core import (
     DEFAULT_POLICY,
-    coords_wrt_lattice,
+    _coords,
+    _nome,
     ensure_finite,
     lattice_distance,
-    nome,
     require_upper_half,
 )
 from .eisenstein import ZETA2, LatticeInvariants, _e_series, delta_eta_product, eisenstein_at
 from .errors import DegenerateConfiguration, NonFiniteValue, NonTermination
-from .weier import WValue, wp_prime_q, wp_q, zeta_q
+from .weier import WValue, _series_setup, _wp_prime_sum, _wp_sum, _zeta_sum
 
 _MAX_REDUCTION_STEPS = 10_000
 _CIRCLE_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnimodularMatrix:
     """Integer matrix (a b; c d) with determinant one, acting by Mobius maps."""
 
@@ -85,7 +87,7 @@ class UnimodularMatrix:
         return self.c * tau + self.d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionResult:
     gamma: UnimodularMatrix
     tau_star: complex
@@ -101,26 +103,26 @@ def reduce_tau(tau: complex) -> tuple[UnimodularMatrix, complex]:
     Boundary tie-break: points with |tau| = 1 and Re(tau) > 0 get one more
     inversion, so the canonical representative has Re <= 0 on the unit circle.
     Returns (gamma, tau*) with tau* = gamma(tau); raises NonFiniteValue when
-    tau* overflows.
+    tau* overflows.  gamma = (a b; c d) is kept as four integers.
     """
     cur = require_upper_half(tau)
-    gamma = UnimodularMatrix.identity()
+    a, b, c, d = 1, 0, 0, 1
     try:
         for _ in range(_MAX_REDUCTION_STEPS):
             k = math.floor(cur.real + 0.5)
             if k != 0:
                 cur = cur - k
-                gamma = UnimodularMatrix.translation(-k) @ gamma
+                a, b = a - k * c, b - k * d  # T^-k gamma
             norm2 = cur.real * cur.real + cur.imag * cur.imag
             if norm2 < 1.0 - _CIRCLE_EPS:
                 cur = -1.0 / cur
-                gamma = UnimodularMatrix.inversion() @ gamma
+                a, b, c, d = -c, -d, a, b  # S gamma
                 continue
             if norm2 <= 1.0 + _CIRCLE_EPS and cur.real > _CIRCLE_EPS:
                 cur = -1.0 / cur
-                gamma = UnimodularMatrix.inversion() @ gamma
+                a, b, c, d = -c, -d, a, b
             # at subnormal Im(tau) an inversion overflows to an infinite tau*
-            return gamma, ensure_finite(cur, "tau*")
+            return UnimodularMatrix(a, b, c, d), ensure_finite(cur, "tau*")
     except OverflowError as exc:
         # when both parts of tau are subnormal, -1/tau is -inf+inf*i and the
         # next floor(inf) raises before the check at the return
@@ -133,7 +135,12 @@ def reduce_z(tau: complex, z: complex) -> tuple[int, int, complex]:
 
     Returns (m, n, z*): m strips integer multiples of 1, n of tau.
     """
-    a, b = coords_wrt_lattice(tau, z)
+    return _reduce_z(require_upper_half(tau), complex(z))
+
+
+def _reduce_z(tau: complex, z: complex) -> tuple[int, int, complex]:
+    """reduce_z for a tau already checked and a complex z."""
+    a, b = _coords(tau, z)
     n = math.floor(a)
     m = math.floor(b)
     return m, n, z - m - n * tau
@@ -145,7 +152,7 @@ def reduce_point(tau: complex, z: complex | None = None) -> ReductionResult:
     scale = gamma.scale(tau)
     if z is None:
         return ReductionResult(gamma, tau_star, 0, 0, None, scale)
-    m, n, z_star = reduce_z(tau_star, complex(z) / scale)
+    m, n, z_star = _reduce_z(tau_star, complex(z) / scale)
     return ReductionResult(gamma, tau_star, m, n, z_star, scale)
 
 
@@ -156,12 +163,21 @@ def lattice_distance_anywhere(tau: complex, z: complex) -> float:
     return lattice_distance(rr.tau_star, rr.z_star) * abs(rr.scale)
 
 
-def _series_at_reduced(kernel, tau, z):
-    """Reduce (tau, z) and run the kernel at (tau*, z*), with the pole guard
-    scaled by 1/|s| as distances are."""
-    rr = reduce_point(tau, z)
-    guard = DEFAULT_POLICY.pole_guard_radius / abs(rr.scale)
-    return rr, kernel(rr.tau_star, rr.z_star, pole_guard=guard)
+# A point in its reduced frame: c of gamma, s = c*tau + d, tau*, q*; given z,
+# also z/s = z* + m + n*tau* and the q-series data (weier._series_setup) at (tau*, z*).
+_Frame = namedtuple("_Frame", "c s tau_star q m n z_star series", defaults=(0, 0, 0j, ()))
+
+
+def _frame(tau: complex, z: complex | None = None) -> _Frame:
+    """One reduction of tau, one split of z/s, and the pole guard (scaled by
+    1/|s| as distances are) and convergence checks, each once."""
+    gamma, tau_star = reduce_tau(tau)
+    s = gamma.scale(tau)
+    if z is None:
+        return _Frame(gamma.c, s, tau_star, _nome(tau_star))
+    m, n, z_star = _reduce_z(tau_star, complex(z) / s)
+    series = _series_setup(tau_star, z_star, DEFAULT_POLICY.pole_guard_radius / abs(s))
+    return _Frame(gamma.c, s, tau_star, series[0], m, n, z_star, series)
 
 
 def _divide_by_sk(value: complex, s: complex, weight: int, what: str) -> complex:
@@ -178,27 +194,22 @@ def _transport(value: complex, est_error: float, s: complex, weight: int, what: 
     return WValue(value=value, est_error=est_error / abs(s**weight))
 
 
-def wp_anywhere(tau: complex, z: complex) -> WValue:
-    """wp at any tau in the upper half-plane and any non-lattice z (weight 2)."""
-    rr, inner = _series_at_reduced(wp_q, tau, z)
-    return _transport(inner.value, inner.est_error, rr.scale, 2, "wp")
+def _wp_at(f: _Frame) -> WValue:
+    return _transport(*_wp_sum(*f.series), f.s, 2, "wp")
 
 
-def wp_prime_anywhere(tau: complex, z: complex) -> WValue:
-    """d(wp)/dz at any tau, z (weight 3)."""
-    rr, inner = _series_at_reduced(wp_prime_q, tau, z)
-    return _transport(inner.value, inner.est_error, rr.scale, 3, "wp'")
+def _wp_prime_at(f: _Frame) -> WValue:
+    return _transport(*_wp_prime_sum(*f.series), f.s, 3, "wp'")
 
 
-def zeta_anywhere(tau: complex, z: complex) -> WValue:
-    """zeta at any tau, z: closed-form quasi-period unwinding, weight-1 transport."""
-    rr, inner = _series_at_reduced(zeta_q, tau, z)
-    value = inner.value
-    if rr.m or rr.n:
-        eta1 = (math.pi**2 / 3.0) * _e_series("e2", nome(rr.tau_star))
-        value += (rr.m + rr.n * rr.tau_star) * eta1 - 2j * math.pi * rr.n
-    est = inner.est_error * (1.0 + abs(rr.m) + abs(rr.n))
-    return _transport(value, est, rr.scale, 1, "zeta")
+def _zeta_at(f: _Frame, e2: complex) -> WValue:
+    """zeta from the frame and E2(tau*): eta1 serves the eta1*z* term of the
+    sum and the unwinding by eta1 and eta2 = tau*eta1 - 2*pi*i alike."""
+    eta1 = (math.pi**2 / 3.0) * e2
+    value, est = _zeta_sum(*f.series, f.z_star, eta1)
+    if f.m or f.n:
+        value += (f.m + f.n * f.tau_star) * eta1 - 2j * math.pi * f.n
+    return _transport(value, est * (1.0 + abs(f.m) + abs(f.n)), f.s, 1, "zeta")
 
 
 def _e2_transport(e2_star: complex, c: int, s: complex) -> complex:
@@ -206,22 +217,41 @@ def _e2_transport(e2_star: complex, c: int, s: complex) -> complex:
     return _divide_by_sk(ZETA2 * e2_star + 1j * math.pi * c * s, s, 2, "E2") / ZETA2
 
 
+def _modular_at(f: _Frame, kind: str, weight: int) -> complex:
+    """E4 or E6 (kind "e4", "e6") from the frame, by weight-k transport."""
+    return _divide_by_sk(_e_series(kind, f.q), f.s, weight, kind.upper())
+
+
+def wp_anywhere(tau: complex, z: complex) -> WValue:
+    """wp at any tau in the upper half-plane and any non-lattice z (weight 2)."""
+    return _wp_at(_frame(tau, z))
+
+
+def wp_prime_anywhere(tau: complex, z: complex) -> WValue:
+    """d(wp)/dz at any tau, z (weight 3)."""
+    return _wp_prime_at(_frame(tau, z))
+
+
+def zeta_anywhere(tau: complex, z: complex) -> WValue:
+    """zeta at any tau, z: closed-form quasi-period unwinding, weight-1 transport."""
+    f = _frame(tau, z)
+    return _zeta_at(f, _e_series("e2", f.q))
+
+
 def e2_anywhere(tau: complex) -> complex:
     """E2 at any tau by inverting the quasimodular transformation law."""
-    gamma, tau_star = reduce_tau(tau)
-    return _e2_transport(_e_series("e2", nome(tau_star)), gamma.c, gamma.scale(tau))
+    f = _frame(tau)
+    return _e2_transport(_e_series("e2", f.q), f.c, f.s)
 
 
 def e4_anywhere(tau: complex) -> complex:
     """E4 at any tau (weight-4 modular transport)."""
-    gamma, tau_star = reduce_tau(tau)
-    return _divide_by_sk(_e_series("e4", nome(tau_star)), gamma.scale(tau), 4, "E4")
+    return _modular_at(_frame(tau), "e4", 4)
 
 
 def e6_anywhere(tau: complex) -> complex:
     """E6 at any tau (weight-6 modular transport)."""
-    gamma, tau_star = reduce_tau(tau)
-    return _divide_by_sk(_e_series("e6", nome(tau_star)), gamma.scale(tau), 6, "E6")
+    return _modular_at(_frame(tau), "e6", 6)
 
 
 def invariants_anywhere(tau: complex) -> LatticeInvariants:
@@ -255,18 +285,20 @@ def wp_add(tau: complex, z1: complex, z2: complex) -> complex:
     tau = require_upper_half(tau)
     if lattice_distance_anywhere(tau, z1 + z2) < DEFAULT_POLICY.pole_guard_radius:
         raise DegenerateConfiguration("z1 + z2 is on (or nearly on) the lattice")
-    p1 = wp_anywhere(tau, z1).value
-    p2 = wp_anywhere(tau, z2).value
+    f1 = _frame(tau, z1)
+    p1 = _wp_at(f1).value
+    f2 = _frame(tau, z2)
+    p2 = _wp_at(f2).value
     same_point = (
         lattice_distance_anywhere(tau, z1 - z2) < 1e-6
         and abs(p1 - p2) < 1e-8 * max(1.0, abs(p1))
     )
     if same_point:
-        pp = wp_prime_anywhere(tau, z1).value
+        pp = _wp_prime_at(f1).value
         g2 = invariants_anywhere(tau).g2
         second = 6.0 * p1 * p1 - 0.5 * g2
         return ensure_finite((second / (2.0 * pp)) ** 2 - 2.0 * p1, "wp_add")
-    pp1 = wp_prime_anywhere(tau, z1).value
-    pp2 = wp_prime_anywhere(tau, z2).value
+    pp1 = _wp_prime_at(f1).value
+    pp2 = _wp_prime_at(f2).value
     slope = (pp1 - pp2) / (p1 - p2)
     return ensure_finite(0.25 * slope * slope - p1 - p2, "wp_add")

@@ -38,13 +38,14 @@ from operator import add, mul, sub, truediv
 
 from .core import ensure_finite
 from .errors import NearSingular, NonFiniteValue
+from .eisenstein import _e_series
 from .reduction import (
-    e2_anywhere,
-    e4_anywhere,
-    e6_anywhere,
-    wp_anywhere,
-    wp_prime_anywhere,
-    zeta_anywhere,
+    _e2_transport,
+    _frame,
+    _modular_at,
+    _wp_at,
+    _wp_prime_at,
+    _zeta_at,
 )
 
 GEN_NAMES = ("z", "tau", "wp", "wp1", "zeta", "E2", "E4", "E6", "pi")
@@ -439,7 +440,8 @@ def eval_expr(
     tau: complex,
     z: complex | None = None,
 ) -> complex:
-    """Evaluate an Expr by binding the generators to the anywhere-evaluators.
+    """Evaluate an Expr by binding the generators to the anywhere-evaluators'
+    values, from one reduced frame of (tau, z) and only the E-series it uses.
 
     z may be omitted for expressions that do not mention z, wp, wp1, or zeta.
     Raises NearSingular if the denominator lands below 1e-12 in magnitude and
@@ -454,18 +456,22 @@ def eval_expr(
     vals[8] = complex(math.pi)
     if 0 in used:
         vals[0] = complex(z)  # type: ignore[arg-type]
+    if used & {2, 3, 4, 5, 6, 7}:
+        frame = _frame(tau, z if used & {2, 3, 4} else None)
     if 2 in used:
-        vals[2] = wp_anywhere(tau, z).value
+        vals[2] = _wp_at(frame).value
     if 3 in used:
-        vals[3] = wp_prime_anywhere(tau, z).value
+        vals[3] = _wp_prime_at(frame).value
+    if used & {4, 5}:
+        e2 = _e_series("e2", frame.q)  # zeta's eta1 and E2 share it
     if 4 in used:
-        vals[4] = zeta_anywhere(tau, z).value
+        vals[4] = _zeta_at(frame, e2).value
     if 5 in used:
-        vals[5] = e2_anywhere(tau)
+        vals[5] = _e2_transport(e2, frame.c, frame.s)
     if 6 in used:
-        vals[6] = e4_anywhere(tau)
+        vals[6] = _modular_at(frame, "e4", 4)
     if 7 in used:
-        vals[7] = e6_anywhere(tau)
+        vals[7] = _modular_at(frame, "e6", 6)
     try:
         n = e._lead()
         den = _p_eval(e._den, n, vals)

@@ -24,8 +24,8 @@ from .core import (
     DEFAULT_POLICY,
     TWO_PI_I,
     ensure_finite,
+    _nome,
     lattice_distance,
-    nome,
     require_upper_half,
 )
 from .eisenstein import _cot, _csc2, _e_series, _reduced_basis, _series_order, _series_tau
@@ -37,7 +37,7 @@ _MACHINE = 1e-15
 _EST_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WValue:
     """An evaluated function value with a conservative accuracy estimate."""
 
@@ -45,7 +45,7 @@ class WValue:
     est_error: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HalfPeriodData:
     """wp at the three half periods 1/2, tau/2, (1+tau)/2."""
 
@@ -67,23 +67,21 @@ def _kernel_tail(q_abs: float, n_terms: int) -> float:
     return 4.0 * (2.0 * math.pi) ** 3 * _geometric_tail(q_abs**n_terms, q_abs, 3)
 
 
-def _series_guards(
-    tau: complex, z: complex, pole_guard: float
-) -> tuple[complex, complex, complex, float, int]:
-    """Check the point and return q, u, r = q/u, the lattice distance of z and
-    the number of terms the kernels sum at this |q|.
+def _series_setup(tau: complex, z: complex, pole_guard: float) -> tuple:
+    """Apply the pole guard and the convergence checks to a checked tau and
+    a complex z, and return q, u, r = q/u, the lattice distance of z and the
+    number of terms to sum at this |q|: the arguments of _wp_sum,
+    _wp_prime_sum and _zeta_sum, which return (value, est_error).
 
     r is formed as exp(2*pi*i*(tau - z)), not as q/u: high in the cell both q
     and u underflow to 0 while their quotient is still a normal number.
     """
-    tau = _series_tau(tau)
-    z = complex(z)
     dist = lattice_distance(tau, z)
     if dist < pole_guard:
         raise PoleProximity(
             f"z = {z} is within {dist:.3e} of the lattice (guard {pole_guard:.1e})"
         )
-    q = nome(tau)
+    q = _nome(tau)
     u = cmath.exp(TWO_PI_I * z)
     r = cmath.exp(TWO_PI_I * (tau - z))
     if abs(q * u) >= 1.0 or abs(r) >= 1.0:
@@ -109,14 +107,7 @@ def _est_error(value: complex, q: complex, u: complex, r: complex, dist: float,
     return max(tail + rounding, _EST_FLOOR)
 
 
-def wp_q(
-    tau: complex,
-    z: complex,
-    *,
-    pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
-) -> WValue:
-    """Weierstrass wp via the q-series; intended for reduced tau and z in the cell."""
-    q, u, r, dist, n_terms = _series_guards(tau, z, pole_guard)
+def _wp_sum(q: complex, u: complex, r: complex, dist: float, n_terms: int) -> tuple:
     w = u
     total = w / (1.0 - w) ** 2  # m = 0
     qm = 1.0 + 0.0j
@@ -130,18 +121,10 @@ def wp_q(
     total += 1.0 / 12.0
     value = ensure_finite(TWO_PI_I**2 * total, "wp")
     q_sum_tail = 2.0 * _geometric_tail(abs(q) ** (n_terms + 1), abs(q), 2)  # u-free sum
-    est = _est_error(value, q, u, r, dist, n_terms, 2, extra_tail=q_sum_tail)
-    return WValue(value=value, est_error=est)
+    return value, _est_error(value, q, u, r, dist, n_terms, 2, extra_tail=q_sum_tail)
 
 
-def wp_prime_q(
-    tau: complex,
-    z: complex,
-    *,
-    pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
-) -> WValue:
-    """d(wp)/dz via the term-wise derivative of the wp series (branch-free)."""
-    q, u, r, dist, n_terms = _series_guards(tau, z, pole_guard)
+def _wp_prime_sum(q: complex, u: complex, r: complex, dist: float, n_terms: int) -> tuple:
     w = u
     total = w * (1.0 + w) / (1.0 - w) ** 3  # m = 0
     qm = 1.0 + 0.0j
@@ -153,8 +136,42 @@ def wp_prime_q(
         total -= v * (1.0 + v) / (1.0 - v) ** 3  # folded half flips sign
     value = ensure_finite(TWO_PI_I**3 * total, "wp'")
     # w (1 + w) / (1 - w)^3 <= 2 |w| / (1 - |w|)^3
-    est = _est_error(value, q, u, r, dist, n_terms, 3, factor=2.0)
-    return WValue(value=value, est_error=est)
+    return value, _est_error(value, q, u, r, dist, n_terms, 3, factor=2.0)
+
+
+def _zeta_sum(q: complex, u: complex, r: complex, dist: float, n_terms: int,
+              z: complex, eta1: complex) -> tuple:
+    """The zeta sum at z, given eta1 = (pi^2/3) E2(tau) for its eta1*z term."""
+    total = -u / (1.0 - u)  # n = 0 term of the u-sum
+    qm = 1.0 + 0.0j
+    for _ in range(1, n_terms + 1):
+        v = r * qm  # q^m / u
+        qm *= q
+        w = u * qm
+        total -= w / (1.0 - w)
+        total += v / (1.0 - v)
+    value = ensure_finite(TWO_PI_I * total + eta1 * z - 1j * math.pi, "zeta")
+    return value, _est_error(value, q, u, r, dist, n_terms, 1)
+
+
+def wp_q(
+    tau: complex,
+    z: complex,
+    *,
+    pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
+) -> WValue:
+    """Weierstrass wp via the q-series; intended for reduced tau and z in the cell."""
+    return WValue(*_wp_sum(*_series_setup(_series_tau(tau), complex(z), pole_guard)))
+
+
+def wp_prime_q(
+    tau: complex,
+    z: complex,
+    *,
+    pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
+) -> WValue:
+    """d(wp)/dz via the term-wise derivative of the wp series (branch-free)."""
+    return WValue(*_wp_prime_sum(*_series_setup(_series_tau(tau), complex(z), pole_guard)))
 
 
 def zeta_q(
@@ -167,18 +184,9 @@ def zeta_q(
 
     eta1 comes from the same q-data as E2: eta1 = (pi^2/3) E2(tau).
     """
-    q, u, r, dist, n_terms = _series_guards(tau, z, pole_guard)
-    total = -u / (1.0 - u)  # n = 0 term of the u-sum
-    qm = 1.0 + 0.0j
-    for _ in range(1, n_terms + 1):
-        v = r * qm  # q^m / u
-        qm *= q
-        w = u * qm
-        total -= w / (1.0 - w)
-        total += v / (1.0 - v)
-    eta1 = (math.pi**2 / 3.0) * _e_series("e2", q)
-    value = ensure_finite(TWO_PI_I * total + eta1 * z - 1j * math.pi, "zeta")
-    return WValue(value=value, est_error=_est_error(value, q, u, r, dist, n_terms, 1))
+    series = _series_setup(_series_tau(tau), complex(z), pole_guard)
+    eta1 = (math.pi**2 / 3.0) * _e_series("e2", series[0])
+    return WValue(*_zeta_sum(*series, z, eta1))
 
 
 def half_periods(tau: complex) -> HalfPeriodData:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from wpfield.reduction import (
     wp_prime_anywhere,
     zeta_anywhere,
 )
+from wpfield.symbolic import E2, E4, E6, TAU, WP, WP1, ZETA, Z, eval_expr
 from wpfield.weier import wp_prime_q, wp_q, zeta_q
 
 
@@ -81,6 +83,47 @@ def test_reduce_tau_corner_terminates():
     gamma, tau_star = reduce_tau(cmath.exp(1j * math.pi / 3.0))
     assert abs(tau_star - complex(-0.5, math.sqrt(3.0) / 2.0)) < 1e-9
     assert in_fundamental_domain(complex(tau_star.real, tau_star.imag + 1e-15))
+
+
+def _reference_walk(tau):
+    """The SL(2,Z) walk of reduce_tau, with gamma a product of
+    UnimodularMatrix.translation and .inversion steps."""
+    eps = 1e-12
+    cur = complex(tau)
+    gamma = UnimodularMatrix.identity()
+    for _ in range(10_000):
+        k = math.floor(cur.real + 0.5)
+        if k != 0:
+            cur = cur - k
+            gamma = UnimodularMatrix.translation(-k) @ gamma
+        norm2 = cur.real * cur.real + cur.imag * cur.imag
+        if norm2 < 1.0 - eps:
+            cur = -1.0 / cur
+            gamma = UnimodularMatrix.inversion() @ gamma
+            continue
+        if norm2 <= 1.0 + eps and cur.real > eps:
+            cur = -1.0 / cur
+            gamma = UnimodularMatrix.inversion() @ gamma
+        return gamma, cur
+    raise AssertionError(f"reference walk did not settle at {tau!r}")
+
+
+def test_integer_walk_equals_the_matrix_product_walk():
+    rng = random.Random(11)
+    taus = [
+        complex(rng.uniform(-3.0, 3.0), math.exp(rng.uniform(math.log(1e-6), math.log(10.0))))
+        for _ in range(2000)
+    ]
+    rho = cmath.exp(2j * math.pi / 3.0)
+    corner = cmath.exp(1j * math.pi / 3.0)
+    taus += [1j, rho, corner]
+    taus += [corner + d for d in (1e-13, -1e-13, 1e-13j, -1e-13j)]
+    for tau in taus:
+        assert reduce_tau(tau) == _reference_walk(tau), tau
+    # subnormal Im(tau): tau* overflows, inside the walk or at its end
+    for tau in (1e-320j, 1e-320 + 1e-320j):
+        with pytest.raises(NonFiniteValue):
+            reduce_tau(tau)
 
 
 def test_reduce_z_splits_exactly():
@@ -246,18 +289,21 @@ def test_one_lattice_distance_per_point_evaluation(fn, monkeypatch):
 
 
 def test_unwound_zeta_calls_the_series_once(monkeypatch):
-    series = _count_calls(monkeypatch, "zeta_q", [weier, reduction])
+    series = _count_calls(monkeypatch, "_zeta_sum", [weier, reduction])
+    public = _count_calls(monkeypatch, "zeta_q", [weier])
     sums = _count_calls(monkeypatch, "_e_series", [eisenstein, weier, reduction])
     full = _count_calls(monkeypatch, "eisenstein_at", [eisenstein, reduction])
     tau, z = complex(0.3, 0.4), complex(4.3, 1.9)
     rr = reduce_point(tau, z)
     assert rr.m != 0 and rr.n != 0
     zeta_anywhere(tau, z)
-    # one series at z*; E2(tau*) alone, once inside it for eta1*z*, once for
-    # the unwinding by eta1 and eta2 = tau*eta1 - 2 pi i; no E4 or E6
+    # one zeta sum at z*; E2(tau*) alone, summed once and used both for
+    # eta1*z* and for the unwinding by eta1 and eta2 = tau*eta1 - 2 pi i;
+    # no E4 or E6
     assert len(series) == 1
-    q_star = nome(rr.tau_star)
-    assert [args[:2] for args in sums] == [("e2", q_star), ("e2", q_star)]
+    assert series[0][-2] == rr.z_star
+    assert public == []
+    assert [args[:2] for args in sums] == [("e2", nome(rr.tau_star))]
     assert full == []
 
 
@@ -269,6 +315,30 @@ def test_eisenstein_evaluators_sum_only_their_own_series(kind, fn, monkeypatch):
     tau = complex(0.3, 0.4)
     fn(tau)
     assert [args[:2] for args in sums] == [(kind, nome(reduce_tau(tau)[1]))]
+
+
+def test_eval_expr_reduces_each_point_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "reduce_tau", [reduction])
+    tau, z = complex(0.3, 0.4), complex(4.3, 1.9)
+    eval_expr(Z * TAU * WP * WP1 * ZETA * E2 * E4 * E6, tau, z)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("tau, z", [(complex(0.3, 0.4), complex(4.3, 1.9)),
+                                    (complex(-0.2, 1.6), complex(0.3, 0.4))])
+def test_eval_expr_single_generators_equal_the_evaluators(tau, z):
+    for gen, fn in ((WP, wp_anywhere), (WP1, wp_prime_anywhere), (ZETA, zeta_anywhere)):
+        assert eval_expr(gen, tau, z) == fn(tau, z).value
+    for gen, fn in ((E2, e2_anywhere), (E4, e4_anywhere), (E6, e6_anywhere)):
+        assert eval_expr(gen, tau, z) == fn(tau)
+        assert eval_expr(gen, tau) == fn(tau)
+
+
+def test_wp_add_reduces_tau_at_most_four_times(monkeypatch):
+    calls = _count_calls(monkeypatch, "reduce_tau", [reduction])
+    wp_add(complex(0.3, 0.4), complex(0.21, 0.33), complex(4.52, 1.18))
+    # z1 + z2 and z1 - z2 for the branch tests, one frame each at z1 and z2
+    assert len(calls) <= 4
 
 
 def test_wp_add_matches_direct():
