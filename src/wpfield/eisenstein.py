@@ -81,6 +81,11 @@ def _series_order(q_abs: float, tail: Callable[[float, int], float]) -> int:
     return order
 
 
+def _e_order(q: complex) -> int:
+    """The order that every E-series and the eta product are summed to at q."""
+    return _series_order(abs(q), _sigma_tail)
+
+
 @dataclass(frozen=True, slots=True)
 class EisensteinValues:
     e2: complex
@@ -110,7 +115,7 @@ def _e_series(kind: str, q: complex, order: int | None = None) -> complex:
     """E2, E4 or E6 (kind "e2", "e4", "e6") from its q-expansion to q^order,
     by Horner's rule; the order defaults to the one the tail bound needs."""
     if order is None:
-        order = _series_order(abs(q), _sigma_tail)
+        order = _e_order(q)
     acc = 0j
     for c in reversed(_coefficients(kind, order)):
         acc = acc * q + c
@@ -124,21 +129,19 @@ def eisenstein_at(tau: complex) -> EisensteinValues:
     most once tau is reduced).
     """
     q = nome(_series_tau(tau))
-    order = _series_order(abs(q), _sigma_tail)
+    order = _e_order(q)
     return EisensteinValues(*(_e_series(kind, q, order) for kind in ("e2", "e4", "e6")))
 
 
-def delta_eta_product(tau: complex) -> complex:
-    """Discriminant delta = (2*pi)^12 q prod_{n >= 1} (1 - q^n)^24.
+def _delta_eta_product(q: complex, order: int) -> complex:
+    """Discriminant delta = (2*pi)^12 q prod_{n = 1..order} (1 - q^n)^24.
 
     Unlike g2^3 - 27 g3^2, which cancels to rounding noise once |q| is small,
     the product keeps full relative accuracy at every height.
     """
-    tau = _series_tau(tau)
-    q = nome(tau)
     prod = 1.0 + 0.0j
     qn = 1.0 + 0.0j
-    for _ in range(_series_order(abs(q), _sigma_tail)):
+    for _ in range(order):
         qn *= q
         prod *= 1.0 - qn
     return ensure_finite((2.0 * math.pi) ** 12 * q * prod**24, "delta")

@@ -8,11 +8,11 @@ the value is transported back with the weight of the function:
     zeta(tau;z) = s^-1 [zeta(tau*; z*) + m*eta1(tau*) + n*eta2(tau*)]
 
 where z/s = z* + m + n*tau*, eta1 = (pi^2/3) E2(tau*) and, by Legendre's
-relation, eta2 = tau* eta1 - 2*pi*i.  Every evaluator is one pipeline,
-frame -> sum -> transport: _frame reduces (tau, z) once and checks the point
-once (the pole guard scaled by 1/|s| into the reduced frame, and the
-convergence checks), the q-series sum runs at (tau*, z*), and the value is
-transported back.  E2 inverts the quasimodular law
+relation, eta2 = tau* eta1 - 2*pi*i.  Every entry point reduces tau once, in
+_frame, and every evaluator is one pipeline, frame -> sum -> transport:
+_at_point splits z/s once and checks the point once (the pole guard scaled
+by 1/|s| into the reduced frame, and the convergence checks), the q-series
+sum runs at (tau*, z*), and the value is transported back.  E2 inverts the quasimodular law
 
     G2(gamma tau) = s^2 G2(tau) - pi*i*c*s,      G2 = zeta(2) E2,
 
@@ -33,12 +33,16 @@ from .core import (
     lattice_distance,
     require_upper_half,
 )
-from .eisenstein import ZETA2, LatticeInvariants, _e_series, delta_eta_product, eisenstein_at
-from .errors import DegenerateConfiguration, NonFiniteValue, NonTermination
+from .eisenstein import ZETA2, LatticeInvariants, _delta_eta_product, _e_order, _e_series
+from .errors import DegenerateConfiguration, NearSingular, NonFiniteValue, NonTermination
 from .weier import WValue, _series_setup, _wp_prime_sum, _wp_sum, _zeta_sum
 
 _MAX_REDUCTION_STEPS = 10_000
 _CIRCLE_EPS = 1e-12
+
+# Largest relative miss of the exact Im(tau*) |s|^2 = Im(tau) that reduce_tau
+# accepts; the walk's rounding misses it by about 2e-16/Im(tau).
+_TAU_STAR_MISMATCH = 1e-6
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,9 +107,10 @@ def reduce_tau(tau: complex) -> tuple[UnimodularMatrix, complex]:
     Boundary tie-break: points with |tau| = 1 and Re(tau) > 0 get one more
     inversion, so the canonical representative has Re <= 0 on the unit circle.
     Returns (gamma, tau*) with tau* = gamma(tau); raises NonFiniteValue when
-    tau* overflows.  gamma = (a b; c d) is kept as four integers.
+    tau* overflows or has lost tau (see _TAU_STAR_MISMATCH).  gamma = (a b;
+    c d) is kept as four integers.
     """
-    cur = require_upper_half(tau)
+    cur = tau = require_upper_half(tau)
     a, b, c, d = 1, 0, 0, 1
     try:
         for _ in range(_MAX_REDUCTION_STEPS):
@@ -122,7 +127,12 @@ def reduce_tau(tau: complex) -> tuple[UnimodularMatrix, complex]:
                 cur = -1.0 / cur
                 a, b, c, d = -c, -d, a, b
             # at subnormal Im(tau) an inversion overflows to an infinite tau*
-            return UnimodularMatrix(a, b, c, d), ensure_finite(cur, "tau*")
+            cur = ensure_finite(cur, "tau*")
+            # |s| sqrt(Im tau* / Im tau) is 1; |s|^2 would underflow at tiny Im(tau)
+            ratio = abs(c * tau + d) * math.sqrt(cur.imag) / math.sqrt(tau.imag)
+            if abs(ratio * ratio - 1.0) > _TAU_STAR_MISMATCH:
+                raise NonFiniteValue(f"reducing {tau!r} loses tau: Im(tau*) |s|^2 != Im(tau)")
+            return UnimodularMatrix(a, b, c, d), cur
     except OverflowError as exc:
         # when both parts of tau are subnormal, -1/tau is -inf+inf*i and the
         # next floor(inf) raises before the check at the return
@@ -146,38 +156,46 @@ def _reduce_z(tau: complex, z: complex) -> tuple[int, int, complex]:
     return m, n, z - m - n * tau
 
 
+# tau reduced: gamma, s = c*tau + d, tau* = gamma(tau), q*; with a point added
+# (_at_point), also z/s = z* + m + n*tau* and weier._series_setup at (tau*, z*).
+_Frame = namedtuple("_Frame", "gamma s tau_star q m n z_star series", defaults=(0, 0, 0j, ()))
+
+
+def _frame(tau: complex, z: complex | None = None) -> _Frame:
+    """The one reduction of tau that every entry point makes; given z, the
+    frame with z added (_at_point)."""
+    gamma, tau_star = reduce_tau(tau)
+    f = _Frame(gamma, gamma.scale(tau), tau_star, _nome(tau_star))
+    return f if z is None else _at_point(f, z)
+
+
+def _at_point(f: _Frame, z: complex) -> _Frame:
+    """The frame f with z added: one split of z/s, and the pole guard (scaled
+    by 1/|s| as distances are) and the convergence checks, each once."""
+    m, n, z_star = _reduce_z(f.tau_star, complex(z) / f.s)
+    series = _series_setup(f.tau_star, f.q, z_star, DEFAULT_POLICY.pole_guard_radius / abs(f.s))
+    return _Frame(*f[:4], m, n, z_star, series)
+
+
+def _distance(f: _Frame, z: complex) -> float:
+    """lattice_distance_anywhere in the frame f."""
+    z_star = _reduce_z(f.tau_star, complex(z) / f.s)[2]
+    return lattice_distance(f.tau_star, z_star) * abs(f.s)
+
+
 def reduce_point(tau: complex, z: complex | None = None) -> ReductionResult:
     """Full reduction: tau into the fundamental domain, then z/s into the cell."""
-    gamma, tau_star = reduce_tau(tau)
-    scale = gamma.scale(tau)
+    f = _frame(tau)
     if z is None:
-        return ReductionResult(gamma, tau_star, 0, 0, None, scale)
-    m, n, z_star = _reduce_z(tau_star, complex(z) / scale)
-    return ReductionResult(gamma, tau_star, m, n, z_star, scale)
+        return ReductionResult(f.gamma, f.tau_star, 0, 0, None, f.s)
+    m, n, z_star = _reduce_z(f.tau_star, complex(z) / f.s)
+    return ReductionResult(f.gamma, f.tau_star, m, n, z_star, f.s)
 
 
 def lattice_distance_anywhere(tau: complex, z: complex) -> float:
     """Distance from z to Z + tau*Z, computed in the reduced frame where the
     nearest-corner search is exact, then scaled back."""
-    rr = reduce_point(tau, z)
-    return lattice_distance(rr.tau_star, rr.z_star) * abs(rr.scale)
-
-
-# A point in its reduced frame: c of gamma, s = c*tau + d, tau*, q*; given z,
-# also z/s = z* + m + n*tau* and the q-series data (weier._series_setup) at (tau*, z*).
-_Frame = namedtuple("_Frame", "c s tau_star q m n z_star series", defaults=(0, 0, 0j, ()))
-
-
-def _frame(tau: complex, z: complex | None = None) -> _Frame:
-    """One reduction of tau, one split of z/s, and the pole guard (scaled by
-    1/|s| as distances are) and convergence checks, each once."""
-    gamma, tau_star = reduce_tau(tau)
-    s = gamma.scale(tau)
-    if z is None:
-        return _Frame(gamma.c, s, tau_star, _nome(tau_star))
-    m, n, z_star = _reduce_z(tau_star, complex(z) / s)
-    series = _series_setup(tau_star, z_star, DEFAULT_POLICY.pole_guard_radius / abs(s))
-    return _Frame(gamma.c, s, tau_star, series[0], m, n, z_star, series)
+    return _distance(_frame(tau), z)
 
 
 def _divide_by_sk(value: complex, s: complex, weight: int, what: str) -> complex:
@@ -241,7 +259,7 @@ def zeta_anywhere(tau: complex, z: complex) -> WValue:
 def e2_anywhere(tau: complex) -> complex:
     """E2 at any tau by inverting the quasimodular transformation law."""
     f = _frame(tau)
-    return _e2_transport(_e_series("e2", f.q), f.c, f.s)
+    return _e2_transport(_e_series("e2", f.q), f.gamma.c, f.s)
 
 
 def e4_anywhere(tau: complex) -> complex:
@@ -255,20 +273,18 @@ def e6_anywhere(tau: complex) -> complex:
 
 
 def invariants_anywhere(tau: complex) -> LatticeInvariants:
-    """g2, g3, delta, eta1 at any tau from one reduction and one set of
-    Eisenstein values at tau*, transported with weights 4, 6, 12 and the E2 law.
+    """g2, g3, delta, eta1 at any tau from one reduction, E2, E4, E6 and the eta
+    product at q* to one order, and transport with weights 4, 6, 12 and the E2 law.
 
     delta is the eta product at tau* (weight 12), not g2^3 - 27 g3^2, which
     cancels badly once |q*| is small."""
-    gamma, tau_star = reduce_tau(tau)
-    s = gamma.scale(tau)
-    e = eisenstein_at(tau_star)
-    e4 = _divide_by_sk(e.e4, s, 4, "E4")
-    e6 = _divide_by_sk(e.e6, s, 6, "E6")
-    g2 = (4.0 * math.pi**4 / 3.0) * e4
-    g3 = (8.0 * math.pi**6 / 27.0) * e6
-    delta = _divide_by_sk(delta_eta_product(tau_star), s, 12, "delta")
-    eta1 = (math.pi**2 / 3.0) * _e2_transport(e.e2, gamma.c, s)
+    f = _frame(tau)
+    order = _e_order(f.q)
+    e2, e4, e6 = (_e_series(kind, f.q, order) for kind in ("e2", "e4", "e6"))
+    g2 = (4.0 * math.pi**4 / 3.0) * _divide_by_sk(e4, f.s, 4, "E4")
+    g3 = (8.0 * math.pi**6 / 27.0) * _divide_by_sk(e6, f.s, 6, "E6")
+    delta = _divide_by_sk(_delta_eta_product(f.q, order), f.s, 12, "delta")
+    eta1 = (math.pi**2 / 3.0) * _e2_transport(e2, f.gamma.c, f.s)
     return LatticeInvariants(g2=g2, g3=g3, delta=delta, eta1=eta1)
 
 
@@ -280,25 +296,32 @@ def wp_add(tau: complex, z1: complex, z2: complex) -> complex:
     Duplication (z1 = z2 mod lattice):
                      wp(2 z1)  = (wp''(z1) / (2 wp'(z1)))^2 - 2 wp(z1)
     with wp'' = 6 wp^2 - g2/2.  Raises DegenerateConfiguration when
-    z1 + z2 lies on the lattice (the result would be the pole).
+    z1 + z2 lies on the lattice (the result would be the pole), and
+    NearSingular when the slope divides by 0: high in a tall reduced cell wp
+    can be flat to the last bit, so wp(z1) == wp(z2) at points that are not
+    equivalent, or wp'(z1) == 0 at a z1 that is not a half period.
     """
-    tau = require_upper_half(tau)
-    if lattice_distance_anywhere(tau, z1 + z2) < DEFAULT_POLICY.pole_guard_radius:
+    f = _frame(tau)
+    if _distance(f, z1 + z2) < DEFAULT_POLICY.pole_guard_radius:
         raise DegenerateConfiguration("z1 + z2 is on (or nearly on) the lattice")
-    f1 = _frame(tau, z1)
+    f1 = _at_point(f, z1)
     p1 = _wp_at(f1).value
-    f2 = _frame(tau, z2)
+    f2 = _at_point(f, z2)
     p2 = _wp_at(f2).value
     same_point = (
-        lattice_distance_anywhere(tau, z1 - z2) < 1e-6
+        _distance(f, z1 - z2) < 1e-6
         and abs(p1 - p2) < 1e-8 * max(1.0, abs(p1))
     )
     if same_point:
         pp = _wp_prime_at(f1).value
-        g2 = invariants_anywhere(tau).g2
+        if pp == 0:
+            raise NearSingular("wp'(z1) == 0 at a point z1 that is not a half period")
+        g2 = (4.0 * math.pi**4 / 3.0) * _modular_at(f, "e4", 4)
         second = 6.0 * p1 * p1 - 0.5 * g2
         return ensure_finite((second / (2.0 * pp)) ** 2 - 2.0 * p1, "wp_add")
     pp1 = _wp_prime_at(f1).value
     pp2 = _wp_prime_at(f2).value
+    if p1 == p2:
+        raise NearSingular("wp(z1) == wp(z2) at points that are not equivalent")
     slope = (pp1 - pp2) / (p1 - p2)
     return ensure_finite(0.25 * slope * slope - p1 - p2, "wp_add")

@@ -467,7 +467,7 @@ def eval_expr(
     if 4 in used:
         vals[4] = _zeta_at(frame, e2).value
     if 5 in used:
-        vals[5] = _e2_transport(e2, frame.c, frame.s)
+        vals[5] = _e2_transport(e2, frame.gamma.c, frame.s)
     if 6 in used:
         vals[6] = _modular_at(frame, "e4", 4)
     if 7 in used:

@@ -26,9 +26,16 @@ from .core import (
     ensure_finite,
     _nome,
     lattice_distance,
-    require_upper_half,
 )
-from .eisenstein import _cot, _csc2, _e_series, _reduced_basis, _series_order, _series_tau
+from .eisenstein import (
+    _TAIL_TARGET,
+    _cot,
+    _csc2,
+    _e_series,
+    _reduced_basis,
+    _series_order,
+    _series_tau,
+)
 from .errors import ConvergenceDomain, PoleProximity
 
 _MACHINE = 1e-15
@@ -54,23 +61,21 @@ class HalfPeriodData:
     e3: complex
 
 
-def _geometric_tail(first: float, ratio: float, pole_power: int) -> float:
-    """Bound sum_{j>=0} t_j where t_j <= first*ratio^j / (1-first*ratio^j)^pole_power."""
-    if first >= 1.0 or ratio >= 1.0:
-        return math.inf
-    return first / ((1.0 - first) ** pole_power * (1.0 - ratio))
-
-
 def _kernel_tail(q_abs: float, n_terms: int) -> float:
     """What the kernels drop by stopping after q^n_terms, at its worst: the
-    wp' tails of _est_error with |u q| and |r| at their limit 1."""
-    return 4.0 * (2.0 * math.pi) ** 3 * _geometric_tail(q_abs**n_terms, q_abs, 3)
+    wp' tails of the u q^m and q^m/u sums with |u q| and |r| at their limit
+    1, 2 (2 pi)^3 sum_{j>=0} t_j/(1 - t_j)^3, t_j = |q|^(n_terms + j), each.
+    They bound the wp and zeta tails too."""
+    first = q_abs**n_terms
+    if first >= 1.0 or q_abs >= 1.0:
+        return math.inf
+    return 4.0 * (2.0 * math.pi) ** 3 * (first / ((1.0 - first) ** 3 * (1.0 - q_abs)))
 
 
-def _series_setup(tau: complex, z: complex, pole_guard: float) -> tuple:
-    """Apply the pole guard and the convergence checks to a checked tau and
-    a complex z, and return q, u, r = q/u, the lattice distance of z and the
-    number of terms to sum at this |q|: the arguments of _wp_sum,
+def _series_setup(tau: complex, q: complex, z: complex, pole_guard: float) -> tuple:
+    """Apply the pole guard and the convergence checks to a checked tau, its
+    nome q and a complex z, and return q, u, r = q/u, the lattice distance of
+    z and the number of terms to sum at this |q|: the arguments of _wp_sum,
     _wp_prime_sum and _zeta_sum, which return (value, est_error).
 
     r is formed as exp(2*pi*i*(tau - z)), not as q/u: high in the cell both q
@@ -81,9 +86,11 @@ def _series_setup(tau: complex, z: complex, pole_guard: float) -> tuple:
         raise PoleProximity(
             f"z = {z} is within {dist:.3e} of the lattice (guard {pole_guard:.1e})"
         )
-    q = _nome(tau)
-    u = cmath.exp(TWO_PI_I * z)
-    r = cmath.exp(TWO_PI_I * (tau - z))
+    try:
+        u = cmath.exp(TWO_PI_I * z)
+        r = cmath.exp(TWO_PI_I * (tau - z))
+    except OverflowError as exc:  # z far below or above the cell
+        raise ConvergenceDomain(f"exp(2*pi*i*z) overflows at z = {z}") from exc
     if abs(q * u) >= 1.0 or abs(r) >= 1.0:
         raise ConvergenceDomain(
             "need |q*u| < 1 and |q/u| < 1; reduce z into the period cell first"
@@ -91,20 +98,20 @@ def _series_setup(tau: complex, z: complex, pole_guard: float) -> tuple:
     return q, u, r, dist, _series_order(abs(q), _kernel_tail)
 
 
-def _est_error(value: complex, q: complex, u: complex, r: complex, dist: float,
-               n_terms: int, weight: int, factor: float = 1.0, extra_tail: float = 0.0) -> float:
-    """The error model of the weight-k kernels (k = 2, 3, 1 for wp, wp', zeta):
-    (2*pi)^k * factor * (tails of the u q^m and q^m/u sums + extra_tail), plus
-    rounding inflated as 0.01/dist near a pole, floored at _EST_FLOOR."""
-    qa = abs(q)
-    tails = (
-        _geometric_tail(qa ** (n_terms + 1) * abs(u), qa, weight)
-        + _geometric_tail(abs(r) * qa**n_terms, qa, weight)
-        + extra_tail
-    )
-    tail = (2.0 * math.pi) ** weight * factor * tails
+def _kernel_setup(tau: complex, z: complex) -> tuple:
+    """_series_setup for the public kernels, with Re(tau) folded mod 1: the
+    lattice is the same, and a large Re(tau) would shear the pole guard."""
+    tau = _series_tau(tau)
+    tau = complex(math.remainder(tau.real, 1.0), tau.imag)
+    return _series_setup(tau, _nome(tau), complex(z), DEFAULT_POLICY.pole_guard_radius)
+
+
+def _est_error(value: complex, dist: float) -> float:
+    """The error model of the kernels: the tail _series_order left, at most
+    _TAIL_TARGET by _kernel_tail, plus rounding inflated as 0.01/dist near a
+    pole, floored at _EST_FLOOR."""
     rounding = _MACHINE * (1.0 + abs(value)) * max(1.0, 0.01 / max(dist, 1e-300))
-    return max(tail + rounding, _EST_FLOOR)
+    return max(_TAIL_TARGET + rounding, _EST_FLOOR)
 
 
 def _wp_sum(q: complex, u: complex, r: complex, dist: float, n_terms: int) -> tuple:
@@ -120,8 +127,7 @@ def _wp_sum(q: complex, u: complex, r: complex, dist: float, n_terms: int) -> tu
         total -= 2.0 * qm / (1.0 - qm) ** 2
     total += 1.0 / 12.0
     value = ensure_finite(TWO_PI_I**2 * total, "wp")
-    q_sum_tail = 2.0 * _geometric_tail(abs(q) ** (n_terms + 1), abs(q), 2)  # u-free sum
-    return value, _est_error(value, q, u, r, dist, n_terms, 2, extra_tail=q_sum_tail)
+    return value, _est_error(value, dist)
 
 
 def _wp_prime_sum(q: complex, u: complex, r: complex, dist: float, n_terms: int) -> tuple:
@@ -135,8 +141,7 @@ def _wp_prime_sum(q: complex, u: complex, r: complex, dist: float, n_terms: int)
         total += w * (1.0 + w) / (1.0 - w) ** 3
         total -= v * (1.0 + v) / (1.0 - v) ** 3  # folded half flips sign
     value = ensure_finite(TWO_PI_I**3 * total, "wp'")
-    # w (1 + w) / (1 - w)^3 <= 2 |w| / (1 - |w|)^3
-    return value, _est_error(value, q, u, r, dist, n_terms, 3, factor=2.0)
+    return value, _est_error(value, dist)
 
 
 def _zeta_sum(q: complex, u: complex, r: complex, dist: float, n_terms: int,
@@ -151,40 +156,25 @@ def _zeta_sum(q: complex, u: complex, r: complex, dist: float, n_terms: int,
         total -= w / (1.0 - w)
         total += v / (1.0 - v)
     value = ensure_finite(TWO_PI_I * total + eta1 * z - 1j * math.pi, "zeta")
-    return value, _est_error(value, q, u, r, dist, n_terms, 1)
+    return value, _est_error(value, dist)
 
 
-def wp_q(
-    tau: complex,
-    z: complex,
-    *,
-    pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
-) -> WValue:
+def wp_q(tau: complex, z: complex) -> WValue:
     """Weierstrass wp via the q-series; intended for reduced tau and z in the cell."""
-    return WValue(*_wp_sum(*_series_setup(_series_tau(tau), complex(z), pole_guard)))
+    return WValue(*_wp_sum(*_kernel_setup(tau, z)))
 
 
-def wp_prime_q(
-    tau: complex,
-    z: complex,
-    *,
-    pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
-) -> WValue:
+def wp_prime_q(tau: complex, z: complex) -> WValue:
     """d(wp)/dz via the term-wise derivative of the wp series (branch-free)."""
-    return WValue(*_wp_prime_sum(*_series_setup(_series_tau(tau), complex(z), pole_guard)))
+    return WValue(*_wp_prime_sum(*_kernel_setup(tau, z)))
 
 
-def zeta_q(
-    tau: complex,
-    z: complex,
-    *,
-    pole_guard: float = DEFAULT_POLICY.pole_guard_radius,
-) -> WValue:
+def zeta_q(tau: complex, z: complex) -> WValue:
     """Weierstrass zeta via the q-series plus the eta1*z - pi*i tail.
 
     eta1 comes from the same q-data as E2: eta1 = (pi^2/3) E2(tau).
     """
-    series = _series_setup(_series_tau(tau), complex(z), pole_guard)
+    series = _kernel_setup(tau, z)
     eta1 = (math.pi**2 / 3.0) * _e_series("e2", series[0])
     return WValue(*_zeta_sum(*series, z, eta1))
 
@@ -192,11 +182,11 @@ def zeta_q(
 def half_periods(tau: complex) -> HalfPeriodData:
     """e1 = wp(1/2), e2 = wp(tau/2), e3 = wp((1+tau)/2); the roots of
     4 t^3 - g2 t - g3, so e1 + e2 + e3 = 0."""
-    tau = require_upper_half(tau)
-    e1 = wp_q(tau, 0.5).value
-    e2 = wp_q(tau, tau / 2.0).value
-    e3 = wp_q(tau, (1.0 + tau) / 2.0).value
-    return HalfPeriodData(e1=e1, e2=e2, e3=e3)
+    tau = _series_tau(tau)
+    q = _nome(tau)
+    guard = DEFAULT_POLICY.pole_guard_radius
+    return HalfPeriodData(*(_wp_sum(*_series_setup(tau, q, z, guard))[0]
+                            for z in (0.5 + 0j, tau / 2.0, (1.0 + tau) / 2.0)))
 
 
 def _oracle_frame(tau: complex, z: complex, radius: int) -> tuple[complex, complex, complex]:

@@ -17,7 +17,7 @@ from wpfield.core import (
     nome,
 )
 from wpfield.eisenstein import eisenstein_at
-from wpfield.errors import DegenerateConfiguration, NonFiniteValue, PoleProximity
+from wpfield.errors import DegenerateConfiguration, NearSingular, NonFiniteValue, PoleProximity
 from wpfield.reduction import (
     UnimodularMatrix,
     e2_anywhere,
@@ -292,7 +292,7 @@ def test_unwound_zeta_calls_the_series_once(monkeypatch):
     series = _count_calls(monkeypatch, "_zeta_sum", [weier, reduction])
     public = _count_calls(monkeypatch, "zeta_q", [weier])
     sums = _count_calls(monkeypatch, "_e_series", [eisenstein, weier, reduction])
-    full = _count_calls(monkeypatch, "eisenstein_at", [eisenstein, reduction])
+    full = _count_calls(monkeypatch, "eisenstein_at", [eisenstein])
     tau, z = complex(0.3, 0.4), complex(4.3, 1.9)
     rr = reduce_point(tau, z)
     assert rr.m != 0 and rr.n != 0
@@ -334,11 +334,38 @@ def test_eval_expr_single_generators_equal_the_evaluators(tau, z):
         assert eval_expr(gen, tau) == fn(tau)
 
 
-def test_wp_add_reduces_tau_at_most_four_times(monkeypatch):
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda tau, z: wp_anywhere(tau, z),
+        lambda tau, z: wp_prime_anywhere(tau, z),
+        lambda tau, z: zeta_anywhere(tau, z),
+        lambda tau, z: e2_anywhere(tau),
+        lambda tau, z: e4_anywhere(tau),
+        lambda tau, z: e6_anywhere(tau),
+        lambda tau, z: invariants_anywhere(tau),
+        lambda tau, z: reduce_point(tau, z),
+        lambda tau, z: reduce_point(tau),
+        lambda tau, z: lattice_distance_anywhere(tau, z),
+    ],
+    ids=["wp", "wp1", "zeta", "e2", "e4", "e6", "invariants", "reduce_point",
+         "reduce_point-tau", "lattice_distance_anywhere"],
+)
+def test_entry_points_reduce_tau_once(evaluate, monkeypatch):
     calls = _count_calls(monkeypatch, "reduce_tau", [reduction])
-    wp_add(complex(0.3, 0.4), complex(0.21, 0.33), complex(4.52, 1.18))
-    # z1 + z2 and z1 - z2 for the branch tests, one frame each at z1 and z2
-    assert len(calls) <= 4
+    evaluate(complex(0.3, 0.4), complex(4.3, 1.9))
+    assert len(calls) == 1
+
+
+def test_wp_add_reduces_tau_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "reduce_tau", [reduction])
+    tau, z1 = complex(0.3, 0.4), complex(0.21, 0.33)
+    # the generic branch, then the duplication branch (z2 = z1 + 1 + tau):
+    # the z1 +- z2 distances, both points and g2 come from one frame
+    for z2 in (complex(4.52, 1.18), z1 + 1.0 + tau):
+        calls.clear()
+        wp_add(tau, z1, z2)
+        assert len(calls) == 1
 
 
 def test_wp_add_matches_direct():
@@ -359,6 +386,26 @@ def test_wp_add_duplication_branch():
 def test_wp_add_degenerate_sum_rejected():
     with pytest.raises(DegenerateConfiguration):
         wp_add(1j, complex(0.3, 0.4), complex(0.7, 0.6))  # z1 + z2 = 1 + i
+
+
+@pytest.mark.parametrize(
+    "tau, z1, z2",
+    [
+        # wp(z1) == wp(z2) to the last bit high in a tall reduced cell, at
+        # points that are not equivalent: the generic slope divides by 0
+        (complex(0.9887766635270419, 0.0054415475106576825),
+         complex(-33.39418449182375, 37.78010620313004),
+         complex(-1.6067325059126205, -4.89605981075839)),
+        # z2 = z1 + 1e300 takes the duplication branch, where wp'(z1) is 0
+        # to the last bit though z1 is not a half period
+        (complex(1.7726164019360304, 1e200), complex(2.418969041776853, 1e8),
+         complex(1e300, 1e8)),
+    ],
+    ids=["generic", "duplication"],
+)
+def test_wp_add_zero_slope_denominator_is_near_singular(tau, z1, z2):
+    with pytest.raises(NearSingular):
+        wp_add(tau, z1, z2)
 
 
 def test_reduced_distance_scales():
@@ -504,3 +551,30 @@ def test_overflowing_tau_star_is_non_finite():
         reduce_tau(1e-320 + 1e-320j)
     with pytest.raises(NonFiniteValue):
         wp_anywhere(0.5 + 1e-320j, 0.3)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: reduce_tau(complex(0.3, 1e-16)),
+        lambda: e4_anywhere(complex(-0.43315903157589014, 1e-320)),
+        lambda: invariants_anywhere(complex(-0.06725031038454883, 1e-200)),
+        lambda: e6_anywhere(complex(999999999999999.4, 1e-200)),
+        lambda: wp_prime_anywhere(complex(0.02646753591288036, 1e-300),
+                                  complex(-0.4236374377100051, -1e-320)),
+    ],
+    ids=["reduce_tau", "e4", "invariants", "e6", "wp1"],
+)
+def test_reduction_that_lost_tau_is_non_finite(evaluate):
+    # at tiny Im(tau) with Re(tau) not an integer the walk's rounding breaks
+    # Im(tau*) |s|^2 = Im(tau); evaluated on, such a frame gives finite wrong
+    # values, or overflows s^k, or divides by 0 in the series sum
+    with pytest.raises(NonFiniteValue, match="loses tau"):
+        evaluate()
+
+
+def test_tiny_purely_imaginary_tau_keeps_its_exact_walk():
+    # tau = 1e-20 i reduces by one exact inversion, tau* = 1e20 i
+    gamma, tau_star = reduce_tau(1e-20j)
+    assert (gamma.c, gamma.d, tau_star) == (1, 0, 1e20j)
+    assert e2_anywhere(1e-20j) == pytest.approx(-1e40, rel=1e-12)

@@ -4,9 +4,11 @@ import math
 
 import pytest
 
+from wpfield.eisenstein import _TAIL_TARGET, _series_order
 from wpfield.errors import ConvergenceDomain, PoleProximity
 from wpfield.reduction import invariants_anywhere
 from wpfield.weier import (
+    _kernel_tail,
     half_periods,
     wp_lattice_oracle,
     wp_prime_q,
@@ -113,6 +115,10 @@ def test_pole_guard():
         wp_q(1j, 1e-6)
     with pytest.raises(PoleProximity):
         zeta_q(1j, 1.0 + 1j + 1e-7)
+    # z is 1e-200 from 0: unless Re(tau) = 1e300 is folded mod 1, it shears
+    # the guard's corner search past 0, and the sum divides by 1 - u = 0
+    with pytest.raises(PoleProximity):
+        wp_q(complex(1e300, 2.3655365626216405), complex(1e-300, -1e-200))
 
 
 def test_convergence_guard_far_below_the_cell():
@@ -120,6 +126,13 @@ def test_convergence_guard_far_below_the_cell():
         wp_q(1j, complex(0.5, -2.2))
     with pytest.raises(ConvergenceDomain):
         wp_q(1j, complex(0.5, 2.2) + 2j)
+    # so far from the cell that exp(2*pi*i*z) or exp(2*pi*i*(tau - z)) overflows
+    for tau, z in ((complex(0.5, 0.866), complex(1e8, 1e8)),
+                   (complex(1e15, 1.0), complex(0.25, 1e8)),
+                   (complex(1e15, 1.0), complex(0.25, -1e8))):
+        for kernel in (wp_q, wp_prime_q, zeta_q):
+            with pytest.raises(ConvergenceDomain):
+                kernel(tau, z)
 
 
 @pytest.mark.parametrize(
@@ -136,6 +149,40 @@ def test_kernels_refuse_tau_below_the_series_domain(kernel):
     # |q| = 0.73 at Im(tau) = 0.05: the series would need hundreds of terms
     with pytest.raises(ConvergenceDomain):
         kernel(0.05j)
+
+
+def test_order_rule_bounds_every_kernel_tail():
+    # The tails that est_error once re-derived on every call, copied here as
+    # the reference: est_error now charges _TAIL_TARGET for each, which holds
+    # when the order _series_order picks keeps all three below it for every
+    # |q| the kernels accept (Im tau >= 0.1) and every |u q|, |r| < 1.
+    def geometric(first, ratio, pole_power):
+        return first / ((1.0 - first) ** pole_power * (1.0 - ratio))
+
+    two_pi = 2.0 * math.pi
+    limits = (0.0, 0.3, 0.9, 0.999999, 1.0 - 2.0**-40)
+    worst = 0.0
+    for q_abs in [0.54 * k / 60 for k in range(1, 61)] + [10.0**-k for k in range(1, 13)]:
+        n = _series_order(q_abs, _kernel_tail)
+        for uq in limits:
+            u_abs = uq / q_abs
+            for r_abs in limits:
+                wp = two_pi**2 * (
+                    geometric(q_abs ** (n + 1) * u_abs, q_abs, 2)
+                    + geometric(r_abs * q_abs**n, q_abs, 2)
+                    + 2.0 * geometric(q_abs ** (n + 1), q_abs, 2)
+                )
+                wp1 = two_pi**3 * 2.0 * (
+                    geometric(q_abs ** (n + 1) * u_abs, q_abs, 3)
+                    + geometric(r_abs * q_abs**n, q_abs, 3)
+                )
+                zeta = two_pi * (
+                    geometric(q_abs ** (n + 1) * u_abs, q_abs, 1)
+                    + geometric(r_abs * q_abs**n, q_abs, 1)
+                )
+                worst = max(worst, wp, wp1, zeta)
+    assert worst <= _TAIL_TARGET
+    assert worst > 0.5 * _TAIL_TARGET  # the grid reaches the bound's corner
 
 
 def test_est_error_floor_and_sanity():
