@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,39 +50,34 @@ def sigma(n: int, k: int) -> int:
     return total
 
 
-def _power_series_tail(q_abs: float, order: int, degree: int, scale: float) -> float:
-    """Bound scale * sum_{n > order} n**degree * q_abs**n by a geometric majorant."""
-    if not 0.0 <= q_abs < 1.0:
-        return math.inf
-    ratio = q_abs * ((order + 2) / (order + 1)) ** degree
-    if ratio >= 1.0:
-        return math.inf
-    first = scale * (order + 1) ** degree * q_abs ** (order + 1)
-    return first / (1.0 - ratio)
+# The kernels' tail at order N is at least _KERNEL_SCALE |q|^N (see _order),
+# so no N below _LOG_START / log|q| can pass.
+_KERNEL_SCALE = 4.0 * (2.0 * math.pi) ** 3
+_LOG_START = math.log(_TAIL_TARGET / _KERNEL_SCALE)
 
 
-def _sigma_tail(q_abs: float, order: int) -> float:
-    """Tail of the E6 series past q^order; it bounds all three (sigma_5(n) <= n^6)."""
-    return _power_series_tail(q_abs, order, 6, 504.0)
+def _order(q_abs: float) -> int:
+    """The one series order at nome modulus q_abs < 1: the smallest N >= 1 at
+    which both tail bounds are at most _TAIL_TARGET.
 
-
-def _series_order(q_abs: float, tail: Callable[[float, int], float]) -> int:
-    """The smallest order N >= 1 with tail(q_abs, N) <= _TAIL_TARGET, where
-    tail(q_abs, N) bounds what a q-series drops by stopping after q^N.
-
-    Every tail given here is at least q_abs^(N+1), so no N below
-    log(_TAIL_TARGET)/log(q_abs) - 1 can pass; the walk starts there."""
-    order = 1
-    if q_abs > 0.0:
-        order = max(1, math.ceil(math.log(_TAIL_TARGET) / math.log(q_abs)) - 1)
-    while tail(q_abs, order) > _TAIL_TARGET:
+    The E6 tail 504 sum_{n > N} n^6 |q|^n, by its geometric majorant, bounds
+    E2, E4 and the eta product too, since sigma_5(n) <= n^6.  The kernel tail
+    is the wp' tail of the u q^m and q^m/u sums with |u q| and |r| at their
+    limit 1, 2 (2 pi)^3 sum_{j >= 0} t_j/(1 - t_j)^3, t_j = |q|^(N + j), each;
+    it bounds the wp and zeta tails too.  The walk starts at
+    ceil(_LOG_START / log|q|), which never overshoots.
+    """
+    if q_abs == 0.0:  # q underflows high in the cusp
+        return 1
+    order = max(1, math.ceil(_LOG_START / math.log(q_abs)))
+    while True:
+        qn, n = q_abs**order, order + 1.0
+        # both tails with their denominators multiplied out; these are
+        # positive, as 6/order < -log(q_abs) from the start on
+        if (504.0 * n**6 * qn * q_abs <= _TAIL_TARGET * (1.0 - q_abs * ((n + 1.0) / n) ** 6)
+                and _KERNEL_SCALE * qn <= _TAIL_TARGET * (1.0 - qn) ** 3 * (1.0 - q_abs)):
+            return order
         order += 1
-    return order
-
-
-def _e_order(q: complex) -> int:
-    """The order that every E-series and the eta product are summed to at q."""
-    return _series_order(abs(q), _sigma_tail)
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,11 +105,9 @@ def _series_tau(tau: complex) -> complex:
     return tau
 
 
-def _e_series(kind: str, q: complex, order: int | None = None) -> complex:
+def _e_series(kind: str, q: complex, order: int) -> complex:
     """E2, E4 or E6 (kind "e2", "e4", "e6") from its q-expansion to q^order,
-    by Horner's rule; the order defaults to the one the tail bound needs."""
-    if order is None:
-        order = _e_order(q)
+    by Horner's rule."""
     acc = 0j
     for c in reversed(_coefficients(kind, order)):
         acc = acc * q + c
@@ -129,7 +121,7 @@ def eisenstein_at(tau: complex) -> EisensteinValues:
     most once tau is reduced).
     """
     q = nome(_series_tau(tau))
-    order = _e_order(q)
+    order = _order(abs(q))
     return EisensteinValues(*(_e_series(kind, q, order) for kind in ("e2", "e4", "e6")))
 
 

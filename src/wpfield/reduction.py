@@ -33,7 +33,7 @@ from .core import (
     lattice_distance,
     require_upper_half,
 )
-from .eisenstein import ZETA2, LatticeInvariants, _delta_eta_product, _e_order, _e_series
+from .eisenstein import ZETA2, LatticeInvariants, _delta_eta_product, _e_series, _order
 from .errors import DegenerateConfiguration, NearSingular, NonFiniteValue, NonTermination
 from .weier import WValue, _series_setup, _wp_prime_sum, _wp_sum, _zeta_sum
 
@@ -156,16 +156,21 @@ def _reduce_z(tau: complex, z: complex) -> tuple[int, int, complex]:
     return m, n, z - m - n * tau
 
 
-# tau reduced: gamma, s = c*tau + d, tau* = gamma(tau), q*; with a point added
-# (_at_point), also z/s = z* + m + n*tau* and weier._series_setup at (tau*, z*).
-_Frame = namedtuple("_Frame", "gamma s tau_star q m n z_star series", defaults=(0, 0, 0j, ()))
+# tau reduced: gamma, s = c*tau + d, tau* = gamma(tau), q* and the series
+# order at |q*|; with a point added (_at_point), also z/s = z* + m + n*tau* and
+# weier._series_setup at (tau*, z*).
+_Frame = namedtuple("_Frame", "gamma s tau_star q order m n z_star series",
+                    defaults=(0, 0, 0j, ()))
 
 
 def _frame(tau: complex, z: complex | None = None) -> _Frame:
-    """The one reduction of tau that every entry point makes; given z, the
-    frame with z added (_at_point)."""
+    """The one reduction of tau that every entry point makes, with q* and the
+    one order (eisenstein._order) to which every q-series at q* is summed:
+    the kernels, each E-series and the eta product.  Given z, the frame with
+    z added (_at_point)."""
     gamma, tau_star = reduce_tau(tau)
-    f = _Frame(gamma, gamma.scale(tau), tau_star, _nome(tau_star))
+    q = _nome(tau_star)
+    f = _Frame(gamma, gamma.scale(tau), tau_star, q, _order(abs(q)))
     return f if z is None else _at_point(f, z)
 
 
@@ -173,8 +178,9 @@ def _at_point(f: _Frame, z: complex) -> _Frame:
     """The frame f with z added: one split of z/s, and the pole guard (scaled
     by 1/|s| as distances are) and the convergence checks, each once."""
     m, n, z_star = _reduce_z(f.tau_star, complex(z) / f.s)
-    series = _series_setup(f.tau_star, f.q, z_star, DEFAULT_POLICY.pole_guard_radius / abs(f.s))
-    return _Frame(*f[:4], m, n, z_star, series)
+    series = _series_setup(f.tau_star, f.q, f.order, z_star,
+                           DEFAULT_POLICY.pole_guard_radius / abs(f.s))
+    return _Frame(*f[:5], m, n, z_star, series)
 
 
 def _distance(f: _Frame, z: complex) -> float:
@@ -237,7 +243,7 @@ def _e2_transport(e2_star: complex, c: int, s: complex) -> complex:
 
 def _modular_at(f: _Frame, kind: str, weight: int) -> complex:
     """E4 or E6 (kind "e4", "e6") from the frame, by weight-k transport."""
-    return _divide_by_sk(_e_series(kind, f.q), f.s, weight, kind.upper())
+    return _divide_by_sk(_e_series(kind, f.q, f.order), f.s, weight, kind.upper())
 
 
 def wp_anywhere(tau: complex, z: complex) -> WValue:
@@ -253,13 +259,13 @@ def wp_prime_anywhere(tau: complex, z: complex) -> WValue:
 def zeta_anywhere(tau: complex, z: complex) -> WValue:
     """zeta at any tau, z: closed-form quasi-period unwinding, weight-1 transport."""
     f = _frame(tau, z)
-    return _zeta_at(f, _e_series("e2", f.q))
+    return _zeta_at(f, _e_series("e2", f.q, f.order))
 
 
 def e2_anywhere(tau: complex) -> complex:
     """E2 at any tau by inverting the quasimodular transformation law."""
     f = _frame(tau)
-    return _e2_transport(_e_series("e2", f.q), f.gamma.c, f.s)
+    return _e2_transport(_e_series("e2", f.q, f.order), f.gamma.c, f.s)
 
 
 def e4_anywhere(tau: complex) -> complex:
@@ -279,11 +285,10 @@ def invariants_anywhere(tau: complex) -> LatticeInvariants:
     delta is the eta product at tau* (weight 12), not g2^3 - 27 g3^2, which
     cancels badly once |q*| is small."""
     f = _frame(tau)
-    order = _e_order(f.q)
-    e2, e4, e6 = (_e_series(kind, f.q, order) for kind in ("e2", "e4", "e6"))
+    e2, e4, e6 = (_e_series(kind, f.q, f.order) for kind in ("e2", "e4", "e6"))
     g2 = (4.0 * math.pi**4 / 3.0) * _divide_by_sk(e4, f.s, 4, "E4")
     g3 = (8.0 * math.pi**6 / 27.0) * _divide_by_sk(e6, f.s, 6, "E6")
-    delta = _divide_by_sk(_delta_eta_product(f.q, order), f.s, 12, "delta")
+    delta = _divide_by_sk(_delta_eta_product(f.q, f.order), f.s, 12, "delta")
     eta1 = (math.pi**2 / 3.0) * _e2_transport(e2, f.gamma.c, f.s)
     return LatticeInvariants(g2=g2, g3=g3, delta=delta, eta1=eta1)
 
@@ -295,11 +300,13 @@ def wp_add(tau: complex, z1: complex, z2: complex) -> complex:
                                  - wp(z1) - wp(z2)
     Duplication (z1 = z2 mod lattice):
                      wp(2 z1)  = (wp''(z1) / (2 wp'(z1)))^2 - 2 wp(z1)
-    with wp'' = 6 wp^2 - g2/2.  Raises DegenerateConfiguration when
+    with wp'' = 6 wp^2 - g2/2, taken where wp(z1) and wp(z2) agree to 1e-8
+    relative at equivalent points.  Raises DegenerateConfiguration when
     z1 + z2 lies on the lattice (the result would be the pole), and
-    NearSingular when the slope divides by 0: high in a tall reduced cell wp
-    can be flat to the last bit, so wp(z1) == wp(z2) at points that are not
-    equivalent, or wp'(z1) == 0 at a z1 that is not a half period.
+    NearSingular when the slope would cancel or divide by 0: high in a tall
+    reduced cell wp can be flat to many digits, so wp(z1) and wp(z2) agree
+    to 1e-8 at points that are not equivalent, or wp'(z1) == 0 at a z1 that
+    is not a half period.
     """
     f = _frame(tau)
     if _distance(f, z1 + z2) < DEFAULT_POLICY.pole_guard_radius:
@@ -308,11 +315,9 @@ def wp_add(tau: complex, z1: complex, z2: complex) -> complex:
     p1 = _wp_at(f1).value
     f2 = _at_point(f, z2)
     p2 = _wp_at(f2).value
-    same_point = (
-        _distance(f, z1 - z2) < 1e-6
-        and abs(p1 - p2) < 1e-8 * max(1.0, abs(p1))
-    )
-    if same_point:
+    if abs(p1 - p2) < 1e-8 * max(1.0, abs(p1)):
+        if _distance(f, z1 - z2) >= 1e-6:
+            raise NearSingular("wp(z1) and wp(z2) agree to 1e-8 at points that are not equivalent")
         pp = _wp_prime_at(f1).value
         if pp == 0:
             raise NearSingular("wp'(z1) == 0 at a point z1 that is not a half period")
@@ -321,7 +326,5 @@ def wp_add(tau: complex, z1: complex, z2: complex) -> complex:
         return ensure_finite((second / (2.0 * pp)) ** 2 - 2.0 * p1, "wp_add")
     pp1 = _wp_prime_at(f1).value
     pp2 = _wp_prime_at(f2).value
-    if p1 == p2:
-        raise NearSingular("wp(z1) == wp(z2) at points that are not equivalent")
     slope = (pp1 - pp2) / (p1 - p2)
     return ensure_finite(0.25 * slope * slope - p1 - p2, "wp_add")

@@ -463,7 +463,7 @@ def eval_expr(
     if 3 in used:
         vals[3] = _wp_prime_at(frame).value
     if used & {4, 5}:
-        e2 = _e_series("e2", frame.q)  # zeta's eta1 and E2 share it
+        e2 = _e_series("e2", frame.q, frame.order)  # zeta's eta1 and E2 share it
     if 4 in used:
         vals[4] = _zeta_at(frame, e2).value
     if 5 in used:

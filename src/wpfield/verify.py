@@ -16,6 +16,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
+from functools import partial
 
 from .core import TolerancePolicy, lattice_distance
 from .eisenstein import (
@@ -423,47 +424,27 @@ def _case_e2_q_coefficients(ctx: _Ctx):
     return residuals, "integers -24*sigma1(n) for n<=10 plus lattice-sum confirmation"
 
 
-def _case_oracle_wp(ctx: _Ctx):
-    rng = ctx.rng("oracle_wp")
+def _case_oracle_point(key: str, oracle, evaluate, ctx: _Ctx):
+    """A lattice-sum oracle of (tau, z) against its anywhere evaluator."""
+    rng = ctx.rng(key)
     taus = _tau_samples(rng, 20) + _low_tau_samples(rng, 10)
     residuals = []
     for tau in taus:
         rr = reduce_point(tau, 0)
         z = _cell_point(rng, rr.tau_star, min_dist=0.1) * rr.scale
-        direct = wp_lattice_oracle(tau, z, ORACLE_RADIUS)
-        residuals.append(abs(direct - wp_anywhere(tau, z).value))
+        direct = oracle(tau, z, ORACLE_RADIUS)
+        residuals.append(abs(direct - evaluate(tau, z).value))
     return residuals, f"radius {ORACLE_RADIUS}, 10 points with Im(tau) < 1"
 
 
-def _case_oracle_zeta(ctx: _Ctx):
-    rng = ctx.rng("oracle_zeta")
-    taus = _tau_samples(rng, 20) + _low_tau_samples(rng, 10)
-    residuals = []
-    for tau in taus:
-        rr = reduce_point(tau, 0)
-        z = _cell_point(rng, rr.tau_star, min_dist=0.1) * rr.scale
-        direct = zeta_lattice_oracle(tau, z, ORACLE_RADIUS)
-        residuals.append(abs(direct - zeta_anywhere(tau, z).value))
-    return residuals, f"radius {ORACLE_RADIUS}, 10 points with Im(tau) < 1"
-
-
-def _case_oracle_e4(ctx: _Ctx):
-    rng = ctx.rng("oracle_e4")
+def _case_oracle_modular(key: str, k: int, zeta_2k: float, evaluate, ctx: _Ctx):
+    """The lattice sum of omega^(-2k) over 2 zeta(2k) against E_2k anywhere."""
+    rng = ctx.rng(key)
     taus = _tau_samples(rng, 10) + _low_tau_samples(rng, 5)
     residuals = []
     for tau in taus:
-        oracle = lattice_sum_eisenstein(tau, 2, ORACLE_RADIUS) / (2.0 * ZETA4)
-        residuals.append(abs(oracle - e4_anywhere(tau)) / max(1.0, abs(oracle)))
-    return residuals, f"radius {ORACLE_RADIUS}, normalized comparison"
-
-
-def _case_oracle_e6(ctx: _Ctx):
-    rng = ctx.rng("oracle_e6")
-    taus = _tau_samples(rng, 10) + _low_tau_samples(rng, 5)
-    residuals = []
-    for tau in taus:
-        oracle = lattice_sum_eisenstein(tau, 3, ORACLE_RADIUS) / (2.0 * ZETA6)
-        residuals.append(abs(oracle - e6_anywhere(tau)) / max(1.0, abs(oracle)))
+        oracle = lattice_sum_eisenstein(tau, k, ORACLE_RADIUS) / (2.0 * zeta_2k)
+        residuals.append(abs(oracle - evaluate(tau)) / max(1.0, abs(oracle)))
     return residuals, f"radius {ORACLE_RADIUS}, normalized comparison"
 
 
@@ -499,10 +480,14 @@ _CASE_TABLE: tuple[tuple[str, object, object], ...] = (
     ("half_period_root_sum", _case_half_period_root_sum, 1e-10),
     ("legendre_relation", _case_legendre, "identity_tol"),
     ("ode_residual", _case_ode_residual, 1e-8),
-    ("oracle_e4", _case_oracle_e4, "oracle_tol"),
-    ("oracle_e6", _case_oracle_e6, "oracle_tol"),
-    ("oracle_wp", _case_oracle_wp, "oracle_tol"),
-    ("oracle_zeta", _case_oracle_zeta, "oracle_tol"),
+    ("oracle_e4", partial(_case_oracle_modular, "oracle_e4", 2, ZETA4, e4_anywhere),
+     "oracle_tol"),
+    ("oracle_e6", partial(_case_oracle_modular, "oracle_e6", 3, ZETA6, e6_anywhere),
+     "oracle_tol"),
+    ("oracle_wp", partial(_case_oracle_point, "oracle_wp", wp_lattice_oracle, wp_anywhere),
+     "oracle_tol"),
+    ("oracle_zeta", partial(_case_oracle_point, "oracle_zeta", zeta_lattice_oracle,
+                            zeta_anywhere), "oracle_tol"),
     ("quasimodular_law", _case_quasimodular_law, "identity_tol"),
     ("ramanujan_fd", _case_ramanujan_fd, "fd_tol"),
     ("s_law_exponent", _case_s_law_exponent, "oracle_tol"),
@@ -553,31 +538,21 @@ def run_identity_suite(
         )
         try:
             residuals, notes = runner(ctx)
-            worst = max(residuals)
-            mean = sum(residuals) / len(residuals)
-            cases.append(
-                IdentityCase(
-                    name=name,
-                    sample_count=len(residuals),
-                    max_residual=worst,
-                    mean_residual=mean,
-                    tolerance=tol,
-                    passed=worst <= tol,
-                    notes=notes,
-                )
-            )
+            worst, mean = max(residuals), sum(residuals) / len(residuals)
         except WPFieldError as exc:
-            cases.append(
-                IdentityCase(
-                    name=name,
-                    sample_count=0,
-                    max_residual=math.inf,
-                    mean_residual=math.inf,
-                    tolerance=tol,
-                    passed=False,
-                    notes=f"{type(exc).__name__}: {exc}",
-                )
+            residuals, notes = [], f"{type(exc).__name__}: {exc}"
+            worst = mean = math.inf
+        cases.append(
+            IdentityCase(
+                name=name,
+                sample_count=len(residuals),
+                max_residual=worst,
+                mean_residual=mean,
+                tolerance=tol,
+                passed=worst <= tol,
+                notes=notes,
             )
+        )
     return IdentityReport(
         seed=seed,
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),

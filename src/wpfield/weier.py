@@ -32,8 +32,8 @@ from .eisenstein import (
     _cot,
     _csc2,
     _e_series,
+    _order,
     _reduced_basis,
-    _series_order,
     _series_tau,
 )
 from .errors import ConvergenceDomain, PoleProximity
@@ -61,22 +61,13 @@ class HalfPeriodData:
     e3: complex
 
 
-def _kernel_tail(q_abs: float, n_terms: int) -> float:
-    """What the kernels drop by stopping after q^n_terms, at its worst: the
-    wp' tails of the u q^m and q^m/u sums with |u q| and |r| at their limit
-    1, 2 (2 pi)^3 sum_{j>=0} t_j/(1 - t_j)^3, t_j = |q|^(n_terms + j), each.
-    They bound the wp and zeta tails too."""
-    first = q_abs**n_terms
-    if first >= 1.0 or q_abs >= 1.0:
-        return math.inf
-    return 4.0 * (2.0 * math.pi) ** 3 * (first / ((1.0 - first) ** 3 * (1.0 - q_abs)))
-
-
-def _series_setup(tau: complex, q: complex, z: complex, pole_guard: float) -> tuple:
+def _series_setup(tau: complex, q: complex, order: int, z: complex,
+                  pole_guard: float) -> tuple:
     """Apply the pole guard and the convergence checks to a checked tau, its
     nome q and a complex z, and return q, u, r = q/u, the lattice distance of
-    z and the number of terms to sum at this |q|: the arguments of _wp_sum,
-    _wp_prime_sum and _zeta_sum, which return (value, est_error).
+    z and the series order (eisenstein._order(|q|), computed once by the
+    caller): the arguments of _wp_sum, _wp_prime_sum and _zeta_sum, which
+    return (value, est_error).
 
     r is formed as exp(2*pi*i*(tau - z)), not as q/u: high in the cell both q
     and u underflow to 0 while their quotient is still a normal number.
@@ -95,7 +86,7 @@ def _series_setup(tau: complex, q: complex, z: complex, pole_guard: float) -> tu
         raise ConvergenceDomain(
             "need |q*u| < 1 and |q/u| < 1; reduce z into the period cell first"
         )
-    return q, u, r, dist, _series_order(abs(q), _kernel_tail)
+    return q, u, r, dist, order
 
 
 def _kernel_setup(tau: complex, z: complex) -> tuple:
@@ -103,13 +94,14 @@ def _kernel_setup(tau: complex, z: complex) -> tuple:
     lattice is the same, and a large Re(tau) would shear the pole guard."""
     tau = _series_tau(tau)
     tau = complex(math.remainder(tau.real, 1.0), tau.imag)
-    return _series_setup(tau, _nome(tau), complex(z), DEFAULT_POLICY.pole_guard_radius)
+    q = _nome(tau)
+    return _series_setup(tau, q, _order(abs(q)), complex(z), DEFAULT_POLICY.pole_guard_radius)
 
 
 def _est_error(value: complex, dist: float) -> float:
-    """The error model of the kernels: the tail _series_order left, at most
-    _TAIL_TARGET by _kernel_tail, plus rounding inflated as 0.01/dist near a
-    pole, floored at _EST_FLOOR."""
+    """The error model of the kernels: the tail left at eisenstein._order,
+    at most _TAIL_TARGET, plus rounding inflated as 0.01/dist near a pole,
+    floored at _EST_FLOOR."""
     rounding = _MACHINE * (1.0 + abs(value)) * max(1.0, 0.01 / max(dist, 1e-300))
     return max(_TAIL_TARGET + rounding, _EST_FLOOR)
 
@@ -175,7 +167,7 @@ def zeta_q(tau: complex, z: complex) -> WValue:
     eta1 comes from the same q-data as E2: eta1 = (pi^2/3) E2(tau).
     """
     series = _kernel_setup(tau, z)
-    eta1 = (math.pi**2 / 3.0) * _e_series("e2", series[0])
+    eta1 = (math.pi**2 / 3.0) * _e_series("e2", series[0], series[4])
     return WValue(*_zeta_sum(*series, z, eta1))
 
 
@@ -184,8 +176,9 @@ def half_periods(tau: complex) -> HalfPeriodData:
     4 t^3 - g2 t - g3, so e1 + e2 + e3 = 0."""
     tau = _series_tau(tau)
     q = _nome(tau)
+    order = _order(abs(q))
     guard = DEFAULT_POLICY.pole_guard_radius
-    return HalfPeriodData(*(_wp_sum(*_series_setup(tau, q, z, guard))[0]
+    return HalfPeriodData(*(_wp_sum(*_series_setup(tau, q, order, z, guard))[0]
                             for z in (0.5 + 0j, tau / 2.0, (1.0 + tau) / 2.0)))
 
 

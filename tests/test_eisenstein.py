@@ -9,8 +9,7 @@ from wpfield.eisenstein import (
     _TAIL_TARGET,
     ZETA2,
     ZETA6,
-    _series_order,
-    _sigma_tail,
+    _order,
     eisenstein_at,
     lattice_sum_eisenstein,
     q_coefficients,
@@ -18,7 +17,6 @@ from wpfield.eisenstein import (
 )
 from wpfield.errors import ConvergenceDomain
 from wpfield.reduction import invariants_anywhere
-from wpfield.weier import _kernel_tail
 
 RHO = cmath.exp(1j * math.pi / 3.0)
 
@@ -54,20 +52,56 @@ def test_e2_coefficients_match_divisor_sums():
         assert coeffs[n] == -24 * sigma(n, 1)
 
 
-@pytest.mark.parametrize("tail", [_sigma_tail, _kernel_tail], ids=["eisenstein", "kernel"])
-def test_series_order_equals_the_walk_from_one(tail):
-    # the closed-form start may skip steps of the walk but never its answer
-    def walk(q_abs):
-        order = 1
-        while tail(q_abs, order) > _TAIL_TARGET:
-            order += 1
-        return order
+# |q| from the lowest the series kernels accept (Im tau = 0.1) down to 1e-30.
+Q_GRID = ([0.53 * k / 150 for k in range(1, 151)]
+          + [0.53 * 10.0 ** (-30 * k / 150) for k in range(1, 151)])
 
-    linear = [0.53 * k / 150 for k in range(1, 151)]
-    logarithmic = [0.53 * 10.0 ** (-30 * k / 150) for k in range(1, 151)]
-    for q_abs in linear + logarithmic:
-        assert _series_order(q_abs, tail) == walk(q_abs), q_abs
-    assert _series_order(0.0, tail) == 1  # q underflows high in the cusp
+
+def _e6_tail(q_abs, order):
+    """504 sum_{n > order} n^6 q_abs^n by its geometric majorant."""
+    ratio = q_abs * ((order + 2) / (order + 1)) ** 6
+    if ratio >= 1.0:
+        return math.inf
+    return 504.0 * (order + 1) ** 6 * q_abs ** (order + 1) / (1.0 - ratio)
+
+
+def _kernel_tail(q_abs, order):
+    """The wp' tails of both kernel sums at |u q| = |r| = 1."""
+    first = q_abs**order
+    if first >= 1.0:
+        return math.inf
+    return 4.0 * (2.0 * math.pi) ** 3 * first / ((1.0 - first) ** 3 * (1.0 - q_abs))
+
+
+def _walk(q_abs, *tails):
+    order = 1
+    while max(tail(q_abs, order) for tail in tails) > _TAIL_TARGET:
+        order += 1
+    return order
+
+
+@pytest.mark.parametrize("tail", [_e6_tail, _kernel_tail], ids=["eisenstein", "kernel"])
+def test_series_order_equals_the_walk_from_one(tail):
+    # the closed-form start may skip steps of the walk over both tails but
+    # never its answer, and that order bounds this tail on its own
+    for q_abs in Q_GRID:
+        order = _order(q_abs)
+        assert order == _walk(q_abs, _e6_tail, _kernel_tail), q_abs
+        assert order >= _walk(q_abs, tail), q_abs
+        assert tail(q_abs, order) <= _TAIL_TARGET, q_abs
+    assert _order(0.0) == 1  # q underflows high in the cusp
+
+
+def test_order_bounds_the_true_eisenstein_tails():
+    # the coefficients themselves, not the n^6 majorant, summed past the order
+    worst = 0.0
+    for q_abs in Q_GRID:
+        order = _order(q_abs)
+        for kind in ("e2", "e4", "e6"):
+            coeffs = q_coefficients(kind, 3 * order + 60)
+            tail = sum(abs(c) * q_abs**n for n, c in enumerate(coeffs) if n > order)
+            worst = max(worst, tail)
+    assert worst <= _TAIL_TARGET
 
 
 def test_low_imaginary_part_rejected():

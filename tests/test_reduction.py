@@ -34,7 +34,7 @@ from wpfield.reduction import (
     zeta_anywhere,
 )
 from wpfield.symbolic import E2, E4, E6, TAU, WP, WP1, ZETA, Z, eval_expr
-from wpfield.weier import wp_prime_q, wp_q, zeta_q
+from wpfield.weier import half_periods, wp_prime_q, wp_q, zeta_q
 
 
 def test_matrix_determinant_validated():
@@ -368,6 +368,26 @@ def test_wp_add_reduces_tau_once(monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda tau, z: zeta_anywhere(tau, z),
+        lambda tau, z: invariants_anywhere(tau),
+        lambda tau, z: half_periods(tau),
+        lambda tau, z: eval_expr(Z * TAU * WP * WP1 * ZETA * E2 * E4 * E6, tau, z),
+        lambda tau, z: wp_add(tau, z, complex(0.21, 0.33)),  # generic branch
+        lambda tau, z: wp_add(tau, z, z + 1.0 + tau),  # duplication branch
+    ],
+    ids=["zeta_anywhere", "invariants_anywhere", "half_periods", "eval_expr",
+         "wp_add_generic", "wp_add_duplication"],
+)
+def test_series_order_is_decided_once(evaluate, monkeypatch):
+    # every q-series of the call (kernels, E-series, eta product) shares one order
+    calls = _count_calls(monkeypatch, "_order", [eisenstein, weier, reduction])
+    evaluate(complex(0.3, 1.4), complex(4.3, 1.9))
+    assert len(calls) == 1
+
+
 def test_wp_add_matches_direct():
     tau = complex(0.1, 1.3)
     z1, z2 = complex(0.21, 0.33), complex(0.52, 0.18)
@@ -400,8 +420,11 @@ def test_wp_add_degenerate_sum_rejected():
         # to the last bit though z1 is not a half period
         (complex(1.7726164019360304, 1e200), complex(2.418969041776853, 1e8),
          complex(1e300, 1e8)),
+        # wp(z1) and wp(z2) agree to a few ulps, not to the last bit: the
+        # slope cancels, and the unchecked quotient was off by 2.7
+        (complex(-0.02179, 0.05432), complex(43.24, 0.383), complex(-10.76, -19.15)),
     ],
-    ids=["generic", "duplication"],
+    ids=["generic", "duplication", "generic_near_equal"],
 )
 def test_wp_add_zero_slope_denominator_is_near_singular(tau, z1, z2):
     with pytest.raises(NearSingular):

@@ -4,11 +4,10 @@ import math
 
 import pytest
 
-from wpfield.eisenstein import _TAIL_TARGET, _series_order
+from wpfield.eisenstein import _TAIL_TARGET, _order
 from wpfield.errors import ConvergenceDomain, PoleProximity
 from wpfield.reduction import invariants_anywhere
 from wpfield.weier import (
-    _kernel_tail,
     half_periods,
     wp_lattice_oracle,
     wp_prime_q,
@@ -154,7 +153,7 @@ def test_kernels_refuse_tau_below_the_series_domain(kernel):
 def test_order_rule_bounds_every_kernel_tail():
     # The tails that est_error once re-derived on every call, copied here as
     # the reference: est_error now charges _TAIL_TARGET for each, which holds
-    # when the order _series_order picks keeps all three below it for every
+    # when the order _order picks keeps all three below it for every
     # |q| the kernels accept (Im tau >= 0.1) and every |u q|, |r| < 1.
     def geometric(first, ratio, pole_power):
         return first / ((1.0 - first) ** pole_power * (1.0 - ratio))
@@ -163,7 +162,7 @@ def test_order_rule_bounds_every_kernel_tail():
     limits = (0.0, 0.3, 0.9, 0.999999, 1.0 - 2.0**-40)
     worst = 0.0
     for q_abs in [0.54 * k / 60 for k in range(1, 61)] + [10.0**-k for k in range(1, 13)]:
-        n = _series_order(q_abs, _kernel_tail)
+        n = _order(q_abs)
         for uq in limits:
             u_abs = uq / q_abs
             for r_abs in limits:
