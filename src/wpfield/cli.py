@@ -17,12 +17,11 @@ from .core import TolerancePolicy
 from .eisenstein import _TAIL_TARGET, q_coefficients
 from .errors import WPFieldError
 from .reduction import (
-    e2_anywhere,
-    e4_anywhere,
-    e6_anywhere,
-    invariants_anywhere,
+    _e2_at,
+    _frame,
+    _invariants_at,
+    _modular_at,
     reduce_point,
-    reduce_tau,
     wp_anywhere,
     wp_prime_anywhere,
     zeta_anywhere,
@@ -74,12 +73,14 @@ def _cmd_eval(args) -> int:
         res = evaluator(tau, z)
         value, est = res.value, res.est_error
     else:
-        gamma, tau_star = reduce_tau(tau)
-        if fn in ("e2", "e4", "e6"):
-            value = {"e2": e2_anywhere, "e4": e4_anywhere, "e6": e6_anywhere}[fn](tau)
+        f = _frame(tau)
+        if fn == "e2":
+            value = _e2_at(f)
+        elif fn in ("e4", "e6"):
+            value = _modular_at(f, fn, _EISENSTEIN_ERROR[fn][0])
         else:
-            value = getattr(invariants_anywhere(tau), fn)
-        scale = abs(gamma.scale(tau))
+            value = getattr(_invariants_at(f), fn)
+        gamma, tau_star, scale = f.gamma, f.tau_star, abs(f.s)
         eps = sys.float_info.epsilon
         if fn == "delta":
             # Rounding relative to |delta|: in the eta product and the s^12

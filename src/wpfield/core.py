@@ -19,7 +19,6 @@ from typing import ClassVar
 
 from .errors import NonFiniteValue
 
-TWO_PI = 2.0 * math.pi
 TWO_PI_I = 2j * math.pi
 
 # Lower edge of the reduced strip: every reduced tau has Im(tau) >= sqrt(3)/2.

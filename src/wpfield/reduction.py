@@ -10,9 +10,9 @@ the value is transported back with the weight of the function:
 where z/s = z* + m + n*tau*, eta1 = (pi^2/3) E2(tau*) and, by Legendre's
 relation, eta2 = tau* eta1 - 2*pi*i.  Every entry point reduces tau once, in
 _frame, and every evaluator is one pipeline, frame -> sum -> transport:
-_at_point splits z/s once and checks the point once (the pole guard scaled
-by 1/|s| into the reduced frame, and the convergence checks), the q-series
-sum runs at (tau*, z*), and the value is transported back.  E2 inverts the quasimodular law
+_at_point splits z/s once, checks the point once (the pole guard scaled by
+1/|s| into the reduced frame, and the convergence checks) and sums wp, wp',
+zeta and E2(tau*) in one pass at (tau*, z*).  E2 inverts the quasimodular law
 
     G2(gamma tau) = s^2 G2(tau) - pi*i*c*s,      G2 = zeta(2) E2,
 
@@ -30,12 +30,11 @@ from .core import (
     _coords,
     _nome,
     ensure_finite,
-    lattice_distance,
     require_upper_half,
 )
 from .eisenstein import ZETA2, LatticeInvariants, _delta_eta_product, _e_series, _order
 from .errors import DegenerateConfiguration, NearSingular, NonFiniteValue, NonTermination
-from .weier import WValue, _series_setup, _wp_prime_sum, _wp_sum, _zeta_sum
+from .weier import WValue, _est_error, _point_values
 
 _MAX_REDUCTION_STEPS = 10_000
 _CIRCLE_EPS = 1e-12
@@ -157,10 +156,10 @@ def _reduce_z(tau: complex, z: complex) -> tuple[int, int, complex]:
 
 
 # tau reduced: gamma, s = c*tau + d, tau* = gamma(tau), q* and the series
-# order at |q*|; with a point added (_at_point), also z/s = z* + m + n*tau* and
-# weier._series_setup at (tau*, z*).
-_Frame = namedtuple("_Frame", "gamma s tau_star q order m n z_star series",
-                    defaults=(0, 0, 0j, ()))
+# order at |q*|; with a point added (_at_point), also z/s = z* + m + n*tau*,
+# the lattice distance of z*, and wp, wp', zeta and E2 at (tau*, z*).
+_Frame = namedtuple("_Frame", "gamma s tau_star q order m n z_star dist wp wp1 zeta e2",
+                    defaults=(None,) * 8)
 
 
 def _frame(tau: complex, z: complex | None = None) -> _Frame:
@@ -174,19 +173,31 @@ def _frame(tau: complex, z: complex | None = None) -> _Frame:
     return f if z is None else _at_point(f, z)
 
 
+def _cell_distance(tau_star: complex, z_star: complex) -> float:
+    """core.lattice_distance(tau*, z*) for z* in its cell: tau* is reduced, so
+    the nearest lattice point is a corner, written as nb + na*tau* there.  A
+    z* that the split of a huge z/s rounded out of its cell is 0 from it."""
+    a = z_star.imag / tau_star.imag
+    if not (-0.5 < a < 1.5 and -0.5 < z_star.real - a * tau_star.real < 1.5):
+        return 0.0
+    return min(abs(z_star), abs(z_star - 1), abs(z_star - tau_star),
+               abs(z_star - (1 + tau_star)))
+
+
 def _at_point(f: _Frame, z: complex) -> _Frame:
-    """The frame f with z added: one split of z/s, and the pole guard (scaled
-    by 1/|s| as distances are) and the convergence checks, each once."""
+    """The frame f with z added: one split of z/s and one weier._point_values
+    pass, with the pole guard scaled by 1/|s| as distances are."""
     m, n, z_star = _reduce_z(f.tau_star, complex(z) / f.s)
-    series = _series_setup(f.tau_star, f.q, f.order, z_star,
+    dist = _cell_distance(f.tau_star, z_star)
+    values = _point_values(f.tau_star, f.q, f.order, z_star, dist,
                            DEFAULT_POLICY.pole_guard_radius / abs(f.s))
-    return _Frame(*f[:5], m, n, z_star, series)
+    return _Frame(*f[:5], m, n, z_star, dist, *values)
 
 
 def _distance(f: _Frame, z: complex) -> float:
     """lattice_distance_anywhere in the frame f."""
     z_star = _reduce_z(f.tau_star, complex(z) / f.s)[2]
-    return lattice_distance(f.tau_star, z_star) * abs(f.s)
+    return _cell_distance(f.tau_star, z_star) * abs(f.s)
 
 
 def reduce_point(tau: complex, z: complex | None = None) -> ReductionResult:
@@ -219,26 +230,29 @@ def _transport(value: complex, est_error: float, s: complex, weight: int, what: 
 
 
 def _wp_at(f: _Frame) -> WValue:
-    return _transport(*_wp_sum(*f.series), f.s, 2, "wp")
+    return _transport(f.wp, _est_error(f.wp, f.dist), f.s, 2, "wp")
 
 
 def _wp_prime_at(f: _Frame) -> WValue:
-    return _transport(*_wp_prime_sum(*f.series), f.s, 3, "wp'")
+    return _transport(f.wp1, _est_error(f.wp1, f.dist), f.s, 3, "wp'")
 
 
-def _zeta_at(f: _Frame, e2: complex) -> WValue:
-    """zeta from the frame and E2(tau*): eta1 serves the eta1*z* term of the
-    sum and the unwinding by eta1 and eta2 = tau*eta1 - 2*pi*i alike."""
-    eta1 = (math.pi**2 / 3.0) * e2
-    value, est = _zeta_sum(*f.series, f.z_star, eta1)
+def _zeta_at(f: _Frame) -> WValue:
+    """zeta from the frame, unwound by eta1 = (pi^2/3) E2(tau*) and
+    eta2 = tau*eta1 - 2*pi*i."""
+    value = f.zeta
     if f.m or f.n:
+        eta1 = (math.pi**2 / 3.0) * f.e2
         value += (f.m + f.n * f.tau_star) * eta1 - 2j * math.pi * f.n
-    return _transport(value, est * (1.0 + abs(f.m) + abs(f.n)), f.s, 1, "zeta")
+    est = _est_error(f.zeta, f.dist) * (1.0 + abs(f.m) + abs(f.n))
+    return _transport(value, est, f.s, 1, "zeta")
 
 
-def _e2_transport(e2_star: complex, c: int, s: complex) -> complex:
-    """E2(tau) from E2(tau*) by inverting G2(gamma tau) = s^2 G2(tau) - pi*i*c*s."""
-    return _divide_by_sk(ZETA2 * e2_star + 1j * math.pi * c * s, s, 2, "E2") / ZETA2
+def _e2_at(f: _Frame) -> complex:
+    """E2 from E2(tau*), read off the frame's point pass if it has one, by
+    inverting G2(gamma tau) = s^2 G2(tau) - pi*i*c*s."""
+    e2_star = _e_series("e2", f.q, f.order) if f.e2 is None else f.e2
+    return _divide_by_sk(ZETA2 * e2_star + 1j * math.pi * f.gamma.c * f.s, f.s, 2, "E2") / ZETA2
 
 
 def _modular_at(f: _Frame, kind: str, weight: int) -> complex:
@@ -258,14 +272,12 @@ def wp_prime_anywhere(tau: complex, z: complex) -> WValue:
 
 def zeta_anywhere(tau: complex, z: complex) -> WValue:
     """zeta at any tau, z: closed-form quasi-period unwinding, weight-1 transport."""
-    f = _frame(tau, z)
-    return _zeta_at(f, _e_series("e2", f.q, f.order))
+    return _zeta_at(_frame(tau, z))
 
 
 def e2_anywhere(tau: complex) -> complex:
     """E2 at any tau by inverting the quasimodular transformation law."""
-    f = _frame(tau)
-    return _e2_transport(_e_series("e2", f.q, f.order), f.gamma.c, f.s)
+    return _e2_at(_frame(tau))
 
 
 def e4_anywhere(tau: complex) -> complex:
@@ -284,12 +296,15 @@ def invariants_anywhere(tau: complex) -> LatticeInvariants:
 
     delta is the eta product at tau* (weight 12), not g2^3 - 27 g3^2, which
     cancels badly once |q*| is small."""
-    f = _frame(tau)
-    e2, e4, e6 = (_e_series(kind, f.q, f.order) for kind in ("e2", "e4", "e6"))
+    return _invariants_at(_frame(tau))
+
+
+def _invariants_at(f: _Frame) -> LatticeInvariants:
+    e4, e6 = (_e_series(kind, f.q, f.order) for kind in ("e4", "e6"))
     g2 = (4.0 * math.pi**4 / 3.0) * _divide_by_sk(e4, f.s, 4, "E4")
     g3 = (8.0 * math.pi**6 / 27.0) * _divide_by_sk(e6, f.s, 6, "E6")
     delta = _divide_by_sk(_delta_eta_product(f.q, f.order), f.s, 12, "delta")
-    eta1 = (math.pi**2 / 3.0) * _e2_transport(e2, f.gamma.c, f.s)
+    eta1 = (math.pi**2 / 3.0) * _e2_at(f)
     return LatticeInvariants(g2=g2, g3=g3, delta=delta, eta1=eta1)
 
 

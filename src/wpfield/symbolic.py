@@ -38,9 +38,8 @@ from operator import add, mul, sub, truediv
 
 from .core import ensure_finite
 from .errors import NearSingular, NonFiniteValue
-from .eisenstein import _e_series
 from .reduction import (
-    _e2_transport,
+    _e2_at,
     _frame,
     _modular_at,
     _wp_at,
@@ -441,7 +440,8 @@ def eval_expr(
     z: complex | None = None,
 ) -> complex:
     """Evaluate an Expr by binding the generators to the anywhere-evaluators'
-    values, from one reduced frame of (tau, z) and only the E-series it uses.
+    values, from one reduced frame of (tau, z): one q-series pass at the
+    point serves wp, wp1, zeta and E2, and E4 and E6 are summed if used.
 
     z may be omitted for expressions that do not mention z, wp, wp1, or zeta.
     Raises NearSingular if the denominator lands below 1e-12 in magnitude and
@@ -462,12 +462,10 @@ def eval_expr(
         vals[2] = _wp_at(frame).value
     if 3 in used:
         vals[3] = _wp_prime_at(frame).value
-    if used & {4, 5}:
-        e2 = _e_series("e2", frame.q, frame.order)  # zeta's eta1 and E2 share it
     if 4 in used:
-        vals[4] = _zeta_at(frame, e2).value
+        vals[4] = _zeta_at(frame).value
     if 5 in used:
-        vals[5] = _e2_transport(e2, frame.gamma.c, frame.s)
+        vals[5] = _e2_at(frame)
     if 6 in used:
         vals[6] = _modular_at(frame, "e4", 4)
     if 7 in used:

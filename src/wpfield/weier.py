@@ -2,16 +2,17 @@
 
 With q = exp(2*pi*i*tau) and u = exp(2*pi*i*z):
 
-    wp(tau; z)  = (2*pi*i)^2 [ sum_{m in Z} u q^m / (1 - u q^m)^2
-                               + 1/12 - 2 sum_{m >= 1} q^m / (1 - q^m)^2 ]
+    wp(tau; z)  = (2*pi*i)^2 sum_{m in Z} u q^m / (1 - u q^m)^2  -  eta1
     wp'(tau; z) = (2*pi*i)^3   sum_{m in Z} u q^m (1 + u q^m) / (1 - u q^m)^3
     zeta(tau;z) = 2*pi*i [ sum_{n >= 0} -q^n u / (1 - q^n u)
                            + sum_{n >= 1} (q^n / u) / (1 - q^n / u) ]
                   + eta1 * z - pi*i
 
-The m < 0 halves are folded onto positive powers of q (substitute v = q^|m|/u),
-which keeps every stored term below 1 in magnitude; wp' picks up a minus sign on
-the folded half, so no square root or branch choice ever enters.
+with eta1 = (pi^2/3) E2(tau), since 1/12 - 2 sum_{m >= 1} q^m / (1 - q^m)^2
+= E2/12.  One loop sums all three at a point (_point_values).  The m < 0
+halves are folded onto positive powers of q (substitute v = q^|m|/u), which
+keeps every stored term below 1 in magnitude; wp' picks up a minus sign on the
+folded half, so no square root or branch choice ever enters.
 """
 
 from __future__ import annotations
@@ -61,18 +62,20 @@ class HalfPeriodData:
     e3: complex
 
 
-def _series_setup(tau: complex, q: complex, order: int, z: complex,
-                  pole_guard: float) -> tuple:
-    """Apply the pole guard and the convergence checks to a checked tau, its
-    nome q and a complex z, and return q, u, r = q/u, the lattice distance of
-    z and the series order (eisenstein._order(|q|), computed once by the
-    caller): the arguments of _wp_sum, _wp_prime_sum and _zeta_sum, which
-    return (value, est_error).
+def _point_values(tau: complex, q: complex, order: int, z: complex, dist: float,
+                  pole_guard: float) -> tuple[complex, complex, complex, complex]:
+    """(wp, wp', zeta, E2) at a complex z for a checked tau and its nome q,
+    after the pole guard on dist, the caller's lattice distance of z, and the
+    convergence checks.  One loop sums the m = 0 term, then m = 1..order:
+    with w = u q^m, v = q^m/u, a = 1/(1 - w) and b = 1/(1 - v), the terms
+    are w a and v b (zeta), x = w a^2 and y = v b^2 (wp), and x (2a - 1)
+    and y (2b - 1) (wp'), summed as 2 sum(x a - y b) - sum(x - y).  E2 gives
+    eta1 = (pi^2/3) E2 to wp and zeta.  Each caller checks the values it
+    returns.
 
-    r is formed as exp(2*pi*i*(tau - z)), not as q/u: high in the cell both q
-    and u underflow to 0 while their quotient is still a normal number.
+    r = q/u is formed as exp(2*pi*i*(tau - z)): high in the cell both q and
+    u underflow to 0 while their quotient is still a normal number.
     """
-    dist = lattice_distance(tau, z)
     if dist < pole_guard:
         raise PoleProximity(
             f"z = {z} is within {dist:.3e} of the lattice (guard {pole_guard:.1e})"
@@ -86,16 +89,28 @@ def _series_setup(tau: complex, q: complex, order: int, z: complex,
         raise ConvergenceDomain(
             "need |q*u| < 1 and |q/u| < 1; reduce z into the period cell first"
         )
-    return q, u, r, dist, order
-
-
-def _kernel_setup(tau: complex, z: complex) -> tuple:
-    """_series_setup for the public kernels, with Re(tau) folded mod 1: the
-    lattice is the same, and a large Re(tau) would shear the pole guard."""
-    tau = _series_tau(tau)
-    tau = complex(math.remainder(tau.real, 1.0), tau.imag)
-    q = _nome(tau)
-    return _series_setup(tau, q, _order(abs(q)), complex(z), DEFAULT_POLICY.pole_guard_radius)
+    a = 1.0 / (1.0 - u)
+    wa = u * a
+    s1, sx, sy = -wa, wa * a, 0j
+    t = sx * a
+    w, v = u, r
+    for _ in range(order):
+        w *= q
+        a = 1.0 / (1.0 - w)
+        b = 1.0 / (1.0 - v)
+        wa = w * a
+        vb = v * b
+        x = wa * a
+        y = vb * b
+        s1 += vb - wa
+        sx += x
+        sy += y
+        t += x * a - y * b
+        v *= q
+    e2 = _e_series("e2", q, order)
+    eta1 = (math.pi**2 / 3.0) * e2
+    return (TWO_PI_I**2 * (sx + sy) - eta1, TWO_PI_I**3 * (2.0 * t - sx + sy),
+            TWO_PI_I * s1 + eta1 * z - 1j * math.pi, e2)
 
 
 def _est_error(value: complex, dist: float) -> float:
@@ -106,59 +121,27 @@ def _est_error(value: complex, dist: float) -> float:
     return max(_TAIL_TARGET + rounding, _EST_FLOOR)
 
 
-def _wp_sum(q: complex, u: complex, r: complex, dist: float, n_terms: int) -> tuple:
-    w = u
-    total = w / (1.0 - w) ** 2  # m = 0
-    qm = 1.0 + 0.0j
-    for _ in range(1, n_terms + 1):
-        v = r * qm  # q^m / u
-        qm *= q
-        w = u * qm
-        total += w / (1.0 - w) ** 2
-        total += v / (1.0 - v) ** 2
-        total -= 2.0 * qm / (1.0 - qm) ** 2
-    total += 1.0 / 12.0
-    value = ensure_finite(TWO_PI_I**2 * total, "wp")
-    return value, _est_error(value, dist)
-
-
-def _wp_prime_sum(q: complex, u: complex, r: complex, dist: float, n_terms: int) -> tuple:
-    w = u
-    total = w * (1.0 + w) / (1.0 - w) ** 3  # m = 0
-    qm = 1.0 + 0.0j
-    for _ in range(1, n_terms + 1):
-        v = r * qm  # q^m / u
-        qm *= q
-        w = u * qm
-        total += w * (1.0 + w) / (1.0 - w) ** 3
-        total -= v * (1.0 + v) / (1.0 - v) ** 3  # folded half flips sign
-    value = ensure_finite(TWO_PI_I**3 * total, "wp'")
-    return value, _est_error(value, dist)
-
-
-def _zeta_sum(q: complex, u: complex, r: complex, dist: float, n_terms: int,
-              z: complex, eta1: complex) -> tuple:
-    """The zeta sum at z, given eta1 = (pi^2/3) E2(tau) for its eta1*z term."""
-    total = -u / (1.0 - u)  # n = 0 term of the u-sum
-    qm = 1.0 + 0.0j
-    for _ in range(1, n_terms + 1):
-        v = r * qm  # q^m / u
-        qm *= q
-        w = u * qm
-        total -= w / (1.0 - w)
-        total += v / (1.0 - v)
-    value = ensure_finite(TWO_PI_I * total + eta1 * z - 1j * math.pi, "zeta")
-    return value, _est_error(value, dist)
+def _kernel(tau: complex, z: complex, index: int, what: str) -> WValue:
+    """Value `index` of _point_values for the public kernels, with Re(tau)
+    folded mod 1 (the lattice is the same, and a large Re(tau) would shear
+    the pole guard's corner search) and z guarded by lattice_distance."""
+    tau = _series_tau(tau)
+    tau = complex(math.remainder(tau.real, 1.0), tau.imag)
+    q, z = _nome(tau), complex(z)
+    dist = lattice_distance(tau, z)
+    values = _point_values(tau, q, _order(abs(q)), z, dist, DEFAULT_POLICY.pole_guard_radius)
+    value = ensure_finite(values[index], what)
+    return WValue(value, _est_error(value, dist))
 
 
 def wp_q(tau: complex, z: complex) -> WValue:
     """Weierstrass wp via the q-series; intended for reduced tau and z in the cell."""
-    return WValue(*_wp_sum(*_kernel_setup(tau, z)))
+    return _kernel(tau, z, 0, "wp")
 
 
 def wp_prime_q(tau: complex, z: complex) -> WValue:
     """d(wp)/dz via the term-wise derivative of the wp series (branch-free)."""
-    return WValue(*_wp_prime_sum(*_kernel_setup(tau, z)))
+    return _kernel(tau, z, 1, "wp'")
 
 
 def zeta_q(tau: complex, z: complex) -> WValue:
@@ -166,9 +149,7 @@ def zeta_q(tau: complex, z: complex) -> WValue:
 
     eta1 comes from the same q-data as E2: eta1 = (pi^2/3) E2(tau).
     """
-    series = _kernel_setup(tau, z)
-    eta1 = (math.pi**2 / 3.0) * _e_series("e2", series[0], series[4])
-    return WValue(*_zeta_sum(*series, z, eta1))
+    return _kernel(tau, z, 2, "zeta")
 
 
 def half_periods(tau: complex) -> HalfPeriodData:
@@ -178,8 +159,9 @@ def half_periods(tau: complex) -> HalfPeriodData:
     q = _nome(tau)
     order = _order(abs(q))
     guard = DEFAULT_POLICY.pole_guard_radius
-    return HalfPeriodData(*(_wp_sum(*_series_setup(tau, q, order, z, guard))[0]
-                            for z in (0.5 + 0j, tau / 2.0, (1.0 + tau) / 2.0)))
+    values = (_point_values(tau, q, order, z, lattice_distance(tau, z), guard)[0]
+              for z in (0.5 + 0j, tau / 2.0, (1.0 + tau) / 2.0))
+    return HalfPeriodData(*(ensure_finite(value, "wp") for value in values))
 
 
 def _oracle_frame(tau: complex, z: complex, radius: int) -> tuple[complex, complex, complex]:

@@ -21,8 +21,8 @@ POINTS = (
 # What the oracles must never call: the SL(2,Z) walk, the reduced frame, the
 # series order rule and the q-series they check.
 CHECKED_CODE = ("reduce_tau", "reduce_point", "wp_q", "wp_prime_q", "zeta_q",
-                "eisenstein_at", "_e_series", "_frame", "_at_point", "_series_setup",
-                "_wp_sum", "_wp_prime_sum", "_zeta_sum", "_delta_eta_product", "_order")
+                "eisenstein_at", "_e_series", "_frame", "_at_point", "_point_values",
+                "_cell_distance", "_delta_eta_product", "_order")
 
 
 def _oracles(tau, z):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpfield import core, eisenstein, reduction, weier
+from wpfield import cli, core, eisenstein, reduction, weier
 from wpfield.core import (
     DEFAULT_POLICY,
     coords_wrt_lattice,
@@ -279,17 +279,61 @@ def _count_calls(monkeypatch, name, modules):
     return calls
 
 
+def _bound_in(name, *modules):
+    return [module for module in modules if hasattr(module, name)]
+
+
 @pytest.mark.parametrize("fn", POINT_EVALUATORS, ids=lambda f: f.__name__)
 def test_one_lattice_distance_per_point_evaluation(fn, monkeypatch):
-    calls = _count_calls(monkeypatch, "lattice_distance", [core, weier, reduction])
+    # the frame reads the distance of z* off the corners of its own cell; the
+    # general search of core.lattice_distance is for unreduced tau only
+    searches = _count_calls(monkeypatch, "lattice_distance",
+                            _bound_in("lattice_distance", core, weier, reduction))
+    corners = _count_calls(monkeypatch, "_cell_distance", [reduction])
     tau, z = complex(0.3, 0.4), complex(4.3, 1.9)
     assert reduce_point(tau, z).m != 0
     fn(tau, z)
-    assert len(calls) == 1
+    assert searches == []
+    assert len(corners) == 1
+
+
+def test_cell_distance_is_the_lattice_distance_bit_for_bit():
+    # Im(tau) log-uniform in [0.005, 5], |z| <= 60, and every fifth point
+    # 1e-3 to 0.3 from a lattice point, where the nearest corner matters most
+    rng = random.Random(20261018)
+    for k in range(2000):
+        im = 10.0 ** rng.uniform(math.log10(0.005), math.log10(5.0))
+        tau = complex(rng.uniform(-1.0, 1.0), im)
+        z = 60.0 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+        if k % 5 == 0:
+            n = round(z.imag / tau.imag)
+            z = round(z.real - n * tau.real) + n * tau
+            d = 10.0 ** rng.uniform(-3.0, math.log10(0.3))
+            z += d * cmath.exp(2j * math.pi * rng.random())
+        f = reduction._frame(tau)
+        rr = reduce_point(tau, z)
+        want = lattice_distance(rr.tau_star, rr.z_star)
+        assert reduction._cell_distance(rr.tau_star, rr.z_star) == want, (tau, z)
+        assert reduction._distance(f, z) == want * abs(f.s), (tau, z)
+        try:
+            assert reduction._at_point(f, z).dist == want, (tau, z)
+        except PoleProximity:
+            assert want < DEFAULT_POLICY.pole_guard_radius / abs(f.s)
+
+
+def test_a_point_split_out_of_its_cell_is_on_the_lattice():
+    # at |z/s| = 1e200 the split z/s - m - n*tau* cancels to a z* millions of
+    # cells away: its place in the cell is lost to rounding
+    tau, z = complex(-2.4396007645409723, 1e8), complex(1e200, 1e15)
+    assert abs(reduce_point(tau, z).z_star) > 1e6
+    assert lattice_distance_anywhere(tau, z) == 0.0
+    for fn in POINT_EVALUATORS:
+        with pytest.raises(PoleProximity):
+            fn(tau, z)
 
 
 def test_unwound_zeta_calls_the_series_once(monkeypatch):
-    series = _count_calls(monkeypatch, "_zeta_sum", [weier, reduction])
+    series = _count_calls(monkeypatch, "_point_values", [weier, reduction])
     public = _count_calls(monkeypatch, "zeta_q", [weier])
     sums = _count_calls(monkeypatch, "_e_series", [eisenstein, weier, reduction])
     full = _count_calls(monkeypatch, "eisenstein_at", [eisenstein])
@@ -297,11 +341,11 @@ def test_unwound_zeta_calls_the_series_once(monkeypatch):
     rr = reduce_point(tau, z)
     assert rr.m != 0 and rr.n != 0
     zeta_anywhere(tau, z)
-    # one zeta sum at z*; E2(tau*) alone, summed once and used both for
+    # one pass at z*; E2(tau*) alone, summed once in it and used both for
     # eta1*z* and for the unwinding by eta1 and eta2 = tau*eta1 - 2 pi i;
     # no E4 or E6
     assert len(series) == 1
-    assert series[0][-2] == rr.z_star
+    assert series[0][3] == rr.z_star
     assert public == []
     assert [args[:2] for args in sums] == [("e2", nome(rr.tau_star))]
     assert full == []
@@ -315,6 +359,19 @@ def test_eisenstein_evaluators_sum_only_their_own_series(kind, fn, monkeypatch):
     tau = complex(0.3, 0.4)
     fn(tau)
     assert [args[:2] for args in sums] == [(kind, nome(reduce_tau(tau)[1]))]
+
+
+def test_one_series_pass_per_point(monkeypatch):
+    passes = _count_calls(monkeypatch, "_point_values", [weier, reduction])
+    sums = _count_calls(monkeypatch, "_e_series", [eisenstein, weier, reduction])
+    tau, z = complex(0.3, 0.4), complex(4.3, 1.9)
+    # wp, wp1, zeta and E2 from one pass; E4 and E6 summed on their own
+    eval_expr(Z * TAU * WP * WP1 * ZETA * E2 * E4 * E6, tau, z)
+    assert len(passes) == 1
+    assert sorted(args[0] for args in sums) == ["e2", "e4", "e6"]
+    passes.clear()
+    wp_add(tau, z, complex(0.21, 0.33))  # generic branch: one pass per point
+    assert len(passes) == 2
 
 
 def test_eval_expr_reduces_each_point_once(monkeypatch):
@@ -347,12 +404,17 @@ def test_eval_expr_single_generators_equal_the_evaluators(tau, z):
         lambda tau, z: reduce_point(tau, z),
         lambda tau, z: reduce_point(tau),
         lambda tau, z: lattice_distance_anywhere(tau, z),
+        *(lambda tau, z, fn=fn: cli.main(["eval", "--fn", fn, "--tau", f"{tau.real},{tau.imag}",
+                                          "--z", f"{z.real},{z.imag}"])
+          for fn in cli._EVAL_FUNCTIONS),
     ],
     ids=["wp", "wp1", "zeta", "e2", "e4", "e6", "invariants", "reduce_point",
-         "reduce_point-tau", "lattice_distance_anywhere"],
+         "reduce_point-tau", "lattice_distance_anywhere",
+         *(f"cli-{fn}" for fn in cli._EVAL_FUNCTIONS)],
 )
 def test_entry_points_reduce_tau_once(evaluate, monkeypatch):
-    calls = _count_calls(monkeypatch, "reduce_tau", [reduction])
+    # the CLI would bind reduce_tau by import if it reduced tau itself
+    calls = _count_calls(monkeypatch, "reduce_tau", _bound_in("reduce_tau", cli, reduction))
     evaluate(complex(0.3, 0.4), complex(4.3, 1.9))
     assert len(calls) == 1
 
