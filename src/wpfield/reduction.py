@@ -33,7 +33,13 @@ from .core import (
     require_upper_half,
 )
 from .eisenstein import ZETA2, LatticeInvariants, _delta_eta_product, _e_series, _order
-from .errors import DegenerateConfiguration, NearSingular, NonFiniteValue, NonTermination
+from .errors import (
+    ConvergenceDomain,
+    DegenerateConfiguration,
+    NearSingular,
+    NonFiniteValue,
+    NonTermination,
+)
 from .weier import WValue, _est_error, _point_values
 
 _MAX_REDUCTION_STEPS = 10_000
@@ -42,6 +48,8 @@ _CIRCLE_EPS = 1e-12
 # Largest relative miss of the exact Im(tau*) |s|^2 = Im(tau) that reduce_tau
 # accepts; the walk's rounding misses it by about 2e-16/Im(tau).
 _TAU_STAR_MISMATCH = 1e-6
+
+_ULP = 2.0**-52  # relative spacing of doubles: the rounding of z/s in its split
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,10 +195,19 @@ def _cell_distance(tau_star: complex, z_star: complex) -> float:
 def _at_point(f: _Frame, z: complex) -> _Frame:
     """The frame f with z added: one split of z/s and one weier._point_values
     pass, with the pole guard scaled by 1/|s| as distances are."""
-    m, n, z_star = _reduce_z(f.tau_star, complex(z) / f.s)
+    w = complex(z) / f.s
+    m, n, z_star = _reduce_z(f.tau_star, w)
     dist = _cell_distance(f.tau_star, z_star)
-    values = _point_values(f.tau_star, f.q, f.order, z_star, dist,
-                           DEFAULT_POLICY.pole_guard_radius / abs(f.s))
+    guard = DEFAULT_POLICY.pole_guard_radius / abs(f.s)
+    # the pole guard refuses a z* split out of its cell (dist 0); one the split
+    # kept in its cell has still lost its place there once the rounding of z/s
+    # reaches the guard, i.e. once |z| >= 1e-3 * 2^52 whatever s is
+    if dist >= guard and abs(w) * _ULP >= guard:
+        raise ConvergenceDomain(
+            f"z/s = {w!r} is too large to place in its cell: its rounding, "
+            f"{abs(w) * _ULP:.1e}, reaches the pole guard {guard:.1e}"
+        )
+    values = _point_values(f.tau_star, f.q, f.order, z_star, dist, guard)
     return _Frame(*f[:5], m, n, z_star, dist, *values)
 
 
@@ -320,8 +337,8 @@ def wp_add(tau: complex, z1: complex, z2: complex) -> complex:
     z1 + z2 lies on the lattice (the result would be the pole), and
     NearSingular when the slope would cancel or divide by 0: high in a tall
     reduced cell wp can be flat to many digits, so wp(z1) and wp(z2) agree
-    to 1e-8 at points that are not equivalent, or wp'(z1) == 0 at a z1 that
-    is not a half period.
+    to 1e-8 at points that are not equivalent, or |wp'(z1)| is within its
+    own est_error at a z1 that is not a half period.
     """
     f = _frame(tau)
     if _distance(f, z1 + z2) < DEFAULT_POLICY.pole_guard_radius:
@@ -333,9 +350,10 @@ def wp_add(tau: complex, z1: complex, z2: complex) -> complex:
     if abs(p1 - p2) < 1e-8 * max(1.0, abs(p1)):
         if _distance(f, z1 - z2) >= 1e-6:
             raise NearSingular("wp(z1) and wp(z2) agree to 1e-8 at points that are not equivalent")
-        pp = _wp_prime_at(f1).value
-        if pp == 0:
-            raise NearSingular("wp'(z1) == 0 at a point z1 that is not a half period")
+        w1 = _wp_prime_at(f1)
+        pp = w1.value
+        if abs(pp) <= w1.est_error:  # rounding noise: dividing by it gives noise
+            raise NearSingular(f"|wp'(z1)| = {abs(pp):.1e} is within its error {w1.est_error:.1e}")
         g2 = (4.0 * math.pi**4 / 3.0) * _modular_at(f, "e4", 4)
         second = 6.0 * p1 * p1 - 0.5 * g2
         return ensure_finite((second / (2.0 * pp)) ** 2 - 2.0 * p1, "wp_add")

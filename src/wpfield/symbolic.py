@@ -57,7 +57,8 @@ _SINGULAR_FLOOR = 1e-12
 # ---------------------------------------------------------------------------
 # Polynomials: dicts mapping exponent tuples to Gaussian-integer coefficients
 # (a, b) = a + b i.  No stored coefficient is zero, and no function here
-# changes a polynomial it is given, so _UNIT_DEN may be shared.
+# changes a polynomial it is given, so polynomials may be shared: _UNIT_DEN,
+# and the operand _p_mul returns when the other one is the unit polynomial.
 
 _UNIT_DEN = {_UNIT_MONO: (1, 0)}
 
@@ -82,6 +83,18 @@ def _p_neg(p):
 
 
 def _p_mul(p, q):
+    if len(p) == 1:
+        p, q = q, p
+    if len(q) == 1:  # scale and shift p, keeping p's order as the loop below does
+        ((m2, (a2, b2)),) = q.items()
+        if m2 == _UNIT_MONO:
+            if (a2, b2) == (1, 0):
+                return p
+            return {m1: (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2) for m1, (a1, b1) in p.items()}
+        return {
+            tuple(map(add, m1, m2)): (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
+            for m1, (a1, b1) in p.items()
+        }
     out: dict = {}
     for m1, (a1, b1) in p.items():
         for m2, (a2, b2) in q.items():
@@ -207,13 +220,7 @@ class Expr:
         return not self._num
 
     def used_generators(self) -> set[int]:
-        used: set[int] = set()
-        for poly in (self._num, self._den):
-            for mono in poly:
-                for k, e in enumerate(mono):
-                    if e:
-                        used.add(k)
-        return used
+        return {k for k, col in enumerate(zip(*self._num, *self._den)) if any(col)}
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -394,12 +401,15 @@ def default_rule_table() -> dict[str, tuple[Expr, ...]]:
     return _DEFAULT_RULES
 
 
-def _diff_poly(poly: dict, gen_rules: tuple[Expr, ...]) -> Expr:
-    """sum_i (dP/dg_i) * rule_i, each partial formed as a polynomial first, so
-    a rule's denominator enters the sum once per generator, not per monomial."""
-    total = ZERO
+def _diff_poly(poly: dict, gen_rules: tuple[Expr, ...]) -> tuple[dict, dict]:
+    """sum_i (dP/dg_i) * rule_i as a pair (num, den) of Gaussian-integer
+    polynomials, each partial formed as a polynomial first, so a rule's
+    denominator enters the sum once per generator, not per monomial.  The
+    pair is Expr arithmetic's sum up to a common scalar, with den reset to 1
+    where the sum cancels, as _canonical resets it."""
+    acc, acc_den = {}, _UNIT_DEN
     for gi, rule in enumerate(gen_rules):
-        if rule.is_zero():
+        if not rule._num:
             continue
         partial = {}  # lowering g_i is one-to-one, so no two terms collide
         for mono, (a, b) in poly.items():
@@ -407,19 +417,28 @@ def _diff_poly(poly: dict, gen_rules: tuple[Expr, ...]) -> Expr:
             if e:
                 lowered = mono[:gi] + (e - 1,) + mono[gi + 1 :]
                 partial[lowered] = (a * e, b * e)
-        if partial:
-            total = total + Expr._new(partial, _UNIT_DEN) * rule
-    return total
+        if not partial:
+            continue
+        term = _p_mul(partial, rule._num)
+        if not acc:
+            acc, acc_den = term, rule._den
+            continue
+        acc = _p_add(_p_mul(acc, rule._den), _p_mul(term, acc_den))
+        acc_den = _p_mul(acc_den, rule._den) if acc else _UNIT_DEN
+    return acc, acc_den
 
 
 def _differentiate_with(e: Expr, gen_rules: tuple[Expr, ...]) -> Expr:
-    dn = _diff_poly(e._num, gen_rules)
-    dd = _diff_poly(e._den, gen_rules)
-    den_e = Expr._new(e._den, _UNIT_DEN)
-    if dd.is_zero():  # constant denominator: no quotient rule, no squaring
-        return dn / den_e
-    num_e = Expr._new(e._num, _UNIT_DEN)
-    return (dn * den_e - num_e * dd) / (den_e * den_e)
+    """The quotient rule on the pairs of _diff_poly, canonicalized once; each
+    product is taken in the order Expr arithmetic takes it, so the terms keep
+    its order and eval_expr sums them the same way."""
+    dn, dn_den = _diff_poly(e._num, gen_rules)
+    dd, dd_den = _diff_poly(e._den, gen_rules)
+    den = e._den
+    if not dd:  # constant denominator: no quotient rule, no squaring
+        return Expr._new(dn, _p_mul(dn_den, den))
+    num = _p_add(_p_mul(_p_mul(dn, den), dd_den), _p_neg(_p_mul(_p_mul(e._num, dd), dn_den)))
+    return Expr._new(num, _p_mul(_p_mul(dn_den, dd_den), _p_mul(den, den)))
 
 
 def differentiate(e: Expr, var: str, rules: dict[str, tuple[Expr, ...]] | None = None) -> Expr:
@@ -534,6 +553,13 @@ def _coef_factors(a: int, b: int, n: int, have_gens: bool) -> list[str]:
     return [f"({_frac_text(a, n)}+({_frac_text(b, n)}*I))"]
 
 
+def _left_nested(parts: list[str], op: str) -> str:
+    """((p0 op p1) op p2)..., joined once rather than rebuilt per part."""
+    if len(parts) == 1:
+        return parts[0]
+    return "(" * (len(parts) - 1) + parts[0] + op + f"){op}".join(parts[1:]) + ")"
+
+
 def _term_text(mono: tuple, coef, n: int) -> str:
     a, b = coef
     negative = a < 0 or (a == 0 and b < 0)
@@ -545,12 +571,7 @@ def _term_text(mono: tuple, coef, n: int) -> str:
             continue
         name = GEN_NAMES[gi]
         factors.append(name if e == 1 else f"({name}^{e})")
-    if not factors:
-        body = "1"
-    else:
-        body = factors[0]
-        for f in factors[1:]:
-            body = f"({body}*{f})"
+    body = _left_nested(factors, "*") if factors else "1"
     return f"-({body})" if negative else body
 
 
@@ -558,11 +579,7 @@ def _poly_text(poly: dict, n: int) -> str:
     """poly / n, each coefficient in lowest terms."""
     if not poly:
         return "0"
-    terms = [_term_text(m, poly[m], n) for m in sorted(poly, reverse=True)]
-    out = terms[0]
-    for t in terms[1:]:
-        out = f"({out}+{t})"
-    return out
+    return _left_nested([_term_text(m, poly[m], n) for m in sorted(poly, reverse=True)], "+")
 
 
 def expr_to_text(e: Expr) -> str:

@@ -17,7 +17,13 @@ from wpfield.core import (
     nome,
 )
 from wpfield.eisenstein import eisenstein_at
-from wpfield.errors import DegenerateConfiguration, NearSingular, NonFiniteValue, PoleProximity
+from wpfield.errors import (
+    ConvergenceDomain,
+    DegenerateConfiguration,
+    NearSingular,
+    NonFiniteValue,
+    PoleProximity,
+)
 from wpfield.reduction import (
     UnimodularMatrix,
     e2_anywhere,
@@ -332,6 +338,22 @@ def test_a_point_split_out_of_its_cell_is_on_the_lattice():
             fn(tau, z)
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        # z/s has an ulp of about 1e184, yet the split lands z* in its cell
+        lambda: wp_anywhere(complex(-1.38324, 2.54795), complex(-1e200, -1.6708)),
+        # z2 = z1 + 1e300: z1 keeps its place, z2 has lost it
+        lambda: wp_add(complex(1.7726164019360304, 1e200), complex(2.418969041776853, 1e8),
+                       complex(1e300, 1e8)),
+    ],
+    ids=["wp_anywhere", "wp_add"],
+)
+def test_a_point_that_lost_its_place_in_the_cell_is_refused(evaluate):
+    with pytest.raises(ConvergenceDomain):
+        evaluate()
+
+
 def test_unwound_zeta_calls_the_series_once(monkeypatch):
     series = _count_calls(monkeypatch, "_point_values", [weier, reduction])
     public = _count_calls(monkeypatch, "zeta_q", [weier])
@@ -478,15 +500,20 @@ def test_wp_add_degenerate_sum_rejected():
         (complex(0.9887766635270419, 0.0054415475106576825),
          complex(-33.39418449182375, 37.78010620313004),
          complex(-1.6067325059126205, -4.89605981075839)),
-        # z2 = z1 + 1e300 takes the duplication branch, where wp'(z1) is 0
-        # to the last bit though z1 is not a half period
+        # z2 = z1 + 1 takes the duplication branch, where wp'(z1) is 0 to
+        # the last bit though z1 is not a half period
         (complex(1.7726164019360304, 1e200), complex(2.418969041776853, 1e8),
-         complex(1e300, 1e8)),
+         complex(3.418969041776853, 1e8)),
+        # the same with wp'(z1) = 1.5e-116 against an est_error of 2.4e-6:
+        # dividing by it returned -1.08e220+1.30e220i, where wp(2 z1) is
+        # 41123+41194i
+        (complex(-0.99712, 0.0069445), complex(-19.0206, 32.8123),
+         complex(-19.0206, 32.8123) + 1),
         # wp(z1) and wp(z2) agree to a few ulps, not to the last bit: the
         # slope cancels, and the unchecked quotient was off by 2.7
         (complex(-0.02179, 0.05432), complex(43.24, 0.383), complex(-10.76, -19.15)),
     ],
-    ids=["generic", "duplication", "generic_near_equal"],
+    ids=["generic", "duplication", "duplication_noise", "generic_near_equal"],
 )
 def test_wp_add_zero_slope_denominator_is_near_singular(tau, z1, z2):
     with pytest.raises(NearSingular):

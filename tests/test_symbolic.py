@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -374,6 +375,130 @@ def test_deep_derivative_text_parses_back():
     assert parse_expr(text) == d
 
 
+# --- the one-pass derivative against Expr arithmetic ------------------------------
+
+
+def _reference_derivative(e, gen_rules):
+    """The derivative by Expr arithmetic: one canonical Expr per generator,
+    summed, then the quotient rule on Exprs."""
+
+    def d_poly(poly):
+        total = ZERO
+        for gi, rule in enumerate(gen_rules):
+            partial = {m[:gi] + (m[gi] - 1,) + m[gi + 1 :]: (a * m[gi], b * m[gi])
+                       for m, (a, b) in poly.items() if m[gi]}
+            if partial and not rule.is_zero():
+                total = total + Expr._new(partial, ONE._den) * rule
+        return total
+
+    dn, dd = d_poly(e._num), d_poly(e._den)
+    num, den = Expr._new(e._num, ONE._den), Expr._new(e._den, ONE._den)
+    if dd.is_zero():
+        return dn / den
+    return (dn * den - num * dd) / (den * den)
+
+
+def _assert_same_derivative(e, var, rules):
+    got = differentiate(e, var, rules)
+    want = _reference_derivative(e, rules[var])
+    assert got == want
+    assert expr_to_text(got) == expr_to_text(want)
+    # the same terms in the same order, so eval_expr sums them alike
+    assert (list(got._num), list(got._den)) == (list(want._num), list(want._den))
+    return got
+
+
+def _grammar_expressions(seed, count):
+    """(a*b + k*c)/(d^2 + 1/k), the identity suite's composite grammar."""
+    rng = random.Random(seed)
+    pieces = (WP, WP1, ZETA, E2, E4, E6, Z, TAU)
+    out = []
+    for _ in range(count):
+        a, b, c, d = (rng.choice(pieces) for _ in range(4))
+        k = rng.randrange(2, 5)
+        out.append((a * b + k * c) / (d * d + rational(1, k)))
+    return out
+
+
+def _mutated_rule_tables():
+    """The three corrupted tables of the mutation tests."""
+    ramanujan, zeta_sign, wp_term = build_rule_table(), build_rule_table(), build_rule_table()
+    ramanujan["tau"] = tuple(rational(12, 13) * r if k == 5 else r
+                             for k, r in enumerate(ramanujan["tau"]))
+    zeta_sign["z"] = tuple(WP if k == 4 else r for k, r in enumerate(zeta_sign["z"]))
+    # 1/7 WP on top of the rule's 18 pi: a denominator, 126 pi, no rule has
+    wp_term["tau"] = tuple(r + rational(1, 7) * WP if k == 2 else r
+                           for k, r in enumerate(wp_term["tau"]))
+    return [ramanujan, zeta_sign, wp_term]
+
+
+# d/dz rules under which the terms of wp and wp1 cancel: the running sum of
+# dP/dg_i * rule_i is zero after wp1 and starts again at zeta.  Unlike the
+# real rules, whose denominators are monomials, these have sums as
+# denominators, so the order of every product's operands shows.
+_HANDMADE_RULES = {"z": (ONE, ZERO, ONE / (3 * PI + E6), -ONE / (3 * PI + E6),
+                         E2 / (E4 + 6), ZERO, ZERO, ZERO, ZERO)}
+_HANDMADE_EXPRESSIONS = [
+    WP + WP1 + ZETA * E4,  # the sum restarts after cancelling
+    ZETA * E4 / (WP + WP1 + 1),  # the denominator's derivative cancels to 0
+    (WP + WP1) / (ZETA + 2),  # the numerator's derivative cancels to 0
+    (WP + WP1 + Z * ZETA) / (WP + WP1 + ZETA**2),
+    # no cancelling, but every product has two sums as its operands
+    (WP * ZETA + WP1 * Z + ZETA**2 * E4) / (WP**2 + ZETA * WP1 + E6),
+]
+
+
+@pytest.mark.parametrize("e", _grammar_expressions("differential", 10), ids=str)
+def test_differentiate_matches_expr_arithmetic(e):
+    rules = default_rule_table()
+    _assert_same_derivative(e, "z", rules)
+    d_tau = _assert_same_derivative(e, "tau", rules)
+    _assert_same_derivative(d_tau, "z", rules)
+
+
+@pytest.mark.parametrize("table", range(3), ids=["ramanujan", "zeta_sign", "wp_term"])
+def test_differentiate_matches_expr_arithmetic_on_mutated_rules(table):
+    rules = _mutated_rule_tables()[table]
+    for e in [*_grammar_expressions("mutated", 4), WP, ZETA, E2 * WP]:
+        _assert_same_derivative(e, "z", rules)
+        _assert_same_derivative(e, "tau", rules)
+
+
+@pytest.mark.parametrize("e", _HANDMADE_EXPRESSIONS, ids=str)
+def test_differentiate_matches_expr_arithmetic_on_a_handmade_table(e):
+    d = _assert_same_derivative(e, "z", _HANDMADE_RULES)
+    assert not d.is_zero()
+
+
+def test_differentiate_canonicalizes_once(monkeypatch):
+    default_rule_table()  # built (with its own canonicalizations) before counting
+    exprs = [*_grammar_expressions("canonical", 6), E4, ZERO, WP1 / E6]
+    derivatives = [(e, var) for e in exprs for var in ("z", "tau")]
+    want = [differentiate(e, var) for e, var in derivatives]
+    canonical = symbolic._canonical
+    calls = []
+
+    def counted(num, den):
+        calls.append(1)
+        return canonical(num, den)
+
+    monkeypatch.setattr(symbolic, "_canonical", counted)
+    for (e, var), d in zip(derivatives, want):
+        calls.clear()
+        assert differentiate(e, var) == d
+        assert len(calls) <= 1
+    calls.clear()
+    differentiate(_HANDMADE_EXPRESSIONS[3], "z", _HANDMADE_RULES)
+    assert len(calls) <= 1
+
+
+def test_used_generators_reads_both_sides():
+    assert ZERO.used_generators() == set()
+    assert rational(3, 4).used_generators() == set()
+    assert (ONE / PI).used_generators() == {8}
+    assert ((WP * ZETA + Z) / (E4**2 + TAU)).used_generators() == {0, 1, 2, 4, 6}
+
+
 # --- goldens --------------------------------------------------------------------
 
 # sha256 of expr_to_text of each expression of perfbench's symbolic catalogue
@@ -421,6 +546,14 @@ CATALOGUE_DERIVATIVE_SHA256 = {
         "721c5f0d381b53e76931d4bbd30c9e3ecb331931dd29e8ff4015b6b2075e2ade",
     ),
 }
+
+
+def test_deep_derivative_prints_the_recorded_text():
+    # the 1209-term derivative of test_deep_derivative_text_parses_back
+    e = parse_expr("(E6*zeta+3*E6)/(wp1^2+1/3)")
+    d = differentiate(differentiate(differentiate(e, "tau"), "tau"), "z")
+    assert hashlib.sha256(expr_to_text(d).encode()).hexdigest() == (
+        "ffd6c3ed31e71ab8e2dc7f8a992ac43146a42ff792fd609b804b7566285f8000")
 
 
 def test_catalogue_derivatives_print_the_recorded_text():
