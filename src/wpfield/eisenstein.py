@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .core import ensure_finite, nome, require_upper_half
 from .errors import ConvergenceDomain
@@ -175,6 +175,47 @@ def _row_sum(a: complex, k: int) -> complex:
     return math.pi ** (2 * k) * poly
 
 
+def _csc2_bound(t: float) -> float:
+    """4t/(1 - t)^2 >= |csc^2(pi*a)| for t = exp(-2*pi*|Im a|) < 1, since
+    |sin(pi*a)| >= (e^(pi*|Im a|) - e^(-pi*|Im a|))/2."""
+    return 4.0 * t / (1.0 - t) ** 2
+
+
+def _row_bound(k: int, t: float) -> float:
+    """A bound on |_row_sum(a, k)| at t = exp(-2*pi*|Im a|) < 1: the row's
+    polynomial in csc^2 with each coefficient replaced by its modulus."""
+    s = _csc2_bound(t)
+    if k == 1:
+        poly = s
+    elif k == 2:
+        poly = s * (s + 2.0 / 3.0)
+    else:
+        poly = s * (s * (s + 1.0) + 2.0 / 15.0)
+    return math.pi ** (2 * k) * poly
+
+
+def _rows_settled(total: complex, row_bound, y: float, n: int, lift: float = 0.0) -> bool:
+    """True once no row after row n can change the double total.
+
+    Row k of an oracle is at most row_bound(t_k), t_k = exp(-2*pi*(k*y - lift))
+    (y the height of the basis, lift the |Im| of the point), for a row_bound
+    with row_bound(t)/t nondecreasing; so the rows after n sum to at most the
+    geometric majorant row_bound(t_{n+1}) / (1 - exp(-2*pi*y)).  Once that is
+    below a quarter ulp of each component of total, every later row rounds
+    away when it is added, with a factor of 2 to spare for the rounding of
+    the row itself.  A component that is 0 (or not finite) never settles, so
+    its sum runs to the radius.  The bound is the rows' own: it uses neither
+    the series order rule nor any q-series.
+    """
+    re, im = abs(total.real), abs(total.imag)
+    x = (n + 1) * y - lift
+    if not (0.0 < re < math.inf and 0.0 < im < math.inf and x > 0.0):
+        return False
+    t = math.exp(-2.0 * math.pi * x)
+    ratio = -math.expm1(-2.0 * math.pi * y)
+    return t < 1.0 and row_bound(t) < 0.25 * math.ulp(min(re, im)) * ratio
+
+
 def _reduced_basis(tau: complex) -> tuple[complex, complex]:
     """(omega1, tau_r) with Z + tau*Z = omega1 * (Z + tau_r*Z), where tau_r
     is Lagrange-reduced: |Re tau_r| <= 1/2 and |tau_r| >= 1, so
@@ -213,7 +254,8 @@ def lattice_sum_eisenstein(tau: complex, k: int, radius: int) -> complex:
     one (_reduced_basis) and the rows decay like exp(-2*pi*n*Im tau_r), with
     Im tau_r >= sqrt(3)/2.  For k = 1 the sum converges only conditionally
     and the row order of the basis (1, tau) is what defines it, so omega1 = 1
-    and tau_r = tau.
+    and tau_r = tau.  The sum stops at the first row after which no later row
+    can change it (_rows_settled); radius is the cap.
     """
     tau = require_upper_half(tau)
     if k not in (1, 2, 3):
@@ -222,8 +264,11 @@ def lattice_sum_eisenstein(tau: complex, k: int, radius: int) -> complex:
         raise ValueError(f"radius must be >= 10, got {radius}")
     omega1, tau_r = (1.0, tau) if k == 1 else _reduced_basis(tau)
     total = complex((ZETA2, ZETA4, ZETA6)[k - 1])
+    bound = partial(_row_bound, k)
     for n in range(1, radius + 1):
         total += _row_sum(n * tau_r, k)
+        if _rows_settled(total, bound, tau_r.imag, n):
+            break
     return ensure_finite(2.0 * total / omega1 ** (2 * k), "eisenstein oracle")
 
 

@@ -11,8 +11,10 @@ where z/s = z* + m + n*tau*, eta1 = (pi^2/3) E2(tau*) and, by Legendre's
 relation, eta2 = tau* eta1 - 2*pi*i.  Every entry point reduces tau once, in
 _frame, and every evaluator is one pipeline, frame -> sum -> transport:
 _at_point splits z/s once, checks the point once (the pole guard scaled by
-1/|s| into the reduced frame, and the convergence checks) and sums wp, wp',
-zeta and E2(tau*) in one pass at (tau*, z*).  E2 inverts the quasimodular law
+1/|s| into the reduced frame, and the convergence checks) and sums wp, wp'
+and zeta in one pass at (tau*, z*), with E2(tau*).  A Lattice holds one
+frame and its E2(tau*) for evaluating many z at one tau.  E2 inverts the
+quasimodular law
 
     G2(gamma tau) = s^2 G2(tau) - pi*i*c*s,      G2 = zeta(2) E2,
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     DEFAULT_POLICY,
@@ -165,7 +167,8 @@ def _reduce_z(tau: complex, z: complex) -> tuple[int, int, complex]:
 
 # tau reduced: gamma, s = c*tau + d, tau* = gamma(tau), q* and the series
 # order at |q*|; with a point added (_at_point), also z/s = z* + m + n*tau*,
-# the lattice distance of z*, and wp, wp', zeta and E2 at (tau*, z*).
+# the lattice distance of z*, and wp, wp', zeta and E2 at (tau*, z*).  A
+# Lattice's frame holds E2(tau*) without a point.
 _Frame = namedtuple("_Frame", "gamma s tau_star q order m n z_star dist wp wp1 zeta e2",
                     defaults=(None,) * 8)
 
@@ -181,6 +184,12 @@ def _frame(tau: complex, z: complex | None = None) -> _Frame:
     return f if z is None else _at_point(f, z)
 
 
+def _lattice_frame(tau: complex) -> _Frame:
+    """_frame(tau) holding E2(tau*) too, for evaluating many points at tau."""
+    f = _frame(tau)
+    return f._replace(e2=_e_series("e2", f.q, f.order))
+
+
 def _cell_distance(tau_star: complex, z_star: complex) -> float:
     """core.lattice_distance(tau*, z*) for z* in its cell: tau* is reduced, so
     the nearest lattice point is a corner, written as nb + na*tau* there.  A
@@ -192,9 +201,11 @@ def _cell_distance(tau_star: complex, z_star: complex) -> float:
                abs(z_star - (1 + tau_star)))
 
 
-def _at_point(f: _Frame, z: complex) -> _Frame:
-    """The frame f with z added: one split of z/s and one weier._point_values
-    pass, with the pole guard scaled by 1/|s| as distances are."""
+def _place(f: _Frame, z: complex) -> tuple[int, int, complex, float, float]:
+    """(m, n, z*, dist, guard): the one split z/s = z* + m + n*tau* in the
+    frame f, the lattice distance of z* and the pole guard scaled by 1/|s|
+    as distances are.  ConvergenceDomain when z has lost its place in its
+    cell."""
     w = complex(z) / f.s
     m, n, z_star = _reduce_z(f.tau_star, w)
     dist = _cell_distance(f.tau_star, z_star)
@@ -207,14 +218,21 @@ def _at_point(f: _Frame, z: complex) -> _Frame:
             f"z/s = {w!r} is too large to place in its cell: its rounding, "
             f"{abs(w) * _ULP:.1e}, reaches the pole guard {guard:.1e}"
         )
-    values = _point_values(f.tau_star, f.q, f.order, z_star, dist, guard)
-    return _Frame(*f[:5], m, n, z_star, dist, *values)
+    return m, n, z_star, dist, guard
+
+
+def _at_point(f: _Frame, z: complex) -> _Frame:
+    """The frame f with z added: one split of z/s (_place) and one
+    weier._point_values pass, given the frame's E2(tau*) if it holds one."""
+    m, n, z_star, dist, guard = _place(f, z)
+    e2 = _e_series("e2", f.q, f.order) if f.e2 is None else f.e2
+    values = _point_values(f.tau_star, f.q, f.order, z_star, dist, guard, e2)
+    return _Frame(*f[:5], m, n, z_star, dist, *values, e2)
 
 
 def _distance(f: _Frame, z: complex) -> float:
     """lattice_distance_anywhere in the frame f."""
-    z_star = _reduce_z(f.tau_star, complex(z) / f.s)[2]
-    return _cell_distance(f.tau_star, z_star) * abs(f.s)
+    return _place(f, z)[3] * abs(f.s)
 
 
 def reduce_point(tau: complex, z: complex | None = None) -> ReductionResult:
@@ -222,7 +240,7 @@ def reduce_point(tau: complex, z: complex | None = None) -> ReductionResult:
     f = _frame(tau)
     if z is None:
         return ReductionResult(f.gamma, f.tau_star, 0, 0, None, f.s)
-    m, n, z_star = _reduce_z(f.tau_star, complex(z) / f.s)
+    m, n, z_star = _place(f, z)[:3]
     return ReductionResult(f.gamma, f.tau_star, m, n, z_star, f.s)
 
 
@@ -266,8 +284,8 @@ def _zeta_at(f: _Frame) -> WValue:
 
 
 def _e2_at(f: _Frame) -> complex:
-    """E2 from E2(tau*), read off the frame's point pass if it has one, by
-    inverting G2(gamma tau) = s^2 G2(tau) - pi*i*c*s."""
+    """E2 from E2(tau*), read off the frame if it holds it (a point pass or a
+    Lattice), by inverting G2(gamma tau) = s^2 G2(tau) - pi*i*c*s."""
     e2_star = _e_series("e2", f.q, f.order) if f.e2 is None else f.e2
     return _divide_by_sk(ZETA2 * e2_star + 1j * math.pi * f.gamma.c * f.s, f.s, 2, "E2") / ZETA2
 
@@ -325,6 +343,53 @@ def _invariants_at(f: _Frame) -> LatticeInvariants:
     return LatticeInvariants(g2=g2, g3=g3, delta=delta, eta1=eta1)
 
 
+@dataclass(frozen=True, slots=True, init=False)
+class Lattice:
+    """The lattice Z + tau*Z with its reduction made once: gamma, tau*, q*,
+    the series order and E2(tau*), summed once, serve every evaluation.
+
+    The methods equal the matching evaluators bit for bit, exceptions
+    included: wp, wp_prime and zeta (WValue) are wp_anywhere(tau, z),
+    wp_prime_anywhere(tau, z) and zeta_anywhere(tau, z); e2, e4, e6 and
+    invariants are e2_anywhere(tau) ... invariants_anywhere(tau); distance(z)
+    is lattice_distance_anywhere(tau, z).  Each point costs one split of
+    z/s and one series pass; nothing is cached between points.  Lattice(tau)
+    raises what the evaluators raise for that tau.
+    """
+
+    tau: complex
+    _f: _Frame = field(repr=False, compare=False)
+
+    def __init__(self, tau: complex) -> None:
+        f = _lattice_frame(tau)
+        object.__setattr__(self, "tau", complex(tau))
+        object.__setattr__(self, "_f", f)
+
+    def wp(self, z: complex) -> WValue:
+        return _wp_at(_at_point(self._f, z))
+
+    def wp_prime(self, z: complex) -> WValue:
+        return _wp_prime_at(_at_point(self._f, z))
+
+    def zeta(self, z: complex) -> WValue:
+        return _zeta_at(_at_point(self._f, z))
+
+    def e2(self) -> complex:
+        return _e2_at(self._f)
+
+    def e4(self) -> complex:
+        return _modular_at(self._f, "e4", 4)
+
+    def e6(self) -> complex:
+        return _modular_at(self._f, "e6", 6)
+
+    def invariants(self) -> LatticeInvariants:
+        return _invariants_at(self._f)
+
+    def distance(self, z: complex) -> float:
+        return _distance(self._f, z)
+
+
 def wp_add(tau: complex, z1: complex, z2: complex) -> complex:
     """wp(z1 + z2) from values at z1 and z2 via the algebraic addition formula.
 
@@ -340,7 +405,7 @@ def wp_add(tau: complex, z1: complex, z2: complex) -> complex:
     to 1e-8 at points that are not equivalent, or |wp'(z1)| is within its
     own est_error at a z1 that is not a half period.
     """
-    f = _frame(tau)
+    f = _lattice_frame(tau)
     if _distance(f, z1 + z2) < DEFAULT_POLICY.pole_guard_radius:
         raise DegenerateConfiguration("z1 + z2 is on (or nearly on) the lattice")
     f1 = _at_point(f, z1)

@@ -39,8 +39,10 @@ from operator import add, mul, sub, truediv
 from .core import ensure_finite
 from .errors import NearSingular, NonFiniteValue
 from .reduction import (
+    _at_point,
     _e2_at,
     _frame,
+    _lattice_frame,
     _modular_at,
     _wp_at,
     _wp_prime_at,
@@ -53,6 +55,9 @@ _GEN_INDEX = {name: k for k, name in enumerate(GEN_NAMES)}
 _UNIT_MONO = (0,) * NGEN
 
 _SINGULAR_FLOOR = 1e-12
+
+# wp, wp1, zeta, E2, E4, E6: the generators read off a reduced frame.
+_FRAME_GENERATORS = frozenset(range(2, 8))
 
 # ---------------------------------------------------------------------------
 # Polynomials: dicts mapping exponent tuples to Gaussian-integer coefficients
@@ -466,6 +471,12 @@ def eval_expr(
     Raises NearSingular if the denominator lands below 1e-12 in magnitude and
     NonFiniteValue if the value overflows.
     """
+    return _eval_in(e, tau, z, None)
+
+
+def _eval_in(e: Expr, tau: complex, z: complex | None, frame) -> complex:
+    """eval_expr in frame, the reduction of tau made once by the caller
+    (_frame or _lattice_frame), or made here when frame is None."""
     used = e.used_generators()
     vals: list[complex] = [0j] * NGEN
     needs_z = used & {0, 2, 3, 4}
@@ -475,8 +486,11 @@ def eval_expr(
     vals[8] = complex(math.pi)
     if 0 in used:
         vals[0] = complex(z)  # type: ignore[arg-type]
-    if used & {2, 3, 4, 5, 6, 7}:
-        frame = _frame(tau, z if used & {2, 3, 4} else None)
+    if used & _FRAME_GENERATORS:
+        if frame is None:
+            frame = _frame(tau)
+        if used & {2, 3, 4}:
+            frame = _at_point(frame, z)
     if 2 in used:
         vals[2] = _wp_at(frame).value
     if 3 in used:
@@ -512,14 +526,18 @@ def fd_check(
     finite difference with step h: |fd - sym| / max(1, |sym|)."""
     if not 1e-6 <= h <= 1e-3:
         raise ValueError(f"h must lie in [1e-6, 1e-3], got {h}")
-    sym = eval_expr(differentiate(e, var, rules), tau, z)
-
+    frame = None
     if var == "z":
         if z is None:
             raise ValueError("z must be given to difference in z")
-        f = lambda offset: eval_expr(e, tau, z + offset)
+        # tau stays put: one reduction and one E2(tau*) serve all five
+        # evaluations
+        if e.used_generators() & _FRAME_GENERATORS:
+            frame = _lattice_frame(tau)
+        f = lambda offset: _eval_in(e, tau, z + offset, frame)
     else:
         f = lambda offset: eval_expr(e, tau + offset, z)
+    sym = _eval_in(differentiate(e, var, rules), tau, z, frame)
 
     def central(step: float) -> complex:
         return (f(step) - f(-step)) / (2.0 * step)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import partial
 
-from .core import TolerancePolicy, lattice_distance
+from .core import TolerancePolicy
 from .eisenstein import (
     ZETA2,
     ZETA4,
@@ -29,16 +29,16 @@ from .eisenstein import (
 )
 from .errors import WPFieldError
 from .reduction import (
+    Lattice,
+    _cell_distance,
     e2_anywhere,
     e4_anywhere,
     e6_anywhere,
     invariants_anywhere,
-    lattice_distance_anywhere,
     reduce_point,
     reduce_tau,
     wp_add,
     wp_anywhere,
-    wp_prime_anywhere,
     zeta_anywhere,
 )
 from .symbolic import (
@@ -176,11 +176,13 @@ def _low_tau_samples(rng: random.Random, count: int) -> list[complex]:
 
 
 def _cell_point(rng: random.Random, tau: complex, min_dist: float = 0.05) -> complex:
+    """A point of the cell of a reduced tau, at least min_dist from the
+    lattice (its distance read off the cell's corners)."""
     for _ in range(1000):
         a = rng.uniform(0.02, 0.98)
         b = rng.uniform(0.02, 0.98)
         z = b + a * tau
-        if lattice_distance(tau, z) >= min_dist:
+        if _cell_distance(tau, z) >= min_dist:
             return z
     raise WPFieldError("could not sample a cell point away from the lattice")
 
@@ -193,13 +195,14 @@ def _case_ode_residual(ctx: _Ctx):
     rng = ctx.rng("ode")
     residuals = []
     for tau in _tau_samples(rng, 20):
-        inv = invariants_anywhere(tau)
+        lat = Lattice(tau)
+        inv = lat.invariants()
         for _ in range(5):
             # distance >= 0.15 keeps |4 wp^3| small enough that plain double
             # rounding stays well under the absolute tolerance
             z = _cell_point(rng, tau, min_dist=0.15)
-            p = wp_anywhere(tau, z).value
-            pp = wp_prime_anywhere(tau, z).value
+            p = lat.wp(z).value
+            pp = lat.wp_prime(z).value
             residuals.append(abs(pp * pp - (4 * p**3 - inv.g2 * p - inv.g3)))
     return residuals, ""
 
@@ -283,12 +286,13 @@ def _case_zeta_quasi_periodicity(ctx: _Ctx):
     rng = ctx.rng("quasiperiod")
     residuals = []
     for tau in _tau_samples(rng, 20):
+        lat = Lattice(tau)
         z = _cell_point(rng, tau)
-        base = zeta_anywhere(tau, z).value
+        base = lat.zeta(z).value
         eta1 = 2.0 * zeta_q(tau, 0.5).value
         eta2 = 2.0 * zeta_q(tau, tau / 2.0).value
-        residuals.append(abs(zeta_anywhere(tau, z + 1.0).value - base - eta1))
-        residuals.append(abs(zeta_anywhere(tau, z + tau).value - base - eta2))
+        residuals.append(abs(lat.zeta(z + 1.0).value - base - eta1))
+        residuals.append(abs(lat.zeta(z + tau).value - base - eta2))
     return residuals, ""
 
 
@@ -298,41 +302,42 @@ def _case_addition_formula(ctx: _Ctx):
     count = 0
     while count < 50:
         tau = _tau_samples(rng, 1)[0]
+        lat = Lattice(tau)
         z1 = _cell_point(rng, tau, min_dist=0.08)
         z2 = _cell_point(rng, tau, min_dist=0.08)
-        if lattice_distance_anywhere(tau, z1 + z2) < 0.05:
+        if lat.distance(z1 + z2) < 0.05:
             continue
-        if lattice_distance_anywhere(tau, z1 - z2) < 0.05:
+        if lat.distance(z1 - z2) < 0.05:
             continue
-        p1 = wp_anywhere(tau, z1).value
-        p2 = wp_anywhere(tau, z2).value
+        p1 = lat.wp(z1).value
+        p2 = lat.wp(z2).value
         if abs(p1 - p2) < 0.5:  # keep the slope quotient well conditioned
             continue
-        residuals.append(abs(wp_add(tau, z1, z2) - wp_anywhere(tau, z1 + z2).value))
+        residuals.append(abs(wp_add(tau, z1, z2) - lat.wp(z1 + z2).value))
         count += 1
     return residuals, ""
 
 
 def _case_duplication_formula(ctx: _Ctx):
     rng = ctx.rng("duplication")
-    points = [(1j, 0.3)]
+    points = [(Lattice(1j), 0.3)]
     while len(points) < 6:
-        tau = _tau_samples(rng, 1)[0]
-        z = _cell_point(rng, tau, min_dist=0.1)
-        if lattice_distance_anywhere(tau, 2 * z) < 0.08:
+        lat = Lattice(_tau_samples(rng, 1)[0])
+        z = _cell_point(rng, lat.tau, min_dist=0.1)
+        if lat.distance(2 * z) < 0.08:
             continue
-        pp = wp_prime_anywhere(tau, z).value
+        pp = lat.wp_prime(z).value
         if abs(pp) < 1.0:  # stay away from wp' zeros at the half periods
             continue
-        points.append((tau, z))
+        points.append((lat, z))
     residuals = []
     plus_err = minus_err = 0.0
-    for tau, z in points:
-        direct = wp_anywhere(tau, 2 * z).value
-        residuals.append(abs(wp_add(tau, z, z) - direct))
-        p = wp_anywhere(tau, z).value
-        pp = wp_prime_anywhere(tau, z).value
-        second = 6.0 * p * p - 0.5 * invariants_anywhere(tau).g2
+    for lat, z in points:
+        direct = lat.wp(2 * z).value
+        residuals.append(abs(wp_add(lat.tau, z, z) - direct))
+        p = lat.wp(z).value
+        pp = lat.wp_prime(z).value
+        second = 6.0 * p * p - 0.5 * lat.invariants().g2
         bracket = (second / (2.0 * pp)) ** 2
         plus_err = max(plus_err, abs(bracket - 2.0 * p - direct))
         minus_err = max(minus_err, abs(-bracket - 2.0 * p - direct))
@@ -348,21 +353,14 @@ def _case_zeta_three_term(ctx: _Ctx):
     count = 0
     while count < 30:
         tau = _tau_samples(rng, 1)[0]
+        lat = Lattice(tau)
         x = _cell_point(rng, tau, min_dist=0.08)
         y = _cell_point(rng, tau, min_dist=0.08)
         w = -x - y
-        if lattice_distance_anywhere(tau, w) < 0.05:
+        if lat.distance(w) < 0.05:
             continue
-        s = (
-            zeta_anywhere(tau, x).value
-            + zeta_anywhere(tau, y).value
-            + zeta_anywhere(tau, w).value
-        )
-        p = (
-            wp_anywhere(tau, x).value
-            + wp_anywhere(tau, y).value
-            + wp_anywhere(tau, w).value
-        )
+        s = lat.zeta(x).value + lat.zeta(y).value + lat.zeta(w).value
+        p = lat.wp(x).value + lat.wp(y).value + lat.wp(w).value
         minus_res.append(abs(s * s - p))
         plus_res.append(abs(s * s + p))
         count += 1

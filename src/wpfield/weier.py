@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .core import (
     DEFAULT_POLICY,
@@ -32,9 +33,11 @@ from .eisenstein import (
     _TAIL_TARGET,
     _cot,
     _csc2,
+    _csc2_bound,
     _e_series,
     _order,
     _reduced_basis,
+    _rows_settled,
     _series_tau,
 )
 from .errors import ConvergenceDomain, PoleProximity
@@ -63,15 +66,16 @@ class HalfPeriodData:
 
 
 def _point_values(tau: complex, q: complex, order: int, z: complex, dist: float,
-                  pole_guard: float) -> tuple[complex, complex, complex, complex]:
-    """(wp, wp', zeta, E2) at a complex z for a checked tau and its nome q,
-    after the pole guard on dist, the caller's lattice distance of z, and the
-    convergence checks.  One loop sums the m = 0 term, then m = 1..order:
-    with w = u q^m, v = q^m/u, a = 1/(1 - w) and b = 1/(1 - v), the terms
-    are w a and v b (zeta), x = w a^2 and y = v b^2 (wp), and x (2a - 1)
-    and y (2b - 1) (wp'), summed as 2 sum(x a - y b) - sum(x - y).  E2 gives
-    eta1 = (pi^2/3) E2 to wp and zeta.  Each caller checks the values it
-    returns.
+                  pole_guard: float, e2: complex) -> tuple[complex, complex, complex]:
+    """(wp, wp', zeta) at a complex z for a checked tau, its nome q and
+    E2(tau) summed to the same order, after the pole guard on dist, the
+    caller's lattice distance of z, and the convergence checks.  One loop
+    sums the m = 0 term, then m = 1..order: with w = u q^m, v = q^m/u,
+    a = 1/(1 - w) and b = 1/(1 - v), the terms are w a and v b (zeta),
+    x = w a^2 and y = v b^2 (wp), and x (2a - 1) and y (2b - 1) (wp'),
+    summed as 2 sum(x a - y b) - sum(x - y).  E2 gives eta1 = (pi^2/3) E2
+    to wp and zeta; the caller sums it once per tau.  Each caller checks the
+    values it returns.
 
     r = q/u is formed as exp(2*pi*i*(tau - z)): high in the cell both q and
     u underflow to 0 while their quotient is still a normal number.
@@ -107,10 +111,9 @@ def _point_values(tau: complex, q: complex, order: int, z: complex, dist: float,
         sy += y
         t += x * a - y * b
         v *= q
-    e2 = _e_series("e2", q, order)
     eta1 = (math.pi**2 / 3.0) * e2
     return (TWO_PI_I**2 * (sx + sy) - eta1, TWO_PI_I**3 * (2.0 * t - sx + sy),
-            TWO_PI_I * s1 + eta1 * z - 1j * math.pi, e2)
+            TWO_PI_I * s1 + eta1 * z - 1j * math.pi)
 
 
 def _est_error(value: complex, dist: float) -> float:
@@ -128,8 +131,10 @@ def _kernel(tau: complex, z: complex, index: int, what: str) -> WValue:
     tau = _series_tau(tau)
     tau = complex(math.remainder(tau.real, 1.0), tau.imag)
     q, z = _nome(tau), complex(z)
+    order = _order(abs(q))
     dist = lattice_distance(tau, z)
-    values = _point_values(tau, q, _order(abs(q)), z, dist, DEFAULT_POLICY.pole_guard_radius)
+    values = _point_values(tau, q, order, z, dist, DEFAULT_POLICY.pole_guard_radius,
+                           _e_series("e2", q, order))
     value = ensure_finite(values[index], what)
     return WValue(value, _est_error(value, dist))
 
@@ -154,14 +159,25 @@ def zeta_q(tau: complex, z: complex) -> WValue:
 
 def half_periods(tau: complex) -> HalfPeriodData:
     """e1 = wp(1/2), e2 = wp(tau/2), e3 = wp((1+tau)/2); the roots of
-    4 t^3 - g2 t - g3, so e1 + e2 + e3 = 0."""
+    4 t^3 - g2 t - g3, so e1 + e2 + e3 = 0.  E2 is summed once for the three."""
     tau = _series_tau(tau)
     q = _nome(tau)
     order = _order(abs(q))
     guard = DEFAULT_POLICY.pole_guard_radius
-    values = (_point_values(tau, q, order, z, lattice_distance(tau, z), guard)[0]
+    e2 = _e_series("e2", q, order)
+    values = (_point_values(tau, q, order, z, lattice_distance(tau, z), guard, e2)[0]
               for z in (0.5 + 0j, tau / 2.0, (1.0 + tau) / 2.0))
     return HalfPeriodData(*(ensure_finite(value, "wp") for value in values))
+
+
+def _wp_row_bound(t: float) -> float:
+    """A bound on wp_lattice_oracle's row at t, the largest t of its terms."""
+    return 4.0 * _csc2_bound(t)
+
+
+def _zeta_row_bound(z_abs: float, t: float) -> float:
+    """A bound on zeta_lattice_oracle's row at t for |z_r| = z_abs."""
+    return 4.0 * t / (1.0 - t) + 2.0 * math.pi * z_abs * _csc2_bound(t)
 
 
 def _oracle_frame(tau: complex, z: complex, radius: int) -> tuple[complex, complex, complex]:
@@ -186,12 +202,19 @@ def wp_lattice_oracle(tau: complex, z: complex, radius: int) -> complex:
 
     and pi^2/sin^2(pi*z) - pi^2/3 for n = 0.  Rows decay like
     exp(-2*pi*|n|*Im tau_r) with Im tau_r >= sqrt(3)/2.  Cross-check only:
-    it calls neither the tau reduction nor the q-series it checks."""
+    it calls neither the tau reduction nor the q-series it checks.
+
+    The sum stops at the first row after which no later row can change it
+    (eisenstein._rows_settled): each of row n's three terms is a csc^2 at a
+    height of at least n*Im tau_r - |Im z_r|; radius is the cap."""
     omega1, tau_r, z_r = _oracle_frame(tau, z, radius)
+    lift = abs(z_r.imag)
     total = _csc2(z_r) - 1.0 / 3.0
     for n in range(1, radius + 1):
         w = n * tau_r
         total += _csc2(z_r - w) + _csc2(z_r + w) - 2.0 * _csc2(w)
+        if _rows_settled(total, _wp_row_bound, tau_r.imag, n, lift):
+            break
     return ensure_finite(math.pi**2 * total / omega1**2, "wp oracle")
 
 
@@ -202,10 +225,18 @@ def zeta_lattice_oracle(tau: complex, z: complex, radius: int) -> complex:
         pi*cot(pi*(z - n*tau)) + pi*cot(pi*n*tau) + z*pi^2/sin^2(pi*n*tau),
 
     and pi*cot(pi*z) + z*pi^2/3 for n = 0; the rows n and -n are summed
-    together, so the pi*cot(pi*n*tau) terms cancel."""
+    together, so the pi*cot(pi*n*tau) terms cancel.
+
+    The sum stops as wp_lattice_oracle's does: the two cotangents tend to
+    +i and -i, and |cot(pi*a) -+ i| <= 2t/(1 - t), t = exp(-2*pi*|Im a|),
+    bounds what is left of each; radius is the cap."""
     omega1, tau_r, z_r = _oracle_frame(tau, z, radius)
+    lift = abs(z_r.imag)
+    bound = partial(_zeta_row_bound, abs(z_r))
     total = _cot(z_r) + z_r * math.pi / 3.0
     for n in range(1, radius + 1):
         w = n * tau_r
         total += _cot(z_r - w) + _cot(z_r + w) + 2.0 * math.pi * z_r * _csc2(w)
+        if _rows_settled(total, bound, tau_r.imag, n, lift):
+            break
     return ensure_finite(math.pi * total / omega1, "zeta oracle")

@@ -1,0 +1,149 @@
+"""Lattice(tau): one reduction of tau for many z, equal to the anywhere
+evaluators bit for bit, exceptions included."""
+
+import cmath
+import math
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from wpfield import eisenstein, reduction, weier
+from wpfield.reduction import (
+    Lattice,
+    e2_anywhere,
+    e4_anywhere,
+    e6_anywhere,
+    invariants_anywhere,
+    lattice_distance_anywhere,
+    wp_anywhere,
+    wp_prime_anywhere,
+    zeta_anywhere,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (Lattice method, the evaluator it must equal, whether it takes z)
+PAIRS = (
+    ("wp", wp_anywhere, True),
+    ("wp_prime", wp_prime_anywhere, True),
+    ("zeta", zeta_anywhere, True),
+    ("distance", lattice_distance_anywhere, True),
+    ("e2", e2_anywhere, False),
+    ("e4", e4_anywhere, False),
+    ("e6", e6_anywhere, False),
+    ("invariants", invariants_anywhere, False),
+)
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+def _assert_lattice_matches(tau, zs):
+    try:
+        lat = Lattice(tau)
+    except Exception as exc:  # noqa: BLE001
+        lat, built = None, (type(exc), str(exc))
+    for name, evaluate, takes_z in PAIRS:
+        for z in zs if takes_z else (None,):
+            args = (tau, z) if takes_z else (tau,)
+            want = _outcome(evaluate, *args)
+            if lat is None:
+                # the tau reduction is the first thing either side does
+                assert repr(want) == repr(built), (name, tau, z)
+                continue
+            got = _outcome(getattr(lat, name), *args[1:])
+            # repr tells -0.0 from 0.0 and shows every digit
+            assert repr(got) == repr(want), (name, tau, z)
+
+
+def _baseline_sweep():
+    """The est_error sweep of the ROADMAP baseline: Random(7), 300 points,
+    Im tau log-uniform in [0.005, 5], Re tau in [-1, 1], |z| = 60 sqrt(U)."""
+    rng = random.Random(7)
+    out = []
+    for _ in range(300):
+        im = math.exp(rng.uniform(math.log(0.005), math.log(5.0)))
+        tau = complex(rng.uniform(-1.0, 1.0), im)
+        z = cmath.rect(60.0 * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi))
+        out.append((tau, z))
+    return out
+
+
+def test_lattice_equals_the_evaluators_on_the_baseline_sweep():
+    for tau, z in _baseline_sweep():
+        _assert_lattice_matches(tau, [z])
+
+
+def test_lattice_equals_the_evaluators_on_the_eval_grid_inputs():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        workloads = pytest.importorskip("workloads")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    blocks = workloads.grid_inputs(1)
+    assert len(blocks) == 16
+    for tau, zs in blocks:
+        _assert_lattice_matches(tau, zs)
+
+
+@pytest.mark.parametrize(
+    "tau, zs",
+    [
+        # on the lattice, next to it, and a z that has lost its place in its cell
+        (complex(0.3, 0.4), [0j, 1.0 + complex(0.3, 0.4), 1e-5 + 0j]),
+        (complex(-1.38324, 2.54795), [complex(-1e200, -1.6708)]),
+        # a z split out of its cell, which is 0 from the lattice
+        (complex(-2.4396007645409723, 1e8), [complex(1e200, 1e15)]),
+        (complex(0.3, 0.4), [complex(math.nan, 0.0), complex(math.inf, 1.0), "1+"]),
+        # E2's s^2 underflows at tiny Im(tau)
+        (complex(0.3, 1e-200), [0.25 + 0j]),
+        # tau that cannot be reduced, or is not in the upper half-plane
+        (complex(1e-320, 1e-320), [0.3 + 0j]),
+        (complex(0.3, -1.0), [0.3 + 0j]),
+        (complex(math.nan, 1.0), [0.3 + 0j]),
+    ],
+)
+def test_lattice_raises_what_the_evaluators_raise(tau, zs):
+    _assert_lattice_matches(tau, zs)
+
+
+def _count_calls(monkeypatch, name, modules):
+    calls = []
+    for module in modules:
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_reduction_and_one_e2_sum_for_a_hundred_points(monkeypatch):
+    reductions = _count_calls(monkeypatch, "reduce_tau", [reduction])
+    sums = _count_calls(monkeypatch, "_e_series", [eisenstein, weier, reduction])
+    tau = complex(0.3, 0.4)
+    rng = random.Random(3)
+    lat = Lattice(tau)
+    for _ in range(100):
+        z = complex(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0))
+        lat.wp(z), lat.wp_prime(z), lat.zeta(z), lat.distance(z)
+    lat.e2()
+    assert len(reductions) == 1
+    assert [args[0] for args in sums] == ["e2"]
+
+
+def test_lattice_is_immutable():
+    lat = Lattice(complex(0.3, 0.4))
+    assert lat.tau == complex(0.3, 0.4)
+    with pytest.raises(AttributeError):
+        lat.tau = 1j
+    assert lat == Lattice(complex(0.3, 0.4))

@@ -1,15 +1,30 @@
 """Row-summed lattice-sum oracles: exact against the evaluators, independent
 of the reduction and the q-series, and anchored to a brute-force sum."""
 
+import cmath
+import math
+import random
 import sys
 
 import pytest
 
-from wpfield.core import lattice_distance
-from wpfield.eisenstein import ZETA4, ZETA6, eisenstein_at, lattice_sum_eisenstein
+from wpfield import eisenstein, verify, weier
+from wpfield.core import DEFAULT_POLICY, ensure_finite, lattice_distance
+from wpfield.eisenstein import (
+    ZETA2,
+    ZETA4,
+    ZETA6,
+    _cot,
+    _csc2,
+    _reduced_basis,
+    _row_sum,
+    eisenstein_at,
+    lattice_sum_eisenstein,
+)
 from wpfield.errors import PoleProximity
 from wpfield.reduction import e4_anywhere, e6_anywhere, wp_anywhere, zeta_anywhere
-from wpfield.weier import wp_lattice_oracle, zeta_lattice_oracle
+from wpfield.symbolic import default_rule_table
+from wpfield.weier import _oracle_frame, wp_lattice_oracle, zeta_lattice_oracle
 
 # A reduced tau, one with Im(tau) < 0.3, and one that needs a long reduction.
 POINTS = (
@@ -22,7 +37,7 @@ POINTS = (
 # series order rule and the q-series they check.
 CHECKED_CODE = ("reduce_tau", "reduce_point", "wp_q", "wp_prime_q", "zeta_q",
                 "eisenstein_at", "_e_series", "_frame", "_at_point", "_point_values",
-                "_cell_distance", "_delta_eta_product", "_order")
+                "_cell_distance", "_delta_eta_product", "_order", "Lattice")
 
 
 def _oracles(tau, z):
@@ -98,3 +113,156 @@ def test_oracle_pole_guard_is_exact_on_a_sheared_basis(oracle):
     assert lattice_distance(tau, z) > 0.05
     with pytest.raises(PoleProximity):
         oracle(tau, z, 50)
+
+
+# The oracles summed over every row up to the radius, as they did before they
+# learnt to stop: the reference for the stop rule.  The row primitives are
+# bound here at import, so counting the package's calls does not count these.
+
+
+def _full_wp(tau, z, radius):
+    omega1, tau_r, z_r = _oracle_frame(tau, z, radius)
+    total = _csc2(z_r) - 1.0 / 3.0
+    for n in range(1, radius + 1):
+        w = n * tau_r
+        total += _csc2(z_r - w) + _csc2(z_r + w) - 2.0 * _csc2(w)
+    return ensure_finite(math.pi**2 * total / omega1**2, "wp oracle")
+
+
+def _full_zeta(tau, z, radius):
+    omega1, tau_r, z_r = _oracle_frame(tau, z, radius)
+    total = _cot(z_r) + z_r * math.pi / 3.0
+    for n in range(1, radius + 1):
+        w = n * tau_r
+        total += _cot(z_r - w) + _cot(z_r + w) + 2.0 * math.pi * z_r * _csc2(w)
+    return ensure_finite(math.pi * total / omega1, "zeta oracle")
+
+
+def _full_eisenstein(tau, k, radius):
+    omega1, tau_r = (1.0, tau) if k == 1 else _reduced_basis(tau)
+    total = complex((ZETA2, ZETA4, ZETA6)[k - 1])
+    for n in range(1, radius + 1):
+        total += _row_sum(n * tau_r, k)
+    return ensure_finite(2.0 * total / omega1 ** (2 * k), "eisenstein oracle")
+
+
+class _Rows:
+    """Counts the rows each oracle call sums, from its calls of the row
+    primitives: three csc^2 per wp row, two cot per zeta row, one _row_sum
+    per Eisenstein row, after the n = 0 term."""
+
+    def __init__(self, monkeypatch):
+        self.counts = {"csc2": 0, "cot": 0, "row": 0}
+        for module, name, key in ((weier, "_csc2", "csc2"), (weier, "_cot", "cot"),
+                                  (eisenstein, "_row_sum", "row")):
+            monkeypatch.setattr(module, name, self._counted(getattr(module, name), key))
+
+    def _counted(self, fn, key):
+        def counted(*args):
+            self.counts[key] += 1
+            return fn(*args)
+        return counted
+
+    def call(self, oracle, *args):
+        """(value, rows) of one oracle call."""
+        for key in self.counts:
+            self.counts[key] = 0
+        value = oracle(*args)
+        c = self.counts
+        if oracle is wp_lattice_oracle:
+            return value, (c["csc2"] - 1) // 3
+        if oracle is zeta_lattice_oracle:
+            return value, (c["cot"] - 1) // 2
+        return value, c["row"]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PoleProximity as exc:
+        return str(exc)
+
+
+def _oracle_sweep():
+    """Im(tau) log-uniform in [0.005, 5], Re(tau) in [-1, 1], z up to two
+    cells away from the cell of the oracles' reduced basis."""
+    rng = random.Random(20261019)
+    out = []
+    for _ in range(150):
+        im = math.exp(rng.uniform(math.log(0.005), math.log(5.0)))
+        tau = complex(rng.uniform(-1.0, 1.0), im)
+        omega1, tau_r = _reduced_basis(tau)
+        z = omega1 * (rng.uniform(-2.0, 3.0) + rng.uniform(-2.0, 3.0) * tau_r)
+        out.append((tau, z))
+    return out
+
+
+def test_oracles_equal_the_full_radius_sums(monkeypatch):
+    rows = _Rows(monkeypatch)
+    taken = {wp_lattice_oracle: [], zeta_lattice_oracle: [], lattice_sum_eisenstein: []}
+    for tau, z in _oracle_sweep():
+        for oracle, full in ((wp_lattice_oracle, _full_wp), (zeta_lattice_oracle, _full_zeta)):
+            want = _outcome(full, tau, z, 50)
+            got = _outcome(rows.call, oracle, tau, z, 50)
+            if isinstance(want, str):  # the pole guard, before any row
+                assert got == want
+                continue
+            value, n = got
+            assert repr(value) == repr(want), (oracle.__name__, tau, z)
+            taken[oracle].append(n)
+        for k, radius in ((1, 50), (2, 50), (3, 50), (2, 10)):
+            value, n = rows.call(lattice_sum_eisenstein, tau, k, radius)
+            assert repr(value) == repr(_full_eisenstein(tau, k, radius)), (tau, k, radius)
+            taken[lattice_sum_eisenstein].append(n)
+    # the stop is no dead code: on this sweep the point oracles always stop
+    # before their radius, and the Eisenstein sums stop wherever Im tau_r is
+    # not small (with k = 1 it is Im tau, down to 0.005)
+    assert max(taken[wp_lattice_oracle] + taken[zeta_lattice_oracle]) < 12
+    assert min(taken[lattice_sum_eisenstein]) < 12
+
+
+@pytest.mark.parametrize("im", [0.005, 0.3, 1.0, 2.5])
+def test_a_zero_component_takes_the_full_radius(monkeypatch, im):
+    # at tau = iy and real z every row is real (wp, E4, E6) or imaginary
+    # (zeta): the zero component of the sum never settles
+    rows = _Rows(monkeypatch)
+    tau = complex(0.0, im)
+    for z in (0.3, 0.71):
+        for oracle, full in ((wp_lattice_oracle, _full_wp), (zeta_lattice_oracle, _full_zeta)):
+            value, n = rows.call(oracle, tau, z, 50)
+            assert repr(value) == repr(full(tau, z, 50))
+            assert n == 50
+    for k in (1, 2, 3):
+        value, n = rows.call(lattice_sum_eisenstein, tau, k, 50)
+        assert repr(value) == repr(_full_eisenstein(tau, k, 50))
+        assert n == 50
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_suite_oracle_samples_stop_within_twelve_rows(monkeypatch, seed):
+    # every sample of the suite's oracle cases and of s_law_exponent sums at
+    # most 12 rows, to the double the full radius gives
+    rows = _Rows(monkeypatch)
+    seen = []
+
+    def recorded(oracle, full):
+        def call(*args):
+            value, n = rows.call(oracle, *args)
+            assert repr(value) == repr(full(*args)), args
+            seen.append(n)
+            return value
+        return call
+
+    wp = recorded(wp_lattice_oracle, _full_wp)
+    monkeypatch.setattr(verify, "wp_lattice_oracle", wp)
+    monkeypatch.setattr(verify, "lattice_sum_eisenstein",
+                        recorded(lattice_sum_eisenstein, _full_eisenstein))
+    ctx = verify._Ctx(seed=seed, policy=DEFAULT_POLICY, rules=default_rule_table())
+    verify._case_oracle_point("oracle_wp", wp, wp_anywhere, ctx)
+    verify._case_oracle_point("oracle_zeta", recorded(zeta_lattice_oracle, _full_zeta),
+                              zeta_anywhere, ctx)
+    verify._case_oracle_modular("oracle_e4", 2, ZETA4, e4_anywhere, ctx)
+    verify._case_oracle_modular("oracle_e6", 3, ZETA6, e6_anywhere, ctx)
+    verify._case_s_law_exponent(ctx)
+    assert len(seen) == 30 + 30 + 15 + 15 + 6
+    assert max(seen) <= 12

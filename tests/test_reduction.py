@@ -39,7 +39,7 @@ from wpfield.reduction import (
     wp_prime_anywhere,
     zeta_anywhere,
 )
-from wpfield.symbolic import E2, E4, E6, TAU, WP, WP1, ZETA, Z, eval_expr
+from wpfield.symbolic import E2, E4, E6, TAU, WP, WP1, ZETA, Z, eval_expr, fd_check
 from wpfield.weier import half_periods, wp_prime_q, wp_q, zeta_q
 
 
@@ -293,11 +293,11 @@ def _bound_in(name, *modules):
 def test_one_lattice_distance_per_point_evaluation(fn, monkeypatch):
     # the frame reads the distance of z* off the corners of its own cell; the
     # general search of core.lattice_distance is for unreduced tau only
+    tau, z = complex(0.3, 0.4), complex(4.3, 1.9)
+    assert reduce_point(tau, z).m != 0  # reduce_point reads the distance too
     searches = _count_calls(monkeypatch, "lattice_distance",
                             _bound_in("lattice_distance", core, weier, reduction))
     corners = _count_calls(monkeypatch, "_cell_distance", [reduction])
-    tau, z = complex(0.3, 0.4), complex(4.3, 1.9)
-    assert reduce_point(tau, z).m != 0
     fn(tau, z)
     assert searches == []
     assert len(corners) == 1
@@ -346,8 +346,11 @@ def test_a_point_split_out_of_its_cell_is_on_the_lattice():
         # z2 = z1 + 1e300: z1 keeps its place, z2 has lost it
         lambda: wp_add(complex(1.7726164019360304, 1e200), complex(2.418969041776853, 1e8),
                        complex(1e300, 1e8)),
+        # the distance and the split share the evaluators' check
+        lambda: lattice_distance_anywhere(complex(-1.38324, 2.54795), complex(-1e200, -1.6708)),
+        lambda: reduce_point(complex(-1.38324, 2.54795), complex(-1e200, -1.6708)),
     ],
-    ids=["wp_anywhere", "wp_add"],
+    ids=["wp_anywhere", "wp_add", "lattice_distance_anywhere", "reduce_point"],
 )
 def test_a_point_that_lost_its_place_in_the_cell_is_refused(evaluate):
     with pytest.raises(ConvergenceDomain):
@@ -401,6 +404,15 @@ def test_eval_expr_reduces_each_point_once(monkeypatch):
     tau, z = complex(0.3, 0.4), complex(4.3, 1.9)
     eval_expr(Z * TAU * WP * WP1 * ZETA * E2 * E4 * E6, tau, z)
     assert len(calls) == 1
+
+
+def test_fd_check_in_z_reduces_tau_once(monkeypatch):
+    # the symbolic value and the four differences share one frame and its E2
+    calls = _count_calls(monkeypatch, "reduce_tau", [reduction])
+    sums = _count_calls(monkeypatch, "_e_series", [eisenstein, weier, reduction])
+    fd_check(WP * ZETA + WP1 * E2, "z", complex(0.3, 0.4), complex(4.3, 1.9))
+    assert len(calls) == 1
+    assert [args[0] for args in sums].count("e2") == 1
 
 
 @pytest.mark.parametrize("tau, z", [(complex(0.3, 0.4), complex(4.3, 1.9)),

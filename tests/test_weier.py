@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from wpfield import weier
 from wpfield.eisenstein import _TAIL_TARGET, _order
 from wpfield.errors import ConvergenceDomain, PoleProximity
 from wpfield.reduction import invariants_anywhere
@@ -93,6 +94,23 @@ def test_half_periods_square_lattice():
     assert abs(hp.e3) < 1e-12  # the (1+tau)/2 value vanishes on the square lattice
     assert abs(hp.e1 - math.sqrt(g2.real) / 2.0) < 1e-12
     assert abs(hp.e1 + hp.e2) < 1e-12
+
+
+@pytest.mark.parametrize("kernel", ["half_periods", "wp_q", "wp_prime_q", "zeta_q"])
+def test_kernels_sum_e2_once(kernel, monkeypatch):
+    # half_periods runs three passes at one tau on one E2 sum
+    sums = []
+    original = weier._e_series
+
+    def counted(*args):
+        sums.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(weier, "_e_series", counted)
+    tau = complex(-0.2, 1.6)
+    args = (tau,) if kernel == "half_periods" else (tau, 0.3)
+    getattr(weier, kernel)(*args)
+    assert sums == ["e2"]
 
 
 def test_wp_prime_vanishes_at_half_periods():
