@@ -16,16 +16,7 @@ import sys
 from .core import TolerancePolicy
 from .eisenstein import _TAIL_TARGET, q_coefficients
 from .errors import WPFieldError
-from .reduction import (
-    _e2_at,
-    _frame,
-    _invariants_at,
-    _modular_at,
-    reduce_point,
-    wp_anywhere,
-    wp_prime_anywhere,
-    zeta_anywhere,
-)
+from .reduction import Lattice, reduce_point
 from .symbolic import differentiate, expr_to_text, parse_expr
 from .verify import load_tolerance_config, run_identity_suite
 from .weier import _EST_FLOOR
@@ -68,19 +59,16 @@ def _print_json(obj) -> None:
 
 def _cmd_eval(args) -> int:
     tau, z, fn = args.tau, args.z, args.fn
+    lat = Lattice(tau)
     if fn in _NEEDS_Z:
-        evaluator = {"wp": wp_anywhere, "wp1": wp_prime_anywhere, "zeta": zeta_anywhere}[fn]
-        res = evaluator(tau, z)
+        res = {"wp": lat.wp, "wp1": lat.wp_prime, "zeta": lat.zeta}[fn](z)
         value, est = res.value, res.est_error
     else:
-        f = _frame(tau)
-        if fn == "e2":
-            value = _e2_at(f)
-        elif fn in ("e4", "e6"):
-            value = _modular_at(f, fn, _EISENSTEIN_ERROR[fn][0])
+        if fn in ("e2", "e4", "e6"):
+            value = getattr(lat, fn)()
         else:
-            value = getattr(_invariants_at(f), fn)
-        gamma, tau_star, scale = f.gamma, f.tau_star, abs(f.s)
+            value = getattr(lat.invariants(), fn)
+        gamma, tau_star, scale = lat._gamma, lat._tau_star, abs(lat._s)
         eps = sys.float_info.epsilon
         if fn == "delta":
             # Rounding relative to |delta|: in the eta product and the s^12

@@ -8,13 +8,12 @@ the value is transported back with the weight of the function:
     zeta(tau;z) = s^-1 [zeta(tau*; z*) + m*eta1(tau*) + n*eta2(tau*)]
 
 where z/s = z* + m + n*tau*, eta1 = (pi^2/3) E2(tau*) and, by Legendre's
-relation, eta2 = tau* eta1 - 2*pi*i.  Every entry point reduces tau once, in
-_frame, and every evaluator is one pipeline, frame -> sum -> transport:
-_at_point splits z/s once, checks the point once (the pole guard scaled by
-1/|s| into the reduced frame, and the convergence checks) and sums wp, wp'
-and zeta in one pass at (tau*, z*), with E2(tau*).  A Lattice holds one
-frame and its E2(tau*) for evaluating many z at one tau.  E2 inverts the
-quasimodular law
+relation, eta2 = tau* eta1 - 2*pi*i.  A Lattice is the one frame: it reduces
+tau once, and every evaluator is Lattice(tau).method, one pipeline reduce ->
+sum -> transport.  A point is split once (z/s into its cell), checked once
+(the pole guard scaled by 1/|s| into the reduced frame, and the convergence
+checks), and wp, wp' and zeta are summed in one pass at (tau*, z*) with
+E2(tau*), which the Lattice sums once.  E2 inverts the quasimodular law
 
     G2(gamma tau) = s^2 G2(tau) - pi*i*c*s,      G2 = zeta(2) E2,
 
@@ -25,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     DEFAULT_POLICY,
@@ -165,31 +164,6 @@ def _reduce_z(tau: complex, z: complex) -> tuple[int, int, complex]:
     return m, n, z - m - n * tau
 
 
-# tau reduced: gamma, s = c*tau + d, tau* = gamma(tau), q* and the series
-# order at |q*|; with a point added (_at_point), also z/s = z* + m + n*tau*,
-# the lattice distance of z*, and wp, wp', zeta and E2 at (tau*, z*).  A
-# Lattice's frame holds E2(tau*) without a point.
-_Frame = namedtuple("_Frame", "gamma s tau_star q order m n z_star dist wp wp1 zeta e2",
-                    defaults=(None,) * 8)
-
-
-def _frame(tau: complex, z: complex | None = None) -> _Frame:
-    """The one reduction of tau that every entry point makes, with q* and the
-    one order (eisenstein._order) to which every q-series at q* is summed:
-    the kernels, each E-series and the eta product.  Given z, the frame with
-    z added (_at_point)."""
-    gamma, tau_star = reduce_tau(tau)
-    q = _nome(tau_star)
-    f = _Frame(gamma, gamma.scale(tau), tau_star, q, _order(abs(q)))
-    return f if z is None else _at_point(f, z)
-
-
-def _lattice_frame(tau: complex) -> _Frame:
-    """_frame(tau) holding E2(tau*) too, for evaluating many points at tau."""
-    f = _frame(tau)
-    return f._replace(e2=_e_series("e2", f.q, f.order))
-
-
 def _cell_distance(tau_star: complex, z_star: complex) -> float:
     """core.lattice_distance(tau*, z*) for z* in its cell: tau* is reduced, so
     the nearest lattice point is a corner, written as nb + na*tau* there.  A
@@ -199,55 +173,6 @@ def _cell_distance(tau_star: complex, z_star: complex) -> float:
         return 0.0
     return min(abs(z_star), abs(z_star - 1), abs(z_star - tau_star),
                abs(z_star - (1 + tau_star)))
-
-
-def _place(f: _Frame, z: complex) -> tuple[int, int, complex, float, float]:
-    """(m, n, z*, dist, guard): the one split z/s = z* + m + n*tau* in the
-    frame f, the lattice distance of z* and the pole guard scaled by 1/|s|
-    as distances are.  ConvergenceDomain when z has lost its place in its
-    cell."""
-    w = complex(z) / f.s
-    m, n, z_star = _reduce_z(f.tau_star, w)
-    dist = _cell_distance(f.tau_star, z_star)
-    guard = DEFAULT_POLICY.pole_guard_radius / abs(f.s)
-    # the pole guard refuses a z* split out of its cell (dist 0); one the split
-    # kept in its cell has still lost its place there once the rounding of z/s
-    # reaches the guard, i.e. once |z| >= 1e-3 * 2^52 whatever s is
-    if dist >= guard and abs(w) * _ULP >= guard:
-        raise ConvergenceDomain(
-            f"z/s = {w!r} is too large to place in its cell: its rounding, "
-            f"{abs(w) * _ULP:.1e}, reaches the pole guard {guard:.1e}"
-        )
-    return m, n, z_star, dist, guard
-
-
-def _at_point(f: _Frame, z: complex) -> _Frame:
-    """The frame f with z added: one split of z/s (_place) and one
-    weier._point_values pass, given the frame's E2(tau*) if it holds one."""
-    m, n, z_star, dist, guard = _place(f, z)
-    e2 = _e_series("e2", f.q, f.order) if f.e2 is None else f.e2
-    values = _point_values(f.tau_star, f.q, f.order, z_star, dist, guard, e2)
-    return _Frame(*f[:5], m, n, z_star, dist, *values, e2)
-
-
-def _distance(f: _Frame, z: complex) -> float:
-    """lattice_distance_anywhere in the frame f."""
-    return _place(f, z)[3] * abs(f.s)
-
-
-def reduce_point(tau: complex, z: complex | None = None) -> ReductionResult:
-    """Full reduction: tau into the fundamental domain, then z/s into the cell."""
-    f = _frame(tau)
-    if z is None:
-        return ReductionResult(f.gamma, f.tau_star, 0, 0, None, f.s)
-    m, n, z_star = _place(f, z)[:3]
-    return ReductionResult(f.gamma, f.tau_star, m, n, z_star, f.s)
-
-
-def lattice_distance_anywhere(tau: complex, z: complex) -> float:
-    """Distance from z to Z + tau*Z, computed in the reduced frame where the
-    nearest-corner search is exact, then scaled back."""
-    return _distance(_frame(tau), z)
 
 
 def _divide_by_sk(value: complex, s: complex, weight: int, what: str) -> complex:
@@ -264,130 +189,194 @@ def _transport(value: complex, est_error: float, s: complex, weight: int, what: 
     return WValue(value=value, est_error=est_error / abs(s**weight))
 
 
-def _wp_at(f: _Frame) -> WValue:
-    return _transport(f.wp, _est_error(f.wp, f.dist), f.s, 2, "wp")
+# A point in a Lattice: z/s = z* + m + n*tau*, the lattice distance of z*, and
+# wp, wp' and zeta at (tau*, z*) from one series pass.
+_Point = namedtuple("_Point", "m n z_star dist wp wp1 zeta")
 
 
-def _wp_prime_at(f: _Frame) -> WValue:
-    return _transport(f.wp1, _est_error(f.wp1, f.dist), f.s, 3, "wp'")
+class Lattice:
+    """The lattice Z + tau*Z with its reduction made once: gamma, s = c*tau + d,
+    tau* = gamma(tau), q* and the one order (eisenstein._order) to which every
+    q-series at q* is summed (the kernels, each E-series and the eta product).
+    E2(tau*) is summed once, when a point or E2 first needs it.
+
+    Every evaluator is Lattice(tau).method: wp, wp_prime and zeta (WValue)
+    are wp_anywhere(tau, z), wp_prime_anywhere(tau, z) and
+    zeta_anywhere(tau, z); e2, e4, e6 and invariants are e2_anywhere(tau) ...
+    invariants_anywhere(tau); distance(z) is lattice_distance_anywhere(tau,
+    z).  Each point costs one split of z/s and one series pass; nothing is
+    cached between points.  Lattice(tau) raises what the evaluators raise for
+    that tau.  Lattices are equal when their tau are.
+    """
+
+    __slots__ = ("_tau", "_gamma", "_s", "_tau_star", "_q", "_order", "_e2")
+
+    def __init__(self, tau: complex) -> None:
+        gamma, tau_star = reduce_tau(tau)
+        q = _nome(tau_star)
+        self._tau = complex(tau)
+        self._gamma = gamma
+        self._s = gamma.scale(tau)
+        self._tau_star = tau_star
+        self._q = q
+        self._order = _order(abs(q))
+        self._e2 = None
+
+    @property
+    def tau(self) -> complex:
+        return self._tau
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Lattice:
+            return NotImplemented
+        return self._tau == other._tau
+
+    def __hash__(self) -> int:
+        return hash(self._tau)
+
+    def __repr__(self) -> str:
+        return f"Lattice(tau={self._tau!r})"
+
+    def _e2_star(self) -> complex:
+        """E2(tau*), summed on first use."""
+        if self._e2 is None:
+            self._e2 = _e_series("e2", self._q, self._order)
+        return self._e2
+
+    def _place(self, z: complex) -> tuple[int, int, complex, float, float]:
+        """(m, n, z*, dist, guard): the one split z/s = z* + m + n*tau*, the
+        lattice distance of z* and the pole guard scaled by 1/|s| as
+        distances are.  ConvergenceDomain when z has lost its place in its
+        cell."""
+        w = complex(z) / self._s
+        m, n, z_star = _reduce_z(self._tau_star, w)
+        dist = _cell_distance(self._tau_star, z_star)
+        guard = DEFAULT_POLICY.pole_guard_radius / abs(self._s)
+        # the pole guard refuses a z* split out of its cell (dist 0); one the
+        # split kept in its cell has still lost its place there once the
+        # rounding of z/s reaches the guard, i.e. once |z| >= 1e-3 * 2^52
+        # whatever s is
+        if dist >= guard and abs(w) * _ULP >= guard:
+            raise ConvergenceDomain(
+                f"z/s = {w!r} is too large to place in its cell: its rounding, "
+                f"{abs(w) * _ULP:.1e}, reaches the pole guard {guard:.1e}"
+            )
+        return m, n, z_star, dist, guard
+
+    def _point(self, z: complex) -> _Point:
+        """z placed in its cell (_place) and one weier._point_values pass."""
+        m, n, z_star, dist, guard = self._place(z)
+        values = _point_values(self._tau_star, self._q, self._order, z_star, dist, guard,
+                               self._e2_star())
+        return _Point(m, n, z_star, dist, *values)
+
+    def wp(self, z: complex) -> WValue:
+        """wp (weight 2)."""
+        return self._wp(self._point(z))
+
+    def wp_prime(self, z: complex) -> WValue:
+        """d(wp)/dz (weight 3)."""
+        return self._wp_prime(self._point(z))
+
+    def zeta(self, z: complex) -> WValue:
+        """zeta: closed-form quasi-period unwinding, weight-1 transport."""
+        return self._zeta(self._point(z))
+
+    # The transports of one point's values, so that eval_expr reads wp, wp'
+    # and zeta off one series pass.
+
+    def _wp(self, p: _Point) -> WValue:
+        return _transport(p.wp, _est_error(p.wp, p.dist), self._s, 2, "wp")
+
+    def _wp_prime(self, p: _Point) -> WValue:
+        return _transport(p.wp1, _est_error(p.wp1, p.dist), self._s, 3, "wp'")
+
+    def _zeta(self, p: _Point) -> WValue:
+        """Unwound by eta1 = (pi^2/3) E2(tau*) and eta2 = tau*eta1 - 2*pi*i."""
+        value = p.zeta
+        if p.m or p.n:
+            eta1 = (math.pi**2 / 3.0) * self._e2  # summed by _point
+            value += (p.m + p.n * self._tau_star) * eta1 - 2j * math.pi * p.n
+        est = _est_error(p.zeta, p.dist) * (1.0 + abs(p.m) + abs(p.n))
+        return _transport(value, est, self._s, 1, "zeta")
+
+    def e2(self) -> complex:
+        """E2 by inverting G2(gamma tau) = s^2 G2(tau) - pi*i*c*s."""
+        s = self._s
+        g2 = ZETA2 * self._e2_star() + 1j * math.pi * self._gamma.c * s
+        return _divide_by_sk(g2, s, 2, "E2") / ZETA2
+
+    def e4(self) -> complex:
+        """E4 (weight-4 modular transport)."""
+        return _divide_by_sk(_e_series("e4", self._q, self._order), self._s, 4, "E4")
+
+    def e6(self) -> complex:
+        """E6 (weight-6 modular transport)."""
+        return _divide_by_sk(_e_series("e6", self._q, self._order), self._s, 6, "E6")
+
+    def invariants(self) -> LatticeInvariants:
+        """g2, g3, delta, eta1 from E2, E4, E6 and the eta product at q*,
+        transported with weights 4, 6, 12 and the E2 law.
+
+        delta is the eta product at tau* (weight 12), not g2^3 - 27 g3^2,
+        which cancels badly once |q*| is small."""
+        g2 = (4.0 * math.pi**4 / 3.0) * self.e4()
+        g3 = (8.0 * math.pi**6 / 27.0) * self.e6()
+        delta = _divide_by_sk(_delta_eta_product(self._q, self._order), self._s, 12, "delta")
+        eta1 = (math.pi**2 / 3.0) * self.e2()
+        return LatticeInvariants(g2=g2, g3=g3, delta=delta, eta1=eta1)
+
+    def distance(self, z: complex) -> float:
+        """Distance from z to the lattice, found in the reduced frame where
+        the nearest-corner search is exact, then scaled back."""
+        return self._place(z)[3] * abs(self._s)
 
 
-def _zeta_at(f: _Frame) -> WValue:
-    """zeta from the frame, unwound by eta1 = (pi^2/3) E2(tau*) and
-    eta2 = tau*eta1 - 2*pi*i."""
-    value = f.zeta
-    if f.m or f.n:
-        eta1 = (math.pi**2 / 3.0) * f.e2
-        value += (f.m + f.n * f.tau_star) * eta1 - 2j * math.pi * f.n
-    est = _est_error(f.zeta, f.dist) * (1.0 + abs(f.m) + abs(f.n))
-    return _transport(value, est, f.s, 1, "zeta")
+def reduce_point(tau: complex, z: complex | None = None) -> ReductionResult:
+    """Full reduction: tau into the fundamental domain, then z/s into the cell."""
+    lat = Lattice(tau)
+    m, n, z_star = (0, 0, None) if z is None else lat._place(z)[:3]
+    return ReductionResult(lat._gamma, lat._tau_star, m, n, z_star, lat._s)
 
 
-def _e2_at(f: _Frame) -> complex:
-    """E2 from E2(tau*), read off the frame if it holds it (a point pass or a
-    Lattice), by inverting G2(gamma tau) = s^2 G2(tau) - pi*i*c*s."""
-    e2_star = _e_series("e2", f.q, f.order) if f.e2 is None else f.e2
-    return _divide_by_sk(ZETA2 * e2_star + 1j * math.pi * f.gamma.c * f.s, f.s, 2, "E2") / ZETA2
-
-
-def _modular_at(f: _Frame, kind: str, weight: int) -> complex:
-    """E4 or E6 (kind "e4", "e6") from the frame, by weight-k transport."""
-    return _divide_by_sk(_e_series(kind, f.q, f.order), f.s, weight, kind.upper())
+def lattice_distance_anywhere(tau: complex, z: complex) -> float:
+    """Distance from z to Z + tau*Z (Lattice.distance)."""
+    return Lattice(tau).distance(z)
 
 
 def wp_anywhere(tau: complex, z: complex) -> WValue:
     """wp at any tau in the upper half-plane and any non-lattice z (weight 2)."""
-    return _wp_at(_frame(tau, z))
+    return Lattice(tau).wp(z)
 
 
 def wp_prime_anywhere(tau: complex, z: complex) -> WValue:
     """d(wp)/dz at any tau, z (weight 3)."""
-    return _wp_prime_at(_frame(tau, z))
+    return Lattice(tau).wp_prime(z)
 
 
 def zeta_anywhere(tau: complex, z: complex) -> WValue:
     """zeta at any tau, z: closed-form quasi-period unwinding, weight-1 transport."""
-    return _zeta_at(_frame(tau, z))
+    return Lattice(tau).zeta(z)
 
 
 def e2_anywhere(tau: complex) -> complex:
     """E2 at any tau by inverting the quasimodular transformation law."""
-    return _e2_at(_frame(tau))
+    return Lattice(tau).e2()
 
 
 def e4_anywhere(tau: complex) -> complex:
     """E4 at any tau (weight-4 modular transport)."""
-    return _modular_at(_frame(tau), "e4", 4)
+    return Lattice(tau).e4()
 
 
 def e6_anywhere(tau: complex) -> complex:
     """E6 at any tau (weight-6 modular transport)."""
-    return _modular_at(_frame(tau), "e6", 6)
+    return Lattice(tau).e6()
 
 
 def invariants_anywhere(tau: complex) -> LatticeInvariants:
-    """g2, g3, delta, eta1 at any tau from one reduction, E2, E4, E6 and the eta
-    product at q* to one order, and transport with weights 4, 6, 12 and the E2 law.
-
-    delta is the eta product at tau* (weight 12), not g2^3 - 27 g3^2, which
-    cancels badly once |q*| is small."""
-    return _invariants_at(_frame(tau))
-
-
-def _invariants_at(f: _Frame) -> LatticeInvariants:
-    e4, e6 = (_e_series(kind, f.q, f.order) for kind in ("e4", "e6"))
-    g2 = (4.0 * math.pi**4 / 3.0) * _divide_by_sk(e4, f.s, 4, "E4")
-    g3 = (8.0 * math.pi**6 / 27.0) * _divide_by_sk(e6, f.s, 6, "E6")
-    delta = _divide_by_sk(_delta_eta_product(f.q, f.order), f.s, 12, "delta")
-    eta1 = (math.pi**2 / 3.0) * _e2_at(f)
-    return LatticeInvariants(g2=g2, g3=g3, delta=delta, eta1=eta1)
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class Lattice:
-    """The lattice Z + tau*Z with its reduction made once: gamma, tau*, q*,
-    the series order and E2(tau*), summed once, serve every evaluation.
-
-    The methods equal the matching evaluators bit for bit, exceptions
-    included: wp, wp_prime and zeta (WValue) are wp_anywhere(tau, z),
-    wp_prime_anywhere(tau, z) and zeta_anywhere(tau, z); e2, e4, e6 and
-    invariants are e2_anywhere(tau) ... invariants_anywhere(tau); distance(z)
-    is lattice_distance_anywhere(tau, z).  Each point costs one split of
-    z/s and one series pass; nothing is cached between points.  Lattice(tau)
-    raises what the evaluators raise for that tau.
-    """
-
-    tau: complex
-    _f: _Frame = field(repr=False, compare=False)
-
-    def __init__(self, tau: complex) -> None:
-        f = _lattice_frame(tau)
-        object.__setattr__(self, "tau", complex(tau))
-        object.__setattr__(self, "_f", f)
-
-    def wp(self, z: complex) -> WValue:
-        return _wp_at(_at_point(self._f, z))
-
-    def wp_prime(self, z: complex) -> WValue:
-        return _wp_prime_at(_at_point(self._f, z))
-
-    def zeta(self, z: complex) -> WValue:
-        return _zeta_at(_at_point(self._f, z))
-
-    def e2(self) -> complex:
-        return _e2_at(self._f)
-
-    def e4(self) -> complex:
-        return _modular_at(self._f, "e4", 4)
-
-    def e6(self) -> complex:
-        return _modular_at(self._f, "e6", 6)
-
-    def invariants(self) -> LatticeInvariants:
-        return _invariants_at(self._f)
-
-    def distance(self, z: complex) -> float:
-        return _distance(self._f, z)
+    """g2, g3, delta, eta1 at any tau from one reduction (Lattice.invariants)."""
+    return Lattice(tau).invariants()
 
 
 def wp_add(tau: complex, z1: complex, z2: complex) -> complex:
@@ -405,24 +394,28 @@ def wp_add(tau: complex, z1: complex, z2: complex) -> complex:
     to 1e-8 at points that are not equivalent, or |wp'(z1)| is within its
     own est_error at a z1 that is not a half period.
     """
-    f = _lattice_frame(tau)
-    if _distance(f, z1 + z2) < DEFAULT_POLICY.pole_guard_radius:
+    return _wp_add(Lattice(tau), z1, z2)
+
+
+def _wp_add(lat: Lattice, z1: complex, z2: complex) -> complex:
+    """wp_add in the Lattice lat."""
+    if lat.distance(z1 + z2) < DEFAULT_POLICY.pole_guard_radius:
         raise DegenerateConfiguration("z1 + z2 is on (or nearly on) the lattice")
-    f1 = _at_point(f, z1)
-    p1 = _wp_at(f1).value
-    f2 = _at_point(f, z2)
-    p2 = _wp_at(f2).value
+    point1 = lat._point(z1)
+    p1 = lat._wp(point1).value
+    point2 = lat._point(z2)
+    p2 = lat._wp(point2).value
     if abs(p1 - p2) < 1e-8 * max(1.0, abs(p1)):
-        if _distance(f, z1 - z2) >= 1e-6:
+        if lat.distance(z1 - z2) >= 1e-6:
             raise NearSingular("wp(z1) and wp(z2) agree to 1e-8 at points that are not equivalent")
-        w1 = _wp_prime_at(f1)
+        w1 = lat._wp_prime(point1)
         pp = w1.value
         if abs(pp) <= w1.est_error:  # rounding noise: dividing by it gives noise
             raise NearSingular(f"|wp'(z1)| = {abs(pp):.1e} is within its error {w1.est_error:.1e}")
-        g2 = (4.0 * math.pi**4 / 3.0) * _modular_at(f, "e4", 4)
+        g2 = (4.0 * math.pi**4 / 3.0) * lat.e4()
         second = 6.0 * p1 * p1 - 0.5 * g2
         return ensure_finite((second / (2.0 * pp)) ** 2 - 2.0 * p1, "wp_add")
-    pp1 = _wp_prime_at(f1).value
-    pp2 = _wp_prime_at(f2).value
+    pp1 = lat._wp_prime(point1).value
+    pp2 = lat._wp_prime(point2).value
     slope = (pp1 - pp2) / (p1 - p2)
     return ensure_finite(0.25 * slope * slope - p1 - p2, "wp_add")

@@ -38,16 +38,7 @@ from operator import add, mul, sub, truediv
 
 from .core import ensure_finite
 from .errors import NearSingular, NonFiniteValue
-from .reduction import (
-    _at_point,
-    _e2_at,
-    _frame,
-    _lattice_frame,
-    _modular_at,
-    _wp_at,
-    _wp_prime_at,
-    _zeta_at,
-)
+from .reduction import Lattice
 
 GEN_NAMES = ("z", "tau", "wp", "wp1", "zeta", "E2", "E4", "E6", "pi")
 NGEN = len(GEN_NAMES)
@@ -56,7 +47,7 @@ _UNIT_MONO = (0,) * NGEN
 
 _SINGULAR_FLOOR = 1e-12
 
-# wp, wp1, zeta, E2, E4, E6: the generators read off a reduced frame.
+# wp, wp1, zeta, E2, E4, E6: the generators read off a Lattice.
 _FRAME_GENERATORS = frozenset(range(2, 8))
 
 # ---------------------------------------------------------------------------
@@ -464,8 +455,8 @@ def eval_expr(
     z: complex | None = None,
 ) -> complex:
     """Evaluate an Expr by binding the generators to the anywhere-evaluators'
-    values, from one reduced frame of (tau, z): one q-series pass at the
-    point serves wp, wp1, zeta and E2, and E4 and E6 are summed if used.
+    values, from one Lattice of tau: one q-series pass at z serves wp, wp1,
+    zeta and E2, and E4 and E6 are summed if used.
 
     z may be omitted for expressions that do not mention z, wp, wp1, or zeta.
     Raises NearSingular if the denominator lands below 1e-12 in magnitude and
@@ -474,9 +465,9 @@ def eval_expr(
     return _eval_in(e, tau, z, None)
 
 
-def _eval_in(e: Expr, tau: complex, z: complex | None, frame) -> complex:
-    """eval_expr in frame, the reduction of tau made once by the caller
-    (_frame or _lattice_frame), or made here when frame is None."""
+def _eval_in(e: Expr, tau: complex, z: complex | None, lat: Lattice | None) -> complex:
+    """eval_expr in lat, the Lattice of tau made once by the caller, or made
+    here when lat is None."""
     used = e.used_generators()
     vals: list[complex] = [0j] * NGEN
     needs_z = used & {0, 2, 3, 4}
@@ -487,22 +478,22 @@ def _eval_in(e: Expr, tau: complex, z: complex | None, frame) -> complex:
     if 0 in used:
         vals[0] = complex(z)  # type: ignore[arg-type]
     if used & _FRAME_GENERATORS:
-        if frame is None:
-            frame = _frame(tau)
+        if lat is None:
+            lat = Lattice(tau)
         if used & {2, 3, 4}:
-            frame = _at_point(frame, z)
+            point = lat._point(z)
     if 2 in used:
-        vals[2] = _wp_at(frame).value
+        vals[2] = lat._wp(point).value
     if 3 in used:
-        vals[3] = _wp_prime_at(frame).value
+        vals[3] = lat._wp_prime(point).value
     if 4 in used:
-        vals[4] = _zeta_at(frame).value
+        vals[4] = lat._zeta(point).value
     if 5 in used:
-        vals[5] = _e2_at(frame)
+        vals[5] = lat.e2()
     if 6 in used:
-        vals[6] = _modular_at(frame, "e4", 4)
+        vals[6] = lat.e4()
     if 7 in used:
-        vals[7] = _modular_at(frame, "e6", 6)
+        vals[7] = lat.e6()
     try:
         n = e._lead()
         den = _p_eval(e._den, n, vals)
@@ -526,18 +517,18 @@ def fd_check(
     finite difference with step h: |fd - sym| / max(1, |sym|)."""
     if not 1e-6 <= h <= 1e-3:
         raise ValueError(f"h must lie in [1e-6, 1e-3], got {h}")
-    frame = None
+    lat = None
     if var == "z":
         if z is None:
             raise ValueError("z must be given to difference in z")
-        # tau stays put: one reduction and one E2(tau*) serve all five
-        # evaluations
+        # tau stays put: one Lattice, its reduction and its E2(tau*) serve
+        # all five evaluations
         if e.used_generators() & _FRAME_GENERATORS:
-            frame = _lattice_frame(tau)
-        f = lambda offset: _eval_in(e, tau, z + offset, frame)
+            lat = Lattice(tau)
+        f = lambda offset: _eval_in(e, tau, z + offset, lat)
     else:
         f = lambda offset: eval_expr(e, tau + offset, z)
-    sym = _eval_in(differentiate(e, var, rules), tau, z, frame)
+    sym = _eval_in(differentiate(e, var, rules), tau, z, lat)
 
     def central(step: float) -> complex:
         return (f(step) - f(-step)) / (2.0 * step)

@@ -31,13 +31,13 @@ from .errors import WPFieldError
 from .reduction import (
     Lattice,
     _cell_distance,
+    _wp_add,
     e2_anywhere,
     e4_anywhere,
     e6_anywhere,
     invariants_anywhere,
     reduce_point,
     reduce_tau,
-    wp_add,
     wp_anywhere,
     zeta_anywhere,
 )
@@ -313,7 +313,7 @@ def _case_addition_formula(ctx: _Ctx):
         p2 = lat.wp(z2).value
         if abs(p1 - p2) < 0.5:  # keep the slope quotient well conditioned
             continue
-        residuals.append(abs(wp_add(tau, z1, z2) - lat.wp(z1 + z2).value))
+        residuals.append(abs(_wp_add(lat, z1, z2) - lat.wp(z1 + z2).value))
         count += 1
     return residuals, ""
 
@@ -334,7 +334,7 @@ def _case_duplication_formula(ctx: _Ctx):
     plus_err = minus_err = 0.0
     for lat, z in points:
         direct = lat.wp(2 * z).value
-        residuals.append(abs(wp_add(lat.tau, z, z) - direct))
+        residuals.append(abs(_wp_add(lat, z, z) - direct))
         p = lat.wp(z).value
         pp = lat.wp_prime(z).value
         second = 6.0 * p * p - 0.5 * lat.invariants().g2

@@ -159,15 +159,22 @@ def zeta_q(tau: complex, z: complex) -> WValue:
 
 def half_periods(tau: complex) -> HalfPeriodData:
     """e1 = wp(1/2), e2 = wp(tau/2), e3 = wp((1+tau)/2); the roots of
-    4 t^3 - g2 t - g3, so e1 + e2 + e3 = 0.  E2 is summed once for the three."""
+    4 t^3 - g2 t - g3, so e1 + e2 + e3 = 0.  E2 is summed once for the three.
+
+    Re(tau) is folded mod 1 as in _kernel: tau = k + tau' with k an integer,
+    and when k is odd tau/2 is (1 + tau')/2 on the lattice, so e2 and e3 swap."""
     tau = _series_tau(tau)
-    q = _nome(tau)
+    folded = complex(math.remainder(tau.real, 1.0), tau.imag)
+    q = _nome(folded)
     order = _order(abs(q))
     guard = DEFAULT_POLICY.pole_guard_radius
     e2 = _e_series("e2", q, order)
-    values = (_point_values(tau, q, order, z, lattice_distance(tau, z), guard, e2)[0]
-              for z in (0.5 + 0j, tau / 2.0, (1.0 + tau) / 2.0))
-    return HalfPeriodData(*(ensure_finite(value, "wp") for value in values))
+    values = [ensure_finite(_point_values(folded, q, order, z, lattice_distance(folded, z),
+                                          guard, e2)[0], "wp")
+              for z in (0.5 + 0j, folded / 2.0, (1.0 + folded) / 2.0)]
+    if math.remainder(tau.real - folded.real, 2.0):
+        values[1], values[2] = values[2], values[1]
+    return HalfPeriodData(*values)
 
 
 def _wp_row_bound(t: float) -> float:

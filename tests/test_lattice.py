@@ -1,6 +1,7 @@
 """Lattice(tau): one reduction of tau for many z, equal to the anywhere
 evaluators bit for bit, exceptions included."""
 
+import ast
 import cmath
 import math
 import random
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from wpfield import eisenstein, reduction, weier
+import wpfield
+from wpfield import eisenstein, reduction, verify, weier
 from wpfield.reduction import (
     Lattice,
     e2_anywhere,
@@ -146,4 +148,38 @@ def test_lattice_is_immutable():
     assert lat.tau == complex(0.3, 0.4)
     with pytest.raises(AttributeError):
         lat.tau = 1j
+    assert lat.tau == complex(0.3, 0.4)
     assert lat == Lattice(complex(0.3, 0.4))
+    assert hash(lat) == hash(Lattice(complex(0.3, 0.4)))
+    assert lat != Lattice(complex(0.3, 0.5))
+    assert lat != complex(0.3, 0.4)
+
+
+def test_the_suite_reuses_its_lattice_for_the_addition_formula(monkeypatch):
+    # the addition and duplication cases hold a Lattice; the public wp_add
+    # would reduce tau again
+    def refuse(*args, **kwargs):
+        raise AssertionError("the suite called the public wp_add")
+
+    for module in (wpfield, reduction, verify):
+        if hasattr(module, "wp_add"):
+            monkeypatch.setattr(module, "wp_add", refuse)
+    report = verify.run_identity_suite(seed=11, only=["addition_formula",
+                                                      "duplication_formula"])
+    assert [(case.name, case.passed) for case in report.cases] == [
+        ("addition_formula", True), ("duplication_formula", True)]
+
+
+def test_the_frame_stays_inside_reduction():
+    # the other modules evaluate through Lattice and the public evaluators;
+    # of reduction's private names they import only these two
+    for name in ("symbolic", "cli", "verify"):
+        tree = ast.parse((ROOT / "src" / "wpfield" / f"{name}.py").read_text())
+        private = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "reduction" and node.level == 1
+            for alias in node.names
+            if alias.name.startswith("_")
+        }
+        assert private <= {"_wp_add", "_cell_distance"}, (name, private)

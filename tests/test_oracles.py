@@ -17,6 +17,7 @@ from wpfield.eisenstein import (
     _cot,
     _csc2,
     _reduced_basis,
+    _row_bound,
     _row_sum,
     eisenstein_at,
     lattice_sum_eisenstein,
@@ -36,8 +37,8 @@ POINTS = (
 # What the oracles must never call: the SL(2,Z) walk, the reduced frame, the
 # series order rule and the q-series they check.
 CHECKED_CODE = ("reduce_tau", "reduce_point", "wp_q", "wp_prime_q", "zeta_q",
-                "eisenstein_at", "_e_series", "_frame", "_at_point", "_point_values",
-                "_cell_distance", "_delta_eta_product", "_order", "Lattice")
+                "eisenstein_at", "_e_series", "_point_values", "_cell_distance",
+                "_delta_eta_product", "_order", "Lattice")
 
 
 def _oracles(tau, z):
@@ -266,3 +267,54 @@ def test_suite_oracle_samples_stop_within_twelve_rows(monkeypatch, seed):
     verify._case_s_law_exponent(ctx)
     assert len(seen) == 30 + 30 + 15 + 15 + 6
     assert max(seen) <= 12
+
+
+def _row_sweep():
+    """300 seeded (tau, z), Im tau log-uniform in [0.005, 5], |z| <= 3, then
+    tau = iy with z = 1/2, where the wp majorant is exact to 1e-9."""
+    rng = random.Random(20261020)
+    for _ in range(300):
+        im = math.exp(rng.uniform(math.log(0.005), math.log(5.0)))
+        tau = complex(rng.uniform(-1.0, 1.0), im)
+        yield tau, cmath.rect(3.0 * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi))
+    for im in (0.9, 2.0):
+        yield complex(0.0, im), 0.5
+
+
+def test_every_oracle_row_is_within_its_majorant():
+    # Row n of each oracle, computed here as the oracle computes it, against
+    # the majorant its stop rule uses at t = exp(-2*pi*(n*Im tau_r - lift)),
+    # on rows 1..12 where 1e-12 < t < 1.  The csc^2 majorant is exact at
+    # Re a = 1/2, so the k = 1 rows reach it to rounding.
+    worst = {}
+    for tau, z in _row_sweep():
+        rows = []  # (family, row, its majorant as a function of t, t)
+        try:
+            _, tau_r, z_r = _oracle_frame(tau, z, 50)
+        except PoleProximity:
+            pass
+        else:
+            lift = abs(z_r.imag)
+            for n in range(1, 13):
+                w = n * tau_r
+                # rows below the point's height are not bounded (t >= 1)
+                t = math.exp(-2.0 * math.pi * max(n * tau_r.imag - lift, 0.0))
+                wp_row = _csc2(z_r - w) + _csc2(z_r + w) - 2.0 * _csc2(w)
+                zeta_row = _cot(z_r - w) + _cot(z_r + w) + 2.0 * math.pi * z_r * _csc2(w)
+                rows.append(("wp", wp_row, weier._wp_row_bound, t))
+                rows.append(("zeta", zeta_row,
+                             lambda t, a=abs(z_r): weier._zeta_row_bound(a, t), t))
+        for k in (1, 2, 3):
+            tau_k = tau if k == 1 else _reduced_basis(tau)[1]
+            for n in range(1, 13):
+                t = math.exp(-2.0 * math.pi * n * tau_k.imag)
+                rows.append((f"k={k}", _row_sum(n * tau_k, k),
+                             lambda t, k=k: _row_bound(k, t), t))
+        for family, row, bound, t in rows:
+            if 1e-12 < t < 1.0:
+                ratio = abs(row) / bound(t)
+                assert ratio <= 1.0 + 1e-12, (family, tau, z, t, ratio)
+                worst[family] = max(worst.get(family, 0.0), ratio)
+    # every family is checked, and near the edge of its majorant
+    assert sorted(worst) == ["k=1", "k=2", "k=3", "wp", "zeta"]
+    assert min(worst.values()) > 0.7, worst

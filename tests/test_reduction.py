@@ -25,6 +25,7 @@ from wpfield.errors import (
     PoleProximity,
 )
 from wpfield.reduction import (
+    Lattice,
     UnimodularMatrix,
     e2_anywhere,
     e4_anywhere,
@@ -316,15 +317,15 @@ def test_cell_distance_is_the_lattice_distance_bit_for_bit():
             z = round(z.real - n * tau.real) + n * tau
             d = 10.0 ** rng.uniform(-3.0, math.log10(0.3))
             z += d * cmath.exp(2j * math.pi * rng.random())
-        f = reduction._frame(tau)
+        lat = Lattice(tau)
         rr = reduce_point(tau, z)
         want = lattice_distance(rr.tau_star, rr.z_star)
         assert reduction._cell_distance(rr.tau_star, rr.z_star) == want, (tau, z)
-        assert reduction._distance(f, z) == want * abs(f.s), (tau, z)
+        assert lat.distance(z) == want * abs(rr.scale), (tau, z)
         try:
-            assert reduction._at_point(f, z).dist == want, (tau, z)
+            assert lat._point(z).dist == want, (tau, z)
         except PoleProximity:
-            assert want < DEFAULT_POLICY.pole_guard_radius / abs(f.s)
+            assert want < DEFAULT_POLICY.pole_guard_radius / abs(rr.scale)
 
 
 def test_a_point_split_out_of_its_cell_is_on_the_lattice():

@@ -113,6 +113,22 @@ def test_kernels_sum_e2_once(kernel, monkeypatch):
     assert sums == ["e2"]
 
 
+def test_half_periods_fold_re_tau_mod_one():
+    # dyadic Re(tau), so the integer shift is exact: an even shift leaves the
+    # half periods as they are, an odd one swaps tau/2 and (1 + tau)/2
+    tau = complex(0.25, 0.5)
+    base = half_periods(tau)
+    assert half_periods(tau + 2) == base
+    shifted = half_periods(tau + 1)
+    assert (shifted.e1, shifted.e2, shifted.e3) == (base.e1, base.e3, base.e2)
+
+
+@pytest.mark.parametrize("re", [1e3, 1e6, 1e9])
+def test_half_periods_root_sum_at_large_re_tau(re):
+    hp = half_periods(complex(re + 0.3, 0.5))
+    assert abs(hp.e1 + hp.e2 + hp.e3) <= 1e-13
+
+
 def test_wp_prime_vanishes_at_half_periods():
     for w in (0.5, 0.5j + 0.5, 1j * 0.5):
         assert abs(wp_prime_q(1j, w).value) < 1e-12
