@@ -9,34 +9,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
-from .core import TolerancePolicy
-from .eisenstein import _TAIL_TARGET, q_coefficients
+from .core import TolerancePolicy, ensure_finite
+from .eisenstein import q_coefficients
 from .errors import WPFieldError
 from .reduction import Lattice, reduce_point
 from .symbolic import differentiate, expr_to_text, parse_expr
 from .verify import load_tolerance_config, run_identity_suite
-from .weier import _EST_FLOOR
 
 TOL_FILE_ENV = "WPFIELD_TOL_FILE"
 
 _EVAL_FUNCTIONS = ("wp", "wp1", "zeta", "e2", "e4", "e6", "g2", "g3", "delta")
 _NEEDS_Z = frozenset({"wp", "wp1", "zeta"})
-
-# For each function of tau alone: its weight k, its factor over E_k, and on
-# the reduced domain the bound on |E_k'| from Ramanujan's system and the sum
-# of |term| over E_k's q-series (both taken at the bottom of the domain,
-# where |q| = exp(-pi*sqrt(3)) is largest).
-_EISENSTEIN_ERROR = {
-    "e2": (2, 1.0, 0.7, 1.2),
-    "e4": (4, 1.0, 6.1, 2.1),
-    "e6": (6, 1.0, 10.0, 3.6),
-    "g2": (4, 4.0 * math.pi**4 / 3.0, 6.1, 2.1),
-    "g3": (6, 8.0 * math.pi**6 / 27.0, 10.0, 3.6),
-}
+# series' divisor sums cost more than linearly in the order, and no
+# evaluator sums more than 119 terms
+_MAX_SERIES_ORDER = 10_000
 
 
 def _parse_complex(text: str) -> complex:
@@ -54,7 +43,7 @@ def _pair(value: complex) -> list[float]:
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj))
+    print(json.dumps(obj, allow_nan=False))
 
 
 def _cmd_eval(args) -> int:
@@ -64,36 +53,9 @@ def _cmd_eval(args) -> int:
         res = {"wp": lat.wp, "wp1": lat.wp_prime, "zeta": lat.zeta}[fn](z)
         value, est = res.value, res.est_error
     else:
-        if fn in ("e2", "e4", "e6"):
-            value = getattr(lat, fn)()
-        else:
-            value = getattr(lat.invariants(), fn)
-        gamma, tau_star, scale = lat._gamma, lat._tau_star, abs(lat._s)
-        eps = sys.float_info.epsilon
-        if fn == "delta":
-            # Rounding relative to |delta|: in the eta product and the s^12
-            # division (64), and in tau* through d(delta)/d(tau) =
-            # 2*pi*i*E2*delta with 2*pi*|E2| <= 8 on the reduced domain,
-            # where tau*'s own rounding is amplified by d(tau*)/d(tau) = 1/s^2.
-            conditioning = 64.0 + 8.0 * (abs(tau_star) + abs(tau) / scale**2)
-            est = abs(value) * eps * conditioning
-        else:
-            weight, factor, slope, terms = _EISENSTEIN_ERROR[fn]
-            # E_k(tau*) carries the series tail, the rounding of its terms and
-            # tau*'s rounding through |E_k'| <= slope.  Translations by
-            # integers are exact, so with no inversion tau* rounds only in the
-            # nome (|tau*|); the first inversion rounds at |tau|, which
-            # d(tau*)/d(tau) = 1/s^2 carries to tau*.  The transport rounds
-            # relative to its terms, k times through s = c*tau + d, which is
-            # itself off by eps*(1 + |c*tau|/|s|).
-            tau_star_error = abs(tau_star) + (abs(tau) / scale**2 if gamma.c else 0.0)
-            reduced = _TAIL_TARGET + eps * (terms + slope * tau_star_error)
-            transport = abs(value)
-            if fn == "e2":
-                transport += 6.0 * abs(gamma.c) / (math.pi * scale)
-            s_error = 1.0 + abs(gamma.c * tau) / scale
-            est = factor * reduced / scale**weight + eps * weight * s_error * transport
-        est = max(est, _EST_FLOOR)
+        value = getattr(lat, fn)() if fn in ("e2", "e4", "e6") else getattr(lat.invariants(), fn)
+        est = lat._tau_error(fn, value)
+    ensure_finite(est, f"est_error of {fn}")  # it can overflow where the value does not
     out = {"fn": fn, "tau": _pair(tau), "re": value.real, "im": value.imag, "est_error": est}
     if z is not None:
         out["z"] = _pair(z)
@@ -143,8 +105,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_series(args) -> int:
     fn, order = args.fn, args.order
-    if order < 0:
-        raise WPFieldError(f"order must be >= 0, got {order}")
+    if not 0 <= order <= _MAX_SERIES_ORDER:
+        raise WPFieldError(f"order must be in [0, {_MAX_SERIES_ORDER}], got {order}")
     _print_json({"fn": fn, "order": order, "coefficients": q_coefficients(fn, order)})
     return 0
 

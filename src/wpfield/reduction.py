@@ -33,7 +33,8 @@ from .core import (
     ensure_finite,
     require_upper_half,
 )
-from .eisenstein import ZETA2, LatticeInvariants, _delta_eta_product, _e_series, _order
+from .eisenstein import (_TAIL_TARGET, ZETA2, LatticeInvariants, _delta_eta_product,
+                         _e_series, _order)
 from .errors import (
     ConvergenceDomain,
     DegenerateConfiguration,
@@ -41,7 +42,7 @@ from .errors import (
     NonFiniteValue,
     NonTermination,
 )
-from .weier import WValue, _est_error, _point_values
+from .weier import _EST_FLOOR, WValue, _est_error, _point_values
 
 _MAX_REDUCTION_STEPS = 10_000
 _CIRCLE_EPS = 1e-12
@@ -51,6 +52,18 @@ _CIRCLE_EPS = 1e-12
 _TAU_STAR_MISMATCH = 1e-6
 
 _ULP = 2.0**-52  # relative spacing of doubles: the rounding of z/s in its split
+
+# For each function of tau alone but delta: its weight k, its factor over
+# E_k, and on the reduced domain the bound on |E_k'| from Ramanujan's system
+# and the sum of |term| over E_k's q-series (both taken at the bottom of the
+# domain, where |q| = exp(-pi*sqrt(3)) is largest).
+_EISENSTEIN_ERROR = {
+    "e2": (2, 1.0, 0.7, 1.2),
+    "e4": (4, 1.0, 6.1, 2.1),
+    "e6": (6, 1.0, 10.0, 3.6),
+    "g2": (4, 4.0 * math.pi**4 / 3.0, 6.1, 2.1),
+    "g3": (6, 8.0 * math.pi**6 / 27.0, 10.0, 3.6),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -330,6 +343,35 @@ class Lattice:
         """Distance from z to the lattice, found in the reduced frame where
         the nearest-corner search is exact, then scaled back."""
         return self._place(z)[3] * abs(self._s)
+
+    def _tau_error(self, fn: str, value: complex) -> float:
+        """est_error of value, this lattice's fn (e2, e4, e6, g2, g3 or delta):
+        the rounding of tau* and of the s^k transport, floored at _EST_FLOOR."""
+        tau, tau_star, scale, c = self._tau, self._tau_star, abs(self._s), self._gamma.c
+        if fn == "delta":
+            # Rounding relative to |delta|: in the eta product and the s^12
+            # division (64), and in tau* through d(delta)/d(tau) =
+            # 2*pi*i*E2*delta with 2*pi*|E2| <= 8 on the reduced domain,
+            # where tau*'s own rounding is amplified by d(tau*)/d(tau) = 1/s^2.
+            conditioning = 64.0 + 8.0 * (abs(tau_star) + abs(tau) / scale**2)
+            est = abs(value) * _ULP * conditioning
+        else:
+            weight, factor, slope, terms = _EISENSTEIN_ERROR[fn]
+            # E_k(tau*) carries the series tail, the rounding of its terms and
+            # tau*'s rounding through |E_k'| <= slope.  Translations by
+            # integers are exact, so with no inversion tau* rounds only in the
+            # nome (|tau*|); the first inversion rounds at |tau|, which
+            # d(tau*)/d(tau) = 1/s^2 carries to tau*.  The transport rounds
+            # relative to its terms, k times through s = c*tau + d, which is
+            # itself off by eps*(1 + |c*tau|/|s|).
+            tau_star_error = abs(tau_star) + (abs(tau) / scale**2 if c else 0.0)
+            reduced = _TAIL_TARGET + _ULP * (terms + slope * tau_star_error)
+            transport = abs(value)
+            if fn == "e2":
+                transport += 6.0 * abs(c) / (math.pi * scale)
+            s_error = 1.0 + abs(c * tau) / scale
+            est = factor * reduced / scale**weight + _ULP * weight * s_error * transport
+        return max(est, _EST_FLOOR)
 
 
 def reduce_point(tau: complex, z: complex | None = None) -> ReductionResult:

@@ -106,7 +106,12 @@ class IdentityReport:
             "policy": asdict(self.policy),
             "resolved": dict(self.resolved),
             "all_passed": self.all_passed,
-            "cases": [asdict(c) for c in self.cases],
+            # a case that raised has infinite residuals, which JSON cannot hold
+            "cases": [
+                {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                 for k, v in asdict(c).items()}
+                for c in self.cases
+            ],
         }
 
     def to_csv(self) -> str:
@@ -289,8 +294,8 @@ def _case_zeta_quasi_periodicity(ctx: _Ctx):
         lat = Lattice(tau)
         z = _cell_point(rng, tau)
         base = lat.zeta(z).value
-        eta1 = 2.0 * zeta_q(tau, 0.5).value
-        eta2 = 2.0 * zeta_q(tau, tau / 2.0).value
+        eta1 = 2.0 * lat.zeta(0.5).value
+        eta2 = 2.0 * lat.zeta(tau / 2.0).value
         residuals.append(abs(lat.zeta(z + 1.0).value - base - eta1))
         residuals.append(abs(lat.zeta(z + tau).value - base - eta2))
     return residuals, ""

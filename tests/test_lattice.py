@@ -153,6 +153,7 @@ def test_lattice_is_immutable():
     assert hash(lat) == hash(Lattice(complex(0.3, 0.4)))
     assert lat != Lattice(complex(0.3, 0.5))
     assert lat != complex(0.3, 0.4)
+    assert repr(Lattice(1j)) == "Lattice(tau=1j)"
 
 
 def test_the_suite_reuses_its_lattice_for_the_addition_formula(monkeypatch):
@@ -172,7 +173,9 @@ def test_the_suite_reuses_its_lattice_for_the_addition_formula(monkeypatch):
 
 def test_the_frame_stays_inside_reduction():
     # the other modules evaluate through Lattice and the public evaluators;
-    # of reduction's private names they import only these two
+    # of reduction's private names they import only these two, and they
+    # read none of a Lattice's reduction (gamma, s, tau*, q*, the order, E2)
+    frame = {"_tau", "_gamma", "_s", "_tau_star", "_q", "_order", "_e2"}
     for name in ("symbolic", "cli", "verify"):
         tree = ast.parse((ROOT / "src" / "wpfield" / f"{name}.py").read_text())
         private = {
@@ -183,3 +186,5 @@ def test_the_frame_stays_inside_reduction():
             if alias.name.startswith("_")
         }
         assert private <= {"_wp_add", "_cell_distance"}, (name, private)
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not read & frame, (name, read & frame)

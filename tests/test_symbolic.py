@@ -113,7 +113,32 @@ def test_num_den_view_round_trips(a, b):
     assert all(type(x) is Fraction for c in (*e.num.values(), *e.den.values()) for x in c)
 
 
+def test_reflected_arithmetic_with_numbers():
+    assert 1 - WP == ONE - WP
+    assert 2 / WP == rational(2) / WP
+    # no polynomial gcd: (2/wp)*wp is wp*2/wp, structurally not 2
+    assert (2 / WP) * WP != 2
+    assert ((2 / WP) * WP - 2).is_zero()
+
+
+def test_comparison_with_other_types():
+    assert ONE == 1
+    assert WP != "wp"
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda: WP + 0.5, lambda: WP**0.5, lambda: "x" / WP],
+    ids=["add float", "float power", "str over expr"],
+)
+def test_arithmetic_with_other_types_is_a_type_error(op):
+    with pytest.raises(TypeError):
+        op()
+
+
 def test_division_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        Expr({}, {})
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
     with pytest.raises(ZeroDivisionError):
@@ -210,6 +235,8 @@ def test_fd_certificate_composite():
 def test_fd_step_validation():
     with pytest.raises(ValueError):
         fd_check(WP, "z", TAU0, Z0, h=1e-2)
+    with pytest.raises(ValueError):
+        fd_check(WP, "z", 1j)  # a z difference needs z
     with pytest.raises(ValueError):
         differentiate(WP, "x")
 

@@ -4,13 +4,15 @@ import csv
 import io
 import json
 import math
-from dataclasses import fields
+import time
+from dataclasses import asdict, fields
 
 import pytest
 
 from wpfield import verify
 from wpfield.cli import main
 from wpfield.core import TolerancePolicy
+from wpfield.errors import PoleProximity
 from wpfield.symbolic import differentiate, expr_to_text, parse_expr
 from wpfield.verify import case_names, load_tolerance_config, run_identity_suite
 
@@ -72,6 +74,55 @@ def test_report_json_schema():
         }
         assert isinstance(case["passed"], bool)
     json.dumps(doc)  # must be serializable as-is
+
+
+def _strict_json(text):
+    """json.loads that refuses Infinity and NaN, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+HALF_PERIOD_CASES = {"half_period_invariants", "half_period_root_sum"}
+
+
+def test_a_case_that_raises_fails_without_aborting_the_suite(monkeypatch, capsys):
+    healthy = run_identity_suite(seed=42)
+
+    def pole(tau):
+        raise PoleProximity("patched half periods")
+
+    monkeypatch.setattr(verify, "half_periods", pole)
+    report = run_identity_suite(seed=42)
+    assert [c.name for c in report.cases] == [c.name for c in healthy.cases]
+    for case, before in zip(report.cases, healthy.cases):
+        if case.name in HALF_PERIOD_CASES:
+            assert (case.sample_count, case.passed) == (0, False)
+            assert case.max_residual == case.mean_residual == math.inf
+            assert case.notes == "PoleProximity: patched half periods"
+        else:
+            assert asdict(case) == asdict(before)
+    assert report.case("half_period_root_sum").tolerance == 1e-10
+    with pytest.raises(KeyError):
+        report.case("nope")
+
+    # JSON has no Infinity: the residuals of a case that raised are null
+    code, out, _ = run_cli(capsys, ["verify", "--seed", "42", "--json"])
+    assert code == 1
+    doc = _strict_json(out)
+    assert doc["all_passed"] is False
+    for case in doc["cases"]:
+        raised = case["name"] in HALF_PERIOD_CASES
+        assert (case["max_residual"] is None) == raised
+        assert (case["mean_residual"] is None) == raised
+    # text and CSV keep inf
+    code, out, _ = run_cli(capsys, ["verify", "--cases", "half_period_root_sum", "--csv"])
+    assert code == 1
+    assert list(csv.reader(io.StringIO(out)))[1][2:4] == ["inf", "inf"]
+    code, out, _ = run_cli(capsys, ["verify", "--cases", "half_period_root_sum"])
+    assert code == 1
+    assert "FAIL half_period_root_sum: max=inf mean=inf" in out
 
 
 def test_report_csv_schema():
@@ -192,9 +243,10 @@ def test_cli_eval_wp_needs_z(capsys):
 
 
 def test_cli_eval_malformed_tau_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["eval", "--fn", "e2", "--tau", "1;2"])
-    assert exc.value.code == 2
+    for tau in ("1;2", "1,2,3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--fn", "e2", "--tau", tau])
+        assert exc.value.code == 2, tau
     capsys.readouterr()
 
 
@@ -219,6 +271,9 @@ def test_cli_eval_pole_is_exit_3(capsys):
         # subnormal Im(tau): -1/tau overflows and tau* is not finite
         ["--fn", "zeta", "--tau", "0,1e-320", "--z", "0.3,0"],
         ["--fn", "e2", "--tau", "1e-320,1e-320"],
+        # a finite value whose est_error overflows: JSON has no Infinity
+        ["--fn", "e4", "--tau", "0.1,1e-60"],
+        ["--fn", "zeta", "--tau", "0,1e-109", "--z", "0.3,0.1"],
     ],
 )
 def test_cli_eval_weight_factor_underflow_is_exit_3(capsys, argv):
@@ -367,6 +422,21 @@ def test_cli_series_e2_golden(capsys):
     code, out, _ = run_cli(capsys, ["series", "--fn", "e2", "--order", "5"])
     assert code == 0
     assert json.loads(out)["coefficients"] == [1, -24, -72, -96, -168, -144]
+
+
+def test_cli_series_order_is_bounded(capsys):
+    # the divisor sums cost more than linearly in the order; past the bound
+    # series refuses at once instead of running out of memory
+    code, out, _ = run_cli(capsys, ["series", "--fn", "e4", "--order", "10000"])
+    assert code == 0
+    assert len(json.loads(out)["coefficients"]) == 10001
+    start = time.perf_counter()
+    for order in ("10001", "1000000000", "-1"):
+        code, out, err = run_cli(capsys, ["series", "--fn", "e4", "--order", order])
+        assert code == 3, order
+        assert out == ""
+        assert json.loads(err)["error"] == "WPFieldError"
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("fn", ["wp0", "zeta0"])
