@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .core import TolerancePolicy, ensure_finite
+from .core import TolerancePolicy
 from .eisenstein import q_coefficients
 from .errors import WPFieldError
 from .reduction import Lattice, reduce_point
@@ -55,7 +55,6 @@ def _cmd_eval(args) -> int:
     else:
         value = getattr(lat, fn)() if fn in ("e2", "e4", "e6") else getattr(lat.invariants(), fn)
         est = lat._tau_error(fn, value)
-    ensure_finite(est, f"est_error of {fn}")  # it can overflow where the value does not
     out = {"fn": fn, "tau": _pair(tau), "re": value.real, "im": value.imag, "est_error": est}
     if z is not None:
         out["z"] = _pair(z)

@@ -6,11 +6,11 @@ The fast route is the normalized q-expansion
     E4 = 1 + 240 sum sigma_3(n) q^n
     E6 = 1 - 504 sum sigma_5(n) q^n
 
-each summed on its own by Horner's rule, with its integer coefficients taken
-from the one table _Q_SERIES.  The slow route is a sum over the rows of the
-lattice, each row in closed form, kept deliberately independent so the two can
-cross-check each other: it reduces the lattice basis itself and never touches
-the q-series.
+each summed on its own by Horner's rule at the reduced nome of a
+reduction.Lattice, with its integer coefficients taken from the one table
+_Q_SERIES.  The slow route is a sum over the rows of the lattice, each row in
+closed form, kept deliberately independent so the two can cross-check each
+other: it reduces the lattice basis itself and never touches the q-series.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .core import ensure_finite, nome, require_upper_half
-from .errors import ConvergenceDomain
-
-# Below this height |q| > 0.53 and the E-series would need about 120 terms;
-# callers reduce tau first.
-MIN_IM_TAU = 0.1
+from .core import ensure_finite, require_upper_half
 
 # Every q-series stops at the first order whose tail bound is below this, a
 # tenth of an ulp of 1.
@@ -81,28 +76,11 @@ def _order(q_abs: float) -> int:
 
 
 @dataclass(frozen=True, slots=True)
-class EisensteinValues:
-    e2: complex
-    e4: complex
-    e6: complex
-
-
-@dataclass(frozen=True, slots=True)
 class LatticeInvariants:
     g2: complex
     g3: complex
     delta: complex
     eta1: complex
-
-
-def _series_tau(tau: complex) -> complex:
-    """tau as a complex, checked to be high enough for the q-expansions."""
-    tau = require_upper_half(tau)
-    if tau.imag < MIN_IM_TAU:
-        raise ConvergenceDomain(
-            f"Im(tau) = {tau.imag} is below {MIN_IM_TAU}; reduce tau first"
-        )
-    return tau
 
 
 def _e_series(kind: str, q: complex, order: int) -> complex:
@@ -112,17 +90,6 @@ def _e_series(kind: str, q: complex, order: int) -> complex:
     for c in reversed(_coefficients(kind, order)):
         acc = acc * q + c
     return ensure_finite(acc, kind.upper())
-
-
-def eisenstein_at(tau: complex) -> EisensteinValues:
-    """Normalized E2, E4, E6 at tau via the divisor-sum q-expansions.
-
-    Accepts any Im(tau) >= 0.1, summing as many terms as |q| needs (10 at
-    most once tau is reduced).
-    """
-    q = nome(_series_tau(tau))
-    order = _order(abs(q))
-    return EisensteinValues(*(_e_series(kind, q, order) for kind in ("e2", "e4", "e6")))
 
 
 def _delta_eta_product(q: complex, order: int) -> complex:

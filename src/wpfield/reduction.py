@@ -113,6 +113,15 @@ class UnimodularMatrix:
 
 
 @dataclass(frozen=True, slots=True)
+class HalfPeriodData:
+    """wp at the three half periods 1/2, tau/2, (1+tau)/2."""
+
+    e1: complex
+    e2: complex
+    e3: complex
+
+
+@dataclass(frozen=True, slots=True)
 class ReductionResult:
     gamma: UnimodularMatrix
     tau_star: complex
@@ -162,7 +171,9 @@ def reduce_tau(tau: complex) -> tuple[UnimodularMatrix, complex]:
 
 
 def reduce_z(tau: complex, z: complex) -> tuple[int, int, complex]:
-    """Split z = z* + m + n*tau with z* in the half-open period cell.
+    """Split z = z* + m + n*tau with z* in the half-open period cell: both
+    lattice coordinates of z* are below 1, and either can be a rounding
+    below 0 where z is within a rounding of a cell edge.
 
     Returns (m, n, z*): m strips integer multiples of 1, n of tau.
     """
@@ -170,11 +181,21 @@ def reduce_z(tau: complex, z: complex) -> tuple[int, int, complex]:
 
 
 def _reduce_z(tau: complex, z: complex) -> tuple[int, int, complex]:
-    """reduce_z for a tau already checked and a complex z."""
+    """reduce_z for a tau already checked and a complex z.
+
+    A coordinate just below an integer can round the subtraction onto the
+    far edge of the cell (a or b = 1): such a z* moves to the near edge,
+    where z* - 1 can round b just below 0, so b is pinned at 0 there."""
     a, b = _coords(tau, z)
     n = math.floor(a)
     m = math.floor(b)
-    return m, n, z - m - n * tau
+    z_star = z - m - n * tau
+    if z_star.imag >= tau.imag:
+        n, z_star = n + 1, z_star - tau
+    shear = z_star.imag / tau.imag * tau.real
+    if z_star.real - shear >= 1.0:
+        m, z_star = m + 1, complex(max(z_star.real - 1.0, shear), z_star.imag)
+    return m, n, z_star
 
 
 def _cell_distance(tau_star: complex, z_star: complex) -> float:
@@ -197,9 +218,13 @@ def _divide_by_sk(value: complex, s: complex, weight: int, what: str) -> complex
 
 
 def _transport(value: complex, est_error: float, s: complex, weight: int, what: str) -> WValue:
-    """A weight-k value and its error from the reduced frame: both divide by s^k."""
+    """A weight-k value and its error from the reduced frame: both divide by
+    s^k, and the error can overflow where the value does not."""
     value = _divide_by_sk(value, s, weight, what)
-    return WValue(value=value, est_error=est_error / abs(s**weight))
+    est_error /= abs(s**weight)
+    if est_error == math.inf:  # est_error >= 0 and s^k != 0: never NaN
+        raise NonFiniteValue(f"est_error of {what} is not finite: {est_error!r}")
+    return WValue(value, est_error)
 
 
 # A point in a Lattice: z/s = z* + m + n*tau*, the lattice distance of z*, and
@@ -215,10 +240,10 @@ class Lattice:
 
     Every evaluator is Lattice(tau).method: wp, wp_prime and zeta (WValue)
     are wp_anywhere(tau, z), wp_prime_anywhere(tau, z) and
-    zeta_anywhere(tau, z); e2, e4, e6 and invariants are e2_anywhere(tau) ...
-    invariants_anywhere(tau); distance(z) is lattice_distance_anywhere(tau,
-    z).  Each point costs one split of z/s and one series pass; nothing is
-    cached between points.  Lattice(tau) raises what the evaluators raise for
+    zeta_anywhere(tau, z); e2, e4, e6, invariants and half_periods are
+    e2_anywhere(tau) ... half_periods(tau); distance(z) is
+    lattice_distance_anywhere(tau, z).  Each point costs one split of z/s
+    and one series pass; nothing is cached between points.  Lattice(tau) raises what the evaluators raise for
     that tau.  Lattices are equal when their tau are.
     """
 
@@ -339,6 +364,25 @@ class Lattice:
         eta1 = (math.pi**2 / 3.0) * self.e2()
         return LatticeInvariants(g2=g2, g3=g3, delta=delta, eta1=eta1)
 
+    def half_periods(self) -> HalfPeriodData:
+        """e1 = wp(1/2), e2 = wp(tau/2), e3 = wp((1+tau)/2): the roots of
+        4 t^3 - g2 t - g3, so e1 + e2 + e3 = 0.
+
+        Each is placed in the reduced frame, not split from z/s (which at
+        Re(tau) = 1e9 costs the root sum four digits): (p + q*tau)/2 is
+        s (p' + q'*tau*)/2 with (p', q') = (a*p - b*q, d*q - c*p) mod 2, a
+        half period of the reduced cell.  One pass at each, on one E2 sum."""
+        gamma, tau_star = self._gamma, self._tau_star
+        guard = DEFAULT_POLICY.pole_guard_radius / abs(self._s)
+        values = []
+        for p, q in ((1, 0), (0, 1), (1, 1)):
+            z_star = ((gamma.a * p - gamma.b * q) % 2
+                      + (gamma.d * q - gamma.c * p) % 2 * tau_star) / 2.0
+            wp = _point_values(tau_star, self._q, self._order, z_star,
+                               _cell_distance(tau_star, z_star), guard, self._e2_star())[0]
+            values.append(_divide_by_sk(wp, self._s, 2, "wp"))
+        return HalfPeriodData(*values)
+
     def distance(self, z: complex) -> float:
         """Distance from z to the lattice, found in the reduced frame where
         the nearest-corner search is exact, then scaled back."""
@@ -371,7 +415,7 @@ class Lattice:
                 transport += 6.0 * abs(c) / (math.pi * scale)
             s_error = 1.0 + abs(c * tau) / scale
             est = factor * reduced / scale**weight + _ULP * weight * s_error * transport
-        return max(est, _EST_FLOOR)
+        return max(ensure_finite(est, f"est_error of {fn}"), _EST_FLOOR)
 
 
 def reduce_point(tau: complex, z: complex | None = None) -> ReductionResult:
@@ -419,6 +463,11 @@ def e6_anywhere(tau: complex) -> complex:
 def invariants_anywhere(tau: complex) -> LatticeInvariants:
     """g2, g3, delta, eta1 at any tau from one reduction (Lattice.invariants)."""
     return Lattice(tau).invariants()
+
+
+def half_periods(tau: complex) -> HalfPeriodData:
+    """wp at 1/2, tau/2 and (1+tau)/2 at any tau (Lattice.half_periods)."""
+    return Lattice(tau).half_periods()
 
 
 def wp_add(tau: complex, z1: complex, z2: complex) -> complex:

@@ -23,7 +23,6 @@ from .eisenstein import (
     ZETA2,
     ZETA4,
     ZETA6,
-    eisenstein_at,
     lattice_sum_eisenstein,
     q_coefficients,
 )
@@ -35,7 +34,6 @@ from .reduction import (
     e2_anywhere,
     e4_anywhere,
     e6_anywhere,
-    invariants_anywhere,
     reduce_point,
     reduce_tau,
     wp_anywhere,
@@ -56,13 +54,7 @@ from .symbolic import (
     fd_check,
     rational,
 )
-from .weier import (
-    half_periods,
-    wp_lattice_oracle,
-    wp_q,
-    zeta_lattice_oracle,
-    zeta_q,
-)
+from .weier import wp_lattice_oracle, zeta_lattice_oracle
 
 ORACLE_RADIUS = 50
 
@@ -258,7 +250,7 @@ def _case_quasimodular_law(ctx: _Ctx):
     gammas = ((0, -1, 1, 0), (1, -1, 1, 0), (0, -1, 1, -1))  # S, T S, S T^-1
     residuals = []
     for tau in _tau_samples(rng, 20):
-        g2_tau = ZETA2 * eisenstein_at(tau).e2
+        g2_tau = ZETA2 * e2_anywhere(tau)
         for a, b, c, d in gammas:
             moved = (a * tau + b) / (c * tau + d)
             s = c * tau + d
@@ -276,14 +268,15 @@ def _case_legendre(ctx: _Ctx):
     rng = ctx.rng("legendre")
     residuals = []
     for tau in _tau_samples(rng, 20):
-        eta1 = 2.0 * zeta_q(tau, 0.5).value
-        eta2 = 2.0 * zeta_q(tau, tau / 2.0).value
+        lat = Lattice(tau)
+        eta1 = 2.0 * lat.zeta(0.5).value
+        eta2 = 2.0 * lat.zeta(tau / 2.0).value
         residuals.append(abs(eta1 * tau - eta2 - 2j * math.pi))
     return residuals, "eta1*tau - eta2 = 2*pi*i"
 
 
 def _case_eta1_anchor(ctx: _Ctx):
-    eta1 = 2.0 * zeta_q(1j, 0.5).value
+    eta1 = 2.0 * zeta_anywhere(1j, 0.5).value
     return [abs(eta1 - math.pi)], "eta1(i) = pi"
 
 
@@ -383,7 +376,7 @@ def _case_half_period_root_sum(ctx: _Ctx):
     rng = ctx.rng("rootsum")
     residuals = []
     for tau in _tau_samples(rng, 10):
-        hp = half_periods(tau)
+        hp = Lattice(tau).half_periods()
         residuals.append(abs(hp.e1 + hp.e2 + hp.e3))
     return residuals, ""
 
@@ -392,8 +385,9 @@ def _case_half_period_invariants(ctx: _Ctx):
     rng = ctx.rng("halfinv")
     residuals = []
     for tau in _tau_samples(rng, 10):
-        hp = half_periods(tau)
-        inv = invariants_anywhere(tau)
+        lat = Lattice(tau)
+        hp = lat.half_periods()
+        inv = lat.invariants()
         sym2 = hp.e1 * hp.e2 + hp.e1 * hp.e3 + hp.e2 * hp.e3
         residuals.append(abs(-4.0 * sym2 - inv.g2))
         residuals.append(abs(4.0 * hp.e1 * hp.e2 * hp.e3 - inv.g3))
@@ -402,10 +396,10 @@ def _case_half_period_invariants(ctx: _Ctx):
 
 def _case_sine_limit(ctx: _Ctx):
     residuals = []
-    tau = 30j
+    lat = Lattice(30j)
     for x in (0.1, 0.25, 0.5, 0.75, 0.9):
         limit = math.pi**2 / math.sin(math.pi * x) ** 2 - math.pi**2 / 3.0
-        residuals.append(abs(wp_q(tau, x).value - limit))
+        residuals.append(abs(lat.wp(x).value - limit))
     return residuals, "tau = 30i against pi^2/sin^2(pi z) - pi^2/3"
 
 
@@ -458,7 +452,7 @@ def _case_s_law_exponent(ctx: _Ctx):
         rr = reduce_point(tau, 0)
         z = _cell_point(rng, rr.tau_star, min_dist=0.1) * rr.scale
         direct = wp_lattice_oracle(tau, z, ORACLE_RADIUS)
-        inner = wp_q(rr.tau_star, reduce_point(tau, z).z_star).value
+        inner = Lattice(rr.tau_star).wp(reduce_point(tau, z).z_star).value
         for exponent in (1, 2):
             errs[exponent].append(abs(direct - inner / rr.scale**exponent))
     winner = 2 if max(errs[2]) < max(errs[1]) else 1

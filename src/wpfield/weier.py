@@ -1,4 +1,4 @@
-"""q-series evaluation of wp, wp', zeta, half periods, and lattice-sum oracles.
+"""The q-series pass for wp, wp' and zeta, and the lattice-sum oracles.
 
 With q = exp(2*pi*i*tau) and u = exp(2*pi*i*z):
 
@@ -12,7 +12,8 @@ with eta1 = (pi^2/3) E2(tau), since 1/12 - 2 sum_{m >= 1} q^m / (1 - q^m)^2
 = E2/12.  One loop sums all three at a point (_point_values).  The m < 0
 halves are folded onto positive powers of q (substitute v = q^|m|/u), which
 keeps every stored term below 1 in magnitude; wp' picks up a minus sign on the
-folded half, so no square root or branch choice ever enters.
+folded half, so no square root or branch choice ever enters.  The pass is
+summed in the reduced frame only: reduction.Lattice is its one caller.
 """
 
 from __future__ import annotations
@@ -22,24 +23,8 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .core import (
-    DEFAULT_POLICY,
-    TWO_PI_I,
-    ensure_finite,
-    _nome,
-    lattice_distance,
-)
-from .eisenstein import (
-    _TAIL_TARGET,
-    _cot,
-    _csc2,
-    _csc2_bound,
-    _e_series,
-    _order,
-    _reduced_basis,
-    _rows_settled,
-    _series_tau,
-)
+from .core import DEFAULT_POLICY, TWO_PI_I, ensure_finite, lattice_distance
+from .eisenstein import _TAIL_TARGET, _cot, _csc2, _csc2_bound, _reduced_basis, _rows_settled
 from .errors import ConvergenceDomain, PoleProximity
 
 _MACHINE = 1e-15
@@ -54,15 +39,6 @@ class WValue:
 
     value: complex
     est_error: float
-
-
-@dataclass(frozen=True, slots=True)
-class HalfPeriodData:
-    """wp at the three half periods 1/2, tau/2, (1+tau)/2."""
-
-    e1: complex
-    e2: complex
-    e3: complex
 
 
 def _point_values(tau: complex, q: complex, order: int, z: complex, dist: float,
@@ -122,59 +98,6 @@ def _est_error(value: complex, dist: float) -> float:
     floored at _EST_FLOOR."""
     rounding = _MACHINE * (1.0 + abs(value)) * max(1.0, 0.01 / max(dist, 1e-300))
     return max(_TAIL_TARGET + rounding, _EST_FLOOR)
-
-
-def _kernel(tau: complex, z: complex, index: int, what: str) -> WValue:
-    """Value `index` of _point_values for the public kernels, with Re(tau)
-    folded mod 1 (the lattice is the same, and a large Re(tau) would shear
-    the pole guard's corner search) and z guarded by lattice_distance."""
-    tau = _series_tau(tau)
-    tau = complex(math.remainder(tau.real, 1.0), tau.imag)
-    q, z = _nome(tau), complex(z)
-    order = _order(abs(q))
-    dist = lattice_distance(tau, z)
-    values = _point_values(tau, q, order, z, dist, DEFAULT_POLICY.pole_guard_radius,
-                           _e_series("e2", q, order))
-    value = ensure_finite(values[index], what)
-    return WValue(value, _est_error(value, dist))
-
-
-def wp_q(tau: complex, z: complex) -> WValue:
-    """Weierstrass wp via the q-series; intended for reduced tau and z in the cell."""
-    return _kernel(tau, z, 0, "wp")
-
-
-def wp_prime_q(tau: complex, z: complex) -> WValue:
-    """d(wp)/dz via the term-wise derivative of the wp series (branch-free)."""
-    return _kernel(tau, z, 1, "wp'")
-
-
-def zeta_q(tau: complex, z: complex) -> WValue:
-    """Weierstrass zeta via the q-series plus the eta1*z - pi*i tail.
-
-    eta1 comes from the same q-data as E2: eta1 = (pi^2/3) E2(tau).
-    """
-    return _kernel(tau, z, 2, "zeta")
-
-
-def half_periods(tau: complex) -> HalfPeriodData:
-    """e1 = wp(1/2), e2 = wp(tau/2), e3 = wp((1+tau)/2); the roots of
-    4 t^3 - g2 t - g3, so e1 + e2 + e3 = 0.  E2 is summed once for the three.
-
-    Re(tau) is folded mod 1 as in _kernel: tau = k + tau' with k an integer,
-    and when k is odd tau/2 is (1 + tau')/2 on the lattice, so e2 and e3 swap."""
-    tau = _series_tau(tau)
-    folded = complex(math.remainder(tau.real, 1.0), tau.imag)
-    q = _nome(folded)
-    order = _order(abs(q))
-    guard = DEFAULT_POLICY.pole_guard_radius
-    e2 = _e_series("e2", q, order)
-    values = [ensure_finite(_point_values(folded, q, order, z, lattice_distance(folded, z),
-                                          guard, e2)[0], "wp")
-              for z in (0.5 + 0j, folded / 2.0, (1.0 + folded) / 2.0)]
-    if math.remainder(tau.real - folded.real, 2.0):
-        values[1], values[2] = values[2], values[1]
-    return HalfPeriodData(*values)
 
 
 def _wp_row_bound(t: float) -> float:

@@ -8,6 +8,7 @@ from wpfield.reduction import (
     e2_anywhere,
     e4_anywhere,
     e6_anywhere,
+    half_periods,
     invariants_anywhere,
     lattice_distance_anywhere,
     reduce_point,
@@ -17,7 +18,6 @@ from wpfield.reduction import (
     zeta_anywhere,
 )
 from wpfield.symbolic import E2, E4, E6, TAU, WP, WP1, ZETA, Z, eval_expr
-from wpfield.weier import half_periods, wp_prime_q, wp_q, zeta_q
 
 # Parts of tau, z1 and z2: NaN, infinities, signed zeros, subnormals, and
 # magnitudes where -1/tau, s^k, exp(2*pi*i*z) or a lattice coordinate
@@ -35,9 +35,6 @@ ENTRY_POINTS = (
     lambda tau, z1, z2: e4_anywhere(tau),
     lambda tau, z1, z2: e6_anywhere(tau),
     lambda tau, z1, z2: invariants_anywhere(tau),
-    lambda tau, z1, z2: wp_q(tau, z1),
-    lambda tau, z1, z2: wp_prime_q(tau, z1),
-    lambda tau, z1, z2: zeta_q(tau, z1),
     lambda tau, z1, z2: half_periods(tau),
     lambda tau, z1, z2: reduce_point(tau, z1),
     lambda tau, z1, z2: lattice_distance_anywhere(tau, z1),

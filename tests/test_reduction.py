@@ -16,7 +16,7 @@ from wpfield.core import (
     lattice_distance,
     nome,
 )
-from wpfield.eisenstein import eisenstein_at
+from wpfield.eisenstein import _e_series, _order
 from wpfield.errors import (
     ConvergenceDomain,
     DegenerateConfiguration,
@@ -30,6 +30,7 @@ from wpfield.reduction import (
     e2_anywhere,
     e4_anywhere,
     e6_anywhere,
+    half_periods,
     invariants_anywhere,
     lattice_distance_anywhere,
     reduce_point,
@@ -41,7 +42,7 @@ from wpfield.reduction import (
     zeta_anywhere,
 )
 from wpfield.symbolic import E2, E4, E6, TAU, WP, WP1, ZETA, Z, eval_expr, fd_check
-from wpfield.weier import half_periods, wp_prime_q, wp_q, zeta_q
+from wpfield.weier import _point_values, wp_lattice_oracle, zeta_lattice_oracle
 
 
 def test_matrix_determinant_validated():
@@ -142,6 +143,48 @@ def test_reduce_z_splits_exactly():
     assert abs(z_star + m + n * tau - z) < 1e-12
 
 
+@pytest.mark.parametrize("z", [complex(0.5, -1e-17), -1e-17 + 0.5 * complex(0.1, 1.3)],
+                         ids=["a-edge", "b-edge"])
+def test_reduce_z_moves_a_far_edge_point_to_the_near_edge(z):
+    # a coordinate a rounding below an integer rounds the subtraction onto
+    # a or b = 1; at a = 1, |q/u| = 1 and the pass refused a point 0.5 from
+    # the lattice
+    tau = complex(0.1, 1.3)
+    m, n, z_star = reduce_z(tau, z)
+    a, b = coords_wrt_lattice(tau, z_star)
+    assert 0.0 <= a < 1.0 and 0.0 <= b < 1.0
+    assert abs(z_star + m + n * tau - z) < 1e-15
+    for evaluate, oracle in ((wp_anywhere, wp_lattice_oracle),
+                             (zeta_anywhere, zeta_lattice_oracle)):
+        want = oracle(tau, z, 400)
+        assert abs(evaluate(tau, z).value - want) <= 1e-13 * abs(want)
+
+
+def _edge_sweep():
+    """3000 tau, Re ~ U(-3, 3) and Im log-uniform in [0.1, 5] (Random(3)),
+    each with the points 1/2, tau*/2, (1 + tau*)/2, 0.3 and 0.7 of its
+    reduced cell carried back by s, so that z/s falls on a cell edge."""
+    rng = random.Random(3)
+    for _ in range(3000):
+        tau = complex(rng.uniform(-3.0, 3.0), math.exp(rng.uniform(math.log(0.1), math.log(5.0))))
+        rr = reduce_point(tau)
+        for p in (0.5, rr.tau_star / 2.0, (1.0 + rr.tau_star) / 2.0, 0.3, 0.7):
+            yield tau, rr.scale * p
+
+
+def test_edge_points_split_into_the_cell_and_evaluate():
+    # z/s lands within a rounding of a cell edge: a z* rounded onto the far
+    # edge (a = 1) would make |q/u| = 1, which the series pass refuses
+    for k, (tau, z) in enumerate(_edge_sweep()):
+        rr = reduce_point(tau, z)
+        a, b = coords_wrt_lattice(rr.tau_star, rr.z_star)
+        assert 0.0 <= a < 1.0 and 0.0 <= b < 1.0, (tau, z)
+        wp, zeta = wp_anywhere(tau, z), zeta_anywhere(tau, z)
+        if k % 100 == 0:
+            assert abs(wp.value - wp_lattice_oracle(tau, z, 400)) <= wp.est_error, (tau, z)
+            assert abs(zeta.value - zeta_lattice_oracle(tau, z, 400)) <= zeta.est_error, (tau, z)
+
+
 def test_reduce_point_frozen_example():
     rr = reduce_point(complex(0.3, 0.4), complex(1.7, 2.2))
     assert (rr.gamma.a, rr.gamma.b, rr.gamma.c, rr.gamma.d) == (1, -1, 1, 0)
@@ -161,9 +204,14 @@ def test_lattice_distance_anywhere_matches_brute_force():
 
 
 def test_wp_anywhere_agrees_with_direct_series_on_reduced_input():
+    # gamma = I and z in the cell: the transport and the split change no bit
     tau, z = complex(0.1, 1.5), complex(0.3, 0.4)
-    assert wp_anywhere(tau, z).value == wp_q(tau, z).value
-    assert zeta_anywhere(tau, z).value == zeta_q(tau, z).value
+    q = nome(tau)
+    order = _order(abs(q))
+    wp, _, zeta = _point_values(tau, q, order, z, lattice_distance(tau, z), 1e-3,
+                                _e_series("e2", q, order))
+    assert wp_anywhere(tau, z).value == wp
+    assert zeta_anywhere(tau, z).value == zeta
 
 
 def test_translation_invariance_of_wp():
@@ -226,7 +274,8 @@ def test_e4_e6_modular_covariance():
 
 def test_e2_matches_series_on_reduced_tau():
     tau = complex(0.2, 1.3)
-    assert abs(e2_anywhere(tau) - eisenstein_at(tau).e2) < 1e-15
+    q = nome(tau)
+    assert abs(e2_anywhere(tau) - _e_series("e2", q, _order(abs(q)))) < 1e-15
 
 
 def test_ode_survives_transport_at_low_imag_tau():
@@ -360,9 +409,7 @@ def test_a_point_that_lost_its_place_in_the_cell_is_refused(evaluate):
 
 def test_unwound_zeta_calls_the_series_once(monkeypatch):
     series = _count_calls(monkeypatch, "_point_values", [weier, reduction])
-    public = _count_calls(monkeypatch, "zeta_q", [weier])
-    sums = _count_calls(monkeypatch, "_e_series", [eisenstein, weier, reduction])
-    full = _count_calls(monkeypatch, "eisenstein_at", [eisenstein])
+    sums = _count_calls(monkeypatch, "_e_series", [eisenstein, reduction])
     tau, z = complex(0.3, 0.4), complex(4.3, 1.9)
     rr = reduce_point(tau, z)
     assert rr.m != 0 and rr.n != 0
@@ -372,16 +419,14 @@ def test_unwound_zeta_calls_the_series_once(monkeypatch):
     # no E4 or E6
     assert len(series) == 1
     assert series[0][3] == rr.z_star
-    assert public == []
     assert [args[:2] for args in sums] == [("e2", nome(rr.tau_star))]
-    assert full == []
 
 
 @pytest.mark.parametrize(
     "kind, fn", [("e2", e2_anywhere), ("e4", e4_anywhere), ("e6", e6_anywhere)]
 )
 def test_eisenstein_evaluators_sum_only_their_own_series(kind, fn, monkeypatch):
-    sums = _count_calls(monkeypatch, "_e_series", [eisenstein, weier, reduction])
+    sums = _count_calls(monkeypatch, "_e_series", [eisenstein, reduction])
     tau = complex(0.3, 0.4)
     fn(tau)
     assert [args[:2] for args in sums] == [(kind, nome(reduce_tau(tau)[1]))]
@@ -389,7 +434,7 @@ def test_eisenstein_evaluators_sum_only_their_own_series(kind, fn, monkeypatch):
 
 def test_one_series_pass_per_point(monkeypatch):
     passes = _count_calls(monkeypatch, "_point_values", [weier, reduction])
-    sums = _count_calls(monkeypatch, "_e_series", [eisenstein, weier, reduction])
+    sums = _count_calls(monkeypatch, "_e_series", [eisenstein, reduction])
     tau, z = complex(0.3, 0.4), complex(4.3, 1.9)
     # wp, wp1, zeta and E2 from one pass; E4 and E6 summed on their own
     eval_expr(Z * TAU * WP * WP1 * ZETA * E2 * E4 * E6, tau, z)
@@ -410,7 +455,7 @@ def test_eval_expr_reduces_each_point_once(monkeypatch):
 def test_fd_check_in_z_reduces_tau_once(monkeypatch):
     # the symbolic value and the four differences share one frame and its E2
     calls = _count_calls(monkeypatch, "reduce_tau", [reduction])
-    sums = _count_calls(monkeypatch, "_e_series", [eisenstein, weier, reduction])
+    sums = _count_calls(monkeypatch, "_e_series", [eisenstein, reduction])
     fd_check(WP * ZETA + WP1 * E2, "z", complex(0.3, 0.4), complex(4.3, 1.9))
     assert len(calls) == 1
     assert [args[0] for args in sums].count("e2") == 1
@@ -480,7 +525,7 @@ def test_wp_add_reduces_tau_once(monkeypatch):
 )
 def test_series_order_is_decided_once(evaluate, monkeypatch):
     # every q-series of the call (kernels, E-series, eta product) shares one order
-    calls = _count_calls(monkeypatch, "_order", [eisenstein, weier, reduction])
+    calls = _count_calls(monkeypatch, "_order", [eisenstein, reduction])
     evaluate(complex(0.3, 1.4), complex(4.3, 1.9))
     assert len(calls) == 1
 
@@ -599,9 +644,10 @@ def _theta_eisenstein(tau, dps=60):
 
 
 def test_eisenstein_at_low_height_sums_enough_terms():
-    # |q| = 0.47 at tau = 0.12i: a fixed 40 terms left E6 off by 1.4e-8
-    e = eisenstein_at(0.12j)
-    for got, ref in zip((e.e2, e.e4, e.e6), _theta_eisenstein(0.12j)):
+    # |q| = 0.47 at tau = 0.12i: a fixed 40 terms left E6 off by 1.4e-8; the
+    # Lattice sums at tau* = i/0.12 and transports
+    lat = Lattice(0.12j)
+    for got, ref in zip((lat.e2(), lat.e4(), lat.e6()), _theta_eisenstein(0.12j)):
         assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
@@ -612,11 +658,11 @@ def test_series_at_the_worst_reduced_nome(a, b):
     rho = cmath.exp(2j * math.pi / 3.0)
     z = b + a * rho
     wp, wp1, zeta, _ = _theta_reference(rho, z, dps=60)
-    assert abs(wp_q(rho, z).value - wp) <= 1e-14 * abs(wp)
-    assert abs(wp_prime_q(rho, z).value - wp1) <= 1e-14 * abs(wp1)
-    assert abs(zeta_q(rho, z).value - zeta) <= 1e-14 * abs(zeta)
-    e = eisenstein_at(rho)
-    for got, ref in zip((e.e2, e.e4, e.e6), _theta_eisenstein(rho)):
+    lat = Lattice(rho)
+    assert abs(lat.wp(z).value - wp) <= 1e-14 * abs(wp)
+    assert abs(lat.wp_prime(z).value - wp1) <= 1e-14 * abs(wp1)
+    assert abs(lat.zeta(z).value - zeta) <= 1e-14 * abs(zeta)
+    for got, ref in zip((lat.e2(), lat.e4(), lat.e6()), _theta_eisenstein(rho)):
         assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))  # E4(rho) = 0
 
 
@@ -653,12 +699,12 @@ NAN, INF = math.nan, math.inf
         lambda: invariants_anywhere(complex(NAN, 1.0)),
         lambda: reduce_point(1j, complex(NAN, NAN)),
         lambda: lattice_distance(1j, NAN),
-        lambda: wp_q(1j, NAN),
+        lambda: half_periods(complex(NAN, 1.0)),
         # finite z, but Im(z)/Im(tau) overflows
         lambda: lattice_distance(1e-10j, 1e300j),
     ],
     ids=["wp-tau", "wp-z-nan", "wp-z-inf", "e2", "invariants", "reduce_point",
-         "lattice_distance", "wp_q", "coordinate-overflow"],
+         "lattice_distance", "half_periods", "coordinate-overflow"],
 )
 def test_non_finite_input_is_non_finite_value(evaluate):
     # math.floor of a NaN or infinite coordinate must not leak its own
@@ -696,6 +742,15 @@ def test_reduction_that_lost_tau_is_non_finite(evaluate):
     # values, or overflows s^k, or divides by 0 in the series sum
     with pytest.raises(NonFiniteValue, match="loses tau"):
         evaluate()
+
+
+def test_an_est_error_that_overflows_is_non_finite():
+    # the values are finite here, but an est_error of inf says nothing
+    with pytest.raises(NonFiniteValue, match="est_error of zeta"):
+        zeta_anywhere(1e-109j, complex(0.3, 0.1))
+    lat = Lattice(complex(0.1, 1e-43))
+    with pytest.raises(NonFiniteValue, match="est_error of e6"):
+        lat._tau_error("e6", lat.e6())
 
 
 def test_tiny_purely_imaginary_tau_keeps_its_exact_walk():

@@ -13,6 +13,7 @@ from wpfield import verify
 from wpfield.cli import main
 from wpfield.core import TolerancePolicy
 from wpfield.errors import PoleProximity
+from wpfield.reduction import Lattice
 from wpfield.symbolic import differentiate, expr_to_text, parse_expr
 from wpfield.verify import case_names, load_tolerance_config, run_identity_suite
 
@@ -90,10 +91,10 @@ HALF_PERIOD_CASES = {"half_period_invariants", "half_period_root_sum"}
 def test_a_case_that_raises_fails_without_aborting_the_suite(monkeypatch, capsys):
     healthy = run_identity_suite(seed=42)
 
-    def pole(tau):
+    def pole(lattice):
         raise PoleProximity("patched half periods")
 
-    monkeypatch.setattr(verify, "half_periods", pole)
+    monkeypatch.setattr(Lattice, "half_periods", pole)
     report = run_identity_suite(seed=42)
     assert [c.name for c in report.cases] == [c.name for c in healthy.cases]
     for case, before in zip(report.cases, healthy.cases):
