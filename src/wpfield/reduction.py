@@ -172,8 +172,8 @@ def reduce_tau(tau: complex) -> tuple[UnimodularMatrix, complex]:
 
 def reduce_z(tau: complex, z: complex) -> tuple[int, int, complex]:
     """Split z = z* + m + n*tau with z* in the half-open period cell: both
-    lattice coordinates of z* are below 1, and either can be a rounding
-    below 0 where z is within a rounding of a cell edge.
+    lattice coordinates (a, b) of z*, as coords_wrt_lattice computes them,
+    lie in [0, 1).
 
     Returns (m, n, z*): m strips integer multiples of 1, n of tau.
     """
@@ -184,8 +184,9 @@ def _reduce_z(tau: complex, z: complex) -> tuple[int, int, complex]:
     """reduce_z for a tau already checked and a complex z.
 
     A coordinate just below an integer can round the subtraction onto the
-    far edge of the cell (a or b = 1): such a z* moves to the near edge,
-    where z* - 1 can round b just below 0, so b is pinned at 0 there."""
+    far edge of the cell (a or b = 1): such a z* moves to the near edge.
+    There, and where z is within a rounding of the near edge, the
+    subtraction can round b just below 0, so b is pinned at 0."""
     a, b = _coords(tau, z)
     n = math.floor(a)
     m = math.floor(b)
@@ -194,7 +195,9 @@ def _reduce_z(tau: complex, z: complex) -> tuple[int, int, complex]:
         n, z_star = n + 1, z_star - tau
     shear = z_star.imag / tau.imag * tau.real
     if z_star.real - shear >= 1.0:
-        m, z_star = m + 1, complex(max(z_star.real - 1.0, shear), z_star.imag)
+        m, z_star = m + 1, z_star - 1.0
+    if z_star.real < shear:
+        z_star = complex(shear, z_star.imag)
     return m, n, z_star
 
 

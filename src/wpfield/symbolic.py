@@ -43,9 +43,15 @@ from .reduction import Lattice
 GEN_NAMES = ("z", "tau", "wp", "wp1", "zeta", "E2", "E4", "E6", "pi")
 NGEN = len(GEN_NAMES)
 _GEN_INDEX = {name: k for k, name in enumerate(GEN_NAMES)}
+_PI = _GEN_INDEX["pi"]
 _UNIT_MONO = (0,) * NGEN
 
 _SINGULAR_FLOOR = 1e-12
+
+# The most term products (len(p) * len(q)) one multiplication inside a power
+# may take.  The parser accepts any integer exponent, and (pi-E4)^-2112
+# multiplied out in full did not finish within 5 s.
+_POWER_BUDGET = 50_000
 
 # wp, wp1, zeta, E2, E4, E6: the generators read off a Lattice.
 _FRAME_GENERATORS = frozenset(range(2, 8))
@@ -163,9 +169,17 @@ class Expr:
     polynomial gcd, so equality and hashing are structural on this form.
     `num` and `den` read it back with the leading coefficient scaled to 1, as
     (Fraction, Fraction) pairs.
+
+    A derivative also records its denominator as c F^k: F is the denominator
+    of the expression first differentiated and c a polynomial in pi alone.
+    The next derivative divides by c F^(k+1), not by (c F^k)^2.  Every other
+    Expr has den itself as F and k = 1.  That includes a parsed one, so the
+    derivative of a parsed-back derivative takes the full quotient rule:
+    without a polynomial gcd, F cannot be found again.  The record takes no
+    part in ==, hash or the printed text.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_base")
 
     def __init__(self, num: dict, den: dict) -> None:
         """num, den: dicts from exponent tuples to (re, im) pairs of ints or
@@ -175,12 +189,15 @@ class Expr:
         if not den:
             raise ZeroDivisionError("zero denominator polynomial")
         self._num, self._den = _canonical(num, den)
+        self._base = None
 
     @classmethod
-    def _new(cls, num: dict, den: dict) -> "Expr":
-        """From Gaussian-integer polynomials, den nonzero."""
+    def _new(cls, num: dict, den: dict, base: tuple[dict, int] | None = None) -> "Expr":
+        """From Gaussian-integer polynomials, den nonzero.  base is (F, k) when
+        den is a polynomial in pi alone times F^k; a zero Expr carries none."""
         e = object.__new__(cls)
         e._num, e._den = _canonical(num, den)
+        e._base = base if e._num else None
         return e
 
     # -- constructors -------------------------------------------------------
@@ -281,9 +298,10 @@ class Expr:
         n = exponent
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = _power_product(result, base)
             n >>= 1
+            if n:
+                base = _power_product(base, base)
         return result
 
     def __eq__(self, other) -> bool:
@@ -306,6 +324,16 @@ class Expr:
 
     def __repr__(self) -> str:
         return f"Expr[{expr_to_text(self)}]"
+
+
+def _power_product(a: Expr, b: Expr) -> Expr:
+    """a * b inside Expr.__pow__, refused with ValueError when either side
+    would take more than _POWER_BUDGET term products."""
+    products = max(len(a._num) * len(b._num), len(a._den) * len(b._den))
+    if products > _POWER_BUDGET:
+        raise ValueError(f"power too large: one product would take {products} term "
+                         f"products, above {_POWER_BUDGET}")
+    return a * b
 
 
 Z = Expr.generator("z")
@@ -424,17 +452,34 @@ def _diff_poly(poly: dict, gen_rules: tuple[Expr, ...]) -> tuple[dict, dict]:
     return acc, acc_den
 
 
+def _keeps_constants(gen_rules: tuple[Expr, ...]) -> bool:
+    """pi's rule is zero and every rule denominator is a polynomial in pi
+    alone, so a polynomial in pi stays constant and so does a product of
+    rule denominators."""
+    return not gen_rules[_PI]._num and not any(
+        any(mono[:_PI]) for r in gen_rules for mono in r._den)
+
+
 def _differentiate_with(e: Expr, gen_rules: tuple[Expr, ...]) -> Expr:
     """The quotient rule on the pairs of _diff_poly, canonicalized once; each
     product is taken in the order Expr arithmetic takes it, so the terms keep
-    its order and eval_expr sums them the same way."""
+    its order and eval_expr sums them the same way.
+
+    With e = N/(c F^k) and c' = 0 the rule reads (N'F - k N F')/(c F^(k+1)),
+    and the result records (F, k+1).  That needs a table that keeps
+    constants; under any other, F is e's denominator and k = 1, the full
+    quotient rule, and the result records nothing."""
+    base = e._base if e._base and _keeps_constants(gen_rules) else None
+    f, k = base or (e._den, 1)
     dn, dn_den = _diff_poly(e._num, gen_rules)
-    dd, dd_den = _diff_poly(e._den, gen_rules)
-    den = e._den
-    if not dd:  # constant denominator: no quotient rule, no squaring
-        return Expr._new(dn, _p_mul(dn_den, den))
-    num = _p_add(_p_mul(_p_mul(dn, den), dd_den), _p_neg(_p_mul(_p_mul(e._num, dd), dn_den)))
-    return Expr._new(num, _p_mul(_p_mul(dn_den, dd_den), _p_mul(den, den)))
+    df, df_den = _diff_poly(f, gen_rules)
+    if not df:  # constant denominator: no quotient rule, no new factor F
+        return Expr._new(dn, _p_mul(dn_den, e._den), base)
+    ndf = _p_mul(_p_mul(e._num, df), {_UNIT_MONO: (k, 0)})
+    num = _p_add(_p_mul(_p_mul(dn, f), df_den), _p_neg(_p_mul(ndf, dn_den)))
+    den = _p_mul(_p_mul(dn_den, df_den), _p_mul(e._den, f))
+    keeps = base is not None or _keeps_constants(gen_rules)
+    return Expr._new(num, den, (f, k + 1) if keeps else None)
 
 
 def differentiate(e: Expr, var: str, rules: dict[str, tuple[Expr, ...]] | None = None) -> Expr:
@@ -682,8 +727,8 @@ def _parse(text: str) -> Expr:
 def parse_expr(text: str) -> Expr:
     """Parse the textual expression language back into a normalized Expr.
 
-    Malformed text, and a division by an expression that is zero, raise
-    ValueError."""
+    Malformed text, a division by an expression that is zero, and a power
+    whose expansion would pass _POWER_BUDGET raise ValueError."""
     try:
         return _parse(text)
     except ZeroDivisionError as exc:

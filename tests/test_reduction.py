@@ -160,6 +160,26 @@ def test_reduce_z_moves_a_far_edge_point_to_the_near_edge(z):
         assert abs(evaluate(tau, z).value - want) <= 1e-13 * abs(want)
 
 
+def test_reduce_z_pins_near_edge_points_in_the_cell():
+    # 200000 points (m0 + eps_b) + (n0 + eps_a) tau at 200 reduced tau, each
+    # eps one of 0, +-1e-17, +-1e-16 or U(0, 1): the subtraction rounds b a
+    # rounding below 0 at about one point in five unless b is pinned at 0
+    rng = random.Random(5)
+    roundings = (0.0, 1e-17, -1e-17, 1e-16, -1e-16)
+    eps = [rng.choice(roundings) if rng.random() < 5 / 6 else rng.random()
+           for _ in range(1009)]
+    for _ in range(200):
+        tau = 0.5j
+        while abs(tau) < 1.0:
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 3.0))
+        for k in range(1000):
+            m0, n0 = k % 13 - 6, k // 13 % 13 - 6
+            z = (m0 + eps[k]) + (n0 + eps[(7 * k + 3) % 1009]) * tau
+            _, _, z_star = reduce_z(tau, z)
+            a, b = coords_wrt_lattice(tau, z_star)
+            assert 0.0 <= a < 1.0 and 0.0 <= b < 1.0, (tau, z)
+
+
 def _edge_sweep():
     """3000 tau, Re ~ U(-3, 3) and Im log-uniform in [0.1, 5] (Random(3)),
     each with the points 1/2, tau*/2, (1 + tau*)/2, 0.3 and 0.7 of its

@@ -49,6 +49,37 @@ def test_square_expands():
     assert (Z + ONE) ** 2 == Z * Z + rational(2) * Z + ONE
 
 
+def test_power_takes_no_unused_square(monkeypatch):
+    # square-and-multiply: one product per set bit after the first, one
+    # square per bit after the first, and no square past the last bit
+    calls = []
+    product = symbolic._power_product
+
+    def counted(a, b):
+        calls.append(1)
+        return product(a, b)
+
+    monkeypatch.setattr(symbolic, "_power_product", counted)
+    base = Z + WP
+    for n in range(1, 10):
+        calls.clear()
+        want = base
+        for _ in range(n - 1):
+            want = want * base
+        assert base**n == want
+        assert len(calls) == n.bit_length() - 1 + bin(n).count("1")
+
+
+def test_power_past_the_budget_is_refused():
+    # (pi-E4)^-2112 in full did not finish within 5 s; the squaring of the
+    # 257-term (pi-E4)^256 would pass the budget
+    with pytest.raises(ValueError, match="power too large"):
+        (PI - E4) ** 2112
+    with pytest.raises(ValueError, match="power too large"):
+        parse_expr("--+(pi-E4)^-2112")
+    assert len(((PI - E4) ** 200)._num) == 201
+
+
 def test_power_zero_and_negative():
     assert WP**0 == ONE
     assert WP**-1 == ONE / WP
@@ -392,22 +423,36 @@ def test_parse_rejects_garbage():
             parse_expr(bad)
 
 
+def _parsed_back(e):
+    return parse_expr(expr_to_text(e))
+
+
 def test_deep_derivative_text_parses_back():
-    # d/dtau d/dtau d/dz of a catalogue expression: 1209 numerator terms,
-    # printed with parentheses nested 1217 deep, past any recursion limit
+    # d/dtau d/dtau d/dz of a catalogue expression, each step taken on the
+    # parsed-back text and so by the full quotient rule: 1209 numerator
+    # terms, printed with parentheses nested 1217 deep, past any recursion
+    # limit
     e = parse_expr("(E6*zeta+3*E6)/(wp1^2+1/3)")
-    d = differentiate(differentiate(differentiate(e, "tau"), "tau"), "z")
+    d = differentiate(_parsed_back(differentiate(_parsed_back(differentiate(e, "tau")), "tau")),
+                      "z")
     text = expr_to_text(d)
     assert len(d._num) == 1209
+    depth = 0
+    deepest = max((depth := depth + (ch == "(") - (ch == ")")) for ch in text)
+    assert deepest == 1217
     assert parse_expr(text) == d
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ffd6c3ed31e71ab8e2dc7f8a992ac43146a42ff792fd609b804b7566285f8000")
 
 
 # --- the one-pass derivative against Expr arithmetic ------------------------------
 
 
-def _reference_derivative(e, gen_rules):
+def _reference_derivative(e, gen_rules, base=None):
     """The derivative by Expr arithmetic: one canonical Expr per generator,
-    summed, then the quotient rule on Exprs."""
+    summed, then the quotient rule on Exprs.  base is (F, k) where e's
+    denominator is a constant times F^k; the rule then reads
+    (N'F - k N F')/(den F).  Without it F is the denominator and k = 1."""
 
     def d_poly(poly):
         total = ZERO
@@ -418,16 +463,20 @@ def _reference_derivative(e, gen_rules):
                 total = total + Expr._new(partial, ONE._den) * rule
         return total
 
-    dn, dd = d_poly(e._num), d_poly(e._den)
+    f, k = base or (e._den, 1)
+    dn, df = d_poly(e._num), d_poly(f)
     num, den = Expr._new(e._num, ONE._den), Expr._new(e._den, ONE._den)
-    if dd.is_zero():
+    if df.is_zero():
         return dn / den
-    return (dn * den - num * dd) / (den * den)
+    f = Expr._new(f, ONE._den)
+    return (dn * f - k * num * df) / (den * f)
 
 
-def _assert_same_derivative(e, var, rules):
+def _assert_same_derivative(e, var, rules, full=False):
+    """differentiate against _reference_derivative, in lowest terms unless
+    full."""
     got = differentiate(e, var, rules)
-    want = _reference_derivative(e, rules[var])
+    want = _reference_derivative(e, rules[var], None if full else e._base)
     assert got == want
     assert expr_to_text(got) == expr_to_text(want)
     # the same terms in the same order, so eval_expr sums them alike
@@ -481,6 +530,34 @@ def test_differentiate_matches_expr_arithmetic(e):
     _assert_same_derivative(e, "z", rules)
     d_tau = _assert_same_derivative(e, "tau", rules)
     _assert_same_derivative(d_tau, "z", rules)
+    d_tau_tau = _assert_same_derivative(d_tau, "tau", rules)
+    _assert_same_derivative(d_tau_tau, "z", rules)
+
+
+def _tables_without_lowest_terms():
+    """Tables under which a denominator c F^k may not stay c F^k: rule
+    denominators that depend on z (wp' z/z for d/dz wp, -wp (z+1)/(z+1) for
+    d/dz zeta), and a pi that is not constant in tau."""
+    z_den, pi_moves = build_rule_table(), build_rule_table()
+    z_den["z"] = (*z_den["z"][:2], WP1 * Z / Z, z_den["z"][3], -WP * (Z + 1) / (Z + 1),
+                  *z_den["z"][5:])
+    pi_moves["tau"] = (*pi_moves["tau"][:8], ONE)
+    return {"z": z_den, "tau": pi_moves}
+
+
+@pytest.mark.parametrize("var", ["z", "tau"], ids=["z-dependent denominator", "pi moves"])
+def test_other_tables_fall_back_to_the_full_quotient_rule(var):
+    table = _tables_without_lowest_terms()[var]
+    for text in ("(E6*zeta+3*E6)/(wp1^2+1/3)", "(E2*E2+3*E4)/(zeta^2+1/3)",
+                 "(zeta*E4+4*wp1)/(E6^2+1/4)"):
+        d_tau = differentiate(parse_expr(text), "tau")
+        assert d_tau._base is not None
+        got = _assert_same_derivative(d_tau, var, table, full=True)
+        # no record kept: the next derivative takes the full rule again
+        assert got._base is None
+        assert differentiate(got, "z") == differentiate(_parsed_back(got), "z")
+        if var == "z":  # the same rules as the default table's, unreduced
+            assert (got - differentiate(d_tau, "z")).is_zero()
 
 
 @pytest.mark.parametrize("table", range(3), ids=["ramanujan", "zeta_sign", "wp_term"])
@@ -530,12 +607,13 @@ def test_used_generators_reads_both_sides():
 
 # sha256 of expr_to_text of each expression of perfbench's symbolic catalogue
 # differentiated by z, by tau and by tau then z: how coefficients are stored
-# must not change what is printed
+# must not change what is printed.  The tau-z entries of the three
+# denominators F that depend on both z and tau are over c F^3 (see Expr).
 CATALOGUE_DERIVATIVE_SHA256 = {
     "(E2*E2+3*E4)/(zeta^2+1/3)": (
         "467c2333a101a40b6479adda60c256538bb9a81d3c05cedfbf37deca2dda0c53",
         "dd556b77ea00be12884da7f35d93baab13bbd29570bf82ccbaf4df3e8b4bf23d",
-        "4109536dfeec6b5d55df46b80801edf62debda0df0352ceec29d23ee091adb94",
+        "6f8f0b6c85c664dd775f1c2ea674e79a94d8beee369ccb2b8946d77f00b76e51",
     ),
     "(z*zeta+3*z)/(tau^2+1/3)": (
         "e28801fb356ac14c7b5c720652ffa786f5d90402026d83b97da838f1579dca9a",
@@ -550,7 +628,7 @@ CATALOGUE_DERIVATIVE_SHA256 = {
     "(z*E4+2*E2)/(wp^2+1/2)": (
         "b775a2205fab41f8ebe69efa4c785e8800ab616547335479b105d786da2aabea",
         "72d1b847cfaf0d39d2f264fbf2afadf4eb3e110a2d6f6850784f8cc1367c03fc",
-        "469b24ae984b47da25189430b77bb4bb2766245e9a0da5de4afb0030375e1f58",
+        "1ca6819f8b6d7a07d72d7e26432f8ca678850c90f30e18d5c938ade653401bc8",
     ),
     "(z*wp+3*tau)/(E4^2+1/3)": (
         "be09e16d77e178cd9543f260a4ffac267d075b37374b7672451a72991de7272f",
@@ -570,17 +648,37 @@ CATALOGUE_DERIVATIVE_SHA256 = {
     "(E6*zeta+3*E6)/(wp1^2+1/3)": (
         "9fcbb524c551c71c3c8bcf3d121da04c6506a6523f539a0264b382a0cae3738c",
         "aeb949a395da8dbd0b605cdd1d7e691c89c0e4cbdedd1911e2ec7df448a773db",
-        "721c5f0d381b53e76931d4bbd30c9e3ecb331931dd29e8ff4015b6b2075e2ade",
+        "1dc77db80d5bb2feee8105f714539b2487a754c122ff835f0c79727e0620c488",
     ),
 }
 
 
 def test_deep_derivative_prints_the_recorded_text():
-    # the 1209-term derivative of test_deep_derivative_text_parses_back
+    # d/dtau d/dtau d/dz over c F^4, F = wp1^2 + 1/3: 519 numerator terms
+    # and 5 denominator terms, where the full rule of
+    # test_deep_derivative_text_parses_back gives 1209 over c F^8, 9 terms
     e = parse_expr("(E6*zeta+3*E6)/(wp1^2+1/3)")
     d = differentiate(differentiate(differentiate(e, "tau"), "tau"), "z")
+    assert (len(d._num), len(d._den)) == (519, 5)
     assert hashlib.sha256(expr_to_text(d).encode()).hexdigest() == (
-        "ffd6c3ed31e71ab8e2dc7f8a992ac43146a42ff792fd609b804b7566285f8000")
+        "bfe8bf84e097397d420bf35322a58c5b904fcebde1363527cfa0af1e5a4f89fc")
+
+
+def test_catalogue_derivatives_equal_the_full_quotient_rule():
+    # each step of the full rule is taken on the parsed-back text, which
+    # carries no record of F
+    lowest_terms = full_terms = 0
+    for text in CATALOGUE_DERIVATIVE_SHA256:
+        e = parse_expr(text)
+        for order in (("z",), ("tau",), ("tau", "z"), ("tau", "tau"), ("tau", "tau", "z")):
+            new = old = e
+            for var in order:
+                new = differentiate(new, var)
+                old = differentiate(_parsed_back(old), var)
+            assert (new - old).is_zero(), (text, order)
+            lowest_terms += len(new._num)
+            full_terms += len(old._num)
+    assert (lowest_terms, full_terms) == (2520, 4406)
 
 
 def test_catalogue_derivatives_print_the_recorded_text():

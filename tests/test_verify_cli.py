@@ -383,6 +383,17 @@ def test_cli_diff_output_is_diff_input(capsys):
     assert out.strip() == expr_to_text(differentiate(parse_expr(text), "z"))
 
 
+def test_cli_diff_power_past_the_budget_exit_3(capsys):
+    # multiplied out in full this power did not finish within 5 s; the value
+    # starts with '--', so it is passed as --expr=VALUE
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, ["diff", "--expr=--+(pi-E4)^-2112", "--var", "z"])
+    assert time.perf_counter() - t0 < 0.1
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 @pytest.mark.parametrize("tau, z", [("nan,1", "0.3,0"), ("0,1", "inf,0"), ("0,1", "0.3,nan")])
 def test_cli_eval_non_finite_input_is_exit_3(capsys, tau, z):
     code, out, err = run_cli(capsys, ["eval", "--fn", "wp", "--tau", tau, "--z", z])
