@@ -26,6 +26,10 @@ _NEEDS_Z = frozenset({"wp", "wp1", "zeta"})
 # series' divisor sums cost more than linearly in the order, and no
 # evaluator sums more than 119 terms
 _MAX_SERIES_ORDER = 10_000
+# The options that take a value.  argparse reads a value that starts with '-'
+# as an option, so main() passes "--expr -wp" on as "--expr=-wp".
+_VALUE_OPTIONS = frozenset(
+    {"--fn", "--tau", "--z", "--expr", "--var", "--seed", "--tol-file", "--cases", "--order"})
 
 
 def _parse_complex(text: str) -> complex:
@@ -158,9 +162,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attached(argv: list[str]) -> list[str]:
+    """argv with each value that starts with '-' attached to its option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_OPTIONS and arg.startswith("-"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attached(sys.argv[1:] if argv is None else argv))
     if args.command == "eval" and args.fn in _NEEDS_Z and args.z is None:
         parser.error(f"--z is required for --fn {args.fn}")
     try:

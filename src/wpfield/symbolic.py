@@ -8,9 +8,14 @@ with Gaussian-rational coefficients (pi is carried as a formal symbol, so every
 coefficient stays exact).  Both polynomials are stored with Gaussian-integer
 coefficients (a, b) = a + b i, in the one form of the quotient whose
 denominator has a positive integer leading coefficient and whose components
-have gcd 1; arithmetic and differentiation run on ints alone.  Expr.num and
-Expr.den read the quotient back with that leading coefficient scaled to 1, as
-(Fraction, Fraction) pairs.  The set is closed under d/dz and d/dtau:
+have gcd 1; arithmetic and differentiation run on ints alone.  Each monomial
+is packed into one int, a 32-bit field per generator with z in the highest
+field and pi in the lowest, so a product of monomials is one integer add and
+int order is the order of the exponent tuples.  An exponent is at most
+2**31 - 1; the top bit of each field is a guard, and a product that sets one
+raises ValueError.  Expr.num and Expr.den read the quotient back with exponent
+tuples as keys and that leading coefficient scaled to 1, as (Fraction,
+Fraction) pairs.  The set is closed under d/dz and d/dtau:
 
     d/dz:   wp -> wp1,  wp1 -> 6 wp^2 - g2/2,  zeta -> -wp
     d/dtau: E2k by Ramanujan's system; wp and zeta by the theta heat
@@ -33,8 +38,10 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from fractions import Fraction
-from operator import add, mul, sub, truediv
+from functools import reduce
+from operator import add, mul, or_, sub, truediv
 
 from .core import ensure_finite
 from .errors import NearSingular, NonFiniteValue
@@ -44,7 +51,19 @@ GEN_NAMES = ("z", "tau", "wp", "wp1", "zeta", "E2", "E4", "E6", "pi")
 NGEN = len(GEN_NAMES)
 _GEN_INDEX = {name: k for k, name in enumerate(GEN_NAMES)}
 _PI = _GEN_INDEX["pi"]
-_UNIT_MONO = (0,) * NGEN
+
+# A monomial z^e0 tau^e1 ... pi^e8 is the int with e_k in the 32-bit field at
+# _SHIFT[k]: z highest, pi lowest, so int order is the tuple order.  Exponents
+# stay below the guard bit at the top of each field, so the sum of two packed
+# monomials is their product, carries no bit into the next field, and sets a
+# guard bit exactly when an exponent passes _MAX_EXPONENT.
+_FIELD = 32
+_SHIFT = tuple(_FIELD * (NGEN - 1 - k) for k in range(NGEN))
+_MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
+_GUARD = sum(1 << (s + _FIELD - 1) for s in _SHIFT)
+_MASK = (1 << _FIELD) - 1
+_EXPONENTS = struct.Struct(f">{NGEN}I")  # the fields, as big-endian 32-bit ints
+_UNIT_MONO = 0
 
 _SINGULAR_FLOOR = 1e-12
 
@@ -57,12 +76,30 @@ _POWER_BUDGET = 50_000
 _FRAME_GENERATORS = frozenset(range(2, 8))
 
 # ---------------------------------------------------------------------------
-# Polynomials: dicts mapping exponent tuples to Gaussian-integer coefficients
+# Polynomials: dicts mapping packed monomials to Gaussian-integer coefficients
 # (a, b) = a + b i.  No stored coefficient is zero, and no function here
 # changes a polynomial it is given, so polynomials may be shared: _UNIT_DEN,
 # and the operand _p_mul returns when the other one is the unit polynomial.
 
 _UNIT_DEN = {_UNIT_MONO: (1, 0)}
+
+
+def _pack(exponents) -> int:
+    """The packed monomial of an exponent tuple; ValueError unless it has one
+    int in [0, _MAX_EXPONENT] per generator."""
+    if len(exponents) != NGEN or not all(
+            isinstance(e, int) and 0 <= e <= _MAX_EXPONENT for e in exponents):
+        raise ValueError(f"exponents must be {NGEN} ints in [0, {_MAX_EXPONENT}], "
+                         f"got {exponents!r}")
+    return int.from_bytes(_EXPONENTS.pack(*exponents), "big")
+
+
+def _unpack(mono: int) -> tuple:
+    return _EXPONENTS.unpack(mono.to_bytes(_EXPONENTS.size, "big"))
+
+
+def _overflow(mono: int) -> ValueError:
+    return ValueError(f"exponent above {_MAX_EXPONENT} in a product: {_unpack(mono)}")
 
 
 def _p_add(p, q):
@@ -93,14 +130,17 @@ def _p_mul(p, q):
             if (a2, b2) == (1, 0):
                 return p
             return {m1: (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2) for m1, (a1, b1) in p.items()}
-        return {
-            tuple(map(add, m1, m2)): (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
-            for m1, (a1, b1) in p.items()
-        }
+        out = {m1 + m2: (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2) for m1, (a1, b1) in p.items()}
+        for mono in out:
+            if mono & _GUARD:
+                raise _overflow(mono)
+        return out
     out: dict = {}
     for m1, (a1, b1) in p.items():
         for m2, (a2, b2) in q.items():
-            mono = tuple(map(add, m1, m2))
+            mono = m1 + m2
+            if mono & _GUARD:
+                raise _overflow(mono)
             re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
             s = out.get(mono)
             if s is not None:
@@ -116,10 +156,11 @@ def _p_mul(p, q):
 def _p_eval(p, n: int, vals) -> complex:
     """p / n at the generator values.  Int true division rounds correctly, so
     each coefficient is the double nearest to its exact value."""
+    unpack, size = _EXPONENTS.unpack, _EXPONENTS.size  # _unpack, without a call per term
     total = 0j
     for mono, (a, b) in p.items():
         term = complex(a / n, b / n)
-        for v, e in zip(vals, mono):
+        for v, e in zip(vals, unpack(mono.to_bytes(size, "big"))):
             if e:
                 term *= v**e
         total += term
@@ -146,16 +187,18 @@ def _canonical(num: dict, den: dict) -> tuple[dict, dict]:
 
 
 def _cleared(poly: dict, scale: int) -> dict:
-    """A Gaussian-rational polynomial times scale, a common denominator."""
+    """A Gaussian-rational polynomial keyed by exponent tuples times scale, a
+    common denominator, keyed by packed monomials."""
     return {
-        m: (re.numerator * (scale // re.denominator), im.numerator * (scale // im.denominator))
+        _pack(m): (re.numerator * (scale // re.denominator),
+                   im.numerator * (scale // im.denominator))
         for m, (re, im) in poly.items()
         if re or im
     }
 
 
 def _view(poly: dict, n: int) -> dict:
-    return {m: (Fraction(a, n), Fraction(b, n)) for m, (a, b) in poly.items()}
+    return {_unpack(m): (Fraction(a, n), Fraction(b, n)) for m, (a, b) in poly.items()}
 
 
 class Expr:
@@ -172,10 +215,11 @@ class Expr:
 
     A derivative also records its denominator as c F^k: F is the denominator
     of the expression first differentiated and c a polynomial in pi alone.
-    The next derivative divides by c F^(k+1), not by (c F^k)^2.  Every other
-    Expr has den itself as F and k = 1.  That includes a parsed one, so the
-    derivative of a parsed-back derivative takes the full quotient rule:
-    without a polynomial gcd, F cannot be found again.  The record takes no
+    The next derivative divides by c F^(k+1), not by (c F^k)^2.  Negation,
+    and a product or quotient with an Expr in pi alone, keep the record.
+    Every other Expr has den itself as F and k = 1.  That includes a sum and
+    a parsed one, so the derivative of a parsed-back derivative takes the
+    full quotient rule: without a polynomial gcd, F cannot be found again.  The record takes no
     part in ==, hash or the printed text.
     """
 
@@ -183,7 +227,9 @@ class Expr:
 
     def __init__(self, num: dict, den: dict) -> None:
         """num, den: dicts from exponent tuples to (re, im) pairs of ints or
-        Fractions.  Their denominators are cleared here, once."""
+        Fractions.  A tuple holds one exponent per generator, each an int in
+        [0, 2**31 - 1]; any other raises ValueError.  The denominators of
+        the coefficients are cleared here, once."""
         scale = math.lcm(*(x.denominator for p in (num, den) for c in p.values() for x in c))
         num, den = _cleared(num, scale), _cleared(den, scale)
         if not den:
@@ -204,13 +250,12 @@ class Expr:
 
     @classmethod
     def constant(cls, re: Fraction | int, im: Fraction | int = 0) -> "Expr":
-        return cls({_UNIT_MONO: (Fraction(re), Fraction(im))}, _UNIT_DEN)
+        unit = (0,) * NGEN
+        return cls({unit: (Fraction(re), Fraction(im))}, {unit: (1, 0)})
 
     @classmethod
     def generator(cls, name: str) -> "Expr":
-        idx = _GEN_INDEX[name]
-        mono = tuple(1 if k == idx else 0 for k in range(NGEN))
-        return cls._new({mono: (1, 0)}, _UNIT_DEN)
+        return cls._new({1 << _SHIFT[_GEN_INDEX[name]]: (1, 0)}, _UNIT_DEN)
 
     # -- the lead-1 view ------------------------------------------------------
 
@@ -233,7 +278,8 @@ class Expr:
         return not self._num
 
     def used_generators(self) -> set[int]:
-        return {k for k, col in enumerate(zip(*self._num, *self._den)) if any(col)}
+        exponents = _unpack(reduce(or_, self._den, reduce(or_, self._num, 0)))
+        return {k for k, e in enumerate(exponents) if e}
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -255,7 +301,7 @@ class Expr:
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr._new(_p_neg(self._num), self._den)
+        return Expr._new(_p_neg(self._num), self._den, self._base)
 
     def __sub__(self, other):
         other = Expr._coerce(other)
@@ -270,7 +316,8 @@ class Expr:
         other = Expr._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Expr._new(_p_mul(self._num, other._num), _p_mul(self._den, other._den))
+        return Expr._new(_p_mul(self._num, other._num), _p_mul(self._den, other._den),
+                         _kept_base(self, other) or _kept_base(other, self))
 
     __rmul__ = __mul__
 
@@ -280,7 +327,8 @@ class Expr:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero expression")
-        return Expr._new(_p_mul(self._num, other._den), _p_mul(self._den, other._num))
+        return Expr._new(_p_mul(self._num, other._den), _p_mul(self._den, other._num),
+                         _kept_base(self, other))
 
     def __rtruediv__(self, other):
         other = Expr._coerce(other)
@@ -324,6 +372,12 @@ class Expr:
 
     def __repr__(self) -> str:
         return f"Expr[{expr_to_text(self)}]"
+
+
+def _kept_base(a: Expr, b: Expr) -> tuple[dict, int] | None:
+    """a's record of c F^k, which a * b and a / b keep when b is in pi
+    alone: the product's denominator is then c' F^k."""
+    return a._base if a._base and b.used_generators() <= {_PI} else None
 
 
 def _power_product(a: Expr, b: Expr) -> Expr:
@@ -435,12 +489,13 @@ def _diff_poly(poly: dict, gen_rules: tuple[Expr, ...]) -> tuple[dict, dict]:
     for gi, rule in enumerate(gen_rules):
         if not rule._num:
             continue
+        shift = _SHIFT[gi]
+        one = 1 << shift
         partial = {}  # lowering g_i is one-to-one, so no two terms collide
         for mono, (a, b) in poly.items():
-            e = mono[gi]
+            e = mono >> shift & _MASK
             if e:
-                lowered = mono[:gi] + (e - 1,) + mono[gi + 1 :]
-                partial[lowered] = (a * e, b * e)
+                partial[mono - one] = (a * e, b * e)
         if not partial:
             continue
         term = _p_mul(partial, rule._num)
@@ -457,7 +512,7 @@ def _keeps_constants(gen_rules: tuple[Expr, ...]) -> bool:
     alone, so a polynomial in pi stays constant and so does a product of
     rule denominators."""
     return not gen_rules[_PI]._num and not any(
-        any(mono[:_PI]) for r in gen_rules for mono in r._den)
+        mono >> _FIELD for r in gen_rules for mono in r._den)  # a field above pi's
 
 
 def _differentiate_with(e: Expr, gen_rules: tuple[Expr, ...]) -> Expr:
@@ -614,13 +669,13 @@ def _left_nested(parts: list[str], op: str) -> str:
     return "(" * (len(parts) - 1) + parts[0] + op + f"){op}".join(parts[1:]) + ")"
 
 
-def _term_text(mono: tuple, coef, n: int) -> str:
+def _term_text(mono: int, coef, n: int) -> str:
     a, b = coef
     negative = a < 0 or (a == 0 and b < 0)
     if negative:
         a, b = -a, -b
-    factors = _coef_factors(a, b, n, any(mono))
-    for gi, e in enumerate(mono):
+    factors = _coef_factors(a, b, n, mono != _UNIT_MONO)
+    for gi, e in enumerate(_unpack(mono)):
         if e == 0:
             continue
         name = GEN_NAMES[gi]

@@ -116,6 +116,43 @@ def test_complex_rational_coefficients():
     assert e == rational(2)
 
 
+# --- packed monomials ----------------------------------------------------------
+
+
+def test_packed_monomials_round_trip_in_tuple_order():
+    rng = random.Random("packed monomials")
+    top = symbolic._MAX_EXPONENT
+    tuples = [tuple(rng.choice((0, 0, 1, 2, rng.randrange(top + 1), top)) for _ in GEN_NAMES)
+              for _ in range(2000)]
+    packed = [symbolic._pack(t) for t in tuples]
+    assert [symbolic._unpack(m) for m in packed] == tuples
+    assert sorted(packed) == [symbolic._pack(t) for t in sorted(tuples)]
+    # a product is one add, and sets a guard bit exactly when it passes the cap
+    for (a, ma), (b, mb) in zip(zip(tuples, packed), zip(tuples[1:], packed[1:])):
+        exponents = tuple(x + y for x, y in zip(a, b))
+        if max(exponents) <= top:
+            assert not (ma + mb) & symbolic._GUARD
+            assert ma + mb == symbolic._pack(exponents)
+        else:
+            assert (ma + mb) & symbolic._GUARD
+
+
+def test_exponents_are_capped_at_2_to_the_31_minus_1():
+    top = parse_expr("wp^2147483647")
+    assert expr_to_text(top) == "(wp^2147483647)"
+    assert parse_expr(expr_to_text(top)) == top
+    assert differentiate(top, "z") == 2147483647 * WP**2147483646 * WP1
+    for text in ("wp^2147483648", "(wp^2147483647)*wp", "wp^-2147483648"):
+        with pytest.raises(ValueError, match="exponent above 2147483647"):
+            parse_expr(text)
+    unit = (0,) * len(GEN_NAMES)
+    for bad in ((0, 0, -1, 0, 0, 0, 0, 0, 0), (0, 0, 2**31, 0, 0, 0, 0, 0, 0), (0, 0, 1)):
+        with pytest.raises(ValueError, match="exponents must be"):
+            Expr({bad: (1, 0)}, {unit: (1, 0)})
+        with pytest.raises(ValueError, match="exponents must be"):
+            Expr({unit: (1, 0)}, {bad: (1, 0)})
+
+
 # --- canonical form -------------------------------------------------------------
 
 _SCALARS = [rational(2, 3), ONE + I, -I, rational(7, 5) + rational(3, 4) * I]
@@ -449,10 +486,11 @@ def test_deep_derivative_text_parses_back():
 
 
 def _reference_derivative(e, gen_rules, base=None):
-    """The derivative by Expr arithmetic: one canonical Expr per generator,
-    summed, then the quotient rule on Exprs.  base is (F, k) where e's
-    denominator is a constant times F^k; the rule then reads
-    (N'F - k N F')/(den F).  Without it F is the denominator and k = 1."""
+    """The derivative by Expr arithmetic on the num/den views: one Expr per
+    generator, summed, then the quotient rule on Exprs.  base is (F, k),
+    F an Expr, where e's denominator is a constant times F^k; the rule then
+    reads (N'F - k N F')/(den F).  Without it F is the denominator and
+    k = 1."""
 
     def d_poly(poly):
         total = ZERO
@@ -460,23 +498,30 @@ def _reference_derivative(e, gen_rules, base=None):
             partial = {m[:gi] + (m[gi] - 1,) + m[gi + 1 :]: (a * m[gi], b * m[gi])
                        for m, (a, b) in poly.items() if m[gi]}
             if partial and not rule.is_zero():
-                total = total + Expr._new(partial, ONE._den) * rule
+                total = total + Expr(partial, ONE.den) * rule
         return total
 
-    f, k = base or (e._den, 1)
-    dn, df = d_poly(e._num), d_poly(f)
-    num, den = Expr._new(e._num, ONE._den), Expr._new(e._den, ONE._den)
+    num, den = Expr(e.num, ONE.den), Expr(e.den, ONE.den)
+    f, k = base or (den, 1)
+    dn, df = d_poly(e.num), d_poly(f.num)
     if df.is_zero():
         return dn / den
-    f = Expr._new(f, ONE._den)
     return (dn * f - k * num * df) / (den * f)
+
+
+def _record(e):
+    """e's record (F, k) of its denominator as c F^k, F as an Expr, or None."""
+    if e._base is None:
+        return None
+    f, k = e._base
+    return Expr._new(f, ONE._den), k
 
 
 def _assert_same_derivative(e, var, rules, full=False):
     """differentiate against _reference_derivative, in lowest terms unless
     full."""
     got = differentiate(e, var, rules)
-    want = _reference_derivative(e, rules[var], None if full else e._base)
+    want = _reference_derivative(e, rules[var], None if full else _record(e))
     assert got == want
     assert expr_to_text(got) == expr_to_text(want)
     # the same terms in the same order, so eval_expr sums them alike
@@ -543,6 +588,23 @@ def _tables_without_lowest_terms():
                   *z_den["z"][5:])
     pi_moves["tau"] = (*pi_moves["tau"][:8], ONE)
     return {"z": z_den, "tau": pi_moves}
+
+
+def test_negation_and_pi_scaling_keep_the_record():
+    d = differentiate(parse_expr("(E6*zeta+3*E6)/(wp1^2+1/3)"), "tau")
+    want = differentiate(d, "z")
+    assert (len(want._num), len(want._den)) == (84, 4)
+    for scaled, c in ((-d, -1), (2 * d, 2), (d * 2, 2), (PI * d, PI), (d / PI, ONE / PI)):
+        got = differentiate(scaled, "z")
+        assert (len(got._num), len(got._den)) == (84, 4)
+        assert got == c * want
+    # a sum keeps no record: d + E2 takes the full rule, as its text does
+    total = d + E2
+    full = differentiate(total, "z")
+    assert full == differentiate(_parsed_back(total), "z")
+    assert (len(full._num), len(full._den)) == (122, 5)
+    # nor does a product with anything but pi
+    assert differentiate(d * WP, "z") == differentiate(_parsed_back(d * WP), "z")
 
 
 @pytest.mark.parametrize("var", ["z", "tau"], ids=["z-dependent denominator", "pi moves"])
@@ -662,6 +724,21 @@ def test_deep_derivative_prints_the_recorded_text():
     assert (len(d._num), len(d._den)) == (519, 5)
     assert hashlib.sha256(expr_to_text(d).encode()).hexdigest() == (
         "bfe8bf84e097397d420bf35322a58c5b904fcebde1363527cfa0af1e5a4f89fc")
+
+
+def test_grammar_derivatives_print_and_evaluate_the_recorded_values():
+    # the z, tau, tau-z and tau-tau derivatives of 16 grammar expressions:
+    # how monomials are stored must change neither the text nor the value
+    digest, terms = hashlib.sha256(), 0
+    for e in _grammar_expressions("packed", 16):
+        d_tau = differentiate(e, "tau")
+        for d in (differentiate(e, "z"), d_tau, differentiate(d_tau, "z"),
+                  differentiate(d_tau, "tau")):
+            digest.update(f"{expr_to_text(d)}\n{eval_expr(d, TAU0, Z0)!r}\n".encode())
+            terms += len(d.num)
+    assert terms == 2429
+    assert digest.hexdigest() == (
+        "dfa1595d50ec2b66f3e80357d9ba722f186aa12e9610d361686017cb376a8c72")
 
 
 def test_catalogue_derivatives_equal_the_full_quotient_rule():

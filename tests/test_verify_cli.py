@@ -9,8 +9,8 @@ from dataclasses import asdict, fields
 
 import pytest
 
-from wpfield import verify
-from wpfield.cli import main
+from wpfield import cli, verify
+from wpfield.cli import build_parser, main
 from wpfield.core import TolerancePolicy
 from wpfield.errors import PoleProximity
 from wpfield.reduction import Lattice
@@ -384,14 +384,41 @@ def test_cli_diff_output_is_diff_input(capsys):
 
 
 def test_cli_diff_power_past_the_budget_exit_3(capsys):
-    # multiplied out in full this power did not finish within 5 s; the value
-    # starts with '--', so it is passed as --expr=VALUE
+    # multiplied out in full this power did not finish within 5 s
     t0 = time.perf_counter()
-    code, out, err = run_cli(capsys, ["diff", "--expr=--+(pi-E4)^-2112", "--var", "z"])
+    code, out, err = run_cli(capsys, ["diff", "--expr", "--+(pi-E4)^-2112", "--var", "z"])
     assert time.perf_counter() - t0 < 0.1
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("expr", ["wp^2147483648", "(wp^2147483647)*wp"])
+def test_cli_diff_exponent_past_the_cap_exit_3(capsys, expr):
+    code, out, err = run_cli(capsys, ["diff", "--expr", expr, "--var", "z"])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_cli_option_values_may_start_with_a_minus(capsys):
+    for argv in (["diff", "--expr", "-wp", "--var", "z"], ["diff", "--expr=-wp", "--var", "z"]):
+        code, out, _ = run_cli(capsys, argv)
+        assert (code, out) == (0, "-(wp1)\n")
+    spaced = run_cli(capsys, ["eval", "--fn", "wp", "--tau", "-0.2,1.6", "--z", "0.3,0.4"])
+    attached = run_cli(capsys, ["eval", "--fn", "wp", "--tau=-0.2,1.6", "--z=0.3,0.4"])
+    assert spaced == attached
+    assert spaced[0] == 0
+    assert json.loads(spaced[1])["tau"] == [-0.2, 1.6]
+    # a value option at the end still lacks its value
+    with pytest.raises(SystemExit) as exc:
+        main(["diff", "--var", "z", "--expr"])
+    assert exc.value.code == 2
+    # every option of every command that takes a value is attached
+    commands = build_parser()._subparsers._group_actions[0].choices.values()
+    takes_value = {option for command in commands for action in command._actions
+                   if action.nargs != 0 for option in action.option_strings}
+    assert takes_value == cli._VALUE_OPTIONS
 
 
 @pytest.mark.parametrize("tau, z", [("nan,1", "0.3,0"), ("0,1", "inf,0"), ("0,1", "0.3,nan")])
