@@ -1,4 +1,4 @@
-"""Scalar helpers, domain predicates, and the tolerance policy.
+"""Scalar helpers, the upper-half-plane check, and the tolerance policy.
 
 Conventions used throughout the package:
 
@@ -20,9 +20,6 @@ from typing import ClassVar
 from .errors import NonFiniteValue
 
 TWO_PI_I = 2j * math.pi
-
-# Lower edge of the reduced strip: every reduced tau has Im(tau) >= sqrt(3)/2.
-FUNDAMENTAL_IM_MIN = math.sqrt(3.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -76,24 +73,11 @@ def ensure_finite(value: complex, what: str = "value") -> complex:
     return value
 
 
-def in_fundamental_domain(tau: complex) -> bool:
-    """True iff -1/2 <= Re(tau) < 1/2 and Im(tau) >= sqrt(3)/2."""
-    tau = complex(tau)
-    return -0.5 <= tau.real < 0.5 and tau.imag >= FUNDAMENTAL_IM_MIN
-
-
-def coords_wrt_lattice(tau: complex, z: complex) -> tuple[float, float]:
-    """Solve z = a*tau + b over the reals.
-
-    a = Im(z)/Im(tau) and b = Re(z) - a*Re(tau); exact up to rounding for any
-    tau in the upper half-plane.  NonFiniteValue if a or b is NaN or infinite,
-    as for a non-finite z.
-    """
-    return _coords(require_upper_half(tau), complex(z))
-
-
 def _coords(tau: complex, z: complex) -> tuple[float, float]:
-    """coords_wrt_lattice for a tau already checked and a complex z."""
+    """(a, b) with z = a*tau + b over the reals, for a tau already checked and
+    a complex z: a = Im(z)/Im(tau) and b = Re(z) - a*Re(tau), exact up to
+    rounding.  NonFiniteValue if a or b is NaN or infinite, as for a
+    non-finite z."""
     a = z.imag / tau.imag
     b = z.real - a * tau.real
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -101,36 +85,9 @@ def _coords(tau: complex, z: complex) -> tuple[float, float]:
     return a, b
 
 
-def lattice_distance(tau: complex, z: complex) -> float:
-    """Distance from z to the nearest point of Z + tau*Z.
-
-    Exact for reduced tau; for strongly sheared bases it may overestimate, so
-    callers reduce first when the answer matters.
-    """
-    tau = require_upper_half(tau)
-    z = complex(z)
-    a, b = _coords(tau, z)
-    na0 = math.floor(a)
-    nb0 = math.floor(b)
-    best = math.inf
-    for na in (na0 - 1, na0, na0 + 1, na0 + 2):
-        for nb in (nb0 - 1, nb0, nb0 + 1, nb0 + 2):
-            d = abs(z - (nb + na * tau))
-            if d < best:
-                best = d
-    return best
-
-
-def nome(tau: complex) -> complex:
-    """q = exp(2*pi*i*tau), with Re(tau) folded mod 1 first.
-
-    The fold keeps the exponential argument small and makes nome(tau + 1)
-    bit-identical to nome(tau).
-    """
-    return _nome(require_upper_half(tau))
-
-
 def _nome(tau: complex) -> complex:
-    """nome for a tau already checked."""
+    """q = exp(2*pi*i*tau) for a tau already checked, with Re(tau) folded
+    mod 1 first.  The fold keeps the exponential argument small and makes
+    _nome(tau + 1) bit-identical to _nome(tau)."""
     re = math.remainder(tau.real, 1.0)
     return cmath.exp(TWO_PI_I * complex(re, tau.imag))

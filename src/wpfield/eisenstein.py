@@ -227,8 +227,8 @@ def lattice_sum_eisenstein(tau: complex, k: int, radius: int) -> complex:
     tau = require_upper_half(tau)
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2, or 3, got {k}")
-    if radius < 10:
-        raise ValueError(f"radius must be >= 10, got {radius}")
+    if not (isinstance(radius, int) and radius >= 10):
+        raise ValueError(f"radius must be an int >= 10, got {radius!r}")
     omega1, tau_r = (1.0, tau) if k == 1 else _reduced_basis(tau)
     total = complex((ZETA2, ZETA4, ZETA6)[k - 1])
     bound = partial(_row_bound, k)
@@ -257,6 +257,6 @@ def q_coefficients(kind: str, order: int) -> list[int]:
     key = kind.lower()
     if key not in _Q_SERIES:
         raise ValueError(f"kind must be one of {sorted(_Q_SERIES)}, got {kind!r}")
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    if not (isinstance(order, int) and order >= 0):
+        raise ValueError(f"order must be an int >= 0, got {order!r}")
     return list(_coefficients(key, order))

@@ -172,8 +172,7 @@ def reduce_tau(tau: complex) -> tuple[UnimodularMatrix, complex]:
 
 def reduce_z(tau: complex, z: complex) -> tuple[int, int, complex]:
     """Split z = z* + m + n*tau with z* in the half-open period cell: both
-    lattice coordinates (a, b) of z*, as coords_wrt_lattice computes them,
-    lie in [0, 1).
+    lattice coordinates (a, b) of z*, z* = a*tau + b, lie in [0, 1).
 
     Returns (m, n, z*): m strips integer multiples of 1, n of tau.
     """
@@ -202,9 +201,11 @@ def _reduce_z(tau: complex, z: complex) -> tuple[int, int, complex]:
 
 
 def _cell_distance(tau_star: complex, z_star: complex) -> float:
-    """core.lattice_distance(tau*, z*) for z* in its cell: tau* is reduced, so
-    the nearest lattice point is a corner, written as nb + na*tau* there.  A
-    z* that the split of a huge z/s rounded out of its cell is 0 from it."""
+    """The distance from z* in its cell to Z + tau*Z: tau* is reduced, so the
+    nearest lattice point is a corner, written as nb + na*tau* there, and
+    this is the oracles' corner search (weier._corner_distance) bit for
+    bit.  A z* that the split of a huge z/s rounded out of its cell is 0
+    from it."""
     a = z_star.imag / tau_star.imag
     if not (-0.5 < a < 1.5 and -0.5 < z_star.real - a * tau_star.real < 1.5):
         return 0.0
@@ -245,9 +246,10 @@ class Lattice:
     are wp_anywhere(tau, z), wp_prime_anywhere(tau, z) and
     zeta_anywhere(tau, z); e2, e4, e6, invariants and half_periods are
     e2_anywhere(tau) ... half_periods(tau); distance(z) is
-    lattice_distance_anywhere(tau, z).  Each point costs one split of z/s
-    and one series pass; nothing is cached between points.  Lattice(tau) raises what the evaluators raise for
-    that tau.  Lattices are equal when their tau are.
+    lattice_distance(tau, z).  Each point costs one split of z/s and one
+    series pass; nothing is cached between points.  Lattice(tau) raises
+    what the evaluators raise for that tau.  Lattices are equal when their
+    tau are.
     """
 
     __slots__ = ("_tau", "_gamma", "_s", "_tau_star", "_q", "_order", "_e2")
@@ -428,8 +430,11 @@ def reduce_point(tau: complex, z: complex | None = None) -> ReductionResult:
     return ReductionResult(lat._gamma, lat._tau_star, m, n, z_star, lat._s)
 
 
-def lattice_distance_anywhere(tau: complex, z: complex) -> float:
-    """Distance from z to Z + tau*Z (Lattice.distance)."""
+def lattice_distance(tau: complex, z: complex) -> float:
+    """Distance from z to Z + tau*Z at any tau (Lattice.distance), exact
+    since it is read in the reduced frame.  From |z| = 1e-3 * 2^52, about
+    4.5e12, the rounding of z reaches the pole guard, and a z not within
+    the guard of the lattice raises ConvergenceDomain, as the evaluators do."""
     return Lattice(tau).distance(z)
 
 

@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import add, mul, or_, sub, truediv
 
-from .core import ensure_finite
+from .core import ensure_finite, require_upper_half
 from .errors import NearSingular, NonFiniteValue
 from .reduction import Lattice
 
@@ -219,8 +219,8 @@ class Expr:
     and a product or quotient with an Expr in pi alone, keep the record.
     Every other Expr has den itself as F and k = 1.  That includes a sum and
     a parsed one, so the derivative of a parsed-back derivative takes the
-    full quotient rule: without a polynomial gcd, F cannot be found again.  The record takes no
-    part in ==, hash or the printed text.
+    full quotient rule: without a polynomial gcd, F cannot be found again.
+    The record takes no part in ==, hash or the printed text.
     """
 
     __slots__ = ("_num", "_den", "_base")
@@ -559,7 +559,8 @@ def eval_expr(
     zeta and E2, and E4 and E6 are summed if used.
 
     z may be omitted for expressions that do not mention z, wp, wp1, or zeta.
-    Raises NearSingular if the denominator lands below 1e-12 in magnitude and
+    Raises ValueError unless Im(tau) > 0, whatever generators e uses,
+    NearSingular if the denominator lands below 1e-12 in magnitude and
     NonFiniteValue if the value overflows.
     """
     return _eval_in(e, tau, z, None)
@@ -573,13 +574,13 @@ def _eval_in(e: Expr, tau: complex, z: complex | None, lat: Lattice | None) -> c
     needs_z = used & {0, 2, 3, 4}
     if needs_z and z is None:
         raise ValueError("expression depends on z but no z was supplied")
-    vals[1] = complex(tau)
+    vals[1] = require_upper_half(tau)
     vals[8] = complex(math.pi)
     if 0 in used:
         vals[0] = complex(z)  # type: ignore[arg-type]
     if used & _FRAME_GENERATORS:
         if lat is None:
-            lat = Lattice(tau)
+            lat = Lattice(vals[1])
         if used & {2, 3, 4}:
             point = lat._point(z)
     if 2 in used:

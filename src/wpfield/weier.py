@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .core import DEFAULT_POLICY, TWO_PI_I, ensure_finite, lattice_distance
+from .core import DEFAULT_POLICY, TWO_PI_I, _coords, ensure_finite, require_upper_half
 from .eisenstein import _TAIL_TARGET, _cot, _csc2, _csc2_bound, _reduced_basis, _rows_settled
 from .errors import ConvergenceDomain, PoleProximity
 
@@ -110,15 +110,34 @@ def _zeta_row_bound(z_abs: float, t: float) -> float:
     return 4.0 * t / (1.0 - t) + 2.0 * math.pi * z_abs * _csc2_bound(t)
 
 
+def _corner_distance(tau: complex, z: complex) -> float:
+    """Distance from z to the nearest point of Z + tau*Z among the 16 around
+    z's cell.  Exact only when tau is reduced: on a sheared basis the nearest
+    point can lie outside that square and the answer overestimates.  The
+    oracles' own guard, so they need no reduction but their basis's."""
+    tau = require_upper_half(tau)
+    z = complex(z)
+    a, b = _coords(tau, z)
+    na0 = math.floor(a)
+    nb0 = math.floor(b)
+    best = math.inf
+    for na in (na0 - 1, na0, na0 + 1, na0 + 2):
+        for nb in (nb0 - 1, nb0, nb0 + 1, nb0 + 2):
+            d = abs(z - (nb + na * tau))
+            if d < best:
+                best = d
+    return best
+
+
 def _oracle_frame(tau: complex, z: complex, radius: int) -> tuple[complex, complex, complex]:
     """(omega1, tau_r, z/omega1): the oracles' own reduced basis of the lattice
     (see eisenstein._reduced_basis) and z in its frame, after checking the
     radius and, exactly in that basis, the pole guard."""
-    if radius < 50:
-        raise ValueError(f"radius must be >= 50, got {radius}")
+    if not (isinstance(radius, int) and radius >= 50):
+        raise ValueError(f"radius must be an int >= 50, got {radius!r}")
     omega1, tau_r = _reduced_basis(tau)
     z_r = complex(z) / omega1
-    if lattice_distance(tau_r, z_r) * abs(omega1) < DEFAULT_POLICY.pole_guard_radius:
+    if _corner_distance(tau_r, z_r) * abs(omega1) < DEFAULT_POLICY.pole_guard_radius:
         raise PoleProximity(f"z = {z} too close to the lattice for the oracle")
     return omega1, tau_r, z_r
 

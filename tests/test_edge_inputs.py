@@ -10,7 +10,7 @@ from wpfield.reduction import (
     e6_anywhere,
     half_periods,
     invariants_anywhere,
-    lattice_distance_anywhere,
+    lattice_distance,
     reduce_point,
     wp_add,
     wp_anywhere,
@@ -37,7 +37,7 @@ ENTRY_POINTS = (
     lambda tau, z1, z2: invariants_anywhere(tau),
     lambda tau, z1, z2: half_periods(tau),
     lambda tau, z1, z2: reduce_point(tau, z1),
-    lambda tau, z1, z2: lattice_distance_anywhere(tau, z1),
+    lambda tau, z1, z2: lattice_distance(tau, z1),
     lambda tau, z1, z2: wp_add(tau, z1, z2),
     lambda tau, z1, z2: eval_expr(EVERY_GENERATOR, tau, z1),
 )

@@ -40,8 +40,9 @@ def test_q_coefficients_goldens():
 def test_q_coefficients_validation():
     with pytest.raises(ValueError):
         q_coefficients("e8", 3)
-    with pytest.raises(ValueError):
-        q_coefficients("e2", -1)
+    for order in (-1, 2.5, 3.0, math.nan):
+        with pytest.raises(ValueError):
+            q_coefficients("e2", order)
 
 
 def test_e2_coefficients_match_divisor_sums():
@@ -166,5 +167,6 @@ def test_weight6_oracle_matches_series():
 def test_oracle_argument_validation():
     with pytest.raises(ValueError):
         lattice_sum_eisenstein(1j, 4, 50)
-    with pytest.raises(ValueError):
-        lattice_sum_eisenstein(1j, 2, 5)
+    for radius in (5, 10.5, math.nan, math.inf, 50.0):
+        with pytest.raises(ValueError):
+            lattice_sum_eisenstein(1j, 2, radius)

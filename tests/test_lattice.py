@@ -19,7 +19,7 @@ from wpfield.reduction import (
     e6_anywhere,
     half_periods,
     invariants_anywhere,
-    lattice_distance_anywhere,
+    lattice_distance,
     wp_anywhere,
     wp_prime_anywhere,
     zeta_anywhere,
@@ -32,7 +32,7 @@ PAIRS = (
     ("wp", wp_anywhere, True),
     ("wp_prime", wp_prime_anywhere, True),
     ("zeta", zeta_anywhere, True),
-    ("distance", lattice_distance_anywhere, True),
+    ("distance", lattice_distance, True),
     ("e2", e2_anywhere, False),
     ("e4", e4_anywhere, False),
     ("e6", e6_anywhere, False),

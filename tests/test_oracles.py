@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from wpfield import eisenstein, verify, weier
-from wpfield.core import DEFAULT_POLICY, ensure_finite, lattice_distance
+from wpfield import eisenstein, lattice_distance, verify, weier
+from wpfield.core import DEFAULT_POLICY, ensure_finite
 from wpfield.eisenstein import (
     ZETA2,
     ZETA4,
@@ -24,7 +24,7 @@ from wpfield.eisenstein import (
 from wpfield.errors import PoleProximity
 from wpfield.reduction import e4_anywhere, e6_anywhere, wp_anywhere, zeta_anywhere
 from wpfield.symbolic import default_rule_table
-from wpfield.weier import _oracle_frame, wp_lattice_oracle, zeta_lattice_oracle
+from wpfield.weier import _corner_distance, _oracle_frame, wp_lattice_oracle, zeta_lattice_oracle
 
 # A reduced tau, one with Im(tau) < 0.3, and one that needs a long reduction.
 POINTS = (
@@ -106,10 +106,12 @@ def test_row_oracles_match_the_brute_force_sum():
 @pytest.mark.parametrize("oracle", [wp_lattice_oracle, zeta_lattice_oracle])
 def test_oracle_pole_guard_is_exact_on_a_sheared_basis(oracle):
     # z is 5e-4 from the lattice point 0, but at Im(tau) = 1e-4 its
-    # coordinates are (5, -1.5), so the 4x4 corner search of
-    # core.lattice_distance misses 0 and overestimates by 200x
+    # coordinates are (5, -1.5), so the 4x4 corner search in the basis
+    # (1, tau) misses 0 and overestimates by 200x; the oracles search their
+    # reduced basis, and lattice_distance the reduced frame
     tau, z = complex(0.3, 1e-4), 5e-4j
-    assert lattice_distance(tau, z) > 0.05
+    assert _corner_distance(tau, z) > 0.05
+    assert abs(lattice_distance(tau, z) - 5e-4) <= 4.0 * 2.0**-52 * 5e-4
     with pytest.raises(PoleProximity):
         oracle(tau, z, 50)
 

@@ -9,14 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpfield import cli, core, eisenstein, reduction, weier
-from wpfield.core import (
-    DEFAULT_POLICY,
-    coords_wrt_lattice,
-    in_fundamental_domain,
-    lattice_distance,
-    nome,
-)
-from wpfield.eisenstein import _e_series, _order
+from wpfield.core import DEFAULT_POLICY, _coords, _nome
+from wpfield.eisenstein import _e_series, _order, _reduced_basis
 from wpfield.errors import (
     ConvergenceDomain,
     DegenerateConfiguration,
@@ -32,7 +26,7 @@ from wpfield.reduction import (
     e6_anywhere,
     half_periods,
     invariants_anywhere,
-    lattice_distance_anywhere,
+    lattice_distance,
     reduce_point,
     reduce_tau,
     reduce_z,
@@ -42,7 +36,7 @@ from wpfield.reduction import (
     zeta_anywhere,
 )
 from wpfield.symbolic import E2, E4, E6, TAU, WP, WP1, ZETA, Z, eval_expr, fd_check
-from wpfield.weier import _point_values, wp_lattice_oracle, zeta_lattice_oracle
+from wpfield.weier import _corner_distance, _point_values, wp_lattice_oracle, zeta_lattice_oracle
 
 
 def test_matrix_determinant_validated():
@@ -90,7 +84,8 @@ def test_reduce_tau_corner_terminates():
     # to the left corner without cycling
     gamma, tau_star = reduce_tau(cmath.exp(1j * math.pi / 3.0))
     assert abs(tau_star - complex(-0.5, math.sqrt(3.0) / 2.0)) < 1e-9
-    assert in_fundamental_domain(complex(tau_star.real, tau_star.imag + 1e-15))
+    assert -0.5 <= tau_star.real < 0.5
+    assert abs(tau_star) >= 1.0 - 1e-9
 
 
 def _reference_walk(tau):
@@ -138,7 +133,7 @@ def test_reduce_z_splits_exactly():
     tau = complex(-0.2, 1.6)
     z = complex(3.7, -2.9)
     m, n, z_star = reduce_z(tau, z)
-    a, b = coords_wrt_lattice(tau, z_star)
+    a, b = _coords(tau, z_star)
     assert 0.0 <= a < 1.0 and 0.0 <= b < 1.0
     assert abs(z_star + m + n * tau - z) < 1e-12
 
@@ -151,7 +146,7 @@ def test_reduce_z_moves_a_far_edge_point_to_the_near_edge(z):
     # the lattice
     tau = complex(0.1, 1.3)
     m, n, z_star = reduce_z(tau, z)
-    a, b = coords_wrt_lattice(tau, z_star)
+    a, b = _coords(tau, z_star)
     assert 0.0 <= a < 1.0 and 0.0 <= b < 1.0
     assert abs(z_star + m + n * tau - z) < 1e-15
     for evaluate, oracle in ((wp_anywhere, wp_lattice_oracle),
@@ -176,7 +171,7 @@ def test_reduce_z_pins_near_edge_points_in_the_cell():
             m0, n0 = k % 13 - 6, k // 13 % 13 - 6
             z = (m0 + eps[k]) + (n0 + eps[(7 * k + 3) % 1009]) * tau
             _, _, z_star = reduce_z(tau, z)
-            a, b = coords_wrt_lattice(tau, z_star)
+            a, b = _coords(tau, z_star)
             assert 0.0 <= a < 1.0 and 0.0 <= b < 1.0, (tau, z)
 
 
@@ -197,7 +192,7 @@ def test_edge_points_split_into_the_cell_and_evaluate():
     # edge (a = 1) would make |q/u| = 1, which the series pass refuses
     for k, (tau, z) in enumerate(_edge_sweep()):
         rr = reduce_point(tau, z)
-        a, b = coords_wrt_lattice(rr.tau_star, rr.z_star)
+        a, b = _coords(rr.tau_star, rr.z_star)
         assert 0.0 <= a < 1.0 and 0.0 <= b < 1.0, (tau, z)
         wp, zeta = wp_anywhere(tau, z), zeta_anywhere(tau, z)
         if k % 100 == 0:
@@ -214,19 +209,19 @@ def test_reduce_point_frozen_example():
     assert abs(rr.scale - complex(0.3, 0.4)) < 1e-15
 
 
-def test_lattice_distance_anywhere_matches_brute_force():
+def test_lattice_distance_matches_brute_force():
     tau = complex(0.3, 0.4)
     z = complex(0.23, 0.11)
     brute = min(
         abs(z - (m + n * tau)) for m in range(-30, 31) for n in range(-30, 31)
     )
-    assert abs(lattice_distance_anywhere(tau, z) - brute) < 1e-12
+    assert abs(lattice_distance(tau, z) - brute) < 1e-12
 
 
 def test_wp_anywhere_agrees_with_direct_series_on_reduced_input():
     # gamma = I and z in the cell: the transport and the split change no bit
     tau, z = complex(0.1, 1.5), complex(0.3, 0.4)
-    q = nome(tau)
+    q = _nome(tau)
     order = _order(abs(q))
     wp, _, zeta = _point_values(tau, q, order, z, lattice_distance(tau, z), 1e-3,
                                 _e_series("e2", q, order))
@@ -294,7 +289,7 @@ def test_e4_e6_modular_covariance():
 
 def test_e2_matches_series_on_reduced_tau():
     tau = complex(0.2, 1.3)
-    q = nome(tau)
+    q = _nome(tau)
     assert abs(e2_anywhere(tau) - _e_series("e2", q, _order(abs(q)))) < 1e-15
 
 
@@ -361,24 +356,26 @@ def _bound_in(name, *modules):
 
 @pytest.mark.parametrize("fn", POINT_EVALUATORS, ids=lambda f: f.__name__)
 def test_one_lattice_distance_per_point_evaluation(fn, monkeypatch):
-    # the frame reads the distance of z* off the corners of its own cell; the
-    # general search of core.lattice_distance is for unreduced tau only
+    # the frame reads the distance of z* off the corners of its own cell;
+    # neither the public lattice_distance nor the oracles' corner search
+    # serves an evaluator
     tau, z = complex(0.3, 0.4), complex(4.3, 1.9)
     assert reduce_point(tau, z).m != 0  # reduce_point reads the distance too
-    searches = _count_calls(monkeypatch, "lattice_distance",
-                            _bound_in("lattice_distance", core, weier, reduction))
+    searches = [_count_calls(monkeypatch, name, _bound_in(name, core, weier, reduction))
+                for name in ("lattice_distance", "_corner_distance")]
     corners = _count_calls(monkeypatch, "_cell_distance", [reduction])
     fn(tau, z)
-    assert searches == []
+    assert searches == [[], []]
     assert len(corners) == 1
 
 
-def test_cell_distance_is_the_lattice_distance_bit_for_bit():
-    # Im(tau) log-uniform in [0.005, 5], |z| <= 60, and every fifth point
-    # 1e-3 to 0.3 from a lattice point, where the nearest corner matters most
-    rng = random.Random(20261018)
-    for k in range(2000):
-        im = 10.0 ** rng.uniform(math.log10(0.005), math.log10(5.0))
+def _distance_sweep(seed, count, im_min):
+    """(tau, z): Im(tau) log-uniform in [im_min, 5], Re(tau) in [-1, 1],
+    |z| <= 60, and every fifth point 1e-3 to 0.3 from a lattice point, where
+    the nearest corner matters most."""
+    rng = random.Random(seed)
+    for k in range(count):
+        im = 10.0 ** rng.uniform(math.log10(im_min), math.log10(5.0))
         tau = complex(rng.uniform(-1.0, 1.0), im)
         z = 60.0 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
         if k % 5 == 0:
@@ -386,9 +383,14 @@ def test_cell_distance_is_the_lattice_distance_bit_for_bit():
             z = round(z.real - n * tau.real) + n * tau
             d = 10.0 ** rng.uniform(-3.0, math.log10(0.3))
             z += d * cmath.exp(2j * math.pi * rng.random())
+        yield tau, z
+
+
+def test_cell_distance_is_the_lattice_distance_bit_for_bit():
+    for tau, z in _distance_sweep(20261018, 2000, 0.005):
         lat = Lattice(tau)
         rr = reduce_point(tau, z)
-        want = lattice_distance(rr.tau_star, rr.z_star)
+        want = _corner_distance(rr.tau_star, rr.z_star)
         assert reduction._cell_distance(rr.tau_star, rr.z_star) == want, (tau, z)
         assert lat.distance(z) == want * abs(rr.scale), (tau, z)
         try:
@@ -397,12 +399,29 @@ def test_cell_distance_is_the_lattice_distance_bit_for_bit():
             assert want < DEFAULT_POLICY.pole_guard_radius / abs(rr.scale)
 
 
+def test_lattice_distance_is_exact_on_sheared_bases():
+    # The reference is the oracles' corner search on their own reduced basis
+    # (eisenstein._reduced_basis), which shares neither the SL(2,Z) walk nor
+    # the split of z with the Lattice.
+    sheared = 0
+    for tau, z in _distance_sweep(1, 20000, 1e-3):
+        got = lattice_distance(tau, z)
+        assert got == Lattice(tau).distance(z), (tau, z)
+        omega1, tau_r = _reduced_basis(tau)
+        want = _corner_distance(tau_r, z / omega1) * abs(omega1)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(z)), (tau, z)
+        sheared += _corner_distance(tau, z) > 2.0 * want
+    # the sweep reaches sheared bases: the same search in the (1, tau) basis
+    # overestimates by more than 2x at thousands of its points
+    assert sheared > 2000
+
+
 def test_a_point_split_out_of_its_cell_is_on_the_lattice():
     # at |z/s| = 1e200 the split z/s - m - n*tau* cancels to a z* millions of
     # cells away: its place in the cell is lost to rounding
     tau, z = complex(-2.4396007645409723, 1e8), complex(1e200, 1e15)
     assert abs(reduce_point(tau, z).z_star) > 1e6
-    assert lattice_distance_anywhere(tau, z) == 0.0
+    assert lattice_distance(tau, z) == 0.0
     for fn in POINT_EVALUATORS:
         with pytest.raises(PoleProximity):
             fn(tau, z)
@@ -417,10 +436,13 @@ def test_a_point_split_out_of_its_cell_is_on_the_lattice():
         lambda: wp_add(complex(1.7726164019360304, 1e200), complex(2.418969041776853, 1e8),
                        complex(1e300, 1e8)),
         # the distance and the split share the evaluators' check
-        lambda: lattice_distance_anywhere(complex(-1.38324, 2.54795), complex(-1e200, -1.6708)),
+        lambda: lattice_distance(complex(-1.38324, 2.54795), complex(-1e200, -1.6708)),
         lambda: reduce_point(complex(-1.38324, 2.54795), complex(-1e200, -1.6708)),
+        # the pole guard is 1e-3 and z rounds by |z| 2^-52: from |z| = 4.5e12
+        # on, whatever tau is
+        lambda: lattice_distance(1j, 1e13 + 0.5),
     ],
-    ids=["wp_anywhere", "wp_add", "lattice_distance_anywhere", "reduce_point"],
+    ids=["wp_anywhere", "wp_add", "lattice_distance", "reduce_point", "lattice_distance-1e13"],
 )
 def test_a_point_that_lost_its_place_in_the_cell_is_refused(evaluate):
     with pytest.raises(ConvergenceDomain):
@@ -439,7 +461,7 @@ def test_unwound_zeta_calls_the_series_once(monkeypatch):
     # no E4 or E6
     assert len(series) == 1
     assert series[0][3] == rr.z_star
-    assert [args[:2] for args in sums] == [("e2", nome(rr.tau_star))]
+    assert [args[:2] for args in sums] == [("e2", _nome(rr.tau_star))]
 
 
 @pytest.mark.parametrize(
@@ -449,7 +471,7 @@ def test_eisenstein_evaluators_sum_only_their_own_series(kind, fn, monkeypatch):
     sums = _count_calls(monkeypatch, "_e_series", [eisenstein, reduction])
     tau = complex(0.3, 0.4)
     fn(tau)
-    assert [args[:2] for args in sums] == [(kind, nome(reduce_tau(tau)[1]))]
+    assert [args[:2] for args in sums] == [(kind, _nome(reduce_tau(tau)[1]))]
 
 
 def test_one_series_pass_per_point(monkeypatch):
@@ -503,13 +525,13 @@ def test_eval_expr_single_generators_equal_the_evaluators(tau, z):
         lambda tau, z: invariants_anywhere(tau),
         lambda tau, z: reduce_point(tau, z),
         lambda tau, z: reduce_point(tau),
-        lambda tau, z: lattice_distance_anywhere(tau, z),
+        lambda tau, z: lattice_distance(tau, z),
         *(lambda tau, z, fn=fn: cli.main(["eval", "--fn", fn, "--tau", f"{tau.real},{tau.imag}",
                                           "--z", f"{z.real},{z.imag}"])
           for fn in cli._EVAL_FUNCTIONS),
     ],
     ids=["wp", "wp1", "zeta", "e2", "e4", "e6", "invariants", "reduce_point",
-         "reduce_point-tau", "lattice_distance_anywhere",
+         "reduce_point-tau", "lattice_distance",
          *(f"cli-{fn}" for fn in cli._EVAL_FUNCTIONS)],
 )
 def test_entry_points_reduce_tau_once(evaluate, monkeypatch):
@@ -600,7 +622,7 @@ def test_wp_add_zero_slope_denominator_is_near_singular(tau, z1, z2):
 
 def test_reduced_distance_scales():
     tau = complex(0.3, 0.4)
-    d = lattice_distance_anywhere(tau, complex(0.15, 0.2))
+    d = lattice_distance(tau, complex(0.15, 0.2))
     assert 0 < d < 0.5
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from wpfield import symbolic
-from wpfield.errors import NearSingular, NonFiniteValue
+from wpfield.errors import NearSingular, NonFiniteValue, WPFieldError
 from wpfield.reduction import invariants_anywhere
 from wpfield.symbolic import (
     E2,
@@ -399,6 +399,18 @@ def test_eval_requires_z_only_when_needed():
     assert abs(eval_expr(PI * I, 1j) - math.pi * 1j) < 1e-16
     with pytest.raises(ValueError):
         eval_expr(WP, 1j)
+
+
+def test_tau_is_checked_without_a_lattice_generator():
+    # an expression in z, tau and pi alone makes no Lattice, and tau outside
+    # the upper half-plane is refused all the same, as E2 refuses it
+    for e in (TAU, E2):
+        with pytest.raises(ValueError):
+            eval_expr(e, -1j)
+    with pytest.raises(ValueError):
+        fd_check(TAU**2, "tau", -1j)
+    with pytest.raises((WPFieldError, ValueError)):
+        eval_expr(Z * TAU, complex(0.0, math.nan), 0.5)
 
 
 def test_near_singular_denominator():

@@ -241,10 +241,11 @@ def test_est_error_inflates_near_pole():
 
 
 def test_oracle_radius_validation():
-    with pytest.raises(ValueError):
-        wp_lattice_oracle(1j, 0.25, 10)
-    with pytest.raises(ValueError):
-        zeta_lattice_oracle(1j, 0.25, 49)
+    # a radius too small, or not an int, is refused before range() sees it
+    for oracle in (wp_lattice_oracle, zeta_lattice_oracle):
+        for radius in (10, 49, math.nan, math.inf, 50.5, 60.0):
+            with pytest.raises(ValueError):
+                oracle(1j, 0.25, radius)
 
 
 def test_oracle_pole_guard():
