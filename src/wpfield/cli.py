@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .core import TolerancePolicy
+from .core import TolerancePolicy, ensure_finite
 from .eisenstein import q_coefficients
 from .errors import WPFieldError
 from .reduction import Lattice, reduce_point
@@ -26,10 +26,6 @@ _NEEDS_Z = frozenset({"wp", "wp1", "zeta"})
 # series' divisor sums cost more than linearly in the order, and no
 # evaluator sums more than 119 terms
 _MAX_SERIES_ORDER = 10_000
-# The options that take a value.  argparse reads a value that starts with '-'
-# as an option, so main() passes "--expr -wp" on as "--expr=-wp".
-_VALUE_OPTIONS = frozenset(
-    {"--fn", "--tau", "--z", "--expr", "--var", "--seed", "--tol-file", "--cases", "--order"})
 
 
 def _parse_complex(text: str) -> complex:
@@ -52,6 +48,8 @@ def _print_json(obj) -> None:
 
 def _cmd_eval(args) -> int:
     tau, z, fn = args.tau, args.z, args.fn
+    if z is not None:  # echoed below, where JSON cannot hold NaN or inf
+        ensure_finite(z, "z")
     lat = Lattice(tau)
     if fn in _NEEDS_Z:
         res = {"wp": lat.wp, "wp1": lat.wp_prime, "zeta": lat.zeta}[fn](z)
@@ -162,11 +160,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attached(argv: list[str]) -> list[str]:
-    """argv with each value that starts with '-' attached to its option."""
+def _attached(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with each value that starts with '-' attached to its option in
+    parser, which would read the value as an option: "--expr=-wp" for "--expr -wp"."""
+    commands = parser._subparsers._group_actions[0].choices.values()
+    takes_value = {option for command in commands for action in command._actions
+                   if action.nargs != 0 for option in action.option_strings}
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _VALUE_OPTIONS and arg.startswith("-"):
+        if out and out[-1] in takes_value and arg.startswith("-"):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -175,7 +177,7 @@ def _attached(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attached(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_attached(parser, sys.argv[1:] if argv is None else argv))
     if args.command == "eval" and args.fn in _NEEDS_Z and args.z is None:
         parser.error(f"--z is required for --fn {args.fn}")
     try:

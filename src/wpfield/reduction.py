@@ -35,13 +35,8 @@ from .core import (
 )
 from .eisenstein import (_TAIL_TARGET, ZETA2, LatticeInvariants, _delta_eta_product,
                          _e_series, _order)
-from .errors import (
-    ConvergenceDomain,
-    DegenerateConfiguration,
-    NearSingular,
-    NonFiniteValue,
-    NonTermination,
-)
+from .errors import (ConvergenceDomain, DegenerateConfiguration, NearSingular, NonFiniteValue,
+                     NonTermination, PoleProximity)
 from .weier import _EST_FLOOR, WValue, _est_error, _point_values
 
 _MAX_REDUCTION_STEPS = 10_000
@@ -306,11 +301,17 @@ class Lattice:
             )
         return m, n, z_star, dist, guard
 
+    def _too_near(self, what: str, dist: float) -> PoleProximity:
+        """The error for what, at reduced-frame distance dist within the guard."""
+        return PoleProximity(f"{what} is within {dist * abs(self._s):.3e} of the lattice "
+                             f"(guard {DEFAULT_POLICY.pole_guard_radius:.1e})")
+
     def _point(self, z: complex) -> _Point:
-        """z placed in its cell (_place) and one weier._point_values pass."""
+        """z placed in its cell (_place), the pole guard and one _point_values pass."""
         m, n, z_star, dist, guard = self._place(z)
-        values = _point_values(self._tau_star, self._q, self._order, z_star, dist, guard,
-                               self._e2_star())
+        if dist < guard:
+            raise self._too_near(f"z = {z}", dist)
+        values = _point_values(self._tau_star, self._q, self._order, z_star, self._e2_star())
         return _Point(m, n, z_star, dist, *values)
 
     def wp(self, z: complex) -> WValue:
@@ -383,8 +384,10 @@ class Lattice:
         for p, q in ((1, 0), (0, 1), (1, 1)):
             z_star = ((gamma.a * p - gamma.b * q) % 2
                       + (gamma.d * q - gamma.c * p) % 2 * tau_star) / 2.0
-            wp = _point_values(tau_star, self._q, self._order, z_star,
-                               _cell_distance(tau_star, z_star), guard, self._e2_star())[0]
+            dist = _cell_distance(tau_star, z_star)
+            if dist < guard:
+                raise self._too_near(f"half period ({p} + {q}*tau)/2 of tau = {self._tau}", dist)
+            wp = _point_values(tau_star, self._q, self._order, z_star, self._e2_star())[0]
             values.append(_divide_by_sk(wp, self._s, 2, "wp"))
         return HalfPeriodData(*values)
 

@@ -137,7 +137,6 @@ class IdentityReport:
 @dataclass
 class _Ctx:
     seed: int
-    policy: TolerancePolicy
     rules: dict
     resolved: dict = field(default_factory=dict)
 
@@ -185,23 +184,109 @@ def _cell_point(rng: random.Random, tau: complex, min_dist: float = 0.05) -> com
 
 
 # ---------------------------------------------------------------------------
+# Identities.  Each takes a Lattice and the cell points drawn for it and
+# yields (lhs, rhs) pairs whose residual is |lhs - rhs|; a draw-sampled
+# identity rejects its draw by yielding none.
+
+
+def _on_grid(rng: random.Random, count: int, identity, points: int = 0, min_dist: float = 0.05):
+    """identity's pairs at each of count grid taus and its points there."""
+    pairs = []
+    for tau in _tau_samples(rng, count):
+        zs = [_cell_point(rng, tau, min_dist) for _ in range(points)]
+        pairs += identity(Lattice(tau), zs)
+    return pairs
+
+
+def _drawn(rng: random.Random, count: int, identity, points: int, min_dist: float):
+    """identity's pairs at fresh single-tau draws until count are accepted."""
+    pairs, accepted = [], 0
+    while accepted < count:
+        tau = _tau_samples(rng, 1)[0]
+        zs = [_cell_point(rng, tau, min_dist) for _ in range(points)]
+        drawn = list(identity(Lattice(tau), zs))
+        pairs += drawn
+        accepted += bool(drawn)
+    return pairs
+
+
+def _case(key: str, sample, count: int, identity, notes: str = "", **where):
+    """A runner: |lhs - rhs| of identity's pairs under sample on stream key."""
+    def run(ctx: _Ctx):
+        pairs = sample(ctx.rng(key), count, identity, **where)
+        return [abs(lhs - rhs) for lhs, rhs in pairs], notes
+    return run
+
+
+def _ode(lat: Lattice, zs):
+    """wp'^2 = 4 wp^3 - g2 wp - g3."""
+    inv = lat.invariants()
+    for z in zs:
+        p = lat.wp(z).value
+        pp = lat.wp_prime(z).value
+        yield pp * pp, 4 * p**3 - inv.g2 * p - inv.g3
+
+
+def _legendre(lat: Lattice, zs):
+    eta1 = 2.0 * lat.zeta(0.5).value
+    eta2 = 2.0 * lat.zeta(lat.tau / 2.0).value
+    yield eta1 * lat.tau - eta2, 2j * math.pi
+
+
+def _quasi_periodicity(lat: Lattice, zs):
+    """zeta(z + 1) = zeta(z) + eta1 and zeta(z + tau) = zeta(z) + eta2."""
+    (z,) = zs
+    base = lat.zeta(z).value
+    eta1 = 2.0 * lat.zeta(0.5).value
+    eta2 = 2.0 * lat.zeta(lat.tau / 2.0).value
+    yield lat.zeta(z + 1.0).value - base, eta1
+    yield lat.zeta(z + lat.tau).value - base, eta2
+
+
+def _quasimodular(lat: Lattice, zs):
+    """G2(gamma tau) = s^2 G2(tau) - pi*i*c*s for gamma in S, T S, S T^-1."""
+    tau = lat.tau
+    g2_tau = ZETA2 * lat.e2()
+    for a, b, c, d in ((0, -1, 1, 0), (1, -1, 1, 0), (0, -1, 1, -1)):
+        s = c * tau + d
+        yield ZETA2 * e2_anywhere((a * tau + b) / s), s * s * g2_tau - 1j * math.pi * c * s
+
+
+def _root_sum(lat: Lattice, zs):
+    hp = lat.half_periods()
+    yield hp.e1 + hp.e2 + hp.e3, 0.0
+
+
+def _half_period_invariants(lat: Lattice, zs):
+    hp = lat.half_periods()
+    inv = lat.invariants()
+    sym2 = hp.e1 * hp.e2 + hp.e1 * hp.e3 + hp.e2 * hp.e3
+    yield -4.0 * sym2, inv.g2
+    yield 4.0 * hp.e1 * hp.e2 * hp.e3, inv.g3
+
+
+def _addition(lat: Lattice, zs):
+    """wp_add against wp(z1 + z2), off the lattice and at a well-conditioned slope."""
+    z1, z2 = zs
+    if lat.distance(z1 + z2) < 0.05 or lat.distance(z1 - z2) < 0.05:
+        return
+    if abs(lat.wp(z1).value - lat.wp(z2).value) < 0.5:
+        return
+    yield _wp_add(lat, z1, z2), lat.wp(z1 + z2).value
+
+
+def _three_term(lat: Lattice, zs):
+    """([zeta(x) + zeta(y) + zeta(w)]^2, wp(x) + wp(y) + wp(w)), x + y + w = 0."""
+    x, y = zs
+    w = -x - y
+    if lat.distance(w) < 0.05:
+        return
+    s = lat.zeta(x).value + lat.zeta(y).value + lat.zeta(w).value
+    yield s * s, lat.wp(x).value + lat.wp(y).value + lat.wp(w).value
+
+
+# ---------------------------------------------------------------------------
 # Case bodies.  Each returns (residuals, notes).
-
-
-def _case_ode_residual(ctx: _Ctx):
-    rng = ctx.rng("ode")
-    residuals = []
-    for tau in _tau_samples(rng, 20):
-        lat = Lattice(tau)
-        inv = lat.invariants()
-        for _ in range(5):
-            # distance >= 0.15 keeps |4 wp^3| small enough that plain double
-            # rounding stays well under the absolute tolerance
-            z = _cell_point(rng, tau, min_dist=0.15)
-            p = lat.wp(z).value
-            pp = lat.wp_prime(z).value
-            residuals.append(abs(pp * pp - (4 * p**3 - inv.g2 * p - inv.g3)))
-    return residuals, ""
 
 
 def _case_derivative_closure_fd(ctx: _Ctx):
@@ -245,75 +330,13 @@ def _case_ramanujan_fd(ctx: _Ctx):
     return residuals, ""
 
 
-def _case_quasimodular_law(ctx: _Ctx):
-    rng = ctx.rng("quasimodular")
-    gammas = ((0, -1, 1, 0), (1, -1, 1, 0), (0, -1, 1, -1))  # S, T S, S T^-1
-    residuals = []
-    for tau in _tau_samples(rng, 20):
-        g2_tau = ZETA2 * e2_anywhere(tau)
-        for a, b, c, d in gammas:
-            moved = (a * tau + b) / (c * tau + d)
-            s = c * tau + d
-            lhs = ZETA2 * e2_anywhere(moved)
-            rhs = s * s * g2_tau - 1j * math.pi * c * s
-            residuals.append(abs(lhs - rhs))
-    return residuals, "gamma in {S, TS, ST^-1}"
-
-
 def _case_e2_fixed_point(ctx: _Ctx):
     return [abs(e2_anywhere(1j) - 3.0 / math.pi)], "E2(i) = 3/pi"
-
-
-def _case_legendre(ctx: _Ctx):
-    rng = ctx.rng("legendre")
-    residuals = []
-    for tau in _tau_samples(rng, 20):
-        lat = Lattice(tau)
-        eta1 = 2.0 * lat.zeta(0.5).value
-        eta2 = 2.0 * lat.zeta(tau / 2.0).value
-        residuals.append(abs(eta1 * tau - eta2 - 2j * math.pi))
-    return residuals, "eta1*tau - eta2 = 2*pi*i"
 
 
 def _case_eta1_anchor(ctx: _Ctx):
     eta1 = 2.0 * zeta_anywhere(1j, 0.5).value
     return [abs(eta1 - math.pi)], "eta1(i) = pi"
-
-
-def _case_zeta_quasi_periodicity(ctx: _Ctx):
-    rng = ctx.rng("quasiperiod")
-    residuals = []
-    for tau in _tau_samples(rng, 20):
-        lat = Lattice(tau)
-        z = _cell_point(rng, tau)
-        base = lat.zeta(z).value
-        eta1 = 2.0 * lat.zeta(0.5).value
-        eta2 = 2.0 * lat.zeta(tau / 2.0).value
-        residuals.append(abs(lat.zeta(z + 1.0).value - base - eta1))
-        residuals.append(abs(lat.zeta(z + tau).value - base - eta2))
-    return residuals, ""
-
-
-def _case_addition_formula(ctx: _Ctx):
-    rng = ctx.rng("addition")
-    residuals = []
-    count = 0
-    while count < 50:
-        tau = _tau_samples(rng, 1)[0]
-        lat = Lattice(tau)
-        z1 = _cell_point(rng, tau, min_dist=0.08)
-        z2 = _cell_point(rng, tau, min_dist=0.08)
-        if lat.distance(z1 + z2) < 0.05:
-            continue
-        if lat.distance(z1 - z2) < 0.05:
-            continue
-        p1 = lat.wp(z1).value
-        p2 = lat.wp(z2).value
-        if abs(p1 - p2) < 0.5:  # keep the slope quotient well conditioned
-            continue
-        residuals.append(abs(_wp_add(lat, z1, z2) - lat.wp(z1 + z2).value))
-        count += 1
-    return residuals, ""
 
 
 def _case_duplication_formula(ctx: _Ctx):
@@ -345,23 +368,9 @@ def _case_duplication_formula(ctx: _Ctx):
 
 
 def _case_zeta_three_term(ctx: _Ctx):
-    rng = ctx.rng("threeterm")
-    minus_res = []
-    plus_res = []
-    count = 0
-    while count < 30:
-        tau = _tau_samples(rng, 1)[0]
-        lat = Lattice(tau)
-        x = _cell_point(rng, tau, min_dist=0.08)
-        y = _cell_point(rng, tau, min_dist=0.08)
-        w = -x - y
-        if lat.distance(w) < 0.05:
-            continue
-        s = lat.zeta(x).value + lat.zeta(y).value + lat.zeta(w).value
-        p = lat.wp(x).value + lat.wp(y).value + lat.wp(w).value
-        minus_res.append(abs(s * s - p))
-        plus_res.append(abs(s * s + p))
-        count += 1
+    pairs = _drawn(ctx.rng("threeterm"), 30, _three_term, 2, 0.08)
+    minus_res = [abs(l - r) for l, r in pairs]
+    plus_res = [abs(l + r) for l, r in pairs]
     minus_wins = max(minus_res) < max(plus_res)
     ctx.resolved["three_term_sign"] = "minus" if minus_wins else "plus"
     chosen = minus_res if minus_wins else plus_res
@@ -370,28 +379,6 @@ def _case_zeta_three_term(ctx: _Ctx):
         f"rejected variant max residual {max(plus_res if minus_wins else minus_res):.3e}"
     )
     return chosen, notes
-
-
-def _case_half_period_root_sum(ctx: _Ctx):
-    rng = ctx.rng("rootsum")
-    residuals = []
-    for tau in _tau_samples(rng, 10):
-        hp = Lattice(tau).half_periods()
-        residuals.append(abs(hp.e1 + hp.e2 + hp.e3))
-    return residuals, ""
-
-
-def _case_half_period_invariants(ctx: _Ctx):
-    rng = ctx.rng("halfinv")
-    residuals = []
-    for tau in _tau_samples(rng, 10):
-        lat = Lattice(tau)
-        hp = lat.half_periods()
-        inv = lat.invariants()
-        sym2 = hp.e1 * hp.e2 + hp.e1 * hp.e3 + hp.e2 * hp.e3
-        residuals.append(abs(-4.0 * sym2 - inv.g2))
-        residuals.append(abs(4.0 * hp.e1 * hp.e2 * hp.e3 - inv.g3))
-    return residuals, "g2 = -4 sum(ei ej), g3 = 4 e1 e2 e3"
 
 
 def _case_sine_limit(ctx: _Ctx):
@@ -466,17 +453,22 @@ def _case_s_law_exponent(ctx: _Ctx):
 
 _CASE_TABLE: tuple[tuple[str, object, object], ...] = (
     # (name, runner, tolerance: a float, or the name of a policy attribute)
-    ("addition_formula", _case_addition_formula, 1e-7),
+    ("addition_formula", _case("addition", _drawn, 50, _addition, points=2, min_dist=0.08),
+     1e-7),
     ("derivative_closure_fd", _case_derivative_closure_fd, "fd_tol"),
     ("derivative_composite_fd", _case_derivative_composite_fd, "fd_tol"),
     ("duplication_formula", _case_duplication_formula, 1e-7),
     ("e2_fixed_point", _case_e2_fixed_point, 1e-10),
     ("e2_q_coefficients", _case_e2_q_coefficients, 1e-8),
     ("eta1_anchor", _case_eta1_anchor, "identity_tol"),
-    ("half_period_invariants", _case_half_period_invariants, "identity_tol"),
-    ("half_period_root_sum", _case_half_period_root_sum, 1e-10),
-    ("legendre_relation", _case_legendre, "identity_tol"),
-    ("ode_residual", _case_ode_residual, 1e-8),
+    ("half_period_invariants", _case("halfinv", _on_grid, 10, _half_period_invariants,
+                                     "g2 = -4 sum(ei ej), g3 = 4 e1 e2 e3"), "identity_tol"),
+    ("half_period_root_sum", _case("rootsum", _on_grid, 10, _root_sum), 1e-10),
+    ("legendre_relation", _case("legendre", _on_grid, 20, _legendre, "eta1*tau - eta2 = 2*pi*i"),
+     "identity_tol"),
+    # distance >= 0.15 keeps |4 wp^3| small enough that plain double rounding
+    # stays well under the absolute tolerance
+    ("ode_residual", _case("ode", _on_grid, 20, _ode, points=5, min_dist=0.15), 1e-8),
     ("oracle_e4", partial(_case_oracle_modular, "oracle_e4", 2, ZETA4, e4_anywhere),
      "oracle_tol"),
     ("oracle_e6", partial(_case_oracle_modular, "oracle_e6", 3, ZETA6, e6_anywhere),
@@ -485,11 +477,13 @@ _CASE_TABLE: tuple[tuple[str, object, object], ...] = (
      "oracle_tol"),
     ("oracle_zeta", partial(_case_oracle_point, "oracle_zeta", zeta_lattice_oracle,
                             zeta_anywhere), "oracle_tol"),
-    ("quasimodular_law", _case_quasimodular_law, "identity_tol"),
+    ("quasimodular_law", _case("quasimodular", _on_grid, 20, _quasimodular,
+                               "gamma in {S, TS, ST^-1}"), "identity_tol"),
     ("ramanujan_fd", _case_ramanujan_fd, "fd_tol"),
     ("s_law_exponent", _case_s_law_exponent, "oracle_tol"),
     ("sine_limit", _case_sine_limit, 1e-10),
-    ("zeta_quasi_periodicity", _case_zeta_quasi_periodicity, "identity_tol"),
+    ("zeta_quasi_periodicity", _case("quasiperiod", _on_grid, 20, _quasi_periodicity, points=1),
+     "identity_tol"),
     ("zeta_three_term", _case_zeta_three_term, 1e-8),
 )
 
@@ -512,7 +506,7 @@ def run_identity_suite(
     like the policy's fields; anything else raises ValueError.
     """
     policy = policy or TolerancePolicy()
-    ctx = _Ctx(seed=seed, policy=policy, rules=rules or default_rule_table())
+    ctx = _Ctx(seed=seed, rules=rules or default_rule_table())
     known = set(case_names())
     if only is not None:
         unknown = set(only) - known

@@ -41,11 +41,11 @@ class WValue:
     est_error: float
 
 
-def _point_values(tau: complex, q: complex, order: int, z: complex, dist: float,
-                  pole_guard: float, e2: complex) -> tuple[complex, complex, complex]:
+def _point_values(tau: complex, q: complex, order: int, z: complex,
+                  e2: complex) -> tuple[complex, complex, complex]:
     """(wp, wp', zeta) at a complex z for a checked tau, its nome q and
-    E2(tau) summed to the same order, after the pole guard on dist, the
-    caller's lattice distance of z, and the convergence checks.  One loop
+    E2(tau) summed to the same order, after the convergence checks; the
+    caller has held z to the pole guard.  One loop
     sums the m = 0 term, then m = 1..order: with w = u q^m, v = q^m/u,
     a = 1/(1 - w) and b = 1/(1 - v), the terms are w a and v b (zeta),
     x = w a^2 and y = v b^2 (wp), and x (2a - 1) and y (2b - 1) (wp'),
@@ -56,10 +56,6 @@ def _point_values(tau: complex, q: complex, order: int, z: complex, dist: float,
     r = q/u is formed as exp(2*pi*i*(tau - z)): high in the cell both q and
     u underflow to 0 while their quotient is still a normal number.
     """
-    if dist < pole_guard:
-        raise PoleProximity(
-            f"z = {z} is within {dist:.3e} of the lattice (guard {pole_guard:.1e})"
-        )
     try:
         u = cmath.exp(TWO_PI_I * z)
         r = cmath.exp(TWO_PI_I * (tau - z))

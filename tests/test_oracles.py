@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from wpfield import eisenstein, lattice_distance, verify, weier
-from wpfield.core import DEFAULT_POLICY, ensure_finite
+from wpfield.core import ensure_finite
 from wpfield.eisenstein import (
     ZETA2,
     ZETA4,
@@ -258,7 +258,7 @@ def test_suite_oracle_samples_stop_within_twelve_rows(monkeypatch, seed):
     monkeypatch.setattr(verify, "wp_lattice_oracle", wp)
     monkeypatch.setattr(verify, "lattice_sum_eisenstein",
                         recorded(lattice_sum_eisenstein, _full_eisenstein))
-    ctx = verify._Ctx(seed=seed, policy=DEFAULT_POLICY, rules=default_rule_table())
+    ctx = verify._Ctx(seed=seed, rules=default_rule_table())
     verify._case_oracle_point("oracle_wp", wp, wp_anywhere, ctx)
     verify._case_oracle_point("oracle_zeta", recorded(zeta_lattice_oracle, _full_zeta),
                               zeta_anywhere, ctx)

@@ -223,8 +223,7 @@ def test_wp_anywhere_agrees_with_direct_series_on_reduced_input():
     tau, z = complex(0.1, 1.5), complex(0.3, 0.4)
     q = _nome(tau)
     order = _order(abs(q))
-    wp, _, zeta = _point_values(tau, q, order, z, lattice_distance(tau, z), 1e-3,
-                                _e_series("e2", q, order))
+    wp, _, zeta = _point_values(tau, q, order, z, _e_series("e2", q, order))
     assert wp_anywhere(tau, z).value == wp
     assert zeta_anywhere(tau, z).value == zeta
 
@@ -334,6 +333,16 @@ def test_pole_guard_holds_in_the_original_frame(fn, tau):
         fn(tau, lattice_point + 0.5 * guard * direction)
     value = fn(tau, lattice_point + 2.0 * guard * direction).value
     assert math.isfinite(abs(value))
+
+
+def test_half_period_pole_proximity_names_tau():
+    # the guard is held in the reduced frame, where the half period 1/2 of
+    # tau = 0.1+1e-9i is z* = 1/2 and the guard 1e-3/|s| is about 1e5; the
+    # message gives tau, the distance 5e-9 of 1/2 from 5*tau and the guard
+    with pytest.raises(PoleProximity) as exc:
+        half_periods(complex(0.1, 1e-9))
+    assert str(exc.value) == ("half period (1 + 0*tau)/2 of tau = (0.1+1e-09j) is within "
+                              "5.000e-09 of the lattice (guard 1.0e-03)")
 
 
 def _count_calls(monkeypatch, name, modules):

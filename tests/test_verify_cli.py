@@ -9,8 +9,8 @@ from dataclasses import asdict, fields
 
 import pytest
 
-from wpfield import cli, verify
-from wpfield.cli import build_parser, main
+from wpfield import verify
+from wpfield.cli import main
 from wpfield.core import TolerancePolicy
 from wpfield.errors import PoleProximity
 from wpfield.reduction import Lattice
@@ -414,19 +414,35 @@ def test_cli_option_values_may_start_with_a_minus(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["diff", "--var", "z", "--expr"])
     assert exc.value.code == 2
-    # every option of every command that takes a value is attached
-    commands = build_parser()._subparsers._group_actions[0].choices.values()
-    takes_value = {option for command in commands for action in command._actions
-                   if action.nargs != 0 for option in action.option_strings}
-    assert takes_value == cli._VALUE_OPTIONS
+    # each command takes a value that starts with '-'
+    code, out, _ = run_cli(capsys, ["eval", "--fn", "wp", "--tau", "0,1", "--z", "-0.3,0.4"])
+    assert code == 0 and json.loads(out)["z"] == [-0.3, 0.4]
+    code, out, _ = run_cli(capsys, ["reduce", "--tau", "0.3,0.4", "--z", "-1.7,2.2"])
+    assert code == 0 and json.loads(out)["z_star"] is not None
+    code, out, _ = run_cli(capsys, ["verify", "--seed", "-1", "--cases", "sine_limit", "--json"])
+    assert code == 0 and json.loads(out)["seed"] == -1
+    code, out, err = run_cli(capsys, ["series", "--fn", "e2", "--order", "-1"])
+    assert (code, out) == (3, "")
+    assert "got -1" in json.loads(err)["message"]
 
 
-@pytest.mark.parametrize("tau, z", [("nan,1", "0.3,0"), ("0,1", "inf,0"), ("0,1", "0.3,nan")])
-def test_cli_eval_non_finite_input_is_exit_3(capsys, tau, z):
-    code, out, err = run_cli(capsys, ["eval", "--fn", "wp", "--tau", tau, "--z", z])
+@pytest.mark.parametrize("fn, tau, z", [("wp", "nan,1", "0.3,0"), ("wp", "0,1", "inf,0"),
+                                       ("wp", "0,1", "0.3,nan"), ("e2", "0,1", "nan,0")])
+def test_cli_eval_non_finite_input_is_exit_3(capsys, fn, tau, z):
+    # a z given to a function of tau alone is still echoed, so it is checked too
+    code, out, err = run_cli(capsys, ["eval", "--fn", fn, "--tau", tau, "--z", z])
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == "NonFiniteValue"
+
+
+def test_cli_pole_proximity_names_the_given_z(capsys):
+    code, out, err = run_cli(capsys, ["eval", "--fn", "wp", "--tau", "0.3,1e-4", "--z", "0,5e-4"])
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "PoleProximity",
+        "message": "z = 0.0005j is within 5.000e-04 of the lattice (guard 1.0e-03)",
+    }
 
 
 @pytest.mark.parametrize("expr", ["1/0", "(wp-wp)^-1"])

@@ -168,11 +168,11 @@ def test_pole_guard():
 
 
 def _pass(tau, z):
-    """weier._point_values at (tau, z) as a Lattice runs it, with the
-    lattice distance given as 1 so that the pole guard passes."""
+    """weier._point_values at (tau, z) as a Lattice runs it once z has
+    passed the pole guard, which the pass itself does not hold."""
     q = _nome(tau)
     order = _order(abs(q))
-    return _point_values(tau, q, order, z, 1.0, 1e-3, _e_series("e2", q, order))
+    return _point_values(tau, q, order, z, _e_series("e2", q, order))
 
 
 def test_convergence_guard_far_below_the_cell():
