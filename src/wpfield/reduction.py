@@ -208,19 +208,25 @@ def _cell_distance(tau_star: complex, z_star: complex) -> float:
                abs(z_star - (1 + tau_star)))
 
 
-def _divide_by_sk(value: complex, s: complex, weight: int, what: str) -> complex:
-    """value / s^k; at tiny Im(tau) s^k underflows to 0 or the quotient overflows."""
+def _sk(s: complex, weight: int, what: str) -> complex:
+    """s^k, which underflows to 0 at tiny Im(tau)."""
     sk = s**weight
     if sk == 0:
         raise NonFiniteValue(f"{what}: s^{weight} underflows to 0 at s = {s!r}")
-    return ensure_finite(value / sk, what)
+    return sk
+
+
+def _divide_by_sk(value: complex, s: complex, weight: int, what: str) -> complex:
+    """value / s^k, where s^k can underflow (_sk) or the quotient overflow."""
+    return ensure_finite(value / _sk(s, weight, what), what)
 
 
 def _transport(value: complex, est_error: float, s: complex, weight: int, what: str) -> WValue:
     """A weight-k value and its error from the reduced frame: both divide by
-    s^k, and the error can overflow where the value does not."""
-    value = _divide_by_sk(value, s, weight, what)
-    est_error /= abs(s**weight)
+    s^k, formed once, and the error can overflow where the value does not."""
+    sk = _sk(s, weight, what)
+    value = ensure_finite(value / sk, what)
+    est_error /= abs(sk)
     if est_error == math.inf:  # est_error >= 0 and s^k != 0: never NaN
         raise NonFiniteValue(f"est_error of {what} is not finite: {est_error!r}")
     return WValue(value, est_error)

@@ -537,12 +537,23 @@ def _differentiate_with(e: Expr, gen_rules: tuple[Expr, ...]) -> Expr:
     return Expr._new(num, den, (f, k + 1) if keeps else None)
 
 
+def _rules_for(table: dict, var: str) -> tuple[Expr, ...]:
+    """table[var] if it is NGEN Expr rules, one per generator; else ValueError."""
+    gen_rules = table.get(var) if isinstance(table, dict) else None
+    if not (isinstance(gen_rules, (tuple, list)) and len(gen_rules) == NGEN
+            and all(isinstance(r, Expr) for r in gen_rules)):
+        raise ValueError(f"rules[{var!r}] must be {NGEN} Expr rules, one per generator")
+    return gen_rules
+
+
 def differentiate(e: Expr, var: str, rules: dict[str, tuple[Expr, ...]] | None = None) -> Expr:
-    """Exact derivative of e with respect to 'z' or 'tau'; closed over Expr."""
+    """Exact derivative of e with respect to 'z' or 'tau'; closed over Expr.
+    ValueError for any other var, or a rules table without NGEN Expr rules
+    for var."""
     if var not in ("z", "tau"):
         raise ValueError(f"var must be 'z' or 'tau', got {var!r}")
     table = rules if rules is not None else default_rule_table()
-    return _differentiate_with(e, table[var])
+    return _differentiate_with(e, _rules_for(table, var))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .reduction import (
     e6_anywhere,
     reduce_point,
     reduce_tau,
-    wp_anywhere,
     zeta_anywhere,
 )
 from .symbolic import (
@@ -49,6 +48,7 @@ from .symbolic import (
     Z,
     ZETA,
     Expr,
+    _rules_for,
     default_rule_table,
     eval_expr,
     fd_check,
@@ -154,7 +154,7 @@ def _tau_samples(rng: random.Random, count: int) -> list[complex]:
     The walk over the grid starts at a random cell, so single draws reach
     every height, not only the first row."""
     out: list[complex] = []
-    k = rng.randrange(len(_RE_GRID) * len(_IM_GRID))
+    k = rng.randrange(len(_RE_GRID) * len(_IM_GRID)) if count else 0
     while len(out) < count:
         re = _RE_GRID[k % len(_RE_GRID)] + rng.uniform(-0.05, 0.05)
         im = _IM_GRID[(k // len(_RE_GRID)) % len(_IM_GRID)] * (1.0 + rng.uniform(-0.05, 0.05))
@@ -184,9 +184,9 @@ def _cell_point(rng: random.Random, tau: complex, min_dist: float = 0.05) -> com
 
 
 # ---------------------------------------------------------------------------
-# Identities.  Each takes a Lattice and the cell points drawn for it and
-# yields (lhs, rhs) pairs whose residual is |lhs - rhs|; a draw-sampled
-# identity rejects its draw by yielding none.
+# Identities take a Lattice and the points drawn for it and yield (lhs, rhs)
+# pairs, residual |lhs - rhs|, or the tuples their case reads; one run by
+# _drawn rejects its draw by yielding none.  The *_jobs generators feed _fd.
 
 
 def _on_grid(rng: random.Random, count: int, identity, points: int = 0, min_dist: float = 0.05):
@@ -210,11 +210,29 @@ def _drawn(rng: random.Random, count: int, identity, points: int, min_dist: floa
     return pairs
 
 
+def _transported(rng: random.Random, count: int, identity, low: int, min_dist: float):
+    """identity's pairs at count grid taus, then low taus with Im in [0.2, 0.8],
+    each at one point of its reduced cell carried back by s."""
+    pairs = []
+    for tau in _tau_samples(rng, count) + _low_tau_samples(rng, low):
+        rr = reduce_point(tau, 0)
+        pairs += identity(Lattice(tau), [_cell_point(rng, rr.tau_star, min_dist) * rr.scale])
+    return pairs
+
+
 def _case(key: str, sample, count: int, identity, notes: str = "", **where):
     """A runner: |lhs - rhs| of identity's pairs under sample on stream key."""
     def run(ctx: _Ctx):
         pairs = sample(ctx.rng(key), count, identity, **where)
         return [abs(lhs - rhs) for lhs, rhs in pairs], notes
+    return run
+
+
+def _fd(key: str, jobs, notes: str = ""):
+    """A runner: fd_check of each (expr, var, tau, z) that jobs draws on stream key."""
+    def run(ctx: _Ctx):
+        return [fd_check(e, var, tau, z, rules=ctx.rules)
+                for e, var, tau, z in jobs(ctx.rng(key))], notes
     return run
 
 
@@ -285,26 +303,41 @@ def _three_term(lat: Lattice, zs):
     yield s * s, lat.wp(x).value + lat.wp(y).value + lat.wp(w).value
 
 
-# ---------------------------------------------------------------------------
-# Case bodies.  Each returns (residuals, notes).
+def _duplication(lat: Lattice, zs):
+    """(wp_add(z, z), wp(2z), wp(z)), 2z off the lattice and wp'(z) off its zeros."""
+    (z,) = zs
+    if lat.distance(2 * z) < 0.08 or abs(lat.wp_prime(z).value) < 1.0:
+        return
+    yield _wp_add(lat, z, z), lat.wp(2 * z).value, lat.wp(z).value
 
 
-def _case_derivative_closure_fd(ctx: _Ctx):
-    rng = ctx.rng("closure")
-    gens = (Z, TAU, WP, WP1, ZETA, E2, E4, E6)
-    residuals = []
-    for e in gens:
+def _oracle_wp(lat: Lattice, zs):
+    (z,) = zs
+    yield wp_lattice_oracle(lat.tau, z, ORACLE_RADIUS), lat.wp(z).value
+
+
+def _oracle_zeta(lat: Lattice, zs):
+    (z,) = zs
+    yield zeta_lattice_oracle(lat.tau, z, ORACLE_RADIUS), lat.zeta(z).value
+
+
+def _s_law(lat: Lattice, zs):
+    """(the wp oracle, wp at (tau*, z*) in the Lattice of tau*, s)."""
+    (z,) = zs
+    direct = wp_lattice_oracle(lat.tau, z, ORACLE_RADIUS)
+    rr = reduce_point(lat.tau, z)
+    yield direct, Lattice(rr.tau_star).wp(rr.z_star).value, rr.scale
+
+
+def _closure_jobs(rng: random.Random):
+    for e in (Z, TAU, WP, WP1, ZETA, E2, E4, E6):
         for var in ("z", "tau"):
             tau = _tau_samples(rng, 1)[0]
-            z = _cell_point(rng, tau, min_dist=0.12)
-            residuals.append(fd_check(e, var, tau, z, rules=ctx.rules))
-    return residuals, "all generator/variable pairs, h=1e-4 Richardson"
+            yield e, var, tau, _cell_point(rng, tau, min_dist=0.12)
 
 
-def _case_derivative_composite_fd(ctx: _Ctx):
-    rng = ctx.rng("composite")
+def _composite_jobs(rng: random.Random):
     pieces = (WP, WP1, ZETA, E2, E4, E6, Z, TAU)
-    residuals = []
     built = 0
     while built < 5:
         a, b, c, d = (rng.choice(pieces) for _ in range(4))
@@ -316,18 +349,18 @@ def _case_derivative_composite_fd(ctx: _Ctx):
         if abs(eval_expr(denom, tau, z)) < 0.05:
             continue  # keep the quotient well conditioned at the sample point
         for var in ("z", "tau"):
-            residuals.append(fd_check(expr, var, tau, z, rules=ctx.rules))
+            yield expr, var, tau, z
         built += 1
-    return residuals, "5 seeded composite expressions, both variables"
 
 
-def _case_ramanujan_fd(ctx: _Ctx):
-    rng = ctx.rng("ramanujan")
-    residuals = []
+def _ramanujan_jobs(rng: random.Random):
     for tau in _tau_samples(rng, 3):
         for e in (E2, E4, E6):
-            residuals.append(fd_check(e, "tau", tau, rules=ctx.rules))
-    return residuals, ""
+            yield e, "tau", tau, None
+
+
+# ---------------------------------------------------------------------------
+# Case bodies.  Each returns (residuals, notes).
 
 
 def _case_e2_fixed_point(ctx: _Ctx):
@@ -340,31 +373,13 @@ def _case_eta1_anchor(ctx: _Ctx):
 
 
 def _case_duplication_formula(ctx: _Ctx):
-    rng = ctx.rng("duplication")
-    points = [(Lattice(1j), 0.3)]
-    while len(points) < 6:
-        lat = Lattice(_tau_samples(rng, 1)[0])
-        z = _cell_point(rng, lat.tau, min_dist=0.1)
-        if lat.distance(2 * z) < 0.08:
-            continue
-        pp = lat.wp_prime(z).value
-        if abs(pp) < 1.0:  # stay away from wp' zeros at the half periods
-            continue
-        points.append((lat, z))
-    residuals = []
-    plus_err = minus_err = 0.0
-    for lat, z in points:
-        direct = lat.wp(2 * z).value
-        residuals.append(abs(_wp_add(lat, z, z) - direct))
-        p = lat.wp(z).value
-        pp = lat.wp_prime(z).value
-        second = 6.0 * p * p - 0.5 * lat.invariants().g2
-        bracket = (second / (2.0 * pp)) ** 2
-        plus_err = max(plus_err, abs(bracket - 2.0 * p - direct))
-        minus_err = max(minus_err, abs(-bracket - 2.0 * p - direct))
-    ctx.resolved["duplication_sign"] = "plus" if plus_err < minus_err else "minus"
-    notes = f"sign resolved: bracket enters with {ctx.resolved['duplication_sign']}"
-    return residuals, notes
+    """|wp_add(z, z) - wp(2z)|, and which bracket sign fits: wp_add's (+) or -."""
+    triples = [*_duplication(Lattice(1j), [0.3]),
+               *_drawn(ctx.rng("duplication"), 5, _duplication, 1, 0.1)]
+    residuals = [abs(add - direct) for add, direct, _ in triples]
+    minus_err = max(abs(-add - 4.0 * p - direct) for add, direct, p in triples)
+    ctx.resolved["duplication_sign"] = sign = "plus" if max(residuals) < minus_err else "minus"
+    return residuals, f"sign resolved: bracket enters with {sign}"
 
 
 def _case_zeta_three_term(ctx: _Ctx):
@@ -408,19 +423,6 @@ def _case_e2_q_coefficients(ctx: _Ctx):
     return residuals, "integers -24*sigma1(n) for n<=10 plus lattice-sum confirmation"
 
 
-def _case_oracle_point(key: str, oracle, evaluate, ctx: _Ctx):
-    """A lattice-sum oracle of (tau, z) against its anywhere evaluator."""
-    rng = ctx.rng(key)
-    taus = _tau_samples(rng, 20) + _low_tau_samples(rng, 10)
-    residuals = []
-    for tau in taus:
-        rr = reduce_point(tau, 0)
-        z = _cell_point(rng, rr.tau_star, min_dist=0.1) * rr.scale
-        direct = oracle(tau, z, ORACLE_RADIUS)
-        residuals.append(abs(direct - evaluate(tau, z).value))
-    return residuals, f"radius {ORACLE_RADIUS}, 10 points with Im(tau) < 1"
-
-
 def _case_oracle_modular(key: str, k: int, zeta_2k: float, evaluate, ctx: _Ctx):
     """The lattice sum of omega^(-2k) over 2 zeta(2k) against E_2k anywhere."""
     rng = ctx.rng(key)
@@ -433,30 +435,23 @@ def _case_oracle_modular(key: str, k: int, zeta_2k: float, evaluate, ctx: _Ctx):
 
 
 def _case_s_law_exponent(ctx: _Ctx):
-    rng = ctx.rng("slaw")
-    errs = {1: [], 2: []}
-    for tau in _low_tau_samples(rng, 6):
-        rr = reduce_point(tau, 0)
-        z = _cell_point(rng, rr.tau_star, min_dist=0.1) * rr.scale
-        direct = wp_lattice_oracle(tau, z, ORACLE_RADIUS)
-        inner = Lattice(rr.tau_star).wp(reduce_point(tau, z).z_star).value
-        for exponent in (1, 2):
-            errs[exponent].append(abs(direct - inner / rr.scale**exponent))
-    winner = 2 if max(errs[2]) < max(errs[1]) else 1
-    ctx.resolved["s_law_exponent"] = winner
-    notes = (
-        f"transport weight {winner} selected; "
-        f"weight-1 max residual {max(errs[1]):.3e}, weight-2 {max(errs[2]):.3e}"
-    )
-    return errs[2], notes
+    triples = _transported(ctx.rng("slaw"), 0, _s_law, 6, 0.1)
+    errs = {k: [abs(direct - inner / s**k) for direct, inner, s in triples] for k in (1, 2)}
+    ctx.resolved["s_law_exponent"] = winner = 2 if max(errs[2]) < max(errs[1]) else 1
+    return errs[2], (f"transport weight {winner} selected; weight-1 max residual "
+                     f"{max(errs[1]):.3e}, weight-2 {max(errs[2]):.3e}")
 
+
+_ORACLE_NOTES = f"radius {ORACLE_RADIUS}, 10 points with Im(tau) < 1"
 
 _CASE_TABLE: tuple[tuple[str, object, object], ...] = (
     # (name, runner, tolerance: a float, or the name of a policy attribute)
     ("addition_formula", _case("addition", _drawn, 50, _addition, points=2, min_dist=0.08),
      1e-7),
-    ("derivative_closure_fd", _case_derivative_closure_fd, "fd_tol"),
-    ("derivative_composite_fd", _case_derivative_composite_fd, "fd_tol"),
+    ("derivative_closure_fd", _fd("closure", _closure_jobs,
+                                  "all generator/variable pairs, h=1e-4 Richardson"), "fd_tol"),
+    ("derivative_composite_fd", _fd("composite", _composite_jobs,
+                                    "5 seeded composite expressions, both variables"), "fd_tol"),
     ("duplication_formula", _case_duplication_formula, 1e-7),
     ("e2_fixed_point", _case_e2_fixed_point, 1e-10),
     ("e2_q_coefficients", _case_e2_q_coefficients, 1e-8),
@@ -473,13 +468,13 @@ _CASE_TABLE: tuple[tuple[str, object, object], ...] = (
      "oracle_tol"),
     ("oracle_e6", partial(_case_oracle_modular, "oracle_e6", 3, ZETA6, e6_anywhere),
      "oracle_tol"),
-    ("oracle_wp", partial(_case_oracle_point, "oracle_wp", wp_lattice_oracle, wp_anywhere),
-     "oracle_tol"),
-    ("oracle_zeta", partial(_case_oracle_point, "oracle_zeta", zeta_lattice_oracle,
-                            zeta_anywhere), "oracle_tol"),
+    ("oracle_wp", _case("oracle_wp", _transported, 20, _oracle_wp, _ORACLE_NOTES,
+                        low=10, min_dist=0.1), "oracle_tol"),
+    ("oracle_zeta", _case("oracle_zeta", _transported, 20, _oracle_zeta, _ORACLE_NOTES,
+                          low=10, min_dist=0.1), "oracle_tol"),
     ("quasimodular_law", _case("quasimodular", _on_grid, 20, _quasimodular,
                                "gamma in {S, TS, ST^-1}"), "identity_tol"),
-    ("ramanujan_fd", _case_ramanujan_fd, "fd_tol"),
+    ("ramanujan_fd", _fd("ramanujan", _ramanujan_jobs), "fd_tol"),
     ("s_law_exponent", _case_s_law_exponent, "oracle_tol"),
     ("sine_limit", _case_sine_limit, 1e-10),
     ("zeta_quasi_periodicity", _case("quasiperiod", _on_grid, 20, _quasi_periodicity, points=1),
@@ -501,17 +496,22 @@ def run_identity_suite(
 ) -> IdentityReport:
     """Run the identity suite and collect an IdentityReport.
 
-    only: optional subset of case names.  case_tolerances: per-case overrides
-    (config file `tol.<case>` entries end up here), each finite and positive
-    like the policy's fields; anything else raises ValueError.
+    only: optional non-empty subset of case names.  case_tolerances: per-case
+    overrides (config file `tol.<case>` entries end up here), each finite and
+    positive like the policy's fields; these or a malformed rules table raise
+    ValueError before any case runs.
     """
     policy = policy or TolerancePolicy()
-    ctx = _Ctx(seed=seed, rules=rules or default_rule_table())
+    ctx = _Ctx(seed=seed, rules=rules if rules is not None else default_rule_table())
+    for var in ("z", "tau"):
+        _rules_for(ctx.rules, var)
     known = set(case_names())
     if only is not None:
         unknown = set(only) - known
         if unknown:
             raise ValueError(f"unknown case names: {sorted(unknown)}")
+        if not only:
+            raise ValueError("no cases selected")
     overrides = dict(case_tolerances or {})
     unknown = set(overrides) - known
     if unknown:

@@ -254,17 +254,14 @@ def test_suite_oracle_samples_stop_within_twelve_rows(monkeypatch, seed):
             return value
         return call
 
-    wp = recorded(wp_lattice_oracle, _full_wp)
-    monkeypatch.setattr(verify, "wp_lattice_oracle", wp)
+    monkeypatch.setattr(verify, "wp_lattice_oracle", recorded(wp_lattice_oracle, _full_wp))
+    monkeypatch.setattr(verify, "zeta_lattice_oracle", recorded(zeta_lattice_oracle, _full_zeta))
     monkeypatch.setattr(verify, "lattice_sum_eisenstein",
                         recorded(lattice_sum_eisenstein, _full_eisenstein))
     ctx = verify._Ctx(seed=seed, rules=default_rule_table())
-    verify._case_oracle_point("oracle_wp", wp, wp_anywhere, ctx)
-    verify._case_oracle_point("oracle_zeta", recorded(zeta_lattice_oracle, _full_zeta),
-                              zeta_anywhere, ctx)
-    verify._case_oracle_modular("oracle_e4", 2, ZETA4, e4_anywhere, ctx)
-    verify._case_oracle_modular("oracle_e6", 3, ZETA6, e6_anywhere, ctx)
-    verify._case_s_law_exponent(ctx)
+    runners = {name: runner for name, runner, _ in verify._CASE_TABLE}
+    for name in ("oracle_wp", "oracle_zeta", "oracle_e4", "oracle_e6", "s_law_exponent"):
+        runners[name](ctx)
     assert len(seen) == 30 + 30 + 15 + 15 + 6
     assert max(seen) <= 12
 

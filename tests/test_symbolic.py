@@ -37,6 +37,7 @@ from wpfield.symbolic import (
     parse_expr,
     rational,
 )
+from wpfield.verify import run_identity_suite
 
 TAU0 = complex(0.13, 1.21)
 Z0 = complex(0.31, 0.42)
@@ -298,6 +299,28 @@ def test_fd_certificate_composite():
     e = (WP1 * ZETA + rational(3) * E2) / (WP + rational(5, 7))
     assert fd_check(e, "z", TAU0, Z0) < 1e-5
     assert fd_check(e, "tau", TAU0, Z0) < 1e-5
+
+
+def _malformed_rule_tables():
+    """(table, var, e): no var key, no tau key, 7 tau rules (E6's and pi's
+    dropped), 10 z rules, and the z rules not in a mapping."""
+    full = build_rule_table()
+    return [
+        ({"tau": full["tau"]}, "z", WP),
+        ({"z": full["z"]}, "tau", E2),
+        ({**full, "tau": full["tau"][:7]}, "tau", E6 * WP),
+        ({**full, "z": (*full["z"], ONE)}, "z", WP),
+        (list(full["z"]), "z", WP),
+    ]
+
+
+@pytest.mark.parametrize("table, var, e", _malformed_rule_tables(),
+                         ids=["no-z", "no-tau", "7-tau-rules", "10-z-rules", "not-a-dict"])
+def test_a_malformed_rule_table_is_refused(table, var, e):
+    with pytest.raises(ValueError, match=f"rules\\['{var}'\\]"):
+        differentiate(e, var, table)
+    with pytest.raises(ValueError):
+        run_identity_suite(3, rules=table, only=["ramanujan_fd"])
 
 
 def test_fd_step_validation():

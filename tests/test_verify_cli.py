@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import random
 import time
 from dataclasses import asdict, fields
 
@@ -46,6 +47,37 @@ def test_subset_run_and_unknown_case():
     for tol in (math.inf, math.nan, -1.0, 0.0):
         with pytest.raises(ValueError):
             run_identity_suite(only=["oracle_wp"], case_tolerances={"oracle_wp": tol})
+
+
+def test_an_empty_selection_is_refused():
+    # a report of no cases would pass while certifying nothing
+    with pytest.raises(ValueError, match="no cases selected"):
+        run_identity_suite(seed=1, only=[])
+
+
+def test_no_tau_samples_draw_nothing():
+    rng = random.Random(5)
+    state = rng.getstate()
+    assert verify._tau_samples(rng, 0) == []
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_minus_form_of_wp_add_fails_duplication_formula(monkeypatch, seed):
+    # the case checks wp_add(z, z) against wp(2z) whichever sign of the
+    # bracket it records as fitting better
+    wp_add = verify._wp_add
+
+    def minus_form(lat, z1, z2):  # -bracket - 2 wp(z) where z1 = z2
+        if z1 != z2:
+            return wp_add(lat, z1, z2)
+        return -wp_add(lat, z1, z2) - 4.0 * lat.wp(z1).value
+
+    monkeypatch.setattr(verify, "_wp_add", minus_form)
+    report = run_identity_suite(seed=seed, only=["addition_formula", "duplication_formula"])
+    assert report.resolved["duplication_sign"] == "minus"
+    assert not report.case("duplication_formula").passed
+    assert report.case("addition_formula").passed
 
 
 def test_determinism_same_seed():
