@@ -48,6 +48,10 @@ _TAU_STAR_MISMATCH = 1e-6
 
 _ULP = 2.0**-52  # relative spacing of doubles: the rounding of z/s in its split
 
+# How many placed points a Lattice keeps: the three-term zeta identity reads
+# wp and zeta at three points.
+_POINTS_KEPT = 4
+
 # For each function of tau alone but delta: its weight k, its factor over
 # E_k, and on the reduced domain the bound on |E_k'| from Ramanujan's system
 # and the sum of |term| over E_k's q-series (both taken at the bottom of the
@@ -248,12 +252,15 @@ class Lattice:
     zeta_anywhere(tau, z); e2, e4, e6, invariants and half_periods are
     e2_anywhere(tau) ... half_periods(tau); distance(z) is
     lattice_distance(tau, z).  Each point costs one split of z/s and one
-    series pass; nothing is cached between points.  Lattice(tau) raises
-    what the evaluators raise for that tau.  Lattices are equal when their
-    tau are.
+    series pass, which serves wp, wp_prime and zeta there: a Lattice keeps
+    the last four points it placed, so wp, wp_prime and zeta at one z cost
+    one pass between them.  A point that raises is not kept, and nothing
+    is kept across Lattices: Lattice(tau).wp(z) always places z afresh.
+    Lattice(tau) raises what the evaluators raise for that tau.  Lattices
+    are equal when their tau are.
     """
 
-    __slots__ = ("_tau", "_gamma", "_s", "_tau_star", "_q", "_order", "_e2")
+    __slots__ = ("_tau", "_gamma", "_s", "_tau_star", "_q", "_order", "_e2", "_points")
 
     def __init__(self, tau: complex) -> None:
         gamma, tau_star = reduce_tau(tau)
@@ -265,6 +272,7 @@ class Lattice:
         self._q = q
         self._order = _order(abs(q))
         self._e2 = None
+        self._points = ()  # ((key, _Point), ...), the newest first
 
     @property
     def tau(self) -> complex:
@@ -313,7 +321,26 @@ class Lattice:
                              f"(guard {DEFAULT_POLICY.pole_guard_radius:.1e})")
 
     def _point(self, z: complex) -> _Point:
-        """z placed in its cell (_place), the pole guard and one _point_values pass."""
+        """The point kept from placing the same z, or _fresh_point(z), kept."""
+        w = complex(z)
+        key = w
+        if not (w.real and w.imag):
+            # 0.0 == -0.0, but the sign of a zero part of z can show in the
+            # sign of a zero part of the values
+            key = (w, math.copysign(1.0, w.real), math.copysign(1.0, w.imag))
+        for kept, point in self._points:
+            if kept == key:
+                return point
+        point = self._fresh_point(z)
+        # one assignment of a new tuple: a race between threads can only
+        # drop a point, never keep a wrong one
+        self._points = ((key, point),) + self._points[:_POINTS_KEPT - 1]
+        return point
+
+    def _fresh_point(self, z: complex) -> _Point:
+        """z placed in its cell (_place), the pole guard and one _point_values
+        pass, not kept: for a Lattice that meets each z once, where keeping
+        the point would cost a little on every call and never pay."""
         m, n, z_star, dist, guard = self._place(z)
         if dist < guard:
             raise self._too_near(f"z = {z}", dist)
@@ -447,19 +474,25 @@ def lattice_distance(tau: complex, z: complex) -> float:
     return Lattice(tau).distance(z)
 
 
+# The point evaluators are Lattice(tau).wp(z) and so on, but their Lattice
+# places one point, so they keep none.
+
 def wp_anywhere(tau: complex, z: complex) -> WValue:
     """wp at any tau in the upper half-plane and any non-lattice z (weight 2)."""
-    return Lattice(tau).wp(z)
+    lat = Lattice(tau)
+    return lat._wp(lat._fresh_point(z))
 
 
 def wp_prime_anywhere(tau: complex, z: complex) -> WValue:
     """d(wp)/dz at any tau, z (weight 3)."""
-    return Lattice(tau).wp_prime(z)
+    lat = Lattice(tau)
+    return lat._wp_prime(lat._fresh_point(z))
 
 
 def zeta_anywhere(tau: complex, z: complex) -> WValue:
     """zeta at any tau, z: closed-form quasi-period unwinding, weight-1 transport."""
-    return Lattice(tau).zeta(z)
+    lat = Lattice(tau)
+    return lat._zeta(lat._fresh_point(z))
 
 
 def e2_anywhere(tau: complex) -> complex:

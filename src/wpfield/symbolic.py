@@ -507,12 +507,26 @@ def _diff_poly(poly: dict, gen_rules: tuple[Expr, ...]) -> tuple[dict, dict]:
     return acc, acc_den
 
 
+# The rule tuples last asked about by _keeps_constants, with their answers,
+# the newest first.  A tuple of Expr never changes, so its answer is decided
+# once; two are kept so that a mixed derivative, alternating the z and tau
+# rules of one table, rescans neither.
+_KEEPS: tuple[tuple[tuple[Expr, ...], bool], ...] = ()
+
+
 def _keeps_constants(gen_rules: tuple[Expr, ...]) -> bool:
     """pi's rule is zero and every rule denominator is a polynomial in pi
     alone, so a polynomial in pi stays constant and so does a product of
     rule denominators."""
-    return not gen_rules[_PI]._num and not any(
+    global _KEEPS
+    for rules, keeps in _KEEPS:
+        if rules is gen_rules:
+            return keeps
+    keeps = not gen_rules[_PI]._num and not any(
         mono >> _FIELD for r in gen_rules for mono in r._den)  # a field above pi's
+    if gen_rules.__class__ is tuple:  # a list of rules can change between calls
+        _KEEPS = ((gen_rules, keeps),) + _KEEPS[:1]
+    return keeps
 
 
 def _differentiate_with(e: Expr, gen_rules: tuple[Expr, ...]) -> Expr:
@@ -524,7 +538,8 @@ def _differentiate_with(e: Expr, gen_rules: tuple[Expr, ...]) -> Expr:
     and the result records (F, k+1).  That needs a table that keeps
     constants; under any other, F is e's denominator and k = 1, the full
     quotient rule, and the result records nothing."""
-    base = e._base if e._base and _keeps_constants(gen_rules) else None
+    keeps = _keeps_constants(gen_rules)
+    base = e._base if keeps else None
     f, k = base or (e._den, 1)
     dn, dn_den = _diff_poly(e._num, gen_rules)
     df, df_den = _diff_poly(f, gen_rules)
@@ -533,7 +548,6 @@ def _differentiate_with(e: Expr, gen_rules: tuple[Expr, ...]) -> Expr:
     ndf = _p_mul(_p_mul(e._num, df), {_UNIT_MONO: (k, 0)})
     num = _p_add(_p_mul(_p_mul(dn, f), df_den), _p_neg(_p_mul(ndf, dn_den)))
     den = _p_mul(_p_mul(dn_den, df_den), _p_mul(e._den, f))
-    keeps = base is not None or _keeps_constants(gen_rules)
     return Expr._new(num, den, (f, k + 1) if keeps else None)
 
 
@@ -593,7 +607,7 @@ def _eval_in(e: Expr, tau: complex, z: complex | None, lat: Lattice | None) -> c
         if lat is None:
             lat = Lattice(vals[1])
         if used & {2, 3, 4}:
-            point = lat._point(z)
+            point = lat._fresh_point(z)  # a Lattice here meets each z once
     if 2 in used:
         vals[2] = lat._wp(point).value
     if 3 in used:

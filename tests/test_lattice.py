@@ -3,6 +3,7 @@ evaluators bit for bit, exceptions included."""
 
 import ast
 import cmath
+import collections
 import math
 import random
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 import wpfield
 from wpfield import eisenstein, reduction, verify
+from wpfield.errors import PoleProximity
 from wpfield.reduction import (
     Lattice,
     e2_anywhere,
@@ -20,6 +22,7 @@ from wpfield.reduction import (
     half_periods,
     invariants_anywhere,
     lattice_distance,
+    wp_add,
     wp_anywhere,
     wp_prime_anywhere,
     zeta_anywhere,
@@ -177,7 +180,8 @@ def test_the_frame_stays_inside_reduction():
     # the other modules evaluate through Lattice and the public evaluators;
     # of reduction's private names they import only these two, and they
     # read none of a Lattice's reduction (gamma, s, tau*, q*, the order, E2)
-    frame = {"_tau", "_gamma", "_s", "_tau_star", "_q", "_order", "_e2"}
+    # or the points it keeps
+    frame = {"_tau", "_gamma", "_s", "_tau_star", "_q", "_order", "_e2", "_points"}
     for name in ("symbolic", "cli", "verify"):
         tree = ast.parse((ROOT / "src" / "wpfield" / f"{name}.py").read_text())
         private = {
@@ -205,3 +209,89 @@ def test_the_frame_stays_inside_reduction():
             elif isinstance(node, ast.Name):
                 used.add(node.id)
         assert not used & kernels, (path.name, used & kernels)
+
+
+def test_wp_wp_prime_and_zeta_at_one_z_share_one_pass(monkeypatch):
+    passes = _count_calls(monkeypatch, "_point_values", [reduction])
+    lat = Lattice(complex(0.3, 0.4))
+    z = complex(2.7, -1.9)
+    lat.wp(z), lat.wp_prime(z), lat.zeta(z)
+    assert len(passes) == 1
+    lat.wp(complex(2.7, -1.9))  # an equal z, a new object
+    assert len(passes) == 1
+
+
+def test_wp_add_runs_one_pass_for_a_duplication_and_two_otherwise(monkeypatch):
+    passes = _count_calls(monkeypatch, "_point_values", [reduction])
+    tau, z = complex(0.1, 1.3), complex(0.25, 0.4)
+    wp_add(tau, z, z)
+    assert len(passes) == 1
+    wp_add(tau, z, complex(0.6, -0.3))
+    assert len(passes) == 3
+
+
+def test_a_lattice_keeps_at_most_four_points():
+    lat = Lattice(complex(0.3, 0.4))
+    rng = random.Random(5)
+    for _ in range(100):
+        lat.wp(complex(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0)))
+    assert len(lat._points) == 4
+
+
+def test_a_point_within_the_pole_guard_raises_on_every_call():
+    lat = Lattice(complex(0.3, 0.4))
+    z = 1.0 + complex(0.3, 0.4) + 1e-5
+    for method in (lat.wp, lat.wp_prime, lat.zeta, lat.wp, lat.zeta):
+        with pytest.raises(PoleProximity):
+            method(z)
+    assert lat._points == ()
+
+
+def test_a_held_lattice_equals_a_fresh_one_on_a_seeded_sweep():
+    # points repeat on the held Lattice in a random order; zero parts of
+    # either sign (0.0 == -0.0) and points that raise are among them
+    rng = random.Random(11)
+    for _ in range(60):
+        tau = complex(rng.choice([0.0, -0.0, rng.uniform(-1.0, 1.0)]),
+                      math.exp(rng.uniform(math.log(0.01), math.log(5.0))))
+        x, y = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+        pool = [complex(x, y), complex(x, 0.0), complex(x, -0.0), complex(-x, 0.0),
+                complex(-x, -0.0), complex(0.0, y), complex(-0.0, y), complex(-0.0, -0.0),
+                tau + 1e-5, complex(1e13, 0.5)]
+        held = Lattice(tau)
+        for _ in range(40):
+            name = rng.choice(("wp", "wp_prime", "zeta", "distance"))
+            z = rng.choice(pool)
+            got = _outcome(getattr(held, name), z)
+            want = _outcome(getattr(Lattice(tau), name), z)
+            assert repr(got) == repr(want), (name, tau, z)
+
+
+def test_the_suite_runs_one_pass_per_point_of_a_lattice(monkeypatch):
+    # each case's identity reads wp, wp' and zeta off the Lattice it holds;
+    # a second pass at a (Lattice, z) would repeat the first
+    placing, held = [], []  # held keeps every Lattice alive, so ids stay unique
+    place, run = Lattice._point, reduction._point_values
+
+    def point(self, z):
+        placing.append((self, z))
+        try:
+            return place(self, z)
+        finally:
+            placing.pop()
+
+    def counted(*args):
+        if placing:
+            lat, z = placing[-1]
+            held.append(lat)
+            passes[case, id(lat), repr(complex(z))] += 1
+        return run(*args)
+
+    monkeypatch.setattr(Lattice, "_point", point)
+    monkeypatch.setattr(reduction, "_point_values", counted)
+    passes = collections.Counter()
+    for seed in (1, 2, 3):
+        for case in verify.case_names():
+            verify.run_identity_suite(seed=seed, only=[case])
+    assert len(passes) > 500
+    assert sorted({key[0] for key, count in passes.items() if count > 1}) == []

@@ -45,6 +45,7 @@ def test_python_blocks_run_and_show_their_values():
     wp = ns["wp"]
     assert (f"{wp.value.real:.4f}", f"{wp.value.imag:.4f}") == ("-2.8408", "-3.0104")
     assert wp.est_error == 1e-12
+    assert ns["p"] == wp  # a held Lattice reads the value the evaluator does
     r = ns["r"]
     assert r.gamma == UnimodularMatrix(1, -3, 1, -2)
     assert (r.m, r.n) == (8, -5)

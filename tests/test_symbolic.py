@@ -657,6 +657,22 @@ def test_other_tables_fall_back_to_the_full_quotient_rule(var):
             assert (got - differentiate(d_tau, "z")).is_zero()
 
 
+def test_a_rule_tuple_is_decided_once_and_a_rule_list_on_every_call():
+    # a tuple of Expr never changes, so whether it keeps constants is decided
+    # once (for the last two tuples asked about: a table's z and tau rules);
+    # a list can change between calls
+    table = build_rule_table()
+    d = differentiate(parse_expr("(E6*zeta+3*E6)/(wp1^2+1/3)"), "tau", table)
+    differentiate(d, "z", table)
+    kept = {id(rules) for rules, _ in symbolic._KEEPS}
+    assert kept == {id(table["z"]), id(table["tau"])}
+    rules = list(table["tau"])
+    assert differentiate(d, "tau", {"tau": rules})._base is not None
+    rules[-1] = ONE  # pi's rule: pi is no longer constant in tau
+    assert differentiate(d, "tau", {"tau": rules})._base is None
+    assert differentiate(d, "tau", {"tau": tuple(rules)})._base is None
+
+
 @pytest.mark.parametrize("table", range(3), ids=["ramanujan", "zeta_sign", "wp_term"])
 def test_differentiate_matches_expr_arithmetic_on_mutated_rules(table):
     rules = _mutated_rule_tables()[table]
