@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .core import ensure_finite, require_upper_half
+from .errors import NonFiniteValue
 
 # Every q-series stops at the first order whose tail bound is below this, a
 # tenth of an ulp of 1.
@@ -45,13 +47,13 @@ def sigma(n: int, k: int) -> int:
     return total
 
 
-# The kernels' tail at order N is at least _KERNEL_SCALE |q|^N (see _order),
+# The kernels' tail at order N is at least _KERNEL_SCALE |q|^N (see _walk_order),
 # so no N below _LOG_START / log|q| can pass.
 _KERNEL_SCALE = 4.0 * (2.0 * math.pi) ** 3
 _LOG_START = math.log(_TAIL_TARGET / _KERNEL_SCALE)
 
 
-def _order(q_abs: float) -> int:
+def _walk_order(q_abs: float) -> int:
     """The one series order at nome modulus q_abs < 1: the smallest N >= 1 at
     which both tail bounds are at most _TAIL_TARGET.
 
@@ -75,6 +77,24 @@ def _order(q_abs: float) -> int:
         order += 1
 
 
+# _ORDER_BOUNDS[N - 1] is the largest |q| that _walk_order sums to order N
+# or fewer, for N = 1..10: these cover the reduced domain, |q| <= 0.004333
+# = exp(-pi*sqrt(3)).  tests/test_eisenstein.py rebuilds them from the walk.
+_ORDER_BOUNDS = (1.0078604510374843e-20, 1.0039225323381793e-10, 2.160064750954656e-07,
+                 1.0019568368651162e-05, 8.671505378290265e-05, 0.0002890395999997156,
+                 0.0007241006599708073, 0.0014946636463133037, 0.002688744813645039,
+                 0.004370646190337254)
+
+
+def _order(q_abs: float) -> int:
+    """The one series order at nome modulus q_abs < 1, _walk_order's answer:
+    on the reduced domain the count of _ORDER_BOUNDS below q_abs, plus one;
+    past the table, the walk itself."""
+    if q_abs <= _ORDER_BOUNDS[-1]:
+        return bisect_left(_ORDER_BOUNDS, q_abs) + 1
+    return _walk_order(q_abs)
+
+
 @dataclass(frozen=True, slots=True)
 class LatticeInvariants:
     g2: complex
@@ -87,9 +107,11 @@ def _e_series(kind: str, q: complex, order: int) -> complex:
     """E2, E4 or E6 (kind "e2", "e4", "e6") from its q-expansion to q^order,
     by Horner's rule."""
     acc = 0j
-    for c in reversed(_coefficients(kind, order)):
+    for c in _horner(kind, order):
         acc = acc * q + c
-    return ensure_finite(acc, kind.upper())
+    if not cmath.isfinite(acc):
+        raise NonFiniteValue(f"{kind.upper()} is not finite: {acc!r}")
+    return acc
 
 
 def _delta_eta_product(q: complex, order: int) -> complex:
@@ -250,6 +272,12 @@ _Q_SERIES = {
 def _coefficients(kind: str, order: int) -> tuple[int, ...]:
     scale, power = _Q_SERIES[kind]
     return (1,) + tuple(scale * sigma(n, power) for n in range(1, order + 1))
+
+
+@lru_cache(maxsize=None)
+def _horner(kind: str, order: int) -> tuple[float, ...]:
+    """_coefficients(kind, order) as floats, the highest power first."""
+    return tuple(map(float, reversed(_coefficients(kind, order))))
 
 
 def q_coefficients(kind: str, order: int) -> list[int]:

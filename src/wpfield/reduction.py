@@ -22,6 +22,7 @@ and E4, E6 transport with weights 4 and 6.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -136,9 +137,15 @@ def reduce_tau(tau: complex) -> tuple[UnimodularMatrix, complex]:
     Boundary tie-break: points with |tau| = 1 and Re(tau) > 0 get one more
     inversion, so the canonical representative has Re <= 0 on the unit circle.
     Returns (gamma, tau*) with tau* = gamma(tau); raises NonFiniteValue when
-    tau* overflows or has lost tau (see _TAU_STAR_MISMATCH).  gamma = (a b;
-    c d) is kept as four integers.
+    tau* overflows or has lost tau (see _TAU_STAR_MISMATCH).
     """
+    a, b, c, d, tau_star = _walk(tau)
+    return UnimodularMatrix(a, b, c, d), tau_star
+
+
+def _walk(tau: complex) -> tuple[int, int, int, int, complex]:
+    """reduce_tau's SL(2,Z) walk, returning (a, b, c, d, tau*): gamma = (a b;
+    c d) stays four integers, so a Lattice builds no UnimodularMatrix."""
     cur = tau = require_upper_half(tau)
     a, b, c, d = 1, 0, 0, 1
     try:
@@ -156,12 +163,13 @@ def reduce_tau(tau: complex) -> tuple[UnimodularMatrix, complex]:
                 cur = -1.0 / cur
                 a, b, c, d = -c, -d, a, b
             # at subnormal Im(tau) an inversion overflows to an infinite tau*
-            cur = ensure_finite(cur, "tau*")
+            if not cmath.isfinite(cur):
+                raise NonFiniteValue(f"tau* is not finite: {cur!r}")
             # |s| sqrt(Im tau* / Im tau) is 1; |s|^2 would underflow at tiny Im(tau)
             ratio = abs(c * tau + d) * math.sqrt(cur.imag) / math.sqrt(tau.imag)
             if abs(ratio * ratio - 1.0) > _TAU_STAR_MISMATCH:
                 raise NonFiniteValue(f"reducing {tau!r} loses tau: Im(tau*) |s|^2 != Im(tau)")
-            return UnimodularMatrix(a, b, c, d), cur
+            return a, b, c, d, cur
     except OverflowError as exc:
         # when both parts of tau are subnormal, -1/tau is -inf+inf*i and the
         # next floor(inf) raises before the check at the return
@@ -229,7 +237,9 @@ def _transport(value: complex, est_error: float, s: complex, weight: int, what: 
     """A weight-k value and its error from the reduced frame: both divide by
     s^k, formed once, and the error can overflow where the value does not."""
     sk = _sk(s, weight, what)
-    value = ensure_finite(value / sk, what)
+    value /= sk
+    if not cmath.isfinite(value):
+        raise NonFiniteValue(f"{what} is not finite: {value!r}")
     est_error /= abs(sk)
     if est_error == math.inf:  # est_error >= 0 and s^k != 0: never NaN
         raise NonFiniteValue(f"est_error of {what} is not finite: {est_error!r}")
@@ -242,10 +252,12 @@ _Point = namedtuple("_Point", "m n z_star dist wp wp1 zeta")
 
 
 class Lattice:
-    """The lattice Z + tau*Z with its reduction made once: gamma, s = c*tau + d,
-    tau* = gamma(tau), q* and the one order (eisenstein._order) to which every
-    q-series at q* is summed (the kernels, each E-series and the eta product).
-    E2(tau*) is summed once, when a point or E2 first needs it.
+    """The lattice Z + tau*Z with its reduction made once: gamma (four ints
+    from the walk), s = c*tau + d and |s|, the pole guard scaled by 1/|s|
+    into the reduced frame, tau* = gamma(tau), q* and the one order
+    (eisenstein._order, a table lookup) to which every q-series at q* is
+    summed (the kernels, each E-series and the eta product).  E2(tau*) is
+    summed once, when a point or E2 first needs it.
 
     Every evaluator is Lattice(tau).method: wp, wp_prime and zeta (WValue)
     are wp_anywhere(tau, z), wp_prime_anywhere(tau, z) and
@@ -260,14 +272,19 @@ class Lattice:
     are equal when their tau are.
     """
 
-    __slots__ = ("_tau", "_gamma", "_s", "_tau_star", "_q", "_order", "_e2", "_points")
+    __slots__ = ("_tau", "_gamma", "_s", "_s_abs", "_guard", "_tau_star", "_q", "_order", "_e2",
+                 "_points")
 
     def __init__(self, tau: complex) -> None:
-        gamma, tau_star = reduce_tau(tau)
+        a, b, c, d, tau_star = _walk(tau)
+        tau = complex(tau)
+        s = c * tau + d
         q = _nome(tau_star)
-        self._tau = complex(tau)
-        self._gamma = gamma
-        self._s = gamma.scale(tau)
+        self._tau = tau
+        self._gamma = (a, b, c, d)
+        self._s = s
+        self._s_abs = s_abs = abs(s)
+        self._guard = DEFAULT_POLICY.pole_guard_radius / s_abs
         self._tau_star = tau_star
         self._q = q
         self._order = _order(abs(q))
@@ -295,15 +312,14 @@ class Lattice:
             self._e2 = _e_series("e2", self._q, self._order)
         return self._e2
 
-    def _place(self, z: complex) -> tuple[int, int, complex, float, float]:
-        """(m, n, z*, dist, guard): the one split z/s = z* + m + n*tau*, the
-        lattice distance of z* and the pole guard scaled by 1/|s| as
-        distances are.  ConvergenceDomain when z has lost its place in its
-        cell."""
+    def _place(self, z: complex) -> tuple[int, int, complex, float]:
+        """(m, n, z*, dist): the one split z/s = z* + m + n*tau* and the
+        lattice distance of z*.  ConvergenceDomain when z has lost its place
+        in its cell."""
         w = complex(z) / self._s
         m, n, z_star = _reduce_z(self._tau_star, w)
         dist = _cell_distance(self._tau_star, z_star)
-        guard = DEFAULT_POLICY.pole_guard_radius / abs(self._s)
+        guard = self._guard
         # the pole guard refuses a z* split out of its cell (dist 0); one the
         # split kept in its cell has still lost its place there once the
         # rounding of z/s reaches the guard, i.e. once |z| >= 1e-3 * 2^52
@@ -313,11 +329,11 @@ class Lattice:
                 f"z/s = {w!r} is too large to place in its cell: its rounding, "
                 f"{abs(w) * _ULP:.1e}, reaches the pole guard {guard:.1e}"
             )
-        return m, n, z_star, dist, guard
+        return m, n, z_star, dist
 
     def _too_near(self, what: str, dist: float) -> PoleProximity:
         """The error for what, at reduced-frame distance dist within the guard."""
-        return PoleProximity(f"{what} is within {dist * abs(self._s):.3e} of the lattice "
+        return PoleProximity(f"{what} is within {dist * self._s_abs:.3e} of the lattice "
                              f"(guard {DEFAULT_POLICY.pole_guard_radius:.1e})")
 
     def _point(self, z: complex) -> _Point:
@@ -341,8 +357,8 @@ class Lattice:
         """z placed in its cell (_place), the pole guard and one _point_values
         pass, not kept: for a Lattice that meets each z once, where keeping
         the point would cost a little on every call and never pay."""
-        m, n, z_star, dist, guard = self._place(z)
-        if dist < guard:
+        m, n, z_star, dist = self._place(z)
+        if dist < self._guard:
             raise self._too_near(f"z = {z}", dist)
         values = _point_values(self._tau_star, self._q, self._order, z_star, self._e2_star())
         return _Point(m, n, z_star, dist, *values)
@@ -380,7 +396,7 @@ class Lattice:
     def e2(self) -> complex:
         """E2 by inverting G2(gamma tau) = s^2 G2(tau) - pi*i*c*s."""
         s = self._s
-        g2 = ZETA2 * self._e2_star() + 1j * math.pi * self._gamma.c * s
+        g2 = ZETA2 * self._e2_star() + 1j * math.pi * self._gamma[2] * s
         return _divide_by_sk(g2, s, 2, "E2") / ZETA2
 
     def e4(self) -> complex:
@@ -411,14 +427,12 @@ class Lattice:
         Re(tau) = 1e9 costs the root sum four digits): (p + q*tau)/2 is
         s (p' + q'*tau*)/2 with (p', q') = (a*p - b*q, d*q - c*p) mod 2, a
         half period of the reduced cell.  One pass at each, on one E2 sum."""
-        gamma, tau_star = self._gamma, self._tau_star
-        guard = DEFAULT_POLICY.pole_guard_radius / abs(self._s)
+        (a, b, c, d), tau_star = self._gamma, self._tau_star
         values = []
         for p, q in ((1, 0), (0, 1), (1, 1)):
-            z_star = ((gamma.a * p - gamma.b * q) % 2
-                      + (gamma.d * q - gamma.c * p) % 2 * tau_star) / 2.0
+            z_star = ((a * p - b * q) % 2 + (d * q - c * p) % 2 * tau_star) / 2.0
             dist = _cell_distance(tau_star, z_star)
-            if dist < guard:
+            if dist < self._guard:
                 raise self._too_near(f"half period ({p} + {q}*tau)/2 of tau = {self._tau}", dist)
             wp = _point_values(tau_star, self._q, self._order, z_star, self._e2_star())[0]
             values.append(_divide_by_sk(wp, self._s, 2, "wp"))
@@ -427,12 +441,12 @@ class Lattice:
     def distance(self, z: complex) -> float:
         """Distance from z to the lattice, found in the reduced frame where
         the nearest-corner search is exact, then scaled back."""
-        return self._place(z)[3] * abs(self._s)
+        return self._place(z)[3] * self._s_abs
 
     def _tau_error(self, fn: str, value: complex) -> float:
         """est_error of value, this lattice's fn (e2, e4, e6, g2, g3 or delta):
         the rounding of tau* and of the s^k transport, floored at _EST_FLOOR."""
-        tau, tau_star, scale, c = self._tau, self._tau_star, abs(self._s), self._gamma.c
+        tau, tau_star, scale, c = self._tau, self._tau_star, self._s_abs, self._gamma[2]
         if fn == "delta":
             # Rounding relative to |delta|: in the eta product and the s^12
             # division (64), and in tau* through d(delta)/d(tau) =
@@ -459,11 +473,12 @@ class Lattice:
         return max(ensure_finite(est, f"est_error of {fn}"), _EST_FLOOR)
 
 
-def reduce_point(tau: complex, z: complex | None = None) -> ReductionResult:
-    """Full reduction: tau into the fundamental domain, then z/s into the cell."""
-    lat = Lattice(tau)
+def reduce_point(tau: complex | Lattice, z: complex | None = None) -> ReductionResult:
+    """Full reduction: tau into the fundamental domain, then z/s into the cell.
+    tau may be a Lattice the caller holds, whose reduction is read, not redone."""
+    lat = tau if isinstance(tau, Lattice) else Lattice(tau)
     m, n, z_star = (0, 0, None) if z is None else lat._place(z)[:3]
-    return ReductionResult(lat._gamma, lat._tau_star, m, n, z_star, lat._s)
+    return ReductionResult(UnimodularMatrix(*lat._gamma), lat._tau_star, m, n, z_star, lat._s)
 
 
 def lattice_distance(tau: complex, z: complex) -> float:

@@ -215,8 +215,9 @@ def _transported(rng: random.Random, count: int, identity, low: int, min_dist: f
     each at one point of its reduced cell carried back by s."""
     pairs = []
     for tau in _tau_samples(rng, count) + _low_tau_samples(rng, low):
-        rr = reduce_point(tau, 0)
-        pairs += identity(Lattice(tau), [_cell_point(rng, rr.tau_star, min_dist) * rr.scale])
+        lat = Lattice(tau)
+        rr = reduce_point(lat)
+        pairs += identity(lat, [_cell_point(rng, rr.tau_star, min_dist) * rr.scale])
     return pairs
 
 
@@ -325,7 +326,7 @@ def _s_law(lat: Lattice, zs):
     """(the wp oracle, wp at (tau*, z*) in the Lattice of tau*, s)."""
     (z,) = zs
     direct = wp_lattice_oracle(lat.tau, z, ORACLE_RADIUS)
-    rr = reduce_point(lat.tau, z)
+    rr = reduce_point(lat, z)
     yield direct, Lattice(rr.tau_star).wp(rr.z_star).value, rr.scale
 
 
@@ -383,17 +384,18 @@ def _case_duplication_formula(ctx: _Ctx):
 
 
 def _case_zeta_three_term(ctx: _Ctx):
+    """The residuals of [sum zeta]^2 - sum wp = 0, the identity; which form
+    fits better, minus or plus, is reported, not chosen."""
     pairs = _drawn(ctx.rng("threeterm"), 30, _three_term, 2, 0.08)
     minus_res = [abs(l - r) for l, r in pairs]
-    plus_res = [abs(l + r) for l, r in pairs]
-    minus_wins = max(minus_res) < max(plus_res)
-    ctx.resolved["three_term_sign"] = "minus" if minus_wins else "plus"
-    chosen = minus_res if minus_wins else plus_res
-    notes = (
-        f"[sum zeta]^2 {'-' if minus_wins else '+'} sum wp = 0 selected; "
-        f"rejected variant max residual {max(plus_res if minus_wins else minus_res):.3e}"
-    )
-    return chosen, notes
+    plus_max = max(abs(l + r) for l, r in pairs)
+    if max(minus_res) < plus_max:
+        ctx.resolved["three_term_sign"] = "minus"
+        notes = f"[sum zeta]^2 - sum wp = 0 selected; rejected variant max residual {plus_max:.3e}"
+    else:
+        ctx.resolved["three_term_sign"] = "plus"
+        notes = f"[sum zeta]^2 - sum wp = 0 checked; the plus form fits better ({plus_max:.3e})"
+    return minus_res, notes
 
 
 def _case_sine_limit(ctx: _Ctx):

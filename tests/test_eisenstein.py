@@ -2,14 +2,18 @@
 
 import cmath
 import math
+import random
+import struct
 
 import pytest
 
 from wpfield.eisenstein import (
+    _ORDER_BOUNDS,
     _TAIL_TARGET,
     ZETA2,
     ZETA6,
     _order,
+    _walk_order,
     lattice_sum_eisenstein,
     q_coefficients,
     sigma,
@@ -89,6 +93,47 @@ def test_series_order_equals_the_walk_from_one(tail):
         assert order >= _walk(q_abs, tail), q_abs
         assert tail(q_abs, order) <= _TAIL_TARGET, q_abs
     assert _order(0.0) == 1  # q underflows high in the cusp
+
+
+# The largest |q*| of the reduced domain, Im(tau*) >= sqrt(3)/2.
+Q_REDUCED = math.exp(-math.pi * math.sqrt(3.0))
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def test_the_order_table_is_rebuilt_from_the_walk():
+    # for each order, the largest |q| the walk sums to it or fewer, by
+    # bisection over the bit patterns of the doubles in [0, 1/2], which are
+    # ordered as the doubles are
+    half = struct.unpack("<q", struct.pack("<d", 0.5))[0]
+    bounds, lo = [], 0
+    for order in range(1, 11):
+        hi = half  # _walk_order(_double(lo)) <= order < _walk_order(_double(hi))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _walk_order(_double(mid)) <= order:
+                lo = mid
+            else:
+                hi = mid
+        bounds.append(_double(lo))
+    assert tuple(bounds) == _ORDER_BOUNDS
+
+
+def test_the_order_table_equals_the_walk():
+    # at each bound and one ulp either side, and on seeded |q| over the
+    # reduced domain, which the table covers
+    assert _ORDER_BOUNDS[-1] > Q_REDUCED
+    for bound in _ORDER_BOUNDS:
+        for q_abs in (math.nextafter(bound, 0.0), bound, math.nextafter(bound, 1.0)):
+            assert _order(q_abs) == _walk_order(q_abs), q_abs
+    rng = random.Random(5)
+    for _ in range(50_000):
+        q_abs = rng.uniform(0.0, Q_REDUCED)
+        assert _order(q_abs) == _walk_order(q_abs), q_abs
+        q_abs = Q_REDUCED * math.exp(-rng.uniform(0.0, 700.0))  # high in the cusp
+        assert _order(q_abs) == _walk_order(q_abs), q_abs
 
 
 def test_order_bounds_the_true_eisenstein_tails():

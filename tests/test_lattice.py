@@ -4,6 +4,7 @@ evaluators bit for bit, exceptions included."""
 import ast
 import cmath
 import collections
+import hashlib
 import math
 import random
 import sys
@@ -22,6 +23,8 @@ from wpfield.reduction import (
     half_periods,
     invariants_anywhere,
     lattice_distance,
+    reduce_point,
+    reduce_tau,
     wp_add,
     wp_anywhere,
     wp_prime_anywhere,
@@ -100,6 +103,74 @@ def test_lattice_equals_the_evaluators_on_the_eval_grid_inputs():
         _assert_lattice_matches(tau, zs)
 
 
+def _golden_sweep():
+    """2000 (tau, z): Random(2027), Im tau log-uniform in [1e-4, 5], Re tau in
+    [-1, 1], |z| = 85 sqrt(U); then edge points, where each raise of the
+    reduction, the split and the transports shows."""
+    rng = random.Random(2027)
+    for _ in range(2000):
+        tau = complex(rng.uniform(-1.0, 1.0), math.exp(rng.uniform(math.log(1e-4), math.log(5.0))))
+        yield tau, cmath.rect(85.0 * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi))
+    yield from [
+        (1e-320j, 0.3), (complex(1e-320, 1e-320), 0.3), (1e-20j, complex(0.1, 0.1)),
+        (complex(0.3, 1e-16), 0.2), (complex(-2.4396007645409723, 1e8), 0.3),
+        (1j, 1e13 + 0.5), (complex(-1.38324, 2.54795), complex(-1e200, -1.6708)),
+        (complex(0.1, 1e-9), 0.5), (complex(1e9, 1.0), complex(0.25, 0.1)),
+        (complex(0.3, math.inf), 0.2), (1j, complex(math.nan, 0.0)), (1e-300j, 1e-300),
+        (complex(0.5, math.sqrt(0.75)), 0.5), (complex(0.2, 1e-6), 1e250j),
+        # wp and zeta overflow in their transport, E2 in its own
+        (1e-155j, complex(-0.5, 3e-156)),
+    ]
+
+
+def _tau_errors(tau):
+    """The est_error the CLI reports for each function of tau alone."""
+    lat = Lattice(tau)
+    inv = lat.invariants()
+    values = {"e2": lat.e2(), "e4": lat.e4(), "e6": lat.e6(), "g2": inv.g2, "g3": inv.g3,
+              "delta": inv.delta}
+    return [lat._tau_error(fn, value) for fn, value in values.items()]
+
+
+def _golden_outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+# SHA-256 of the golden sweep's outcomes, recorded before the Lattice took
+# gamma as four ints, the order a table and the transports one finiteness
+# test: values, est_error and exceptions have not moved by a bit since.
+GOLDEN_SHA256 = "9acd602b61200e1f92f578cc29d29b2faf7e1b9b064f041d4b591e7bb5ce9cbc"
+
+
+def test_the_evaluators_match_the_golden_sweep_bit_for_bit():
+    lines = [
+        " ".join([_golden_outcome(fn, tau, z)
+                  for fn in (wp_anywhere, wp_prime_anywhere, zeta_anywhere, lattice_distance,
+                             reduce_point)]
+                 + [_golden_outcome(fn, tau)
+                    for fn in (e2_anywhere, e4_anywhere, e6_anywhere, invariants_anywhere,
+                               half_periods, _tau_errors)])
+        for tau, z in _golden_sweep()
+    ]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GOLDEN_SHA256
+
+
+def test_a_lattice_holds_the_walks_gamma_and_scale():
+    for tau, _ in _golden_sweep():
+        try:
+            gamma, tau_star = reduce_tau(tau)
+        except Exception as exc:  # noqa: BLE001 - the Lattice must raise it too
+            assert _outcome(Lattice, tau) == (type(exc), str(exc)), tau
+            continue
+        lat = Lattice(tau)
+        assert lat._gamma == (gamma.a, gamma.b, gamma.c, gamma.d), tau
+        assert repr((lat._tau_star, lat._s)) == repr((tau_star, gamma.scale(tau))), tau
+        assert lat._s_abs == abs(lat._s), tau
+
+
 @pytest.mark.parametrize(
     "tau, zs",
     [
@@ -135,7 +206,7 @@ def _count_calls(monkeypatch, name, modules):
 
 
 def test_one_reduction_and_one_e2_sum_for_a_hundred_points(monkeypatch):
-    reductions = _count_calls(monkeypatch, "reduce_tau", [reduction])
+    reductions = _count_calls(monkeypatch, "_walk", [reduction])
     sums = _count_calls(monkeypatch, "_e_series", [eisenstein, reduction])
     tau = complex(0.3, 0.4)
     rng = random.Random(3)
@@ -179,9 +250,10 @@ def test_the_suite_reuses_its_lattice_for_the_addition_formula(monkeypatch):
 def test_the_frame_stays_inside_reduction():
     # the other modules evaluate through Lattice and the public evaluators;
     # of reduction's private names they import only these two, and they
-    # read none of a Lattice's reduction (gamma, s, tau*, q*, the order, E2)
-    # or the points it keeps
-    frame = {"_tau", "_gamma", "_s", "_tau_star", "_q", "_order", "_e2", "_points"}
+    # read none of a Lattice's reduction (gamma, s, |s|, the scaled pole
+    # guard, tau*, q*, the order, E2) or the points it keeps
+    frame = {"_tau", "_gamma", "_s", "_s_abs", "_guard", "_tau_star", "_q", "_order", "_e2",
+             "_points"}
     for name in ("symbolic", "cli", "verify"):
         tree = ast.parse((ROOT / "src" / "wpfield" / f"{name}.py").read_text())
         private = {

@@ -497,7 +497,7 @@ def test_one_series_pass_per_point(monkeypatch):
 
 
 def test_eval_expr_reduces_each_point_once(monkeypatch):
-    calls = _count_calls(monkeypatch, "reduce_tau", [reduction])
+    calls = _count_calls(monkeypatch, "_walk", [reduction])
     tau, z = complex(0.3, 0.4), complex(4.3, 1.9)
     eval_expr(Z * TAU * WP * WP1 * ZETA * E2 * E4 * E6, tau, z)
     assert len(calls) == 1
@@ -505,7 +505,7 @@ def test_eval_expr_reduces_each_point_once(monkeypatch):
 
 def test_fd_check_in_z_reduces_tau_once(monkeypatch):
     # the symbolic value and the four differences share one frame and its E2
-    calls = _count_calls(monkeypatch, "reduce_tau", [reduction])
+    calls = _count_calls(monkeypatch, "_walk", [reduction])
     sums = _count_calls(monkeypatch, "_e_series", [eisenstein, reduction])
     fd_check(WP * ZETA + WP1 * E2, "z", complex(0.3, 0.4), complex(4.3, 1.9))
     assert len(calls) == 1
@@ -544,14 +544,15 @@ def test_eval_expr_single_generators_equal_the_evaluators(tau, z):
          *(f"cli-{fn}" for fn in cli._EVAL_FUNCTIONS)],
 )
 def test_entry_points_reduce_tau_once(evaluate, monkeypatch):
-    # the CLI would bind reduce_tau by import if it reduced tau itself
-    calls = _count_calls(monkeypatch, "reduce_tau", _bound_in("reduce_tau", cli, reduction))
+    # reduce_tau and Lattice both walk through reduction._walk, which the
+    # CLI would bind by import if it walked tau itself
+    calls = _count_calls(monkeypatch, "_walk", _bound_in("_walk", cli, reduction))
     evaluate(complex(0.3, 0.4), complex(4.3, 1.9))
     assert len(calls) == 1
 
 
 def test_wp_add_reduces_tau_once(monkeypatch):
-    calls = _count_calls(monkeypatch, "reduce_tau", [reduction])
+    calls = _count_calls(monkeypatch, "_walk", [reduction])
     tau, z1 = complex(0.3, 0.4), complex(0.21, 0.33)
     # the generic branch, then the duplication branch (z2 = z1 + 1 + tau):
     # the z1 +- z2 distances, both points and g2 come from one frame

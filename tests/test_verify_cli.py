@@ -80,6 +80,22 @@ def test_the_minus_form_of_wp_add_fails_duplication_formula(monkeypatch, seed):
     assert report.case("addition_formula").passed
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_plus_form_of_the_three_term_identity_fails_zeta_three_term(monkeypatch, seed):
+    # the case checks [sum zeta]^2 - sum wp = 0 whichever form it records as
+    # fitting better
+    three_term = verify._three_term
+
+    def plus_form(lat, zs):  # [sum zeta]^2 + sum wp = 0 holds
+        for lhs, rhs in three_term(lat, zs):
+            yield lhs, -rhs
+
+    monkeypatch.setattr(verify, "_three_term", plus_form)
+    report = run_identity_suite(seed=seed, only=["zeta_three_term"])
+    assert report.resolved["three_term_sign"] == "plus"
+    assert not report.case("zeta_three_term").passed
+
+
 def test_determinism_same_seed():
     a = run_identity_suite(seed=11, only=FAST_CASES)
     b = run_identity_suite(seed=11, only=FAST_CASES)
