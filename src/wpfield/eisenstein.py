@@ -78,8 +78,8 @@ def _walk_order(q_abs: float) -> int:
 
 
 # _ORDER_BOUNDS[N - 1] is the largest |q| that _walk_order sums to order N
-# or fewer, for N = 1..10: these cover the reduced domain, |q| <= 0.004333
-# = exp(-pi*sqrt(3)).  tests/test_eisenstein.py rebuilds them from the walk.
+# or fewer, for N = 1..10: these cover the reduced domain, where a Lattice's
+# |q*| <= 0.0043334.  tests/test_eisenstein.py rebuilds them from the walk.
 _ORDER_BOUNDS = (1.0078604510374843e-20, 1.0039225323381793e-10, 2.160064750954656e-07,
                  1.0019568368651162e-05, 8.671505378290265e-05, 0.0002890395999997156,
                  0.0007241006599708073, 0.0014946636463133037, 0.002688744813645039,
@@ -87,12 +87,9 @@ _ORDER_BOUNDS = (1.0078604510374843e-20, 1.0039225323381793e-10, 2.1600647509546
 
 
 def _order(q_abs: float) -> int:
-    """The one series order at nome modulus q_abs < 1, _walk_order's answer:
-    on the reduced domain the count of _ORDER_BOUNDS below q_abs, plus one;
-    past the table, the walk itself."""
-    if q_abs <= _ORDER_BOUNDS[-1]:
-        return bisect_left(_ORDER_BOUNDS, q_abs) + 1
-    return _walk_order(q_abs)
+    """The one series order at a reduced nome modulus q_abs, _walk_order's
+    answer: the count of _ORDER_BOUNDS below q_abs, plus one."""
+    return bisect_left(_ORDER_BOUNDS, q_abs) + 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,7 +265,6 @@ _Q_SERIES = {
 }
 
 
-@lru_cache(maxsize=None)
 def _coefficients(kind: str, order: int) -> tuple[int, ...]:
     scale, power = _Q_SERIES[kind]
     return (1,) + tuple(scale * sigma(n, power) for n in range(1, order + 1))

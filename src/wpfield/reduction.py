@@ -177,36 +177,6 @@ def _walk(tau: complex) -> tuple[int, int, int, int, complex]:
     raise NonTermination(f"tau reduction did not settle after {_MAX_REDUCTION_STEPS} steps")
 
 
-def reduce_z(tau: complex, z: complex) -> tuple[int, int, complex]:
-    """Split z = z* + m + n*tau with z* in the half-open period cell: both
-    lattice coordinates (a, b) of z*, z* = a*tau + b, lie in [0, 1).
-
-    Returns (m, n, z*): m strips integer multiples of 1, n of tau.
-    """
-    return _reduce_z(require_upper_half(tau), complex(z))
-
-
-def _reduce_z(tau: complex, z: complex) -> tuple[int, int, complex]:
-    """reduce_z for a tau already checked and a complex z.
-
-    A coordinate just below an integer can round the subtraction onto the
-    far edge of the cell (a or b = 1): such a z* moves to the near edge.
-    There, and where z is within a rounding of the near edge, the
-    subtraction can round b just below 0, so b is pinned at 0."""
-    a, b = _coords(tau, z)
-    n = math.floor(a)
-    m = math.floor(b)
-    z_star = z - m - n * tau
-    if z_star.imag >= tau.imag:
-        n, z_star = n + 1, z_star - tau
-    shear = z_star.imag / tau.imag * tau.real
-    if z_star.real - shear >= 1.0:
-        m, z_star = m + 1, z_star - 1.0
-    if z_star.real < shear:
-        z_star = complex(shear, z_star.imag)
-    return m, n, z_star
-
-
 def _cell_distance(tau_star: complex, z_star: complex) -> float:
     """The distance from z* in its cell to Z + tau*Z: tau* is reduced, so the
     nearest lattice point is a corner, written as nb + na*tau* there, and
@@ -313,21 +283,35 @@ class Lattice:
         return self._e2
 
     def _place(self, z: complex) -> tuple[int, int, complex, float]:
-        """(m, n, z*, dist): the one split z/s = z* + m + n*tau* and the
-        lattice distance of z*.  ConvergenceDomain when z has lost its place
-        in its cell."""
+        """(m, n, z*, dist): the one split z/s = z* + m + n*tau*, with both
+        coordinates (a, b) of z* = a*tau* + b in [0, 1), and the lattice
+        distance of z*.  A z* that the subtraction rounds onto the far edge
+        (a or b = 1) moves to the near edge; there, and within a rounding of
+        it, b can round just below 0 and is pinned at 0.  ConvergenceDomain
+        when z has lost its place in its cell."""
         w = complex(z) / self._s
-        m, n, z_star = _reduce_z(self._tau_star, w)
-        dist = _cell_distance(self._tau_star, z_star)
+        tau_star = self._tau_star
+        a, b = _coords(tau_star, w)
+        n = math.floor(a)
+        m = math.floor(b)
+        z_star = w - m - n * tau_star
+        if z_star.imag >= tau_star.imag:
+            n, z_star = n + 1, z_star - tau_star
+        shear = z_star.imag / tau_star.imag * tau_star.real
+        if z_star.real - shear >= 1.0:
+            m, z_star = m + 1, z_star - 1.0
+        if z_star.real < shear:
+            z_star = complex(shear, z_star.imag)
+        dist = _cell_distance(tau_star, z_star)
         guard = self._guard
         # the pole guard refuses a z* split out of its cell (dist 0); one the
         # split kept in its cell has still lost its place there once the
         # rounding of z/s reaches the guard, i.e. once |z| >= 1e-3 * 2^52
-        # whatever s is
-        if dist >= guard and abs(w) * _ULP >= guard:
+        # whatever s is (w scaled first: abs cannot overflow at |w| > 1.8e308)
+        if dist >= guard and abs(w * _ULP) >= guard:
             raise ConvergenceDomain(
                 f"z/s = {w!r} is too large to place in its cell: its rounding, "
-                f"{abs(w) * _ULP:.1e}, reaches the pole guard {guard:.1e}"
+                f"{abs(w * _ULP):.1e}, reaches the pole guard {guard:.1e}"
             )
         return m, n, z_star, dist
 

@@ -41,6 +41,7 @@ import re
 import struct
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from operator import add, mul, or_, sub, truediv
 
 from .core import ensure_finite, require_upper_half
@@ -71,6 +72,10 @@ _SINGULAR_FLOOR = 1e-12
 # may take.  The parser accepts any integer exponent, and (pi-E4)^-2112
 # multiplied out in full did not finish within 5 s.
 _POWER_BUDGET = 50_000
+
+# The most bits the largest coefficients of its two operands may have between
+# them: 4300 digits, what str(int) prints.  3^100000000 did not end in 114 s.
+_POWER_BITS = int(4300 * math.log2(10))
 
 # wp, wp1, zeta, E2, E4, E6: the generators read off a Lattice.
 _FRAME_GENERATORS = frozenset(range(2, 8))
@@ -382,11 +387,15 @@ def _kept_base(a: Expr, b: Expr) -> tuple[dict, int] | None:
 
 def _power_product(a: Expr, b: Expr) -> Expr:
     """a * b inside Expr.__pow__, refused with ValueError when either side
-    would take more than _POWER_BUDGET term products."""
+    would take more than _POWER_BUDGET term products, or the operands'
+    largest coefficient components have more than _POWER_BITS between them."""
     products = max(len(a._num) * len(b._num), len(a._den) * len(b._den))
     if products > _POWER_BUDGET:
         raise ValueError(f"power too large: one product would take {products} term "
                          f"products, above {_POWER_BUDGET}")
+    bits = sum(max(map(int.bit_length, chain(*e._num.values(), *e._den.values()))) for e in (a, b))
+    if bits > _POWER_BITS:
+        raise ValueError(f"power too large: its coefficients have {bits} bits, above {_POWER_BITS}")
     return a * b
 
 

@@ -29,6 +29,7 @@ from .eisenstein import (
 from .errors import WPFieldError
 from .reduction import (
     Lattice,
+    UnimodularMatrix,
     _cell_distance,
     _wp_add,
     e2_anywhere,
@@ -266,9 +267,10 @@ def _quasimodular(lat: Lattice, zs):
     """G2(gamma tau) = s^2 G2(tau) - pi*i*c*s for gamma in S, T S, S T^-1."""
     tau = lat.tau
     g2_tau = ZETA2 * lat.e2()
-    for a, b, c, d in ((0, -1, 1, 0), (1, -1, 1, 0), (0, -1, 1, -1)):
-        s = c * tau + d
-        yield ZETA2 * e2_anywhere((a * tau + b) / s), s * s * g2_tau - 1j * math.pi * c * s
+    inversion, translation = UnimodularMatrix.inversion(), UnimodularMatrix.translation
+    for gamma in (inversion, translation(1) @ inversion, inversion @ translation(-1)):
+        s = gamma.scale(tau)
+        yield ZETA2 * e2_anywhere(gamma.mobius(tau)), s * s * g2_tau - 1j * math.pi * gamma.c * s
 
 
 def _root_sum(lat: Lattice, zs):

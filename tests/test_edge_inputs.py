@@ -17,7 +17,7 @@ from wpfield.reduction import (
     wp_prime_anywhere,
     zeta_anywhere,
 )
-from wpfield.symbolic import E2, E4, E6, TAU, WP, WP1, ZETA, Z, eval_expr
+from wpfield.symbolic import E2, E4, E6, TAU, WP, WP1, ZETA, Z, eval_expr, fd_check
 
 # Parts of tau, z1 and z2: NaN, infinities, signed zeros, subnormals, and
 # magnitudes where -1/tau, s^k, exp(2*pi*i*z) or a lattice coordinate
@@ -40,6 +40,16 @@ ENTRY_POINTS = (
     lambda tau, z1, z2: lattice_distance(tau, z1),
     lambda tau, z1, z2: wp_add(tau, z1, z2),
     lambda tau, z1, z2: eval_expr(EVERY_GENERATOR, tau, z1),
+    lambda tau, z1, z2: fd_check(WP, "z", tau, z1),
+)
+
+# (tau, z1, z2) with finite parts where |z1| or |z1 + z2| passes the largest
+# double, where abs() raises OverflowError.  EDGE_PARTS stops at 1e300, so
+# the seeded sweep never draws them.
+HUGE_MODULI = (
+    (complex(1e-300, 1e300), complex(-1.7e308, 1.7e308), complex(-1.7e308, 1.7e308)),
+    (complex(1e300, 1e300), 1e-300j, complex(1.7e308, 1.7e308)),
+    (1j, complex(1.7e308, -1.7e308), 0.3 + 0j),
 )
 
 
@@ -49,14 +59,11 @@ def _part(rng):
     return rng.uniform(-3.0, 3.0)
 
 
-def test_edge_inputs_raise_only_library_errors():
-    # Such inputs can overflow cmath.exp in the series setup or s^k in the
-    # transport, and divide by 0 in the series sums or in wp_add's slope;
-    # each of these must surface as a library error.
-    rng = random.Random(5)
+def _leaks(inputs):
+    """{(entry point, exception class): (tau, z1, z2)} for each exception an
+    entry point raised on inputs that is not a library error."""
     leaks = {}
-    for _ in range(1800):
-        tau, z1, z2 = (complex(_part(rng), _part(rng)) for _ in range(3))
+    for tau, z1, z2 in inputs:
         for k, evaluate in enumerate(ENTRY_POINTS):
             try:
                 evaluate(tau, z1, z2)
@@ -64,4 +71,17 @@ def test_edge_inputs_raise_only_library_errors():
                 pass
             except Exception as exc:  # noqa: BLE001 - any other class is the failure
                 leaks.setdefault((k, type(exc).__name__), (tau, z1, z2))
-    assert leaks == {}
+    return leaks
+
+
+def test_edge_inputs_raise_only_library_errors():
+    # Such inputs can overflow cmath.exp in the series setup or s^k in the
+    # transport, and divide by 0 in the series sums or in wp_add's slope;
+    # each of these must surface as a library error.
+    rng = random.Random(5)
+    assert _leaks([tuple(complex(_part(rng), _part(rng)) for _ in range(3))
+                   for _ in range(1800)]) == {}
+
+
+def test_a_modulus_past_the_largest_double_raises_a_library_error():
+    assert _leaks(HUGE_MODULI) == {}

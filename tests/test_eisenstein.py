@@ -12,6 +12,8 @@ from wpfield.eisenstein import (
     _TAIL_TARGET,
     ZETA2,
     ZETA6,
+    _coefficients,
+    _horner,
     _order,
     _walk_order,
     lattice_sum_eisenstein,
@@ -19,6 +21,7 @@ from wpfield.eisenstein import (
     sigma,
 )
 from wpfield.reduction import Lattice, invariants_anywhere
+from wpfield.verify import run_identity_suite
 
 RHO = cmath.exp(1j * math.pi / 3.0)
 
@@ -88,11 +91,11 @@ def test_series_order_equals_the_walk_from_one(tail):
     # the closed-form start may skip steps of the walk over both tails but
     # never its answer, and that order bounds this tail on its own
     for q_abs in Q_GRID:
-        order = _order(q_abs)
+        order = _walk_order(q_abs)
         assert order == _walk(q_abs, _e6_tail, _kernel_tail), q_abs
         assert order >= _walk(q_abs, tail), q_abs
         assert tail(q_abs, order) <= _TAIL_TARGET, q_abs
-    assert _order(0.0) == 1  # q underflows high in the cusp
+    assert _walk_order(0.0) == 1  # q underflows high in the cusp
 
 
 # The largest |q*| of the reduced domain, Im(tau*) >= sqrt(3)/2.
@@ -125,6 +128,7 @@ def test_the_order_table_equals_the_walk():
     # at each bound and one ulp either side, and on seeded |q| over the
     # reduced domain, which the table covers
     assert _ORDER_BOUNDS[-1] > Q_REDUCED
+    assert _order(0.0) == _walk_order(0.0) == 1  # q underflows high in the cusp
     for bound in _ORDER_BOUNDS:
         for q_abs in (math.nextafter(bound, 0.0), bound, math.nextafter(bound, 1.0)):
             assert _order(q_abs) == _walk_order(q_abs), q_abs
@@ -136,11 +140,21 @@ def test_the_order_table_equals_the_walk():
         assert _order(q_abs) == _walk_order(q_abs), q_abs
 
 
+def test_q_coefficients_keep_nothing_and_the_lattice_tables_stay_small():
+    # only _horner keeps its tables, and only a Lattice fills it: three
+    # kinds at the ten orders of the reduced domain at most
+    run_identity_suite(1)
+    for order in range(200):
+        q_coefficients("e4", order)
+    assert not hasattr(_coefficients, "cache_info")
+    assert _horner.cache_info().currsize <= 30
+
+
 def test_order_bounds_the_true_eisenstein_tails():
     # the coefficients themselves, not the n^6 majorant, summed past the order
     worst = 0.0
     for q_abs in Q_GRID:
-        order = _order(q_abs)
+        order = _walk_order(q_abs)
         for kind in ("e2", "e4", "e6"):
             coeffs = q_coefficients(kind, 3 * order + 60)
             tail = sum(abs(c) * q_abs**n for n, c in enumerate(coeffs) if n > order)

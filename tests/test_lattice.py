@@ -14,7 +14,7 @@ import pytest
 
 import wpfield
 from wpfield import eisenstein, reduction, verify
-from wpfield.errors import PoleProximity
+from wpfield.errors import PoleProximity, WPFieldError
 from wpfield.reduction import (
     Lattice,
     e2_anywhere,
@@ -169,6 +169,29 @@ def test_a_lattice_holds_the_walks_gamma_and_scale():
         assert lat._gamma == (gamma.a, gamma.b, gamma.c, gamma.d), tau
         assert repr((lat._tau_star, lat._s)) == repr((tau_star, gamma.scale(tau))), tau
         assert lat._s_abs == abs(lat._s), tau
+
+
+def test_every_lattice_sums_within_the_order_table():
+    # _order is the table alone: the walk leaves Im(tau*) >= sqrt(3/4 - 1e-12)
+    # (reduction._CIRCLE_EPS), so |q*| <= 0.0043334 < _ORDER_BOUNDS[-1].
+    # Checked on the golden sweep's tau, on seeded tau down to Im tau = 1e-4,
+    # and within 1e-12 inside and outside the unit arc at rho, -conj(rho), i
+    rng = random.Random(28)
+    taus = [tau for tau, _ in _golden_sweep()]
+    taus += [complex(rng.uniform(-3.0, 3.0), math.exp(rng.uniform(math.log(1e-4), math.log(5.0))))
+             for _ in range(10_000)]
+    for corner in (cmath.exp(2j * math.pi / 3.0), cmath.exp(1j * math.pi / 3.0), 1j):
+        taus += [corner * r for r in (1.0 - 1e-12, 1.0 - 4e-13, 1.0, 1.0 + 4e-13, 1.0 + 1e-12)]
+        taus += [corner + d for d in (1e-12, -1e-12, 4e-13, -4e-13)]
+    worst = 0.0
+    for tau in taus:
+        try:
+            lat = Lattice(tau)
+        except (WPFieldError, ValueError):
+            continue
+        assert abs(lat._q) <= eisenstein._ORDER_BOUNDS[-1] and lat._order <= 10, tau
+        worst = max(worst, abs(lat._q))
+    assert 0.0043334 < worst <= 0.0043335
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,6 @@ from wpfield.reduction import (
     lattice_distance,
     reduce_point,
     reduce_tau,
-    reduce_z,
     wp_add,
     wp_anywhere,
     wp_prime_anywhere,
@@ -129,10 +128,18 @@ def test_integer_walk_equals_the_matrix_product_walk():
             reduce_tau(tau)
 
 
-def test_reduce_z_splits_exactly():
+def _split(tau, z):
+    """reduce_point's (m, n, z*) at a reduced tau, where gamma = I and s = 1,
+    so z/s = z and z* is the split of z itself."""
+    rr = reduce_point(tau, z)
+    assert rr.gamma == UnimodularMatrix.identity() and rr.scale == 1.0, tau
+    return rr.m, rr.n, rr.z_star
+
+
+def test_reduce_point_splits_a_reduced_tau_exactly():
     tau = complex(-0.2, 1.6)
     z = complex(3.7, -2.9)
-    m, n, z_star = reduce_z(tau, z)
+    m, n, z_star = _split(tau, z)
     a, b = _coords(tau, z_star)
     assert 0.0 <= a < 1.0 and 0.0 <= b < 1.0
     assert abs(z_star + m + n * tau - z) < 1e-12
@@ -140,12 +147,12 @@ def test_reduce_z_splits_exactly():
 
 @pytest.mark.parametrize("z", [complex(0.5, -1e-17), -1e-17 + 0.5 * complex(0.1, 1.3)],
                          ids=["a-edge", "b-edge"])
-def test_reduce_z_moves_a_far_edge_point_to_the_near_edge(z):
+def test_reduce_point_moves_a_far_edge_point_to_the_near_edge(z):
     # a coordinate a rounding below an integer rounds the subtraction onto
     # a or b = 1; at a = 1, |q/u| = 1 and the pass refused a point 0.5 from
     # the lattice
     tau = complex(0.1, 1.3)
-    m, n, z_star = reduce_z(tau, z)
+    m, n, z_star = _split(tau, z)
     a, b = _coords(tau, z_star)
     assert 0.0 <= a < 1.0 and 0.0 <= b < 1.0
     assert abs(z_star + m + n * tau - z) < 1e-15
@@ -155,7 +162,7 @@ def test_reduce_z_moves_a_far_edge_point_to_the_near_edge(z):
         assert abs(evaluate(tau, z).value - want) <= 1e-13 * abs(want)
 
 
-def test_reduce_z_pins_near_edge_points_in_the_cell():
+def test_reduce_point_pins_near_edge_points_in_the_cell():
     # 200000 points (m0 + eps_b) + (n0 + eps_a) tau at 200 reduced tau, each
     # eps one of 0, +-1e-17, +-1e-16 or U(0, 1): the subtraction rounds b a
     # rounding below 0 at about one point in five unless b is pinned at 0
@@ -167,10 +174,12 @@ def test_reduce_z_pins_near_edge_points_in_the_cell():
         tau = 0.5j
         while abs(tau) < 1.0:
             tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 3.0))
+        lat = Lattice(tau)
+        assert lat._gamma == (1, 0, 0, 1), tau
         for k in range(1000):
             m0, n0 = k % 13 - 6, k // 13 % 13 - 6
             z = (m0 + eps[k]) + (n0 + eps[(7 * k + 3) % 1009]) * tau
-            _, _, z_star = reduce_z(tau, z)
+            z_star = reduce_point(lat, z).z_star
             a, b = _coords(tau, z_star)
             assert 0.0 <= a < 1.0 and 0.0 <= b < 1.0, (tau, z)
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,18 @@ def test_power_past_the_budget_is_refused():
     with pytest.raises(ValueError, match="power too large"):
         parse_expr("--+(pi-E4)^-2112")
     assert len(((PI - E4) ** 200)._num) == 201
+
+
+def test_power_with_huge_coefficients_is_refused():
+    # the term budget passes a constant: 3^10000000 took 5.1 s to square out,
+    # and 3^100000000 did not finish in 114 s
+    for text in ("3^10000000", "3^100000000"):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="power too large"):
+            parse_expr(text)
+        assert time.perf_counter() - t0 < 1.0, text
+    # a power of 4295 digits, within the 4300 that str(int) prints, parses
+    assert len(expr_to_text(parse_expr("3^9000"))) == 4295
 
 
 def test_power_zero_and_negative():

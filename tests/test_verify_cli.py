@@ -331,6 +331,15 @@ def test_cli_eval_weight_factor_underflow_is_exit_3(capsys, argv):
     assert json.loads(err)["error"] == "NonFiniteValue"
 
 
+def test_cli_eval_modulus_past_the_largest_double_is_exit_3(capsys):
+    # both parts of z are finite, but |z| is not: abs(z) raised OverflowError
+    code, out, err = run_cli(capsys, ["eval", "--fn", "wp", "--tau", "1e-300,1e300",
+                                      "--z", "-1.7e308,1.7e308"])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "ConvergenceDomain"
+
+
 def test_cli_reduce_overflowing_tau_star_is_exit_3(capsys):
     code, out, err = run_cli(capsys, ["reduce", "--tau", "0,1e-320"])
     assert code == 3
@@ -436,6 +445,17 @@ def test_cli_diff_power_past_the_budget_exit_3(capsys):
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, ["diff", "--expr", "--+(pi-E4)^-2112", "--var", "z"])
     assert time.perf_counter() - t0 < 0.1
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_cli_diff_power_with_huge_coefficients_exit_3(capsys):
+    # 3^100000000 squares its way through integers of 1.6e8 bits: it was
+    # still running after 20 s
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, ["diff", "--expr", "3^100000000*wp", "--var", "z"])
+    assert time.perf_counter() - t0 < 1.0
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == "ValueError"
