@@ -32,6 +32,14 @@ Fraction) pairs.  The set is closed under d/dz and d/dtau:
 g2, g3, delta are abbreviations: g2 = (4 pi^4/3) E4, g3 = (8 pi^6/27) E6,
 delta = g2^3 - 27 g3^2.  The classical route through d/dg2 and d/dg3 gives the
 same rules divided by delta, which cancels badly in double precision.
+
+parse_expr reads the printed text back.  The values on its stack are
+polynomial pairs (num, den), formed by the products and sums Expr arithmetic
+takes and canonicalized once, at the end, and a sum over integer
+denominators adds into one numerator in place, so parse time is linear in
+the text.  Every product it forms passes the checks of a power step
+(_POWER_BUDGET term products, _POWER_BITS coefficient bits), and its integer
+literals are ASCII digits.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import struct
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from operator import add, mul, or_, sub, truediv
+from operator import or_
 
 from .core import ensure_finite, require_upper_half
 from .errors import NearSingular, NonFiniteValue
@@ -385,17 +393,33 @@ def _kept_base(a: Expr, b: Expr) -> tuple[dict, int] | None:
     return a._base if a._base and b.used_generators() <= {_PI} else None
 
 
-def _power_product(a: Expr, b: Expr) -> Expr:
-    """a * b inside Expr.__pow__, refused with ValueError when either side
-    would take more than _POWER_BUDGET term products, or the operands'
-    largest coefficient components have more than _POWER_BITS between them."""
-    products = max(len(a._num) * len(b._num), len(a._den) * len(b._den))
+def _bits(num: dict, den: dict) -> int:
+    """The bit length of the largest coefficient component of num and den."""
+    return max(map(int.bit_length, chain(*num.values(), *den.values())))
+
+
+def _check_budget(what: str, products: int, bits: int) -> None:
+    """ValueError when one side of a product would take more than
+    _POWER_BUDGET term products, or the operands' largest coefficient
+    components have more than _POWER_BITS between them."""
     if products > _POWER_BUDGET:
-        raise ValueError(f"power too large: one product would take {products} term "
+        raise ValueError(f"{what} too large: one product would take {products} term "
                          f"products, above {_POWER_BUDGET}")
-    bits = sum(max(map(int.bit_length, chain(*e._num.values(), *e._den.values()))) for e in (a, b))
     if bits > _POWER_BITS:
-        raise ValueError(f"power too large: its coefficients have {bits} bits, above {_POWER_BITS}")
+        raise ValueError(f"{what} too large: its coefficients have {bits} bits, "
+                         f"above {_POWER_BITS}")
+
+
+def _term_products(p: dict, q: dict) -> int:
+    """The term products of p * q that count against _POWER_BUDGET: none when
+    a side is one term, which only scales and shifts the other."""
+    return len(p) * len(q) if len(p) > 1 < len(q) else 0
+
+
+def _power_product(a: Expr, b: Expr) -> Expr:
+    """a * b inside Expr.__pow__, under _check_budget."""
+    _check_budget("power", max(_term_products(a._num, b._num), _term_products(a._den, b._den)),
+                  _bits(a._num, a._den) + _bits(b._num, b._den))
     return a * b
 
 
@@ -734,19 +758,147 @@ def expr_to_text(e: Expr) -> str:
     return f"({num_s}/{_poly_text(e._den, n)})"
 
 
-_TOKEN = re.compile(r"\d+|\w+|\S")
-_ATOMS = dict(zip(GEN_NAMES, (Z, TAU, WP, WP1, ZETA, E2, E4, E6, PI)), I=I)
-_BINARY = {"+": (0, add), "-": (0, sub), "*": (1, mul), "/": (1, truediv)}
+# The parser's values are raw quotients (num, den, bits, own).  num and den
+# are Gaussian-integer polynomials formed by the products and sums Expr
+# arithmetic takes, but never canonicalized: each pair is a nonzero scalar
+# multiple of the Expr that arithmetic would hold at that point, with the same
+# keys in the same order, so one _canonical at the end gives that Expr.  A
+# numerator that cancels to zero takes _UNIT_DEN as its denominator, as
+# _canonical gives it.  bits bounds the bit length of every coefficient
+# component of num and den.  own is True when num was made by the parser and
+# nothing else holds it, so a sum may add into it in place.
+_TOKEN = re.compile(r"[0-9]+|\w+|\S", re.ASCII)
+_ATOMS = {name: ({1 << _SHIFT[k]: (1, 0)}, _UNIT_DEN, 1, False) for k, name in enumerate(GEN_NAMES)}
+_ATOMS["I"] = ({_UNIT_MONO: (0, 1)}, _UNIT_DEN, 1, False)
+_RAW_ZERO = ({}, _UNIT_DEN, 1, False)
+_RAW_ONE = ({_UNIT_MONO: (1, 0)}, _UNIT_DEN, 1, False)
+
+
+def _is_int(tok: str) -> bool:
+    """An INT of the grammar: ASCII digits only, where str.isdigit also takes
+    the other scripts' digits and superscripts."""
+    return tok.isdigit() and tok.isascii()
+
+
+def _int_den(den: dict) -> int:
+    """d when den is the constant polynomial d, a positive integer; else 0."""
+    if len(den) == 1:
+        c = den.get(_UNIT_MONO)
+        if c is not None and not c[1] and c[0] > 0:
+            return c[0]
+    return 0
+
+
+def _raw_sum(a: tuple, b: tuple, negate: bool) -> tuple:
+    """a + b, or a - b when negate.  Over two positive integer denominators
+    the numerators fold by their lcm, b's terms added into a's numerator,
+    in place when the parser owns it and the lcm is a's denominator;
+    Expr.__add__ would give the same keys in the same order.  Any other pair
+    is canonicalized first, so a common scalar its pairs carry does not
+    multiply up from sum to sum, and cross-multiplies as Expr.__add__ does."""
+    an, ad, abits, own = a
+    bn, bd, bbits, _ = b
+    da = 1 if ad is _UNIT_DEN else _int_den(ad)
+    db = 1 if bd is _UNIT_DEN else _int_den(bd)
+    if da and db:
+        lcm = da if da == db else math.lcm(da, db)
+        fa, fb = lcm // da, lcm // db
+        if fa == 1:
+            num = an if own else dict(an)
+        else:
+            num = {mono: (x * fa, y * fa) for mono, (x, y) in an.items()}
+        if negate:
+            fb = -fb
+        for mono, (x, y) in bn.items():
+            x, y = x * fb, y * fb
+            s = num.get(mono)
+            if s is not None:
+                x += s[0]
+                y += s[1]
+                if not (x or y):
+                    del num[mono]
+                    continue
+            num[mono] = (x, y)
+        den = ad if fa == 1 else {_UNIT_MONO: (lcm, 0)}
+        bits = max(abits + fa.bit_length(), bbits + fb.bit_length()) + 1
+    else:
+        (an, ad), (bn, bd) = _canonical(an, ad), _canonical(bn, bd)
+        products = len(an) * len(bd) + len(bn) * len(ad) + len(ad) * len(bd)
+        num = _p_add(_p_mul(an, bd), _p_mul(_p_neg(bn) if negate else bn, ad))
+        den = _p_mul(ad, bd)
+        bits = _bits(an, ad) + _bits(bn, bd) + 1 + products.bit_length()
+    return (num, den, bits, True) if num else _RAW_ZERO
+
+
+def _raw_product(a: tuple, b: tuple, divide: bool) -> tuple:
+    """a * b, or a / b when divide, as Expr.__mul__ and Expr.__truediv__ form
+    it, refused as a power step is.  The bit check is judged on canonical
+    operands: the raw ones may carry a common scalar that canonical form
+    drops, so they are canonicalized, and checked again, only when the bound
+    and then the exact count on the raw ones fail."""
+    an, ad, abits, _ = a
+    bn, bd, bbits, _ = b
+    if divide:
+        if not bn:
+            raise ZeroDivisionError("division by zero expression")
+        products = max(_term_products(an, bd), _term_products(ad, bn))
+    else:
+        products = max(_term_products(an, bn), _term_products(ad, bd))
+    bits = abits + bbits
+    if bits > _POWER_BITS:
+        bits = _bits(an, ad) + _bits(bn, bd)
+        if bits > _POWER_BITS:
+            (an, ad), (bn, bd) = _canonical(an, ad), _canonical(bn, bd)
+            bits = _bits(an, ad) + _bits(bn, bd)
+    _check_budget("product", products, bits)
+    if divide:
+        bn, bd = bd, bn
+    num = _p_mul(an, bn)
+    den = _p_mul(ad, bd)
+    if not num:
+        return _RAW_ZERO
+    return num, den, bits + 1 + products.bit_length(), num is not an and num is not bn
+
+
+def _raw_power(atom: tuple, exponent: int, gen: int | None) -> tuple:
+    """atom ** exponent.  A bare generator (gen, its index) is one shifted
+    monomial; any other atom is canonicalized and raised by Expr.__pow__,
+    with its checks."""
+    if gen is None:
+        e = Expr._new(atom[0], atom[1]) ** exponent
+        return e._num, e._den, _bits(e._num, e._den), False
+    if not exponent:
+        return _RAW_ONE
+    if abs(exponent) > _MAX_EXPONENT:
+        raise _overflow((_MAX_EXPONENT + 1) << _SHIFT[gen])
+    mono = {abs(exponent) << _SHIFT[gen]: (1, 0)}
+    return (mono, _UNIT_DEN, 1, True) if exponent > 0 else (_RAW_ONE[0], mono, 1, False)
+
+
+# The operator stack holds (precedence, function, flag) entries: the binary
+# operators, _SIGN for a pending unary minus, which binds looser than '^' and
+# tighter than '*', and two entries that bind nothing, _OPEN for '(' and
+# _BOTTOM under them all.
+_BINARY = {"+": (0, _raw_sum, False), "-": (0, _raw_sum, True),
+           "*": (1, _raw_product, False), "/": (1, _raw_product, True)}
+_SIGN = (2, None, None)
+_OPEN = (-1, None, None)
+_BOTTOM = (-2, None, None)
 
 
 def _reduce(values: list, ops: list, prec: int) -> None:
-    """Apply the stacked binary operators that bind at least as tightly as prec."""
-    while ops and ops[-1] in _BINARY and _BINARY[ops[-1]][0] >= prec:
-        rhs = values.pop()
-        values[-1] = _BINARY[ops.pop()][1](values[-1], rhs)
+    """Apply the stacked operators that bind at least as tightly as prec."""
+    while ops[-1][0] >= prec:
+        op = ops.pop()
+        if op is _SIGN:
+            num, den, bits, _ = values[-1]
+            values[-1] = (_p_neg(num), den, bits, True)
+        else:
+            rhs = values.pop()
+            values[-1] = op[1](values[-1], rhs, op[2])
 
 
-def _parse(text: str) -> Expr:
+def _parse(text: str) -> tuple:
     """One pass over the tokens with a value stack and an operator stack, for
 
         expr  := term (('+' | '-') term)*
@@ -754,62 +906,63 @@ def _parse(text: str) -> Expr:
         unary := ('+' | '-')* atom ('^' '-'? INT)?
         atom  := INT | NAME | '(' expr ')'
 
-    Binary operators are left-associative.  A sign binds looser than '^' and
-    tighter than '*', so -wp^2 is -(wp^2) and -wp*zeta is (-wp)*zeta.  Nothing
-    recurses, so the nesting depth is unbounded."""
-    tokens = _TOKEN.findall(text)
-    values: list[Expr] = []
-    ops: list[str] = []  # binary operators, '(' and '~' for a pending sign
-    k, n = 0, len(tokens)
+    INT is ASCII digits.  Binary operators are left-associative.  A sign binds
+    looser than '^' and tighter than '*', so -wp^2 is -(wp^2) and -wp*zeta is
+    (-wp)*zeta.  Nothing recurses, so the nesting depth is unbounded.  The
+    result is a raw quotient."""
+    values: list[tuple] = []
+    ops: list[tuple] = [_BOTTOM]
     operand = True  # an atom, a sign or '(' comes next
+    base = None  # the token of the atom a '^' would raise, None once raised
+    tokens = _TOKEN.findall(text)
+    k, n = 0, len(tokens)
     while k < n:
         tok = tokens[k]
         k += 1
         if operand:
-            if tok in ("-", "("):
-                ops.append("~" if tok == "-" else tok)
-                continue
-            if tok == "+":
-                continue
-            if tok in _ATOMS:
-                atom = _ATOMS[tok]
-            elif tok.isdecimal():
-                v = int(tok)
-                atom = Expr._new({_UNIT_MONO: (v, 0)}, _UNIT_DEN) if v else ZERO
-            else:
-                raise ValueError(f"unexpected {tok!r} at token {k}")
+            if tok == "(":
+                ops.append(_OPEN)
+            elif tok == "-":
+                if ops[-1] is _SIGN:  # two signs cancel
+                    ops.pop()
+                else:
+                    ops.append(_SIGN)
+            elif tok != "+":
+                atom = _ATOMS.get(tok)
+                if atom is None:
+                    if not _is_int(tok):
+                        raise ValueError(f"unexpected {tok!r} at token {k}")
+                    v = int(tok)
+                    atom = (({_UNIT_MONO: (v, 0)}, _UNIT_DEN, v.bit_length(), True) if v
+                            else _RAW_ZERO)
+                values.append(atom)
+                operand = False
+                base = tok
         elif tok in _BINARY:
-            _reduce(values, ops, _BINARY[tok][0])
-            ops.append(tok)
+            op = _BINARY[tok]
+            _reduce(values, ops, op[0])
+            ops.append(op)
             operand = True
-            continue
         elif tok == ")":
             _reduce(values, ops, 0)
-            if not ops:
+            if ops.pop() is not _OPEN:
                 raise ValueError(f"unmatched ')' at token {k}")
-            ops.pop()  # its '('
-            atom = values.pop()
-        else:
-            raise ValueError(f"unexpected {tok!r} at token {k}")
-        # the atom is complete: its power, then the signs in front of it
-        if k < n and tokens[k] == "^":
-            k += 1
+            base = tok
+        elif tok == "^" and base:
             sign = 1
             if k < n and tokens[k] == "-":
                 sign, k = -1, k + 1
-            if k >= n or not tokens[k].isdecimal():
+            if k >= n or not _is_int(tokens[k]):
                 raise ValueError("exponent must be an integer literal")
-            atom = atom ** (sign * int(tokens[k]))
+            values[-1] = _raw_power(values[-1], sign * int(tokens[k]), _GEN_INDEX.get(base))
             k += 1
-        while ops and ops[-1] == "~":
-            ops.pop()
-            atom = -atom
-        values.append(atom)
-        operand = False
+            base = None
+        else:
+            raise ValueError(f"unexpected {tok!r} at token {k}")
     if operand:
         raise ValueError("unexpected end of expression")
     _reduce(values, ops, 0)
-    if ops:
+    if len(ops) > 1:
         raise ValueError("expected ')'")
     return values[0]
 
@@ -817,9 +970,11 @@ def _parse(text: str) -> Expr:
 def parse_expr(text: str) -> Expr:
     """Parse the textual expression language back into a normalized Expr.
 
-    Malformed text, a division by an expression that is zero, and a power
-    whose expansion would pass _POWER_BUDGET raise ValueError."""
+    Malformed text, a division by an expression that is zero, and a power or
+    product whose expansion would pass _POWER_BUDGET or _POWER_BITS raise
+    ValueError."""
     try:
-        return _parse(text)
+        num, den, _, _ = _parse(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"division by zero in {text!r}") from exc
+    return Expr._new(num, den)

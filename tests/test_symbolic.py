@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import operator
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -502,6 +504,8 @@ def test_parse_rejects_garbage():
         "wp^2^3", "wp^+2", "wp^(2)", "wp**2", "wp^--2",
         # atoms need an operator between them, parentheses a body
         "wp wp", "()", "wp)", "2wp",
+        # INT is ASCII digits: no other decimal digits, as exponent or literal
+        "wp^\u0662", "\u0663*wp",
     )
     for bad in bad_inputs:
         with pytest.raises(ValueError):
@@ -528,6 +532,198 @@ def test_deep_derivative_text_parses_back():
     assert parse_expr(text) == d
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "ffd6c3ed31e71ab8e2dc7f8a992ac43146a42ff792fd609b804b7566285f8000")
+
+
+# --- the parser against Expr arithmetic -----------------------------------------
+
+# The parser as it was when every operator formed a canonical Expr: the
+# reference that parse_expr, which canonicalizes once, must match.
+_REF_TOKEN = re.compile(r"\d+|\w+|\S")
+_REF_ATOMS = dict(zip(GEN_NAMES, (Z, TAU, WP, WP1, ZETA, E2, E4, E6, PI)), I=I)
+_REF_BINARY = {"+": (0, operator.add), "-": (0, operator.sub),
+               "*": (1, operator.mul), "/": (1, operator.truediv)}
+
+
+def _ref_reduce(values, ops, prec):
+    while ops and ops[-1] in _REF_BINARY and _REF_BINARY[ops[-1]][0] >= prec:
+        rhs = values.pop()
+        values[-1] = _REF_BINARY[ops.pop()][1](values[-1], rhs)
+
+
+def _ref_parse(text):
+    tokens = _REF_TOKEN.findall(text)
+    values, ops = [], []
+    k, n = 0, len(tokens)
+    operand = True
+    while k < n:
+        tok = tokens[k]
+        k += 1
+        if operand:
+            if tok in ("-", "("):
+                ops.append("~" if tok == "-" else tok)
+                continue
+            if tok == "+":
+                continue
+            if tok in _REF_ATOMS:
+                atom = _REF_ATOMS[tok]
+            elif tok.isdecimal():
+                atom = rational(int(tok))
+            else:
+                raise ValueError(f"unexpected {tok!r}")
+        elif tok in _REF_BINARY:
+            _ref_reduce(values, ops, _REF_BINARY[tok][0])
+            ops.append(tok)
+            operand = True
+            continue
+        elif tok == ")":
+            _ref_reduce(values, ops, 0)
+            if not ops:
+                raise ValueError("unmatched ')'")
+            ops.pop()
+            atom = values.pop()
+        else:
+            raise ValueError(f"unexpected {tok!r}")
+        if k < n and tokens[k] == "^":
+            k += 1
+            sign = 1
+            if k < n and tokens[k] == "-":
+                sign, k = -1, k + 1
+            if k >= n or not tokens[k].isdecimal():
+                raise ValueError("exponent must be an integer literal")
+            atom = atom ** (sign * int(tokens[k]))
+            k += 1
+        while ops and ops[-1] == "~":
+            ops.pop()
+            atom = -atom
+        values.append(atom)
+        operand = False
+    if operand:
+        raise ValueError("unexpected end of expression")
+    _ref_reduce(values, ops, 0)
+    if ops:
+        raise ValueError("expected ')'")
+    return values[0]
+
+
+def _ref_parse_expr(text):
+    try:
+        return _ref_parse(text)
+    except ZeroDivisionError as exc:
+        raise ValueError("division by zero") from exc
+
+
+def _draw_text(rng, depth):
+    """A text of the grammar: signs, parentheses, I, pi, rationals, powers
+    -3..4, sums that cancel and divisions by zero."""
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        return rng.choice([*GEN_NAMES, "I", "pi", "0", "1", "2", "3", "12",
+                           f"({rng.randrange(-9, 10)}/{rng.randrange(0, 7)})"])
+    sub = lambda: _draw_text(rng, depth - 1)
+    if r < 0.35:
+        return f"({_draw_text(rng, min(depth - 1, 1))})^{rng.randrange(-3, 5)}"
+    if r < 0.45:
+        return rng.choice(["-", "+", "--", "-+"]) + f"({sub()})"
+    if r < 0.55:
+        x = sub()
+        return rng.choice([f"({x}-{x})", f"(({x})+{sub()}-({x}))", f"({x}+-({x}))",
+                           f"({sub()}/({x}-{x}))", f"(({x}-{x})^-1)"])
+    return f"({sub()}{rng.choice('+-*/')}{sub()})"
+
+
+def _corpus(seed, count):
+    """count drawn texts, every tenth one corrupted by a deleted or
+    inserted character, and the handpicked cases."""
+    rng = random.Random(seed)
+    texts = ["(wp-wp)/wp+1", "(1/wp-1/wp)+1", "1/0", "(wp-wp)^-1", "wp/(E4-E4)", "(1+I)*wp/(1+I)",
+             "(((1+I)*wp+1+I)/2)^2", "-(wp)^2", "--wp^-3*-zeta", "(3/4)-(3/4)+(1/5)"]
+    for k in range(count):
+        text = _draw_text(rng, rng.randrange(1, 5))
+        if k % 10 == 9:
+            at = rng.randrange(len(text))
+            text = text[:at] + rng.choice(["", "(", ")", "+", "*", "^", "2"]) + text[at + 1:]
+        texts.append(text)
+    return texts
+
+
+def test_parse_equals_expr_arithmetic_on_a_seeded_corpus():
+    refused = 0
+    for text in _corpus("parse-differential", 2000):
+        try:
+            want = _ref_parse_expr(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_expr(text)
+            refused += 1
+            continue
+        got = parse_expr(text)
+        assert got == want, text
+        # the same terms in the same order, so eval_expr sums them alike
+        assert (list(got._num), list(got._den)) == (list(want._num), list(want._den)), text
+        assert expr_to_text(got) == expr_to_text(want), text
+    assert 200 < refused < 1000
+
+
+def test_a_value_that_cancels_takes_the_unit_denominator():
+    # a zero product, then a zero sum: with the denominator kept, each would
+    # read wp/wp or wp^2/wp^2, which no polynomial gcd reduces to 1
+    assert parse_expr("(wp-wp)/wp+1") == ONE
+    assert parse_expr("(1/wp-1/wp)+1") == ONE
+
+
+def test_parse_time_is_linear_in_the_terms():
+    # printed sums of n and 2n terms like ((1/2)*(wp^2)); at quadratic cost,
+    # one copy of the running sum per term, the ratio would read about 4
+    def text(n):
+        num = {(0, 0, k % 40, k // 40, 0, 0, 0, 0, 0): (Fraction(k % 7 + 1, 6), 0)
+               for k in range(n)}
+        return expr_to_text(Expr(num, ONE.den))
+
+    texts = text(2000), text(4000)
+    assert len(parse_expr(texts[1])._num) == 4000
+    best = [math.inf, math.inf]
+    for _ in range(3):  # alternated, so a slow spell of the machine hits both
+        for k, t in enumerate(texts):
+            t0 = time.perf_counter()
+            parse_expr(t)
+            best[k] = min(best[k], time.perf_counter() - t0)
+    assert best[1] / best[0] <= 2.5
+
+
+def test_a_product_past_the_budget_is_refused():
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="too large"):
+        parse_expr("*".join(["3^9000"] * 200))
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(ValueError, match="product too large: one product would take"):
+        parse_expr("(pi-E4)^200*(pi-E4)^250")
+    assert parse_expr("3^9000*wp") == rational(3**9000) * WP
+    # the bits are judged on canonical operands: the left one is wp, though
+    # the parser's pair for it carries 3^4000 on both sides
+    assert parse_expr("(3^4000*wp/3^4000)*3^5100") == rational(3**5100) * WP
+
+
+def test_a_sum_drops_the_common_scalar_its_operands_carry():
+    # each term is a pair carrying 3^4000 on both sides; a sum that
+    # cross-multiplied the raw pairs would grow it to 3^(4000 n)
+    text = "+".join(["(3^4000/(3^4000*wp))"] * 300)
+    t0 = time.perf_counter()
+    got = parse_expr(text)
+    assert time.perf_counter() - t0 < 1.0
+    assert got == _ref_parse_expr(text)
+
+
+def test_a_long_quotient_over_one_term_parses_back():
+    # dividing 50001 numerator terms by one term takes 50001 term products,
+    # past _POWER_BUDGET, but only scales and shifts them: not refused
+    num = {(k % 250 << symbolic._SHIFT[2]) + (k // 250 << symbolic._SHIFT[3]): (1, 0)
+           for k in range(50001)}
+    e = symbolic.Expr._new(num, ZETA._num)
+    assert len(e._num) > symbolic._POWER_BUDGET
+    text = expr_to_text(e)
+    got = parse_expr(text)
+    assert got == e
+    assert expr_to_text(got) == text
 
 
 # --- the one-pass derivative against Expr arithmetic ------------------------------

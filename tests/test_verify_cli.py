@@ -461,6 +461,16 @@ def test_cli_diff_power_with_huge_coefficients_exit_3(capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def test_cli_diff_product_with_huge_coefficients_exit_3(capsys):
+    # each power is within the budget, their product is not: refused at the
+    # parse, not at printing a derivative whose coefficient str() cannot print
+    code, out, err = run_cli(capsys, ["diff", "--expr", "3^9000*3^9000*wp", "--var", "z"])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+    assert json.loads(err)["message"].startswith("product too large")
+
+
 @pytest.mark.parametrize("expr", ["wp^2147483648", "(wp^2147483647)*wp"])
 def test_cli_diff_exponent_past_the_cap_exit_3(capsys, expr):
     code, out, err = run_cli(capsys, ["diff", "--expr", expr, "--var", "z"])
