@@ -47,39 +47,12 @@ def sigma(n: int, k: int) -> int:
     return total
 
 
-# The kernels' tail at order N is at least _KERNEL_SCALE |q|^N (see _walk_order),
-# so no N below _LOG_START / log|q| can pass.
-_KERNEL_SCALE = 4.0 * (2.0 * math.pi) ** 3
-_LOG_START = math.log(_TAIL_TARGET / _KERNEL_SCALE)
-
-
-def _walk_order(q_abs: float) -> int:
-    """The one series order at nome modulus q_abs < 1: the smallest N >= 1 at
-    which both tail bounds are at most _TAIL_TARGET.
-
-    The E6 tail 504 sum_{n > N} n^6 |q|^n, by its geometric majorant, bounds
-    E2, E4 and the eta product too, since sigma_5(n) <= n^6.  The kernel tail
-    is the wp' tail of the u q^m and q^m/u sums with |u q| and |r| at their
-    limit 1, 2 (2 pi)^3 sum_{j >= 0} t_j/(1 - t_j)^3, t_j = |q|^(N + j), each;
-    it bounds the wp and zeta tails too.  The walk starts at
-    ceil(_LOG_START / log|q|), which never overshoots.
-    """
-    if q_abs == 0.0:  # q underflows high in the cusp
-        return 1
-    order = max(1, math.ceil(_LOG_START / math.log(q_abs)))
-    while True:
-        qn, n = q_abs**order, order + 1.0
-        # both tails with their denominators multiplied out; these are
-        # positive, as 6/order < -log(q_abs) from the start on
-        if (504.0 * n**6 * qn * q_abs <= _TAIL_TARGET * (1.0 - q_abs * ((n + 1.0) / n) ** 6)
-                and _KERNEL_SCALE * qn <= _TAIL_TARGET * (1.0 - qn) ** 3 * (1.0 - q_abs)):
-            return order
-        order += 1
-
-
-# _ORDER_BOUNDS[N - 1] is the largest |q| that _walk_order sums to order N
-# or fewer, for N = 1..10: these cover the reduced domain, where a Lattice's
-# |q*| <= 0.0043334.  tests/test_eisenstein.py rebuilds them from the walk.
+# _ORDER_BOUNDS[N - 1] is the largest |q| that the order rule sums to order
+# N or fewer, for N = 1..10: these cover the reduced domain, where a
+# Lattice's |q*| <= 0.0043334.  The rule is the smallest N at which the E6
+# tail and the wp' kernel tail are both at most _TAIL_TARGET; walk_order in
+# tests/order_walk.py states it as a walk over N, and tests/test_eisenstein.py
+# rebuilds these bounds from that walk.
 _ORDER_BOUNDS = (1.0078604510374843e-20, 1.0039225323381793e-10, 2.160064750954656e-07,
                  1.0019568368651162e-05, 8.671505378290265e-05, 0.0002890395999997156,
                  0.0007241006599708073, 0.0014946636463133037, 0.002688744813645039,
@@ -87,8 +60,8 @@ _ORDER_BOUNDS = (1.0078604510374843e-20, 1.0039225323381793e-10, 2.1600647509546
 
 
 def _order(q_abs: float) -> int:
-    """The one series order at a reduced nome modulus q_abs, _walk_order's
-    answer: the count of _ORDER_BOUNDS below q_abs, plus one."""
+    """The one series order at a reduced nome modulus q_abs: the count of
+    _ORDER_BOUNDS below q_abs, plus one."""
     return bisect_left(_ORDER_BOUNDS, q_abs) + 1
 
 

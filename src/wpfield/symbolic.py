@@ -13,9 +13,12 @@ is packed into one int, a 32-bit field per generator with z in the highest
 field and pi in the lowest, so a product of monomials is one integer add and
 int order is the order of the exponent tuples.  An exponent is at most
 2**31 - 1; the top bit of each field is a guard, and a product that sets one
-raises ValueError.  Expr.num and Expr.den read the quotient back with exponent
-tuples as keys and that leading coefficient scaled to 1, as (Fraction,
-Fraction) pairs.  The set is closed under d/dz and d/dtau:
+raises ValueError.  Printing and eval_expr read one compiled list of each
+side's terms, every monomial unpacked once into its (generator, exponent)
+pairs; an Expr makes it on first use and keeps it.  Expr.num and Expr.den
+read the quotient back with exponent tuples as keys and that leading
+coefficient scaled to 1, as (Fraction, Fraction) pairs.  The set is closed
+under d/dz and d/dtau:
 
     d/dz:   wp -> wp1,  wp1 -> 6 wp^2 - g2/2,  zeta -> -wp
     d/dtau: E2k by Ramanujan's system; wp and zeta by the theta heat
@@ -50,7 +53,7 @@ import struct
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from operator import or_
+from operator import itemgetter, or_
 
 from .core import ensure_finite, require_upper_half
 from .errors import NearSingular, NonFiniteValue
@@ -166,16 +169,33 @@ def _p_mul(p, q):
     return out
 
 
-def _p_eval(p, n: int, vals) -> complex:
-    """p / n at the generator values.  Int true division rounds correctly, so
-    each coefficient is the double nearest to its exact value."""
-    unpack, size = _EXPONENTS.unpack, _EXPONENTS.size  # _unpack, without a call per term
+def _compile(poly: dict) -> tuple:
+    """poly's terms in dict order as (mono, a, b, factors): factors are the
+    (generator, exponent) pairs of mono in generator order, zero exponents
+    left out.  Each monomial is unpacked here, once."""
+    unpack, size = _EXPONENTS.unpack, _EXPONENTS.size
+    return tuple([
+        (mono, a, b, tuple([(k, e) for k, e in enumerate(unpack(mono.to_bytes(size, "big"))) if e]))
+        for mono, (a, b) in poly.items()])
+
+
+def _p_eval(terms: tuple, n: int, vals) -> complex:
+    """The compiled polynomial terms / n at the generator values.  Int true
+    division rounds correctly, so each coefficient is the double nearest to
+    its exact value; each term multiplies it by its powers in generator
+    order, and each distinct power is one v**e per call.  A power built by
+    repeated products would round differently, and would overflow to inf
+    where ** raises OverflowError."""
+    powers: dict = {}
     total = 0j
-    for mono, (a, b) in p.items():
+    for _, a, b, factors in terms:
         term = complex(a / n, b / n)
-        for v, e in zip(vals, unpack(mono.to_bytes(size, "big"))):
-            if e:
-                term *= v**e
+        for f in factors:
+            v = powers.get(f)
+            if v is None:
+                k, e = f
+                v = powers[f] = vals[k] ** e
+            term *= v
         total += term
     return total
 
@@ -233,10 +253,12 @@ class Expr:
     Every other Expr has den itself as F and k = 1.  That includes a sum and
     a parsed one, so the derivative of a parsed-back derivative takes the
     full quotient rule: without a polynomial gcd, F cannot be found again.
-    The record takes no part in ==, hash or the printed text.
+    The record takes no part in ==, hash or the printed text, and neither
+    does _terms: both sides' terms as _compile gives them, made when printing
+    or eval_expr first needs them.
     """
 
-    __slots__ = ("_num", "_den", "_base")
+    __slots__ = ("_num", "_den", "_base", "_terms")
 
     def __init__(self, num: dict, den: dict) -> None:
         """num, den: dicts from exponent tuples to (re, im) pairs of ints or
@@ -248,7 +270,7 @@ class Expr:
         if not den:
             raise ZeroDivisionError("zero denominator polynomial")
         self._num, self._den = _canonical(num, den)
-        self._base = None
+        self._base = self._terms = None
 
     @classmethod
     def _new(cls, num: dict, den: dict, base: tuple[dict, int] | None = None) -> "Expr":
@@ -257,6 +279,7 @@ class Expr:
         e = object.__new__(cls)
         e._num, e._den = _canonical(num, den)
         e._base = base if e._num else None
+        e._terms = None
         return e
 
     # -- constructors -------------------------------------------------------
@@ -275,6 +298,15 @@ class Expr:
     def _lead(self) -> int:
         return self._den[max(self._den)][0]
 
+    def _compiled(self) -> tuple:
+        """(numerator terms, denominator terms), compiled on first use.  The
+        slot takes one finished tuple, so threads that race here can only
+        compile it twice."""
+        terms = self._terms
+        if terms is None:
+            terms = self._terms = (_compile(self._num), _compile(self._den))
+        return terms
+
     @property
     def num(self) -> dict:
         """The numerator over the denominator's leading coefficient."""
@@ -291,8 +323,8 @@ class Expr:
         return not self._num
 
     def used_generators(self) -> set[int]:
-        exponents = _unpack(reduce(or_, self._den, reduce(or_, self._num, 0)))
-        return {k for k, e in enumerate(exponents) if e}
+        mono = reduce(or_, self._den, reduce(or_, self._num, 0))
+        return {k for k, shift in enumerate(_SHIFT) if mono >> shift & _MASK}
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -653,10 +685,11 @@ def _eval_in(e: Expr, tau: complex, z: complex | None, lat: Lattice | None) -> c
         vals[6] = lat.e4()
     if 7 in used:
         vals[7] = lat.e6()
+    n = e._lead()
+    num_terms, den_terms = e._compiled()
     try:
-        n = e._lead()
-        den = _p_eval(e._den, n, vals)
-        num = _p_eval(e._num, n, vals)
+        den = _p_eval(den_terms, n, vals)
+        num = _p_eval(num_terms, n, vals)
     except OverflowError as exc:  # complex ** overflows by raising
         raise NonFiniteValue(f"expression overflows at tau = {tau}, z = {z}") from exc
     if abs(den) < _SINGULAR_FLOOR:
@@ -709,16 +742,12 @@ def _frac_text(p: int, n: int) -> str:
     return f"({p}/{n})"
 
 
-def _coef_factors(a: int, b: int, n: int, have_gens: bool) -> list[str]:
+def _coef_text(a: int, b: int, n: int) -> str:
     if b == 0:
-        if a == n and have_gens:
-            return []
-        return [_frac_text(a, n)]
+        return _frac_text(a, n)
     if a == 0:
-        if b == n:
-            return ["I"]
-        return [f"({_frac_text(b, n)}*I)"]
-    return [f"({_frac_text(a, n)}+({_frac_text(b, n)}*I))"]
+        return "I" if b == n else f"({_frac_text(b, n)}*I)"
+    return f"({_frac_text(a, n)}+({_frac_text(b, n)}*I))"
 
 
 def _left_nested(parts: list[str], op: str) -> str:
@@ -728,34 +757,50 @@ def _left_nested(parts: list[str], op: str) -> str:
     return "(" * (len(parts) - 1) + parts[0] + op + f"){op}".join(parts[1:]) + ")"
 
 
-def _term_text(mono: int, coef, n: int) -> str:
-    a, b = coef
-    negative = a < 0 or (a == 0 and b < 0)
-    if negative:
-        a, b = -a, -b
-    factors = _coef_factors(a, b, n, mono != _UNIT_MONO)
-    for gi, e in enumerate(_unpack(mono)):
-        if e == 0:
-            continue
-        name = GEN_NAMES[gi]
-        factors.append(name if e == 1 else f"({name}^{e})")
-    body = _left_nested(factors, "*") if factors else "1"
-    return f"-({body})" if negative else body
+class _PowerText(dict):
+    """The text of a generator power (k, e), name or (name^e), made in advance
+    up to e = 16; a higher power's is formed on each miss and not kept."""
+
+    def __missing__(self, factor: tuple) -> str:
+        return f"({GEN_NAMES[factor[0]]}^{factor[1]})"
 
 
-def _poly_text(poly: dict, n: int) -> str:
-    """poly / n, each coefficient in lowest terms."""
-    if not poly:
+_POWER_TEXT = _PowerText({(k, e): name if e == 1 else f"({name}^{e})"
+                          for k, name in enumerate(GEN_NAMES) for e in range(1, 17)})
+
+
+def _poly_text(terms: tuple, n: int) -> str:
+    """The compiled polynomial terms / n, the highest monomial first, each
+    coefficient in lowest terms and each term left-nested over '*'; a
+    coefficient 1 is left out of a term with generators."""
+    if not terms:
         return "0"
-    return _left_nested([_term_text(m, poly[m], n) for m in sorted(poly, reverse=True)], "+")
+    power = _POWER_TEXT.__getitem__
+    texts = []
+    for _, a, b, factors in sorted(terms, key=itemgetter(0), reverse=True):
+        negative = a < 0 or (a == 0 and b < 0)
+        if negative:
+            a, b = -a, -b
+        k = len(factors)
+        if not k:
+            body = _coef_text(a, b, n)
+        elif b or a != n:
+            body = "(" * k + _coef_text(a, b, n) + "*" + ")*".join(map(power, factors)) + ")"
+        elif k == 1:
+            body = power(factors[0])
+        else:
+            body = "(" * (k - 1) + power(factors[0]) + "*" + ")*".join(map(power, factors[1:])) + ")"
+        texts.append(f"-({body})" if negative else body)
+    return _left_nested(texts, "+")
 
 
 def expr_to_text(e: Expr) -> str:
     n = e._lead()
-    num_s = _poly_text(e._num, n)
+    num_terms, den_terms = e._compiled()
+    num_s = _poly_text(num_terms, n)
     if e._den == {_UNIT_MONO: (n, 0)}:  # the denominator is 1
         return num_s
-    return f"({num_s}/{_poly_text(e._den, n)})"
+    return f"({num_s}/{_poly_text(den_terms, n)})"
 
 
 # The parser's values are raw quotients (num, den, bits, own).  num and den

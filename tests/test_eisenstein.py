@@ -15,13 +15,14 @@ from wpfield.eisenstein import (
     _coefficients,
     _horner,
     _order,
-    _walk_order,
     lattice_sum_eisenstein,
     q_coefficients,
     sigma,
 )
 from wpfield.reduction import Lattice, invariants_anywhere
 from wpfield.verify import run_identity_suite
+
+from order_walk import walk_order
 
 RHO = cmath.exp(1j * math.pi / 3.0)
 
@@ -91,11 +92,11 @@ def test_series_order_equals_the_walk_from_one(tail):
     # the closed-form start may skip steps of the walk over both tails but
     # never its answer, and that order bounds this tail on its own
     for q_abs in Q_GRID:
-        order = _walk_order(q_abs)
+        order = walk_order(q_abs)
         assert order == _walk(q_abs, _e6_tail, _kernel_tail), q_abs
         assert order >= _walk(q_abs, tail), q_abs
         assert tail(q_abs, order) <= _TAIL_TARGET, q_abs
-    assert _walk_order(0.0) == 1  # q underflows high in the cusp
+    assert walk_order(0.0) == 1  # q underflows high in the cusp
 
 
 # The largest |q*| of the reduced domain, Im(tau*) >= sqrt(3)/2.
@@ -113,10 +114,10 @@ def test_the_order_table_is_rebuilt_from_the_walk():
     half = struct.unpack("<q", struct.pack("<d", 0.5))[0]
     bounds, lo = [], 0
     for order in range(1, 11):
-        hi = half  # _walk_order(_double(lo)) <= order < _walk_order(_double(hi))
+        hi = half  # walk_order(_double(lo)) <= order < walk_order(_double(hi))
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if _walk_order(_double(mid)) <= order:
+            if walk_order(_double(mid)) <= order:
                 lo = mid
             else:
                 hi = mid
@@ -128,16 +129,16 @@ def test_the_order_table_equals_the_walk():
     # at each bound and one ulp either side, and on seeded |q| over the
     # reduced domain, which the table covers
     assert _ORDER_BOUNDS[-1] > Q_REDUCED
-    assert _order(0.0) == _walk_order(0.0) == 1  # q underflows high in the cusp
+    assert _order(0.0) == walk_order(0.0) == 1  # q underflows high in the cusp
     for bound in _ORDER_BOUNDS:
         for q_abs in (math.nextafter(bound, 0.0), bound, math.nextafter(bound, 1.0)):
-            assert _order(q_abs) == _walk_order(q_abs), q_abs
+            assert _order(q_abs) == walk_order(q_abs), q_abs
     rng = random.Random(5)
     for _ in range(50_000):
         q_abs = rng.uniform(0.0, Q_REDUCED)
-        assert _order(q_abs) == _walk_order(q_abs), q_abs
+        assert _order(q_abs) == walk_order(q_abs), q_abs
         q_abs = Q_REDUCED * math.exp(-rng.uniform(0.0, 700.0))  # high in the cusp
-        assert _order(q_abs) == _walk_order(q_abs), q_abs
+        assert _order(q_abs) == walk_order(q_abs), q_abs
 
 
 def test_q_coefficients_keep_nothing_and_the_lattice_tables_stay_small():
@@ -154,7 +155,7 @@ def test_order_bounds_the_true_eisenstein_tails():
     # the coefficients themselves, not the n^6 majorant, summed past the order
     worst = 0.0
     for q_abs in Q_GRID:
-        order = _walk_order(q_abs)
+        order = walk_order(q_abs)
         for kind in ("e2", "e4", "e6"):
             coeffs = q_coefficients(kind, 3 * order + 60)
             tail = sum(abs(c) * q_abs**n for n, c in enumerate(coeffs) if n > order)

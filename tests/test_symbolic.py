@@ -5,6 +5,8 @@ import math
 import operator
 import random
 import re
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -1027,6 +1029,151 @@ def test_catalogue_derivatives_print_the_recorded_text():
             for d in (differentiate(e, "z"), d_tau, differentiate(d_tau, "z"))
         )
         assert got == want, text
+
+
+# --- compiled terms against the packed loop ----------------------------------
+
+# The evaluation loop as it was before an Expr compiled its terms: the
+# reference that eval_expr, on the compiled terms, must match bit for bit.
+
+
+def _ref_p_eval(p, n, vals):
+    """p / n at the generator values, each packed monomial unpacked and each
+    power v**e taken in generator order, on every call."""
+    unpack, size = symbolic._EXPONENTS.unpack, symbolic._EXPONENTS.size
+    total = 0j
+    for mono, (a, b) in p.items():
+        term = complex(a / n, b / n)
+        for v, e in zip(vals, unpack(mono.to_bytes(size, "big"))):
+            if e:
+                term *= v**e
+        total += term
+    return total
+
+
+def _ref_eval(e, tau, z):
+    """eval_expr with _ref_p_eval on the packed polynomials."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symbolic, "_p_eval", _ref_p_eval)
+        mp.setattr(Expr, "_compiled", lambda self: (self._num, self._den))
+        return eval_expr(e, tau, z)
+
+
+def _outcome(f, *args):
+    """repr of f(*args), signed zeros included, or the name of the exception
+    it raises."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def _compiled_corpus():
+    """The catalogue expressions and their derivatives up to d/dtau d/dtau
+    d/dz, and powers at and either side of exponent 100, where complex **
+    turns from binary powering to exp and log."""
+    out = []
+    for text in CATALOGUE_DERIVATIVE_SHA256:
+        e = parse_expr(text)
+        d_tau = differentiate(e, "tau")
+        d_tau_tau = differentiate(d_tau, "tau")
+        out += [e, differentiate(e, "z"), d_tau, differentiate(d_tau, "z"), d_tau_tau,
+                differentiate(d_tau_tau, "z")]
+    for k in (99, 100, 101, 150):
+        out += [WP**k, rational(-3, 7) * PI**k * E4 - I * E2**k, (Z**k + TAU) / (E6**k + 2),
+                (WP1 * ZETA) ** k / (TAU**k - I * Z), Z**k * TAU**(k - 98) + PI]
+    return out
+
+
+def test_compiled_evaluation_is_bit_identical_to_the_packed_loop():
+    rng = random.Random("compiled")
+    corpus = _compiled_corpus()
+    for e in corpus:
+        for _ in range(2):
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.9, 1.2))
+            z = complex(rng.choice((-0.0, 0.0, rng.uniform(-0.5, 0.5))), rng.uniform(0.1, 0.6))
+            assert _outcome(eval_expr, e, tau, z) == _outcome(_ref_eval, e, tau, z), (e, tau, z)
+    # _p_eval on its own at seeded values: signed zeros, and parts large
+    # enough that a power overflows, which both forms raise as OverflowError
+    parts = (-0.0, 0.0, 1.0, -2.5, 0.75, 1e3, -1e120)
+    outcomes = set()
+    for e in corpus:
+        n = e._lead()
+        num_terms, den_terms = e._compiled()
+        for _ in range(4):
+            vals = [complex(rng.choice(parts), rng.choice(parts)) for _ in GEN_NAMES]
+            for terms, poly in ((num_terms, e._num), (den_terms, e._den)):
+                got = _outcome(symbolic._p_eval, terms, n, vals)
+                assert got == _outcome(_ref_p_eval, poly, n, vals), (e, vals)
+                outcomes.add(got == "OverflowError")
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("k", [60, 99, 100, 101, 150])
+def test_an_overflowing_power_raises_nonfinite_in_both_forms(k):
+    # |wp'| ~ 2/z^3 = 2e6 next to the pole: binary powering up to k = 100,
+    # exp and log above it, and both overflow by raising
+    e = WP1**k + ZETA
+    for f in (eval_expr, _ref_eval):
+        with pytest.raises(NonFiniteValue):
+            f(e, 1j, 0.01)
+
+
+class _CountingStruct:
+    """A stand-in for symbolic._EXPONENTS that counts its unpacks."""
+
+    def __init__(self, inner):
+        self.inner, self.size, self.unpacks = inner, inner.size, 0
+
+    def unpack(self, data):
+        self.unpacks += 1
+        return self.inner.unpack(data)
+
+
+def test_the_terms_are_compiled_once_and_change_no_identity(monkeypatch):
+    e = parse_expr("(E6*zeta+3*E6)/(wp1^2+1/3)")
+    d = differentiate(differentiate(differentiate(e, "tau"), "tau"), "z")
+    twin = Expr._new(d._num, d._den)  # the same Expr, never compiled below
+    assert d._terms is None and twin._terms is None
+    before = (hash(d), d == twin, twin == d)
+    spy = _CountingStruct(symbolic._EXPONENTS)
+    monkeypatch.setattr(symbolic, "_EXPONENTS", spy)
+    text = expr_to_text(d)
+    values = [eval_expr(d, TAU0, Z0) for _ in range(2)]
+    assert spy.unpacks == len(d._num) + len(d._den) == 524  # one per monomial
+    assert d._terms is not None and twin._terms is None
+    assert (hash(d), d == twin, twin == d) == before == (hash(twin), True, True)
+    assert expr_to_text(twin) == text == expr_to_text(d)
+    assert repr(values[0]) == repr(values[1]) == repr(_ref_eval(twin, TAU0, Z0))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "bfe8bf84e097397d420bf35322a58c5b904fcebde1363527cfa0af1e5a4f89fc")
+
+
+def test_threads_that_race_to_compile_print_and_evaluate_alike():
+    # the slot takes one finished tuple: racing threads may each compile,
+    # and every one reads a whole list
+    e = parse_expr("(E6*zeta+3*E6)/(wp1^2+1/3)")
+    want = differentiate(differentiate(e, "tau"), "z")
+    want_text, want_value = expr_to_text(want), repr(eval_expr(want, TAU0, Z0))
+    results = []
+
+    def work(d):
+        results.append((expr_to_text(d), repr(eval_expr(d, TAU0, Z0))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            d = Expr._new(want._num, want._den)
+            threads = [threading.Thread(target=work, args=(d,)) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [(want_text, want_value)] * 30
 
 
 class _NoFraction:

@@ -7,10 +7,12 @@ import pytest
 
 from wpfield import reduction
 from wpfield.core import _nome
-from wpfield.eisenstein import _TAIL_TARGET, _e_series, _order, _walk_order
+from wpfield.eisenstein import _TAIL_TARGET, _e_series, _order
 from wpfield.errors import ConvergenceDomain, PoleProximity
 from wpfield.reduction import Lattice, half_periods, invariants_anywhere
 from wpfield.weier import _point_values, wp_lattice_oracle, zeta_lattice_oracle
+
+from order_walk import walk_order
 
 # Frozen from the radius-400 lattice-sum oracle (truncation error ~1e-6).
 WP_I = complex(0.0, -6.875186597320904)  # wp(i; 0.25+0.25i)
@@ -193,7 +195,7 @@ def test_convergence_guard_far_below_the_cell():
 def test_order_rule_bounds_every_kernel_tail():
     # The tails that est_error once re-derived on every call, copied here as
     # the reference: est_error now charges _TAIL_TARGET for each, which holds
-    # when the order rule (_walk_order) keeps all three below it for every
+    # when the order rule (walk_order) keeps all three below it for every
     # |q| up to 0.54 (Im tau >= 0.1, far below the reduced domain's
     # |q| <= 0.0044) and every |u q|, |r| < 1.
     def geometric(first, ratio, pole_power):
@@ -203,7 +205,7 @@ def test_order_rule_bounds_every_kernel_tail():
     limits = (0.0, 0.3, 0.9, 0.999999, 1.0 - 2.0**-40)
     worst = 0.0
     for q_abs in [0.54 * k / 60 for k in range(1, 61)] + [10.0**-k for k in range(1, 13)]:
-        n = _walk_order(q_abs)
+        n = walk_order(q_abs)
         for uq in limits:
             u_abs = uq / q_abs
             for r_abs in limits:
