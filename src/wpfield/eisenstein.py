@@ -7,10 +7,11 @@ The fast route is the normalized q-expansion
     E6 = 1 - 504 sum sigma_5(n) q^n
 
 each summed on its own by Horner's rule at the reduced nome of a
-reduction.Lattice, with its integer coefficients taken from the one table
-_Q_SERIES.  The slow route is a sum over the rows of the lattice, each row in
-closed form, kept deliberately independent so the two can cross-check each
-other: it reduces the lattice basis itself and never touches the q-series.
+reduction.Lattice, with its coefficients read from _HORNER, built at import
+from the one table _Q_SERIES for every order the order rule can give.  The
+slow route is a sum over the rows of the lattice, each row in closed form,
+kept deliberately independent so the two can cross-check each other: it
+reduces the lattice basis itself and never touches the q-series.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import cmath
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 from .core import ensure_finite, require_upper_half
 from .errors import NonFiniteValue
@@ -75,9 +76,9 @@ class LatticeInvariants:
 
 def _e_series(kind: str, q: complex, order: int) -> complex:
     """E2, E4 or E6 (kind "e2", "e4", "e6") from its q-expansion to q^order,
-    by Horner's rule."""
+    by Horner's rule, for an order _order gives."""
     acc = 0j
-    for c in _horner(kind, order):
+    for c in _HORNER[kind][order]:
         acc = acc * q + c
     if not cmath.isfinite(acc):
         raise NonFiniteValue(f"{kind.upper()} is not finite: {acc!r}")
@@ -243,10 +244,15 @@ def _coefficients(kind: str, order: int) -> tuple[int, ...]:
     return (1,) + tuple(scale * sigma(n, power) for n in range(1, order + 1))
 
 
-@lru_cache(maxsize=None)
-def _horner(kind: str, order: int) -> tuple[float, ...]:
-    """_coefficients(kind, order) as floats, the highest power first."""
-    return tuple(map(float, reversed(_coefficients(kind, order))))
+def _horner(kind: str) -> tuple[tuple[float, ...], ...]:
+    """For each order _order gives (at most len(_ORDER_BOUNDS) + 1),
+    _coefficients(kind, order) as floats, the highest power first."""
+    full = tuple(map(float, _coefficients(kind, len(_ORDER_BOUNDS) + 1)))
+    return tuple(full[order::-1] for order in range(len(full)))
+
+
+# _HORNER[kind][order]: the coefficients _e_series sums, built at import.
+_HORNER = {kind: _horner(kind) for kind in _Q_SERIES}
 
 
 def q_coefficients(kind: str, order: int) -> list[int]:

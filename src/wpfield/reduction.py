@@ -12,8 +12,9 @@ relation, eta2 = tau* eta1 - 2*pi*i.  A Lattice is the one frame: it reduces
 tau once, and every evaluator is Lattice(tau).method, one pipeline reduce ->
 sum -> transport.  A point is split once (z/s into its cell), checked once
 (the pole guard scaled by 1/|s| into the reduced frame, and the convergence
-checks), and wp, wp' and zeta are summed in one pass at (tau*, z*) with
-E2(tau*), which the Lattice sums once.  E2 inverts the quasimodular law
+checks), and wp, wp' and zeta are summed in one pass at (tau*, z*).  Only
+wp and zeta carry eta1, so only they need E2(tau*), which the Lattice sums
+once; wp' needs none.  E2 inverts the quasimodular law
 
     G2(gamma tau) = s^2 G2(tau) - pi*i*c*s,      G2 = zeta(2) E2,
 
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 from .core import (
@@ -48,6 +48,9 @@ _CIRCLE_EPS = 1e-12
 _TAU_STAR_MISMATCH = 1e-6
 
 _ULP = 2.0**-52  # relative spacing of doubles: the rounding of z/s in its split
+
+# eta1 = (pi^2/3) E2(tau*), the quasi-period that wp and zeta carry.
+_ETA1_PER_E2 = math.pi**2 / 3.0
 
 # How many placed points a Lattice keeps: the three-term zeta identity reads
 # wp and zeta at three points.
@@ -216,18 +219,14 @@ def _transport(value: complex, est_error: float, s: complex, weight: int, what: 
     return WValue(value, est_error)
 
 
-# A point in a Lattice: z/s = z* + m + n*tau*, the lattice distance of z*, and
-# wp, wp' and zeta at (tau*, z*) from one series pass.
-_Point = namedtuple("_Point", "m n z_star dist wp wp1 zeta")
-
-
 class Lattice:
     """The lattice Z + tau*Z with its reduction made once: gamma (four ints
     from the walk), s = c*tau + d and |s|, the pole guard scaled by 1/|s|
     into the reduced frame, tau* = gamma(tau), q* and the one order
     (eisenstein._order, a table lookup) to which every q-series at q* is
     summed (the kernels, each E-series and the eta product).  E2(tau*) is
-    summed once, when a point or E2 first needs it.
+    summed once, when wp, zeta, E2, the invariants or a half period first
+    needs it; wp_prime, E4 and E6 sum none.
 
     Every evaluator is Lattice(tau).method: wp, wp_prime and zeta (WValue)
     are wp_anywhere(tau, z), wp_prime_anywhere(tau, z) and
@@ -259,7 +258,7 @@ class Lattice:
         self._q = q
         self._order = _order(abs(q))
         self._e2 = None
-        self._points = ()  # ((key, _Point), ...), the newest first
+        self._points = ()  # ((key, point), ...), the newest first
 
     @property
     def tau(self) -> complex:
@@ -320,7 +319,7 @@ class Lattice:
         return PoleProximity(f"{what} is within {dist * self._s_abs:.3e} of the lattice "
                              f"(guard {DEFAULT_POLICY.pole_guard_radius:.1e})")
 
-    def _point(self, z: complex) -> _Point:
+    def _point(self, z: complex) -> tuple:
         """The point kept from placing the same z, or _fresh_point(z), kept."""
         w = complex(z)
         key = w
@@ -337,15 +336,19 @@ class Lattice:
         self._points = ((key, point),) + self._points[:_POINTS_KEPT - 1]
         return point
 
-    def _fresh_point(self, z: complex) -> _Point:
+    def _fresh_point(self, z: complex) -> tuple:
         """z placed in its cell (_place), the pole guard and one _point_values
         pass, not kept: for a Lattice that meets each z once, where keeping
-        the point would cost a little on every call and never pay."""
-        m, n, z_star, dist = self._place(z)
-        if dist < self._guard:
-            raise self._too_near(f"z = {z}", dist)
-        values = _point_values(self._tau_star, self._q, self._order, z_star, self._e2_star())
-        return _Point(m, n, z_star, dist, *values)
+        the point would cost a little on every call and never pay.
+
+        A point is one plain tuple (m, n, z*, dist, wp, wp', zeta): the split
+        z/s = z* + m + n*tau*, the lattice distance of z*, and the q-sums of
+        the pass at (tau*, z*), with wp and zeta still without eta1, which
+        _wp and _zeta apply."""
+        placed = self._place(z)
+        if placed[3] < self._guard:
+            raise self._too_near(f"z = {z}", placed[3])
+        return placed + _point_values(self._tau_star, self._q, self._order, placed[2])
 
     def wp(self, z: complex) -> WValue:
         """wp (weight 2)."""
@@ -362,19 +365,23 @@ class Lattice:
     # The transports of one point's values, so that eval_expr reads wp, wp'
     # and zeta off one series pass.
 
-    def _wp(self, p: _Point) -> WValue:
-        return _transport(p.wp, _est_error(p.wp, p.dist), self._s, 2, "wp")
+    def _wp(self, p: tuple) -> WValue:
+        """wp = the q-sum - eta1."""
+        wp = p[4] - _ETA1_PER_E2 * self._e2_star()
+        return _transport(wp, _est_error(wp, p[3]), self._s, 2, "wp")
 
-    def _wp_prime(self, p: _Point) -> WValue:
-        return _transport(p.wp1, _est_error(p.wp1, p.dist), self._s, 3, "wp'")
+    def _wp_prime(self, p: tuple) -> WValue:
+        return _transport(p[5], _est_error(p[5], p[3]), self._s, 3, "wp'")
 
-    def _zeta(self, p: _Point) -> WValue:
-        """Unwound by eta1 = (pi^2/3) E2(tau*) and eta2 = tau*eta1 - 2*pi*i."""
-        value = p.zeta
-        if p.m or p.n:
-            eta1 = (math.pi**2 / 3.0) * self._e2  # summed by _point
-            value += (p.m + p.n * self._tau_star) * eta1 - 2j * math.pi * p.n
-        est = _est_error(p.zeta, p.dist) * (1.0 + abs(p.m) + abs(p.n))
+    def _zeta(self, p: tuple) -> WValue:
+        """zeta = the q-sum + eta1*z* - pi*i, unwound by eta1 = (pi^2/3)
+        E2(tau*) and eta2 = tau*eta1 - 2*pi*i."""
+        m, n, z_star, dist, _, _, zeta = p
+        eta1 = _ETA1_PER_E2 * self._e2_star()
+        value = zeta = zeta + eta1 * z_star - 1j * math.pi
+        if m or n:
+            value += (m + n * self._tau_star) * eta1 - 2j * math.pi * n
+        est = _est_error(zeta, dist) * (1.0 + abs(m) + abs(n))
         return _transport(value, est, self._s, 1, "zeta")
 
     def e2(self) -> complex:
@@ -412,13 +419,14 @@ class Lattice:
         s (p' + q'*tau*)/2 with (p', q') = (a*p - b*q, d*q - c*p) mod 2, a
         half period of the reduced cell.  One pass at each, on one E2 sum."""
         (a, b, c, d), tau_star = self._gamma, self._tau_star
+        eta1 = _ETA1_PER_E2 * self._e2_star()
         values = []
         for p, q in ((1, 0), (0, 1), (1, 1)):
             z_star = ((a * p - b * q) % 2 + (d * q - c * p) % 2 * tau_star) / 2.0
             dist = _cell_distance(tau_star, z_star)
             if dist < self._guard:
                 raise self._too_near(f"half period ({p} + {q}*tau)/2 of tau = {self._tau}", dist)
-            wp = _point_values(tau_star, self._q, self._order, z_star, self._e2_star())[0]
+            wp = _point_values(tau_star, self._q, self._order, z_star)[0] - eta1
             values.append(_divide_by_sk(wp, self._s, 2, "wp"))
         return HalfPeriodData(*values)
 

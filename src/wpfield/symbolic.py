@@ -549,20 +549,21 @@ def _diff_poly(poly: dict, gen_rules: tuple[Expr, ...]) -> tuple[dict, dict]:
     polynomials, each partial formed as a polynomial first, so a rule's
     denominator enters the sum once per generator, not per monomial.  The
     pair is Expr arithmetic's sum up to a common scalar, with den reset to 1
-    where the sum cancels, as _canonical resets it."""
+    where the sum cancels, as _canonical resets it.  A generator that no
+    monomial holds is skipped: the fields of the monomials' OR are the ORs
+    of their exponents, since an OR never carries between fields."""
     acc, acc_den = {}, _UNIT_DEN
+    held = reduce(or_, poly, 0)
     for gi, rule in enumerate(gen_rules):
-        if not rule._num:
-            continue
         shift = _SHIFT[gi]
+        if not (rule._num and held >> shift & _MASK):
+            continue
         one = 1 << shift
         partial = {}  # lowering g_i is one-to-one, so no two terms collide
         for mono, (a, b) in poly.items():
             e = mono >> shift & _MASK
             if e:
                 partial[mono - one] = (a * e, b * e)
-        if not partial:
-            continue
         term = _p_mul(partial, rule._num)
         if not acc:
             acc, acc_den = term, rule._den

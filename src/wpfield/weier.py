@@ -9,11 +9,13 @@ With q = exp(2*pi*i*tau) and u = exp(2*pi*i*z):
                   + eta1 * z - pi*i
 
 with eta1 = (pi^2/3) E2(tau), since 1/12 - 2 sum_{m >= 1} q^m / (1 - q^m)^2
-= E2/12.  One loop sums all three at a point (_point_values).  The m < 0
-halves are folded onto positive powers of q (substitute v = q^|m|/u), which
-keeps every stored term below 1 in magnitude; wp' picks up a minus sign on the
-folded half, so no square root or branch choice ever enters.  The pass is
-summed in the reduced frame only: reduction.Lattice is its one caller.
+= E2/12.  One loop sums the three q-sums at a point (_point_values); eta1
+enters only wp and zeta, so the pass leaves it to its caller, and wp' needs
+no E2 at all.  The m < 0 halves are folded onto positive powers of q
+(substitute v = q^|m|/u), which keeps every stored term below 1 in
+magnitude; wp' picks up a minus sign on the folded half, so no square root
+or branch choice ever enters.  The pass is summed in the reduced frame only:
+reduction.Lattice is its one caller.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ _MACHINE = 1e-15
 # Smallest est_error any evaluator claims.
 _EST_FLOOR = 1e-12
 
+# The factors of the q-sums in _point_values, formed once.
+_TWO_PI_I_2 = TWO_PI_I**2
+_TWO_PI_I_3 = TWO_PI_I**3
+
 
 @dataclass(frozen=True, slots=True)
 class WValue:
@@ -41,17 +47,17 @@ class WValue:
     est_error: float
 
 
-def _point_values(tau: complex, q: complex, order: int, z: complex,
-                  e2: complex) -> tuple[complex, complex, complex]:
-    """(wp, wp', zeta) at a complex z for a checked tau, its nome q and
-    E2(tau) summed to the same order, after the convergence checks; the
-    caller has held z to the pole guard.  One loop
-    sums the m = 0 term, then m = 1..order: with w = u q^m, v = q^m/u,
-    a = 1/(1 - w) and b = 1/(1 - v), the terms are w a and v b (zeta),
-    x = w a^2 and y = v b^2 (wp), and x (2a - 1) and y (2b - 1) (wp'),
-    summed as 2 sum(x a - y b) - sum(x - y).  E2 gives eta1 = (pi^2/3) E2
-    to wp and zeta; the caller sums it once per tau.  Each caller checks the
-    values it returns.
+def _point_values(tau: complex, q: complex, order: int,
+                  z: complex) -> tuple[complex, complex, complex]:
+    """The q-sums of (wp, wp', zeta) at a complex z for a checked tau and
+    its nome q, after the convergence checks; the caller has held z to the
+    pole guard.  One loop sums the m = 0 term, then m = 1..order: with
+    w = u q^m, v = q^m/u, a = 1/(1 - w) and b = 1/(1 - v), the terms are
+    w a and v b (zeta), x = w a^2 and y = v b^2 (wp), and x (2a - 1) and
+    y (2b - 1) (wp'), summed as 2 sum(x a - y b) - sum(x - y).  Returned
+    without eta1: wp' is complete, wp is (2*pi*i)^2 sum - eta1 and zeta is
+    2*pi*i s1 + eta1*z - pi*i, which the caller forms once it has E2(tau).
+    Each caller checks the values it returns.
 
     r = q/u is formed as exp(2*pi*i*(tau - z)): high in the cell both q and
     u underflow to 0 while their quotient is still a normal number.
@@ -83,9 +89,7 @@ def _point_values(tau: complex, q: complex, order: int, z: complex,
         sy += y
         t += x * a - y * b
         v *= q
-    eta1 = (math.pi**2 / 3.0) * e2
-    return (TWO_PI_I**2 * (sx + sy) - eta1, TWO_PI_I**3 * (2.0 * t - sx + sy),
-            TWO_PI_I * s1 + eta1 * z - 1j * math.pi)
+    return _TWO_PI_I_2 * (sx + sy), _TWO_PI_I_3 * (2.0 * t - sx + sy), TWO_PI_I * s1
 
 
 def _est_error(value: complex, dist: float) -> float:

@@ -12,8 +12,8 @@ from wpfield.eisenstein import (
     _TAIL_TARGET,
     ZETA2,
     ZETA6,
+    _HORNER,
     _coefficients,
-    _horner,
     _order,
     lattice_sum_eisenstein,
     q_coefficients,
@@ -142,13 +142,18 @@ def test_the_order_table_equals_the_walk():
 
 
 def test_q_coefficients_keep_nothing_and_the_lattice_tables_stay_small():
-    # only _horner keeps its tables, and only a Lattice fills it: three
-    # kinds at the ten orders of the reduced domain at most
+    # only _HORNER keeps tables, built at import: three kinds at the orders
+    # 0..11 that _order can give (the reduced domain needs 1..10), each the
+    # float coefficients, the highest power first; nothing adds to it
     run_identity_suite(1)
     for order in range(200):
         q_coefficients("e4", order)
     assert not hasattr(_coefficients, "cache_info")
-    assert _horner.cache_info().currsize <= 30
+    assert _order(math.inf) == len(_ORDER_BOUNDS) + 1 == 11
+    assert {kind: len(table) for kind, table in _HORNER.items()} == {"e2": 12, "e4": 12, "e6": 12}
+    for kind, table in _HORNER.items():
+        for order, coefficients in enumerate(table):
+            assert coefficients == tuple(map(float, reversed(_coefficients(kind, order))))
 
 
 def test_order_bounds_the_true_eisenstein_tails():

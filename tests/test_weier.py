@@ -1,16 +1,20 @@
 """The q-series pass for wp, wp', zeta through Lattice: guards, anchors,
 half periods, lattice oracles."""
 
+import cmath
 import math
+import random
 
 import pytest
 
 from wpfield import reduction
-from wpfield.core import _nome
+from wpfield.core import TWO_PI_I, _nome
 from wpfield.eisenstein import _TAIL_TARGET, _e_series, _order
 from wpfield.errors import ConvergenceDomain, PoleProximity
-from wpfield.reduction import Lattice, half_periods, invariants_anywhere
-from wpfield.weier import _point_values, wp_lattice_oracle, zeta_lattice_oracle
+from wpfield.reduction import (HalfPeriodData, Lattice, half_periods, invariants_anywhere,
+                               wp_anywhere, wp_prime_anywhere, zeta_anywhere)
+from wpfield.symbolic import E4, E6, WP1, eval_expr
+from wpfield.weier import _est_error, _point_values, wp_lattice_oracle, zeta_lattice_oracle
 
 from order_walk import walk_order
 
@@ -94,9 +98,8 @@ def test_half_periods_square_lattice():
     assert abs(hp.e1 + hp.e2) < 1e-12
 
 
-@pytest.mark.parametrize("kernel", ["half_periods", "wp", "wp_prime", "zeta"])
-def test_kernels_sum_e2_once(kernel, monkeypatch):
-    # half_periods runs three passes at one tau on one E2 sum
+def _count_sums(monkeypatch):
+    """The kinds of the E-series reduction sums from here on, in order."""
     sums = []
     original = reduction._e_series
 
@@ -105,10 +108,28 @@ def test_kernels_sum_e2_once(kernel, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(reduction, "_e_series", counted)
+    return sums
+
+
+@pytest.mark.parametrize("kernel", ["half_periods", "wp", "wp_prime", "zeta"])
+def test_kernels_sum_e2_once(kernel, monkeypatch):
+    # half_periods runs three passes at one tau on one E2 sum; wp' carries
+    # no eta1, so it sums no E2
+    sums = _count_sums(monkeypatch)
     lat = Lattice(complex(-0.2, 1.6))
     args = () if kernel == "half_periods" else (0.3,)
     getattr(lat, kernel)(*args)
-    assert sums == ["e2"]
+    assert sums == ([] if kernel == "wp_prime" else ["e2"])
+
+
+def test_wp_prime_e4_and_e6_sum_no_e2(monkeypatch):
+    sums = _count_sums(monkeypatch)
+    tau, z = complex(0.3, 0.4), complex(4.3, 1.9)
+    eval_expr(WP1 * E4 + E6, tau, z)
+    assert sorted(sums) == ["e4", "e6"]
+    sums.clear()
+    wp_prime_anywhere(tau, z)
+    assert sums == []
 
 
 def test_half_periods_fold_re_tau_mod_one():
@@ -170,11 +191,141 @@ def test_pole_guard():
 
 
 def _pass(tau, z):
-    """weier._point_values at (tau, z) as a Lattice runs it once z has
-    passed the pole guard, which the pass itself does not hold."""
+    """(wp, wp', zeta) at (tau, z) as a Lattice forms them once z has passed
+    the pole guard, which the pass itself does not hold: weier._point_values,
+    then eta1 = (pi^2/3) E2(tau) applied to wp and zeta."""
     q = _nome(tau)
     order = _order(abs(q))
-    return _point_values(tau, q, order, z, _e_series("e2", q, order))
+    wp, wp1, zeta = _point_values(tau, q, order, z)
+    eta1 = (math.pi**2 / 3.0) * _e_series("e2", q, order)
+    return wp - eta1, wp1, zeta + eta1 * z - 1j * math.pi
+
+
+def _ref_point_values(tau, q, order, z, e2):
+    """The reference kernel: weier._point_values as it was while it took
+    E2(tau) and applied eta1 to wp and zeta itself, kept verbatim."""
+    try:
+        u = cmath.exp(TWO_PI_I * z)
+        r = cmath.exp(TWO_PI_I * (tau - z))
+    except OverflowError as exc:  # z far below or above the cell
+        raise ConvergenceDomain(f"exp(2*pi*i*z) overflows at z = {z}") from exc
+    if abs(q * u) >= 1.0 or abs(r) >= 1.0:
+        raise ConvergenceDomain(
+            "need |q*u| < 1 and |q/u| < 1; reduce z into the period cell first"
+        )
+    a = 1.0 / (1.0 - u)
+    wa = u * a
+    s1, sx, sy = -wa, wa * a, 0j
+    t = sx * a
+    w, v = u, r
+    for _ in range(order):
+        w *= q
+        a = 1.0 / (1.0 - w)
+        b = 1.0 / (1.0 - v)
+        wa = w * a
+        vb = v * b
+        x = wa * a
+        y = vb * b
+        s1 += vb - wa
+        sx += x
+        sy += y
+        t += x * a - y * b
+        v *= q
+    eta1 = (math.pi**2 / 3.0) * e2
+    return (TWO_PI_I**2 * (sx + sy) - eta1, TWO_PI_I**3 * (2.0 * t - sx + sy),
+            TWO_PI_I * s1 + eta1 * z - 1j * math.pi)
+
+
+def _ref_evaluators(lat):
+    """wp, wp_prime, zeta and half_periods of lat on the reference kernel,
+    each point placed afresh and E2(tau*) summed for every pass, as the
+    Lattice did before the pass left eta1 to it."""
+    tau_star, q, order, s = lat._tau_star, lat._q, lat._order, lat._s
+
+    def point(z):
+        m, n, z_star, dist = lat._place(z)
+        if dist < lat._guard:
+            raise lat._too_near(f"z = {z}", dist)
+        e2 = _e_series("e2", q, order)
+        return (m, n, dist, e2) + _ref_point_values(tau_star, q, order, z_star, e2)
+
+    def wp(z):
+        _, _, dist, _, value, _, _ = point(z)
+        return reduction._transport(value, _est_error(value, dist), s, 2, "wp")
+
+    def wp_prime(z):
+        _, _, dist, _, _, value, _ = point(z)
+        return reduction._transport(value, _est_error(value, dist), s, 3, "wp'")
+
+    def zeta(z):
+        m, n, dist, e2, _, _, zeta = point(z)
+        value = zeta
+        if m or n:
+            eta1 = (math.pi**2 / 3.0) * e2
+            value += (m + n * tau_star) * eta1 - 2j * math.pi * n
+        est = _est_error(zeta, dist) * (1.0 + abs(m) + abs(n))
+        return reduction._transport(value, est, s, 1, "zeta")
+
+    def halves():
+        (a, b, c, d), values = lat._gamma, []
+        for p, r in ((1, 0), (0, 1), (1, 1)):
+            z_star = ((a * p - b * r) % 2 + (d * r - c * p) % 2 * tau_star) / 2.0
+            dist = reduction._cell_distance(tau_star, z_star)
+            if dist < lat._guard:
+                raise lat._too_near(f"half period ({p} + {r}*tau)/2 of tau = {lat.tau}", dist)
+            e2 = _e_series("e2", q, order)
+            value = _ref_point_values(tau_star, q, order, z_star, e2)[0]
+            values.append(reduction._divide_by_sk(value, s, 2, "wp"))
+        return HalfPeriodData(*values)
+
+    return {"wp": wp, "wp_prime": wp_prime, "zeta": zeta, "half_periods": halves}
+
+
+def _repr_outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_the_point_path_equals_the_reference_kernel_bit_for_bit():
+    # a seeded sweep: |z| up to 60, so zeta unwinds by (m, n) != 0; points
+    # near the lattice, some within the pole guard; every z asked of a held
+    # Lattice for wp, wp' and zeta in a random order, twice, so all but the
+    # first read the kept point; the fresh evaluators; the half periods; and
+    # tau where the transports overflow
+    rng = random.Random(32)
+    pairs = []
+    for _ in range(60):
+        tau = complex(rng.uniform(-1.0, 1.0),
+                      math.exp(rng.uniform(math.log(0.005), math.log(5.0))))
+        zs = [cmath.rect(60.0 * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi))
+              for _ in range(8)]
+        for _ in range(3):
+            lattice_point = rng.randint(-3, 3) + rng.randint(-3, 3) * tau
+            d = 10.0 ** rng.uniform(-4.0, math.log10(0.3))
+            zs.append(lattice_point + cmath.rect(d, rng.uniform(0.0, 2.0 * math.pi)))
+        pairs.append((tau, zs))
+    pairs += [(1e-155j, [complex(-0.5, 3e-156)]), (complex(0.2, 1e-6), [1e250j]),
+              (1j, [0.5, 0.5j, 0.5 + 0.5j, 0.0, 1e13 + 0.5])]
+    fresh = {"wp": wp_anywhere, "wp_prime": wp_prime_anywhere, "zeta": zeta_anywhere}
+    unwound = raised = 0
+    for tau, zs in pairs:
+        held = Lattice(tau)
+        ref = _ref_evaluators(Lattice(tau))
+        want = _repr_outcome(ref["half_periods"])
+        assert _repr_outcome(held.half_periods) == want, tau
+        assert _repr_outcome(half_periods, tau) == want, tau
+        calls = [(name, z) for z in zs for name in fresh] * 2
+        rng.shuffle(calls)
+        for name, z in calls:
+            want = _repr_outcome(ref[name], z)
+            assert _repr_outcome(getattr(held, name), z) == want, (name, tau, z)
+            assert _repr_outcome(fresh[name], tau, z) == want, (name, tau, z)
+            raised += want.startswith(("PoleProximity", "NonFiniteValue", "ConvergenceDomain"))
+            if name == "zeta" and "WValue" in want:
+                unwound += held._place(z)[:2] != (0, 0)
+    assert unwound > 1000 and raised > 100
 
 
 def test_convergence_guard_far_below_the_cell():
