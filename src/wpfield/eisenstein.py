@@ -33,6 +33,9 @@ ZETA2 = math.pi**2 / 6.0
 ZETA4 = math.pi**4 / 90.0
 ZETA6 = math.pi**6 / 945.0
 
+# The factor (2*pi)^12 of the eta product, formed once.
+_TWO_PI_12 = (2.0 * math.pi) ** 12
+
 
 def sigma(n: int, k: int) -> int:
     """Divisor power sum sigma_k(n) by direct divisor enumeration."""
@@ -96,7 +99,7 @@ def _delta_eta_product(q: complex, order: int) -> complex:
     for _ in range(order):
         qn *= q
         prod *= 1.0 - qn
-    return ensure_finite((2.0 * math.pi) ** 12 * q * prod**24, "delta")
+    return ensure_finite(_TWO_PI_12 * q * prod**24, "delta")
 
 
 # Past this |Im(pi*a)| a row is written in the nome exp(2*pi*i*a) (or its

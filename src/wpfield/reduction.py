@@ -14,7 +14,10 @@ sum -> transport.  A point is split once (z/s into its cell), checked once
 (the pole guard scaled by 1/|s| into the reduced frame, and the convergence
 checks), and wp, wp' and zeta are summed in one pass at (tau*, z*).  Only
 wp and zeta carry eta1, so only they need E2(tau*), which the Lattice sums
-once; wp' needs none.  E2 inverts the quasimodular law
+once; wp' needs none.  The functions of tau alone (E2, E4, E6, the
+invariants and the half periods), which callers ask for together at one
+tau, share the Lattice of the last tau asked (_tau_lattice); each function
+of (tau, z) builds its own.  E2 inverts the quasimodular law
 
     G2(gamma tau) = s^2 G2(tau) - pi*i*c*s,      G2 = zeta(2) E2,
 
@@ -49,8 +52,11 @@ _TAU_STAR_MISMATCH = 1e-6
 
 _ULP = 2.0**-52  # relative spacing of doubles: the rounding of z/s in its split
 
-# eta1 = (pi^2/3) E2(tau*), the quasi-period that wp and zeta carry.
+# eta1 = (pi^2/3) E2(tau*), the quasi-period that wp and zeta carry, and
+# g2 = (4 pi^4/3) E4, g3 = (8 pi^6/27) E6.
 _ETA1_PER_E2 = math.pi**2 / 3.0
+_G2_PER_E4 = 4.0 * math.pi**4 / 3.0
+_G3_PER_E6 = 8.0 * math.pi**6 / 27.0
 
 # How many placed points a Lattice keeps: the three-term zeta identity reads
 # wp and zeta at three points.
@@ -64,8 +70,8 @@ _EISENSTEIN_ERROR = {
     "e2": (2, 1.0, 0.7, 1.2),
     "e4": (4, 1.0, 6.1, 2.1),
     "e6": (6, 1.0, 10.0, 3.6),
-    "g2": (4, 4.0 * math.pi**4 / 3.0, 6.1, 2.1),
-    "g3": (6, 8.0 * math.pi**6 / 27.0, 10.0, 3.6),
+    "g2": (4, _G2_PER_E4, 6.1, 2.1),
+    "g3": (6, _G3_PER_E6, 10.0, 3.6),
 }
 
 
@@ -193,6 +199,16 @@ def _cell_distance(tau_star: complex, z_star: complex) -> float:
                abs(z_star - (1 + tau_star)))
 
 
+def _key(w: complex) -> complex | tuple:
+    """w as a key of what is kept for it: 0.0 == -0.0, but the sign of a
+    zero part of z can show in the sign of a zero part of the values, so a
+    zero part keys with its sign, and what is kept for z or tau answers
+    only a z or tau equal to it bit for bit."""
+    if w.real and w.imag:
+        return w
+    return (w, math.copysign(1.0, w.real), math.copysign(1.0, w.imag))
+
+
 def _sk(s: complex, weight: int, what: str) -> complex:
     """s^k, which underflows to 0 at tiny Im(tau)."""
     sk = s**weight
@@ -224,9 +240,10 @@ class Lattice:
     from the walk), s = c*tau + d and |s|, the pole guard scaled by 1/|s|
     into the reduced frame, tau* = gamma(tau), q* and the one order
     (eisenstein._order, a table lookup) to which every q-series at q* is
-    summed (the kernels, each E-series and the eta product).  E2(tau*) is
-    summed once, when wp, zeta, E2, the invariants or a half period first
-    needs it; wp_prime, E4 and E6 sum none.
+    summed (the kernels, each E-series and the eta product).  E2(tau*),
+    E4(tau*) and E6(tau*) are each summed once, when first needed: E2 by
+    wp, zeta, E2, the invariants or a half period, E4 and E6 by themselves
+    or the invariants; wp_prime sums none.
 
     Every evaluator is Lattice(tau).method: wp, wp_prime and zeta (WValue)
     are wp_anywhere(tau, z), wp_prime_anywhere(tau, z) and
@@ -235,14 +252,17 @@ class Lattice:
     lattice_distance(tau, z).  Each point costs one split of z/s and one
     series pass, which serves wp, wp_prime and zeta there: a Lattice keeps
     the last four points it placed, so wp, wp_prime and zeta at one z cost
-    one pass between them.  A point that raises is not kept, and nothing
+    one pass between them.  A point that raises is not kept, and no point
     is kept across Lattices: Lattice(tau).wp(z) always places z afresh.
+    The functions of tau alone share the Lattice of the last tau asked, so
+    e2_anywhere, e4_anywhere, e6_anywhere and invariants_anywhere at one
+    tau reduce it once and sum each series once between them.
     Lattice(tau) raises what the evaluators raise for that tau.  Lattices
     are equal when their tau are.
     """
 
     __slots__ = ("_tau", "_gamma", "_s", "_s_abs", "_guard", "_tau_star", "_q", "_order", "_e2",
-                 "_points")
+                 "_e4", "_e6", "_points")
 
     def __init__(self, tau: complex) -> None:
         a, b, c, d, tau_star = _walk(tau)
@@ -257,7 +277,7 @@ class Lattice:
         self._tau_star = tau_star
         self._q = q
         self._order = _order(abs(q))
-        self._e2 = None
+        self._e2 = self._e4 = self._e6 = None
         self._points = ()  # ((key, point), ...), the newest first
 
     @property
@@ -321,12 +341,7 @@ class Lattice:
 
     def _point(self, z: complex) -> tuple:
         """The point kept from placing the same z, or _fresh_point(z), kept."""
-        w = complex(z)
-        key = w
-        if not (w.real and w.imag):
-            # 0.0 == -0.0, but the sign of a zero part of z can show in the
-            # sign of a zero part of the values
-            key = (w, math.copysign(1.0, w.real), math.copysign(1.0, w.imag))
+        key = _key(complex(z))
         for kept, point in self._points:
             if kept == key:
                 return point
@@ -391,12 +406,16 @@ class Lattice:
         return _divide_by_sk(g2, s, 2, "E2") / ZETA2
 
     def e4(self) -> complex:
-        """E4 (weight-4 modular transport)."""
-        return _divide_by_sk(_e_series("e4", self._q, self._order), self._s, 4, "E4")
+        """E4 (weight-4 modular transport), E4(tau*) summed on first use."""
+        if self._e4 is None:
+            self._e4 = _e_series("e4", self._q, self._order)
+        return _divide_by_sk(self._e4, self._s, 4, "E4")
 
     def e6(self) -> complex:
-        """E6 (weight-6 modular transport)."""
-        return _divide_by_sk(_e_series("e6", self._q, self._order), self._s, 6, "E6")
+        """E6 (weight-6 modular transport), E6(tau*) summed on first use."""
+        if self._e6 is None:
+            self._e6 = _e_series("e6", self._q, self._order)
+        return _divide_by_sk(self._e6, self._s, 6, "E6")
 
     def invariants(self) -> LatticeInvariants:
         """g2, g3, delta, eta1 from E2, E4, E6 and the eta product at q*,
@@ -404,10 +423,10 @@ class Lattice:
 
         delta is the eta product at tau* (weight 12), not g2^3 - 27 g3^2,
         which cancels badly once |q*| is small."""
-        g2 = (4.0 * math.pi**4 / 3.0) * self.e4()
-        g3 = (8.0 * math.pi**6 / 27.0) * self.e6()
+        g2 = _G2_PER_E4 * self.e4()
+        g3 = _G3_PER_E6 * self.e6()
         delta = _divide_by_sk(_delta_eta_product(self._q, self._order), self._s, 12, "delta")
-        eta1 = (math.pi**2 / 3.0) * self.e2()
+        eta1 = _ETA1_PER_E2 * self.e2()
         return LatticeInvariants(g2=g2, g3=g3, delta=delta, eta1=eta1)
 
     def half_periods(self) -> HalfPeriodData:
@@ -502,29 +521,50 @@ def zeta_anywhere(tau: complex, z: complex) -> WValue:
     return lat._zeta(lat._fresh_point(z))
 
 
+# The functions of tau alone read the Lattice of the last tau asked, with its
+# key: callers ask E2, E4, E6 and the invariants together at one tau, and
+# the Lattice sums each series once.  A function of (tau, z) meets a new
+# tau almost every call, so it keeps its own Lattice and leaves this alone.
+_last_tau = (None, None)
+
+
+def _tau_lattice(tau: complex) -> Lattice:
+    """Lattice(tau), the last one built here when its tau is tau."""
+    global _last_tau
+    key = _key(complex(tau))
+    kept, lat = _last_tau
+    if kept == key:
+        return lat
+    lat = Lattice(tau)
+    # one assignment of a new tuple, after a Lattice that did not raise: a
+    # race between threads can only miss, never read a wrong Lattice
+    _last_tau = (key, lat)
+    return lat
+
+
 def e2_anywhere(tau: complex) -> complex:
     """E2 at any tau by inverting the quasimodular transformation law."""
-    return Lattice(tau).e2()
+    return _tau_lattice(tau).e2()
 
 
 def e4_anywhere(tau: complex) -> complex:
     """E4 at any tau (weight-4 modular transport)."""
-    return Lattice(tau).e4()
+    return _tau_lattice(tau).e4()
 
 
 def e6_anywhere(tau: complex) -> complex:
     """E6 at any tau (weight-6 modular transport)."""
-    return Lattice(tau).e6()
+    return _tau_lattice(tau).e6()
 
 
 def invariants_anywhere(tau: complex) -> LatticeInvariants:
     """g2, g3, delta, eta1 at any tau from one reduction (Lattice.invariants)."""
-    return Lattice(tau).invariants()
+    return _tau_lattice(tau).invariants()
 
 
 def half_periods(tau: complex) -> HalfPeriodData:
     """wp at 1/2, tau/2 and (1+tau)/2 at any tau (Lattice.half_periods)."""
-    return Lattice(tau).half_periods()
+    return _tau_lattice(tau).half_periods()
 
 
 def wp_add(tau: complex, z1: complex, z2: complex) -> complex:
@@ -560,7 +600,7 @@ def _wp_add(lat: Lattice, z1: complex, z2: complex) -> complex:
         pp = w1.value
         if abs(pp) <= w1.est_error:  # rounding noise: dividing by it gives noise
             raise NearSingular(f"|wp'(z1)| = {abs(pp):.1e} is within its error {w1.est_error:.1e}")
-        g2 = (4.0 * math.pi**4 / 3.0) * lat.e4()
+        g2 = _G2_PER_E4 * lat.e4()
         second = 6.0 * p1 * p1 - 0.5 * g2
         return ensure_finite((second / (2.0 * pp)) ** 2 - 2.0 * p1, "wp_add")
     pp1 = lat._wp_prime(point1).value

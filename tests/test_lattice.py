@@ -8,6 +8,7 @@ import hashlib
 import math
 import random
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -274,9 +275,9 @@ def test_the_frame_stays_inside_reduction():
     # the other modules evaluate through Lattice and the public evaluators;
     # of reduction's private names they import only these two, and they
     # read none of a Lattice's reduction (gamma, s, |s|, the scaled pole
-    # guard, tau*, q*, the order, E2) or the points it keeps
+    # guard, tau*, q*, the order, E2, E4, E6) or the points it keeps
     frame = {"_tau", "_gamma", "_s", "_s_abs", "_guard", "_tau_star", "_q", "_order", "_e2",
-             "_points"}
+             "_e4", "_e6", "_points"}
     for name in ("symbolic", "cli", "verify"):
         tree = ast.parse((ROOT / "src" / "wpfield" / f"{name}.py").read_text())
         private = {
@@ -390,3 +391,117 @@ def test_the_suite_runs_one_pass_per_point_of_a_lattice(monkeypatch):
             verify.run_identity_suite(seed=seed, only=[case])
     assert len(passes) > 500
     assert sorted({key[0] for key, count in passes.items() if count > 1}) == []
+
+
+# The functions of tau alone and the Lattice method each one is.
+TAU_ONLY = (
+    (e2_anywhere, "e2"),
+    (e4_anywhere, "e4"),
+    (e6_anywhere, "e6"),
+    (invariants_anywhere, "invariants"),
+    (half_periods, "half_periods"),
+)
+
+
+def _memo_key(tau):
+    """The key the memo of the last tau files tau under, or None for a tau
+    that is not a number."""
+    try:
+        return reduction._key(complex(tau))
+    except (TypeError, ValueError):
+        return None
+
+
+def test_the_last_tau_memo_answers_as_a_fresh_lattice(monkeypatch):
+    # repeated, alternating and raising tau, zero real parts of either sign
+    # among them; each answer is a fresh Lattice's, value and est_error
+    # digits or exception and message, whether the memo holds tau or not
+    monkeypatch.setattr(reduction, "_last_tau", (None, None))
+    rng = random.Random(33)
+    pool = [complex(rng.uniform(-1.0, 1.0), math.exp(rng.uniform(math.log(0.005), math.log(5.0))))
+            for _ in range(6)]
+    pool += [complex(0.0, 1.0), complex(-0.0, 1.0), complex(-0.0, 0.7), complex(0.0, 0.7),
+             1e-320j, complex(0.3, math.inf), complex(0.3, -1.0),
+             complex(0.3, 1e-200),  # E2's s^2 underflows, E4's and E6's s^k too
+             complex(0.1, 1e-9),  # a half period within the pole guard
+             "0.2+1.1j", "1+"]
+    hot = cold = raised = 0
+    tau = pool[0]
+    for _ in range(600):
+        if rng.random() < 0.4:
+            tau = rng.choice(pool)
+        evaluate, name = rng.choice(TAU_ONLY)
+        warm = reduction._last_tau[0] is not None and reduction._last_tau[0] == _memo_key(tau)
+        got = _outcome(evaluate, tau)
+        want = _outcome(lambda: getattr(Lattice(tau), name)())
+        assert repr(got) == repr(want), (name, tau, warm)
+        hot += warm
+        cold += not warm
+        raised += got[0] != "value"
+    assert hot > 200 and cold > 200 and raised > 100
+    # the kept Lattice is the one of the last tau that built one
+    kept, lat = reduction._last_tau
+    assert kept == reduction._key(lat.tau)
+
+
+def test_functions_of_tau_alone_reduce_once_and_sum_each_series_once(monkeypatch):
+    monkeypatch.setattr(reduction, "_last_tau", (None, None))
+    walks = _count_calls(monkeypatch, "_walk", [reduction])
+    sums = _count_calls(monkeypatch, "_e_series", [eisenstein, reduction])
+    tau, z = complex(0.3, 0.4), complex(4.3, 1.9)
+    values = [repr(evaluate(tau)) for evaluate, _ in TAU_ONLY]
+    assert len(walks) == 1
+    assert sorted(args[0] for args in sums) == ["e2", "e4", "e6"]
+    # a function of (tau, z) builds its own Lattice: it walks and sums E2
+    # again, and the memo neither serves it nor loses the Lattice it holds
+    kept = reduction._last_tau
+    wp_anywhere(tau, z)
+    assert reduction._last_tau is kept
+    assert len(walks) == 2 and [args[0] for args in sums].count("e2") == 2
+    assert [repr(evaluate(tau)) for evaluate, _ in TAU_ONLY] == values
+    assert len(walks) == 2 and len(sums) == 4
+    # the memo holds one tau: a new tau walks, and so does the old one after it
+    e4_anywhere(complex(0.3, 0.5))
+    e4_anywhere(tau)
+    assert len(walks) == 4
+    # an eval_scatter point (E2, E4, E6, the invariants, then wp, wp', zeta
+    # at a new tau): 4 walks, E2 summed 3 times, E4 and E6 once each
+    walks.clear(), sums.clear()
+    tau = complex(-0.2, 1.6)
+    for evaluate in (e2_anywhere, e4_anywhere, e6_anywhere, invariants_anywhere):
+        evaluate(tau)
+    for evaluate in (wp_anywhere, wp_prime_anywhere, zeta_anywhere):
+        evaluate(tau, z)
+    assert len(walks) == 4
+    assert collections.Counter(args[0] for args in sums) == {"e2": 3, "e4": 1, "e6": 1}
+
+
+def test_threads_that_alternate_tau_get_their_own_values():
+    # racing threads share the one memo slot: each may miss, none may read
+    # the other tau's Lattice
+    taus = (complex(0.3, 0.4), complex(-0.2, 1.6))
+    want = {tau: [repr(getattr(Lattice(tau), name)()) for _, name in TAU_ONLY] for tau in taus}
+    wrong = []
+    start = threading.Barrier(6)
+
+    def work(k):
+        start.wait(timeout=30)
+        for i in range(1000):
+            tau = taus[(i + k) % 2]
+            evaluate, _ = TAU_ONLY[(i // 2 + k) % len(TAU_ONLY)]
+            got = repr(evaluate(tau))
+            if got != want[tau][(i // 2 + k) % len(TAU_ONLY)]:
+                wrong.append((tau, evaluate.__name__, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []

@@ -356,7 +356,11 @@ def test_half_period_pole_proximity_names_tau():
 
 
 def _count_calls(monkeypatch, name, modules):
-    """Replace `name` in each module by a wrapper that records its calls."""
+    """Replace `name` in each module by a wrapper that records its calls, and
+    empty the functions of tau alone's memo of the last tau, so that a call
+    counted from here on reduces and sums for its own tau, whatever tau an
+    earlier test left warm."""
+    monkeypatch.setattr(reduction, "_last_tau", (None, None))
     calls = []
     for module in modules:
         original = getattr(module, name)
