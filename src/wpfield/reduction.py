@@ -16,8 +16,9 @@ checks), and wp, wp' and zeta are summed in one pass at (tau*, z*).  Only
 wp and zeta carry eta1, so only they need E2(tau*), which the Lattice sums
 once; wp' needs none.  The functions of tau alone (E2, E4, E6, the
 invariants and the half periods), which callers ask for together at one
-tau, share the Lattice of the last tau asked (_tau_lattice); each function
-of (tau, z) builds its own.  E2 inverts the quasimodular law
+tau, and symbolic.eval_expr share the Lattice of the last tau asked
+(_tau_lattice); each point evaluator builds its own.  E2 inverts the
+quasimodular law
 
     G2(gamma tau) = s^2 G2(tau) - pi*i*c*s,      G2 = zeta(2) E2,
 
@@ -58,9 +59,9 @@ _ETA1_PER_E2 = math.pi**2 / 3.0
 _G2_PER_E4 = 4.0 * math.pi**4 / 3.0
 _G3_PER_E6 = 8.0 * math.pi**6 / 27.0
 
-# How many placed points a Lattice keeps: the three-term zeta identity reads
-# wp and zeta at three points.
-_POINTS_KEPT = 4
+# How many placed points a Lattice keeps: fd_check in z evaluates a value
+# point and four stencil points, and fd_check in tau starts at that point.
+_POINTS_KEPT = 5
 
 # For each function of tau alone but delta: its weight k, its factor over
 # E_k, and on the reduced domain the bound on |E_k'| from Ramanujan's system
@@ -251,12 +252,13 @@ class Lattice:
     e2_anywhere(tau) ... half_periods(tau); distance(z) is
     lattice_distance(tau, z).  Each point costs one split of z/s and one
     series pass, which serves wp, wp_prime and zeta there: a Lattice keeps
-    the last four points it placed, so wp, wp_prime and zeta at one z cost
+    the last five points it placed, so wp, wp_prime and zeta at one z cost
     one pass between them.  A point that raises is not kept, and no point
     is kept across Lattices: Lattice(tau).wp(z) always places z afresh.
-    The functions of tau alone share the Lattice of the last tau asked, so
-    e2_anywhere, e4_anywhere, e6_anywhere and invariants_anywhere at one
-    tau reduce it once and sum each series once between them.
+    The functions of tau alone and symbolic.eval_expr share the Lattice of
+    the last tau asked, so e2_anywhere, e4_anywhere, e6_anywhere and
+    invariants_anywhere at one tau reduce it once and sum each series once
+    between them, and so do the five evaluations of fd_check in z.
     Lattice(tau) raises what the evaluators raise for that tau.  Lattices
     are equal when their tau are.
     """
@@ -377,8 +379,8 @@ class Lattice:
         """zeta: closed-form quasi-period unwinding, weight-1 transport."""
         return self._zeta(self._point(z))
 
-    # The transports of one point's values, so that eval_expr reads wp, wp'
-    # and zeta off one series pass.
+    # The transports of one point's values, for callers that place the point
+    # themselves: the point evaluators, half_periods and _wp_add.
 
     def _wp(self, p: tuple) -> WValue:
         """wp = the q-sum - eta1."""
@@ -438,15 +440,14 @@ class Lattice:
         s (p' + q'*tau*)/2 with (p', q') = (a*p - b*q, d*q - c*p) mod 2, a
         half period of the reduced cell.  One pass at each, on one E2 sum."""
         (a, b, c, d), tau_star = self._gamma, self._tau_star
-        eta1 = _ETA1_PER_E2 * self._e2_star()
         values = []
         for p, q in ((1, 0), (0, 1), (1, 1)):
             z_star = ((a * p - b * q) % 2 + (d * q - c * p) % 2 * tau_star) / 2.0
             dist = _cell_distance(tau_star, z_star)
             if dist < self._guard:
                 raise self._too_near(f"half period ({p} + {q}*tau)/2 of tau = {self._tau}", dist)
-            wp = _point_values(tau_star, self._q, self._order, z_star)[0] - eta1
-            values.append(_divide_by_sk(wp, self._s, 2, "wp"))
+            point = (0, 0, z_star, dist) + _point_values(tau_star, self._q, self._order, z_star)
+            values.append(self._wp(point).value)
         return HalfPeriodData(*values)
 
     def distance(self, z: complex) -> float:
@@ -521,10 +522,10 @@ def zeta_anywhere(tau: complex, z: complex) -> WValue:
     return lat._zeta(lat._fresh_point(z))
 
 
-# The functions of tau alone read the Lattice of the last tau asked, with its
-# key: callers ask E2, E4, E6 and the invariants together at one tau, and
-# the Lattice sums each series once.  A function of (tau, z) meets a new
-# tau almost every call, so it keeps its own Lattice and leaves this alone.
+# The functions of tau alone and symbolic.eval_expr read the Lattice of the
+# last tau asked, with its key: E2, E4, E6 and the invariants are asked
+# together at one tau, as are fd_check's five points in z.  A point evaluator
+# meets a new tau almost every call, so it keeps its own Lattice.
 _last_tau = (None, None)
 
 

@@ -57,7 +57,7 @@ from operator import itemgetter, or_
 
 from .core import ensure_finite, require_upper_half
 from .errors import NearSingular, NonFiniteValue
-from .reduction import Lattice
+from .reduction import _tau_lattice
 
 GEN_NAMES = ("z", "tau", "wp", "wp1", "zeta", "E2", "E4", "E6", "pi")
 NGEN = len(GEN_NAMES)
@@ -87,9 +87,6 @@ _POWER_BUDGET = 50_000
 # The most bits the largest coefficients of its two operands may have between
 # them: 4300 digits, what str(int) prints.  3^100000000 did not end in 114 s.
 _POWER_BITS = int(4300 * math.log2(10))
-
-# wp, wp1, zeta, E2, E4, E6: the generators read off a Lattice.
-_FRAME_GENERATORS = frozenset(range(2, 8))
 
 # ---------------------------------------------------------------------------
 # Polynomials: dicts mapping packed monomials to Gaussian-integer coefficients
@@ -646,20 +643,15 @@ def eval_expr(
     z: complex | None = None,
 ) -> complex:
     """Evaluate an Expr by binding the generators to the anywhere-evaluators'
-    values, from one Lattice of tau: one q-series pass at z serves wp, wp1,
-    zeta and E2, and E4 and E6 are summed if used.
+    values, read off the shared Lattice of tau (reduction._tau_lattice):
+    one kept q-series pass at z serves wp, wp1 and zeta, and E2, E4 and E6
+    are summed once per tau if used.
 
     z may be omitted for expressions that do not mention z, wp, wp1, or zeta.
     Raises ValueError unless Im(tau) > 0, whatever generators e uses,
     NearSingular if the denominator lands below 1e-12 in magnitude and
     NonFiniteValue if the value overflows.
     """
-    return _eval_in(e, tau, z, None)
-
-
-def _eval_in(e: Expr, tau: complex, z: complex | None, lat: Lattice | None) -> complex:
-    """eval_expr in lat, the Lattice of tau made once by the caller, or made
-    here when lat is None."""
     used = e.used_generators()
     vals: list[complex] = [0j] * NGEN
     needs_z = used & {0, 2, 3, 4}
@@ -669,17 +661,14 @@ def _eval_in(e: Expr, tau: complex, z: complex | None, lat: Lattice | None) -> c
     vals[8] = complex(math.pi)
     if 0 in used:
         vals[0] = complex(z)  # type: ignore[arg-type]
-    if used & _FRAME_GENERATORS:
-        if lat is None:
-            lat = Lattice(vals[1])
-        if used & {2, 3, 4}:
-            point = lat._fresh_point(z)  # a Lattice here meets each z once
+    if used & {2, 3, 4, 5, 6, 7}:
+        lat = _tau_lattice(vals[1])
     if 2 in used:
-        vals[2] = lat._wp(point).value
+        vals[2] = lat.wp(z).value
     if 3 in used:
-        vals[3] = lat._wp_prime(point).value
+        vals[3] = lat.wp_prime(z).value
     if 4 in used:
-        vals[4] = lat._zeta(point).value
+        vals[4] = lat.zeta(z).value
     if 5 in used:
         vals[5] = lat.e2()
     if 6 in used:
@@ -707,21 +696,17 @@ def fd_check(
     rules: dict[str, tuple[Expr, ...]] | None = None,
 ) -> float:
     """Relative residual between the symbolic derivative and a Richardson
-    finite difference with step h: |fd - sym| / max(1, |sym|)."""
+    finite difference with step h: |fd - sym| / max(1, |sym|).  Both are
+    eval_expr, so in z all five evaluations share one Lattice of tau."""
     if not 1e-6 <= h <= 1e-3:
         raise ValueError(f"h must lie in [1e-6, 1e-3], got {h}")
-    lat = None
     if var == "z":
         if z is None:
             raise ValueError("z must be given to difference in z")
-        # tau stays put: one Lattice, its reduction and its E2(tau*) serve
-        # all five evaluations
-        if e.used_generators() & _FRAME_GENERATORS:
-            lat = Lattice(tau)
-        f = lambda offset: _eval_in(e, tau, z + offset, lat)
+        f = lambda offset: eval_expr(e, tau, z + offset)
     else:
         f = lambda offset: eval_expr(e, tau + offset, z)
-    sym = _eval_in(differentiate(e, var, rules), tau, z, lat)
+    sym = eval_expr(differentiate(e, var, rules), tau, z)
 
     def central(step: float) -> complex:
         return (f(step) - f(-step)) / (2.0 * step)

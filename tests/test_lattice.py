@@ -5,10 +5,12 @@ import ast
 import cmath
 import collections
 import hashlib
+import io
 import math
 import random
 import sys
 import threading
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,7 @@ from wpfield.reduction import (
     wp_prime_anywhere,
     zeta_anywhere,
 )
+from wpfield.symbolic import E2, E4, E6, TAU, WP, WP1, Z, ZETA, eval_expr, fd_check, rational
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -272,13 +275,18 @@ def test_the_suite_reuses_its_lattice_for_the_addition_formula(monkeypatch):
 
 
 def test_the_frame_stays_inside_reduction():
-    # the other modules evaluate through Lattice and the public evaluators;
-    # of reduction's private names they import only these two, and they
-    # read none of a Lattice's reduction (gamma, s, |s|, the scaled pole
-    # guard, tau*, q*, the order, E2, E4, E6) or the points it keeps
+    # the other modules evaluate through Lattice's public methods and the
+    # public evaluators; of reduction's private names each imports only its
+    # own few, and none reads a Lattice's reduction (gamma, s, |s|, the
+    # scaled pole guard, tau*, q*, the order, E2, E4, E6), the points it
+    # keeps, or the point protocol behind its methods
     frame = {"_tau", "_gamma", "_s", "_s_abs", "_guard", "_tau_star", "_q", "_order", "_e2",
-             "_e4", "_e6", "_points"}
-    for name in ("symbolic", "cli", "verify"):
+             "_e4", "_e6", "_points",
+             "_place", "_point", "_fresh_point", "_wp", "_wp_prime", "_zeta", "_e2_star",
+             "_too_near"}
+    allowed = {"symbolic": {"_tau_lattice"}, "verify": {"_wp_add", "_cell_distance"},
+               "cli": set()}
+    for name, own in allowed.items():
         tree = ast.parse((ROOT / "src" / "wpfield" / f"{name}.py").read_text())
         private = {
             alias.name
@@ -287,7 +295,7 @@ def test_the_frame_stays_inside_reduction():
             for alias in node.names
             if alias.name.startswith("_")
         }
-        assert private <= {"_wp_add", "_cell_distance"}, (name, private)
+        assert private <= own, (name, private)
         read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert not read & frame, (name, read & frame)
     # one evaluation path: only reduction.py imports, reads or calls the
@@ -305,6 +313,33 @@ def test_the_frame_stays_inside_reduction():
             elif isinstance(node, ast.Name):
                 used.add(node.id)
         assert not used & kernels, (path.name, used & kernels)
+
+
+def test_every_private_name_of_the_package_is_used():
+    # a deleted code path leaves no orphan behind: each private name that a
+    # module of the package defines at its top level is also named in the
+    # code of the package (comments and strings do not count) somewhere
+    # other than where it is defined
+    sources = [path.read_text() for path in sorted((ROOT / "src" / "wpfield").glob("*.py"))]
+    words = collections.Counter(
+        token.string
+        for text in sources
+        for token in tokenize.generate_tokens(io.StringIO(text).readline)
+        if token.type == tokenize.NAME
+    )
+    defined = collections.Counter()
+    for text in sources:
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign) else [])
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            defined.update(n for n in names if n.startswith("_") and not n.endswith("__"))
+    assert len(defined) > 100
+    orphans = sorted(name for name, count in defined.items() if words[name] <= count)
+    assert orphans == []
 
 
 def test_wp_wp_prime_and_zeta_at_one_z_share_one_pass(monkeypatch):
@@ -326,12 +361,12 @@ def test_wp_add_runs_one_pass_for_a_duplication_and_two_otherwise(monkeypatch):
     assert len(passes) == 3
 
 
-def test_a_lattice_keeps_at_most_four_points():
+def test_a_lattice_keeps_at_most_five_points():
     lat = Lattice(complex(0.3, 0.4))
     rng = random.Random(5)
     for _ in range(100):
         lat.wp(complex(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0)))
-    assert len(lat._points) == 4
+    assert len(lat._points) == 5
 
 
 def test_a_point_within_the_pole_guard_raises_on_every_call():
@@ -442,6 +477,56 @@ def test_the_last_tau_memo_answers_as_a_fresh_lattice(monkeypatch):
     # the kept Lattice is the one of the last tau that built one
     kept, lat = reduction._last_tau
     assert kept == reduction._key(lat.tau)
+
+
+def test_eval_expr_and_fd_check_on_the_shared_lattice_answer_as_on_a_cold_one(monkeypatch):
+    # seeded expressions over all eight generators at repeated and
+    # alternating tau, zero real parts of either sign, tau that raise and z
+    # within the pole guard; each value or exception, read with the slot of
+    # the last tau as the calls before left it, equals the one read with the
+    # slot emptied, which the next call then finds
+    monkeypatch.setattr(reduction, "_last_tau", (None, None))
+    rng = random.Random(34)
+    pieces = (WP, WP1, ZETA, E2, E4, E6, Z, TAU)
+    exprs = [piece + rational(1, 3) for piece in pieces]
+    for _ in range(12):
+        a, b, c, d = (rng.choice(pieces) for _ in range(4))
+        exprs.append((a * b + rational(2) * c) / (d * d + rational(1, 3)))
+    taus = [complex(rng.uniform(-1.0, 1.0), math.exp(rng.uniform(math.log(0.05), math.log(3.0))))
+            for _ in range(4)]
+    taus += [complex(0.0, 1.0), complex(-0.0, 1.0), complex(0.3, -1.0), 1e-320j,
+             complex(0.3, 1e-200)]  # E2's s^2 underflows
+    x, y = rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)
+    zs = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(4)]
+    zs += [complex(x, 0.0), complex(x, -0.0), complex(-0.0, y), 0j]  # 0j is on the lattice
+    outcomes = collections.Counter()
+    tau = taus[0]
+    for _ in range(400):
+        if rng.random() < 0.4:
+            tau = rng.choice(taus)
+        z = 1.0 + tau + 1e-5 if rng.random() < 0.1 else rng.choice(zs)  # within the pole guard
+        e = rng.choice(exprs)
+        call = rng.choice([(eval_expr, e, tau, z), (fd_check, e, "z", tau, z),
+                           (fd_check, e, "tau", tau, z)])
+        warm = reduction._last_tau[0] is not None and reduction._last_tau[0] == _memo_key(tau)
+        got = _outcome(*call)
+        reduction._last_tau = (None, None)
+        want = _outcome(*call)
+        assert repr(got) == repr(want), (call, warm)
+        outcomes[warm, got[0] == "value"] += 1
+    assert min(outcomes.values()) > 20, outcomes
+    # fd_check in z: five points at one tau on one walk and one sum of each
+    # series used; the functions of tau alone then find that Lattice
+    walks = _count_calls(monkeypatch, "_walk", [reduction])
+    sums = _count_calls(monkeypatch, "_e_series", [eisenstein, reduction])
+    passes = _count_calls(monkeypatch, "_point_values", [reduction])
+    reduction._last_tau = (None, None)
+    tau, z = complex(0.2, 0.9), complex(0.3, 0.25)
+    fd_check(WP * ZETA + E4, "z", tau, z)
+    assert len(walks) == 1 and len(passes) == 5
+    assert sorted(args[0] for args in sums) == ["e2", "e4"]
+    e2_anywhere(tau)
+    assert len(walks) == 1 and len(sums) == 2
 
 
 def test_functions_of_tau_alone_reduce_once_and_sum_each_series_once(monkeypatch):
