@@ -6,139 +6,93 @@ the q-expansions are summed there, and the value is transported back by the
 exact covariance weights.  A symbolic layer differentiates rational
 combinations of the field generators in closed form, and a seeded verification
 suite cross-checks every identity against slow lattice-sum oracles.
+
+Each public name loads its module on first use (PEP 562), so a caller of the
+evaluators never loads the symbolic layer or the suite.
 """
 
-from .core import DEFAULT_POLICY, TolerancePolicy
-from .eisenstein import (
-    LatticeInvariants,
-    lattice_sum_eisenstein,
-    q_coefficients,
-    sigma,
-)
-from .errors import (
-    ConvergenceDomain,
-    DegenerateConfiguration,
-    NearSingular,
-    NonFiniteValue,
-    NonTermination,
-    PoleProximity,
-    WPFieldError,
-)
-from .reduction import (
-    HalfPeriodData,
-    Lattice,
-    ReductionResult,
-    UnimodularMatrix,
-    e2_anywhere,
-    e4_anywhere,
-    e6_anywhere,
-    half_periods,
-    invariants_anywhere,
-    lattice_distance,
-    reduce_point,
-    reduce_tau,
-    wp_add,
-    wp_anywhere,
-    wp_prime_anywhere,
-    zeta_anywhere,
-)
-from .symbolic import (
-    E2,
-    E4,
-    E6,
-    I,
-    ONE,
-    PI,
-    TAU,
-    WP,
-    WP1,
-    Z,
-    ZERO,
-    ZETA,
-    Expr,
-    build_rule_table,
-    default_rule_table,
-    delta_expr,
-    differentiate,
-    eval_expr,
-    expr_to_text,
-    fd_check,
-    g2_expr,
-    g3_expr,
-    parse_expr,
-    rational,
-)
-from .verify import (
-    IdentityCase,
-    IdentityReport,
-    case_names,
-    load_tolerance_config,
-    run_identity_suite,
-)
-from .weier import WValue, wp_lattice_oracle, zeta_lattice_oracle
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_POLICY",
-    "ConvergenceDomain",
-    "DegenerateConfiguration",
-    "E2",
-    "E4",
-    "E6",
-    "Expr",
-    "HalfPeriodData",
-    "I",
-    "IdentityCase",
-    "IdentityReport",
-    "Lattice",
-    "LatticeInvariants",
-    "NearSingular",
-    "NonFiniteValue",
-    "NonTermination",
-    "ONE",
-    "PI",
-    "PoleProximity",
-    "ReductionResult",
-    "TAU",
-    "TolerancePolicy",
-    "UnimodularMatrix",
-    "WP",
-    "WP1",
-    "WPFieldError",
-    "WValue",
-    "Z",
-    "ZERO",
-    "ZETA",
-    "build_rule_table",
-    "case_names",
-    "default_rule_table",
-    "delta_expr",
-    "differentiate",
-    "e2_anywhere",
-    "e4_anywhere",
-    "e6_anywhere",
-    "eval_expr",
-    "expr_to_text",
-    "fd_check",
-    "g2_expr",
-    "g3_expr",
-    "half_periods",
-    "invariants_anywhere",
-    "lattice_distance",
-    "lattice_sum_eisenstein",
-    "load_tolerance_config",
-    "parse_expr",
-    "q_coefficients",
-    "rational",
-    "reduce_point",
-    "reduce_tau",
-    "run_identity_suite",
-    "sigma",
-    "wp_add",
-    "wp_anywhere",
-    "wp_lattice_oracle",
-    "wp_prime_anywhere",
-    "zeta_anywhere",
-    "zeta_lattice_oracle",
-]
+# Each public name and the module that defines it, in the order of __all__.
+_EXPORTS = {
+    "DEFAULT_POLICY": "core",
+    "ConvergenceDomain": "errors",
+    "DegenerateConfiguration": "errors",
+    "E2": "symbolic",
+    "E4": "symbolic",
+    "E6": "symbolic",
+    "Expr": "symbolic",
+    "HalfPeriodData": "reduction",
+    "I": "symbolic",
+    "IdentityCase": "verify",
+    "IdentityReport": "verify",
+    "Lattice": "reduction",
+    "LatticeInvariants": "eisenstein",
+    "NearSingular": "errors",
+    "NonFiniteValue": "errors",
+    "NonTermination": "errors",
+    "ONE": "symbolic",
+    "PI": "symbolic",
+    "PoleProximity": "errors",
+    "ReductionResult": "reduction",
+    "TAU": "symbolic",
+    "TolerancePolicy": "core",
+    "UnimodularMatrix": "reduction",
+    "WP": "symbolic",
+    "WP1": "symbolic",
+    "WPFieldError": "errors",
+    "WValue": "weier",
+    "Z": "symbolic",
+    "ZERO": "symbolic",
+    "ZETA": "symbolic",
+    "build_rule_table": "symbolic",
+    "case_names": "verify",
+    "default_rule_table": "symbolic",
+    "delta_expr": "symbolic",
+    "differentiate": "symbolic",
+    "e2_anywhere": "reduction",
+    "e4_anywhere": "reduction",
+    "e6_anywhere": "reduction",
+    "eval_expr": "symbolic",
+    "expr_to_text": "symbolic",
+    "fd_check": "symbolic",
+    "g2_expr": "symbolic",
+    "g3_expr": "symbolic",
+    "half_periods": "reduction",
+    "invariants_anywhere": "reduction",
+    "lattice_distance": "reduction",
+    "lattice_sum_eisenstein": "eisenstein",
+    "load_tolerance_config": "verify",
+    "parse_expr": "symbolic",
+    "q_coefficients": "eisenstein",
+    "rational": "symbolic",
+    "reduce_point": "reduction",
+    "reduce_tau": "reduction",
+    "run_identity_suite": "verify",
+    "sigma": "eisenstein",
+    "wp_add": "reduction",
+    "wp_anywhere": "reduction",
+    "wp_lattice_oracle": "weier",
+    "wp_prime_anywhere": "reduction",
+    "zeta_anywhere": "reduction",
+    "zeta_lattice_oracle": "weier",
+}
+__all__ = list(_EXPORTS)
+
+# the modules that a bare `import wpfield` resolves as attributes of the package
+_SUBMODULES = frozenset(_EXPORTS.values())
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return _import_module(f"{__name__}.{name}")  # importing binds it here
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _EXPORTS.keys() | _SUBMODULES)

@@ -2,7 +2,8 @@
 
 All outputs are machine readable (JSON on stdout; errors as JSON on stderr).
 Exit codes: 0 success, 1 verification failures, 2 malformed arguments (from
-argparse), 3 evaluation errors such as pole proximity.
+argparse), 3 evaluation errors such as pole proximity.  Only diff loads the
+symbolic layer and only verify the identity suite.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from .core import TolerancePolicy, ensure_finite
 from .eisenstein import q_coefficients
 from .errors import WPFieldError
 from .reduction import Lattice, reduce_point
-from .symbolic import differentiate, expr_to_text, parse_expr
-from .verify import load_tolerance_config, run_identity_suite
 
 TOL_FILE_ENV = "WPFIELD_TOL_FILE"
 
@@ -80,18 +79,23 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    from .symbolic import differentiate, expr_to_text, parse_expr
+
     expr = parse_expr(args.expr)
     print(expr_to_text(differentiate(expr, args.var)))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from .verify import load_tolerance_config, run_identity_suite
+
     tol_file = args.tol_file or os.environ.get(TOL_FILE_ENV)
     if tol_file:
         policy, overrides = load_tolerance_config(tol_file)
     else:
         policy, overrides = TolerancePolicy(), {}
-    only = args.cases.split(",") if args.cases else None
+    # an empty --cases selects no case, which run_identity_suite refuses
+    only = None if args.cases is None else args.cases.split(",") if args.cases else []
     report = run_identity_suite(
         seed=args.seed, policy=policy, only=only, case_tolerances=overrides
     )

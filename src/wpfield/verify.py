@@ -568,10 +568,12 @@ def load_tolerance_config(path: str) -> tuple[TolerancePolicy, dict[str, float]]
     """Parse a tolerance file into (policy, per-case overrides).
 
     Recognized keys: the three TolerancePolicy fields, plus `tol.<case_name>`
-    entries overriding a single case's pass threshold.
+    entries overriding a single case's pass threshold.  A key given twice is
+    refused: one of its values would take no effect.
     """
     policy_kwargs: dict[str, float] = {}
     case_overrides: dict[str, float] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -581,6 +583,10 @@ def load_tolerance_config(path: str) -> tuple[TolerancePolicy, dict[str, float]]
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip()
+            if key in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate key {key!r}, first given on line {first_line[key]}")
+            first_line[key] = lineno
             try:
                 parsed = float(value.strip())
             except ValueError as exc:

@@ -20,14 +20,18 @@ def test_policy_defaults_are_ordered():
     assert policy.pole_guard_radius > 0
 
 
+def _fresh(code: str) -> str:
+    """What code prints, run in a fresh interpreter that imports wpfield from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_import_does_not_load_numpy():
     # NumPy is a test-only dependency: no module of the package imports it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = f"import sys; sys.path.insert(0, {src!r}); import wpfield; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert _fresh("import wpfield; print('numpy' in sys.modules)").strip() == "False"
 
 
 def test_policy_rejects_bad_ordering():
@@ -98,3 +102,62 @@ def test_nome_basics():
 def test_every_exported_name_resolves():
     # a function deleted from the package must leave __all__ with it
     assert [name for name in wpfield.__all__ if not hasattr(wpfield, name)] == []
+
+
+_LAYERS = "print([m for m in ('wpfield.symbolic', 'wpfield.verify') if m in sys.modules])"
+_CLI = "from wpfield.cli import main; main({!r})"
+
+
+@pytest.mark.parametrize("code, layers", [
+    ("import wpfield; wpfield.wp_anywhere(0.1+1.3j, 0.25+0.4j)", []),
+    (_CLI.format(["eval", "--fn", "wp", "--tau", "0.1,1.3", "--z", "0.25,0.4"]), []),
+    (_CLI.format(["reduce", "--tau", "0.1,1.3", "--z", "0.25,0.4"]), []),
+    (_CLI.format(["series", "--fn", "e2", "--order", "5"]), []),
+    (_CLI.format(["diff", "--expr", "zeta", "--var", "z"]), ["wpfield.symbolic"]),
+], ids=["wp_anywhere", "eval", "reduce", "series", "diff"])
+def test_an_evaluation_loads_neither_symbolic_nor_verify(code, layers):
+    # each layer loads on first use: the evaluators and the CLI commands
+    # that evaluate never import the symbolic layer or the suite
+    assert _fresh(f"{code}\n{_LAYERS}").splitlines()[-1] == repr(layers)
+
+
+def test_a_star_import_binds_every_exported_name():
+    out = _fresh("import wpfield\n"
+                 "print(sorted(set(wpfield.__all__) - set(dir(wpfield))))\n"
+                 "names = {}\n"
+                 "exec('from wpfield import *', names)\n"
+                 "print([name for name in wpfield.__all__ if name not in names])")
+    assert out.splitlines() == ["[]", "[]"]
+
+
+def test_each_exported_name_is_the_object_its_module_defines():
+    # and bound in the package once read; a class or function is named after
+    # the module that defines it, not one that imports it
+    out = _fresh("import importlib, inspect, wpfield\n"
+                 "for name in wpfield.__all__:\n"
+                 "    value = getattr(wpfield, name)\n"
+                 "    module = importlib.import_module(f'wpfield.{wpfield._EXPORTS[name]}')\n"
+                 "    if value is not getattr(module, name) or name not in vars(wpfield) or (\n"
+                 "            (inspect.isclass(value) or inspect.isfunction(value))\n"
+                 "            and value.__module__ != module.__name__):\n"
+                 "        print(name)")
+    assert out == ""
+
+
+def test_a_bare_import_resolves_the_submodules():
+    # as when the package imported every module: wpfield.reduction works
+    # without an import of its own
+    layers = ("core", "eisenstein", "errors", "reduction", "symbolic", "verify", "weier")
+    out = _fresh("import importlib, wpfield\n"
+                 f"print([m for m in {layers!r}\n"
+                 "       if getattr(wpfield, m) is not importlib.import_module(f'wpfield.{m}')])")
+    assert out.strip() == "[]"
+
+
+def test_an_unknown_name_raises_attribute_error():
+    out = _fresh("import wpfield\n"
+                 "try:\n"
+                 "    wpfield.no_such_name\n"
+                 "except AttributeError as exc:\n"
+                 "    print(exc)")
+    assert out.strip() == "module 'wpfield' has no attribute 'no_such_name'"

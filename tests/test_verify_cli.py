@@ -249,6 +249,16 @@ def test_config_loader_rejects_bad_lines(tmp_path):
             load_tolerance_config(str(cfg))
 
 
+def test_config_loader_rejects_a_key_given_twice(tmp_path):
+    # the last value would win and the first take no effect
+    cfg = tmp_path / "twice.cfg"
+    for key in ("fd_tol", "tol.sine_limit"):
+        cfg.write_text(f"{key} = 1e-3\n# comment\n\n{key} = 1e-5\n")
+        with pytest.raises(ValueError, match=rf"twice.cfg:4: duplicate key '{key}', "
+                                             r"first given on line 1$"):
+            load_tolerance_config(str(cfg))
+
+
 def test_every_policy_field_sets_some_case():
     # a parsed key that no case reads would be a knob that does nothing
     read = {tol for _, _, tol in verify._CASE_TABLE if isinstance(tol, str)}
@@ -639,6 +649,15 @@ def test_cli_verify_bad_config_exit_3(tmp_path, capsys):
         assert code == 3, text
         assert out == ""
         assert json.loads(err)["error"] == "ValueError"
+
+
+def test_cli_verify_empty_cases_is_exit_3(capsys):
+    # an empty selection, refused as run_identity_suite(only=[]) is, not the
+    # whole suite
+    code, out, err = run_cli(capsys, ["verify", "--cases", ""])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "no cases selected"}
 
 
 def test_cli_verify_resolved_fields_present(capsys):
