@@ -10,9 +10,10 @@ the value is transported back with the weight of the function:
 where z/s = z* + m + n*tau*, eta1 = (pi^2/3) E2(tau*) and, by Legendre's
 relation, eta2 = tau* eta1 - 2*pi*i.  A Lattice is the one frame: it reduces
 tau once, and every evaluator is Lattice(tau).method, one pipeline reduce ->
-sum -> transport.  A point is split once (z/s into its cell), checked once
-(the pole guard scaled by 1/|s| into the reduced frame, and the convergence
-checks), and wp, wp' and zeta are summed in one pass at (tau*, z*).  Only
+sum -> transport.  A point is split once (z/s to its nearest lattice point,
+so z* lies in the centred cell), checked once (the pole guard scaled by
+1/|s| into the reduced frame), and wp, wp' and zeta are summed in one pass
+at (tau*, z*).  Only
 wp and zeta carry eta1, so only they need E2(tau*), which the Lattice sums
 once; wp' needs none.  The functions of tau alone (E2, E4, E6, the
 invariants and the half periods), which callers ask for together at one
@@ -133,6 +134,10 @@ class HalfPeriodData:
 
 @dataclass(frozen=True, slots=True)
 class ReductionResult:
+    """tau* = gamma(tau) with s = c*tau + d, and z/s = z* + m + n*tau*
+    split to its nearest lattice point, z* in the centred cell (None
+    without z)."""
+
     gamma: UnimodularMatrix
     tau_star: complex
     m: int
@@ -188,16 +193,22 @@ def _walk(tau: complex) -> tuple[int, int, int, int, complex]:
 
 
 def _cell_distance(tau_star: complex, z_star: complex) -> float:
-    """The distance from z* in its cell to Z + tau*Z: tau* is reduced, so the
-    nearest lattice point is a corner, written as nb + na*tau* there, and
-    this is the oracles' corner search (weier._corner_distance) bit for
-    bit.  A z* that the split of a huge z/s rounded out of its cell is 0
-    from it."""
+    """The distance from z* to Z + tau*Z, z* = a*tau* + b split to its
+    nearest lattice point: tau* is reduced, so the nearest lattice point is
+    a corner of the quarter cell that holds z*, and of -z* when Im(z*) < 0
+    (0, 1, tau*, 1 + tau*, with 1 as -1 when b < 0).  This is the oracles'
+    corner search (weier._corner_distance) bit for bit.  A z* outside the
+    box |a|, |b| < 1, which only a z/s that has lost its place rounds to,
+    is 0 from it."""
+    if z_star.imag < 0.0:
+        z_star = -z_star
     a = z_star.imag / tau_star.imag
-    if not (-0.5 < a < 1.5 and -0.5 < z_star.real - a * tau_star.real < 1.5):
+    b = z_star.real - a * tau_star.real
+    if not (a < 1.0 and -1.0 < b < 1.0):
         return 0.0
-    return min(abs(z_star), abs(z_star - 1), abs(z_star - tau_star),
-               abs(z_star - (1 + tau_star)))
+    one = 1.0 if b >= 0.0 else -1.0
+    return min(abs(z_star), abs(z_star - one), abs(z_star - tau_star),
+               abs(z_star - (one + tau_star)))
 
 
 def _key(w: complex) -> complex | tuple:
@@ -210,26 +221,20 @@ def _key(w: complex) -> complex | tuple:
     return (w, math.copysign(1.0, w.real), math.copysign(1.0, w.imag))
 
 
-def _sk(s: complex, weight: int, what: str) -> complex:
-    """s^k, which underflows to 0 at tiny Im(tau)."""
+def _transport(value: complex, s: complex, weight: int, what: str,
+               est_error: float | None = None) -> complex | WValue:
+    """value / s^k, a weight-k value carried back from the reduced frame,
+    and given its est_error the WValue whose error divides by |s^k| too.
+    s^k underflows to 0 at tiny Im(tau); the quotient can overflow, and so
+    can the error where the value does not."""
     sk = s**weight
     if sk == 0:
         raise NonFiniteValue(f"{what}: s^{weight} underflows to 0 at s = {s!r}")
-    return sk
-
-
-def _divide_by_sk(value: complex, s: complex, weight: int, what: str) -> complex:
-    """value / s^k, where s^k can underflow (_sk) or the quotient overflow."""
-    return ensure_finite(value / _sk(s, weight, what), what)
-
-
-def _transport(value: complex, est_error: float, s: complex, weight: int, what: str) -> WValue:
-    """A weight-k value and its error from the reduced frame: both divide by
-    s^k, formed once, and the error can overflow where the value does not."""
-    sk = _sk(s, weight, what)
     value /= sk
     if not cmath.isfinite(value):
         raise NonFiniteValue(f"{what} is not finite: {value!r}")
+    if est_error is None:
+        return value
     est_error /= abs(sk)
     if est_error == math.inf:  # est_error >= 0 and s^k != 0: never NaN
         raise NonFiniteValue(f"est_error of {what} is not finite: {est_error!r}")
@@ -304,37 +309,26 @@ class Lattice:
         return self._e2
 
     def _place(self, z: complex) -> tuple[int, int, complex, float]:
-        """(m, n, z*, dist): the one split z/s = z* + m + n*tau*, with both
-        coordinates (a, b) of z* = a*tau* + b in [0, 1), and the lattice
-        distance of z*.  A z* that the subtraction rounds onto the far edge
-        (a or b = 1) moves to the near edge; there, and within a rounding of
-        it, b can round just below 0 and is pinned at 0.  ConvergenceDomain
-        when z has lost its place in its cell."""
+        """(m, n, z*, dist): the one split z/s = z* + m + n*tau* at the
+        lattice point m + n*tau* nearest in coordinates, so z* = a*tau* + b
+        has |a|, |b| <= 1/2 up to the rounding of the subtraction, and the
+        lattice distance of z*.  ConvergenceDomain when z has lost its place
+        in its cell: when the rounding of z/s reaches the pole guard."""
         w = complex(z) / self._s
         tau_star = self._tau_star
         a, b = _coords(tau_star, w)
-        n = math.floor(a)
-        m = math.floor(b)
-        z_star = w - m - n * tau_star
-        if z_star.imag >= tau_star.imag:
-            n, z_star = n + 1, z_star - tau_star
-        shear = z_star.imag / tau_star.imag * tau_star.real
-        if z_star.real - shear >= 1.0:
-            m, z_star = m + 1, z_star - 1.0
-        if z_star.real < shear:
-            z_star = complex(shear, z_star.imag)
-        dist = _cell_distance(tau_star, z_star)
         guard = self._guard
-        # the pole guard refuses a z* split out of its cell (dist 0); one the
-        # split kept in its cell has still lost its place there once the
-        # rounding of z/s reaches the guard, i.e. once |z| >= 1e-3 * 2^52
+        # the rounding of z/s reaches the guard once |z| >= 1e-3 * 2^52
         # whatever s is (w scaled first: abs cannot overflow at |w| > 1.8e308)
-        if dist >= guard and abs(w * _ULP) >= guard:
+        if abs(w * _ULP) >= guard:
             raise ConvergenceDomain(
                 f"z/s = {w!r} is too large to place in its cell: its rounding, "
                 f"{abs(w * _ULP):.1e}, reaches the pole guard {guard:.1e}"
             )
-        return m, n, z_star, dist
+        n = round(a)
+        m = round(b)
+        z_star = w - m - n * tau_star
+        return m, n, z_star, _cell_distance(tau_star, z_star)
 
     def _too_near(self, what: str, dist: float) -> PoleProximity:
         """The error for what, at reduced-frame distance dist within the guard."""
@@ -385,39 +379,39 @@ class Lattice:
     def _wp(self, p: tuple) -> WValue:
         """wp = the q-sum - eta1."""
         wp = p[4] - _ETA1_PER_E2 * self._e2_star()
-        return _transport(wp, _est_error(wp, p[3]), self._s, 2, "wp")
+        return _transport(wp, self._s, 2, "wp", _est_error(wp, p[3]))
 
     def _wp_prime(self, p: tuple) -> WValue:
-        return _transport(p[5], _est_error(p[5], p[3]), self._s, 3, "wp'")
+        return _transport(p[5], self._s, 3, "wp'", _est_error(p[5], p[3]))
 
     def _zeta(self, p: tuple) -> WValue:
-        """zeta = the q-sum + eta1*z* - pi*i, unwound by eta1 = (pi^2/3)
-        E2(tau*) and eta2 = tau*eta1 - 2*pi*i."""
+        """zeta = the q-sum + eta1*z*, unwound by eta1 = (pi^2/3) E2(tau*)
+        and eta2 = tau*eta1 - 2*pi*i."""
         m, n, z_star, dist, _, _, zeta = p
         eta1 = _ETA1_PER_E2 * self._e2_star()
-        value = zeta = zeta + eta1 * z_star - 1j * math.pi
+        value = zeta = zeta + eta1 * z_star
         if m or n:
             value += (m + n * self._tau_star) * eta1 - 2j * math.pi * n
         est = _est_error(zeta, dist) * (1.0 + abs(m) + abs(n))
-        return _transport(value, est, self._s, 1, "zeta")
+        return _transport(value, self._s, 1, "zeta", est)
 
     def e2(self) -> complex:
         """E2 by inverting G2(gamma tau) = s^2 G2(tau) - pi*i*c*s."""
         s = self._s
         g2 = ZETA2 * self._e2_star() + 1j * math.pi * self._gamma[2] * s
-        return _divide_by_sk(g2, s, 2, "E2") / ZETA2
+        return _transport(g2, s, 2, "E2") / ZETA2
 
     def e4(self) -> complex:
         """E4 (weight-4 modular transport), E4(tau*) summed on first use."""
         if self._e4 is None:
             self._e4 = _e_series("e4", self._q, self._order)
-        return _divide_by_sk(self._e4, self._s, 4, "E4")
+        return _transport(self._e4, self._s, 4, "E4")
 
     def e6(self) -> complex:
         """E6 (weight-6 modular transport), E6(tau*) summed on first use."""
         if self._e6 is None:
             self._e6 = _e_series("e6", self._q, self._order)
-        return _divide_by_sk(self._e6, self._s, 6, "E6")
+        return _transport(self._e6, self._s, 6, "E6")
 
     def invariants(self) -> LatticeInvariants:
         """g2, g3, delta, eta1 from E2, E4, E6 and the eta product at q*,
@@ -427,7 +421,7 @@ class Lattice:
         which cancels badly once |q*| is small."""
         g2 = _G2_PER_E4 * self.e4()
         g3 = _G3_PER_E6 * self.e6()
-        delta = _divide_by_sk(_delta_eta_product(self._q, self._order), self._s, 12, "delta")
+        delta = _transport(_delta_eta_product(self._q, self._order), self._s, 12, "delta")
         eta1 = _ETA1_PER_E2 * self.e2()
         return LatticeInvariants(g2=g2, g3=g3, delta=delta, eta1=eta1)
 
@@ -495,9 +489,10 @@ def reduce_point(tau: complex | Lattice, z: complex | None = None) -> ReductionR
 
 def lattice_distance(tau: complex, z: complex) -> float:
     """Distance from z to Z + tau*Z at any tau (Lattice.distance), exact
-    since it is read in the reduced frame.  From |z| = 1e-3 * 2^52, about
-    4.5e12, the rounding of z reaches the pole guard, and a z not within
-    the guard of the lattice raises ConvergenceDomain, as the evaluators do."""
+    since it is read in the reduced frame, off the corners of the quarter
+    cell that holds z*.  From |z| = 1e-3 * 2^52, about 4.5e12, the rounding
+    of z reaches the pole guard, and every such z raises ConvergenceDomain,
+    as the evaluators do, however near the lattice it is."""
     return Lattice(tau).distance(z)
 
 

@@ -570,26 +570,12 @@ def _diff_poly(poly: dict, gen_rules: tuple[Expr, ...]) -> tuple[dict, dict]:
     return acc, acc_den
 
 
-# The rule tuples last asked about by _keeps_constants, with their answers,
-# the newest first.  A tuple of Expr never changes, so its answer is decided
-# once; two are kept so that a mixed derivative, alternating the z and tau
-# rules of one table, rescans neither.
-_KEEPS: tuple[tuple[tuple[Expr, ...], bool], ...] = ()
-
-
 def _keeps_constants(gen_rules: tuple[Expr, ...]) -> bool:
     """pi's rule is zero and every rule denominator is a polynomial in pi
     alone, so a polynomial in pi stays constant and so does a product of
     rule denominators."""
-    global _KEEPS
-    for rules, keeps in _KEEPS:
-        if rules is gen_rules:
-            return keeps
-    keeps = not gen_rules[_PI]._num and not any(
+    return not gen_rules[_PI]._num and not any(
         mono >> _FIELD for r in gen_rules for mono in r._den)  # a field above pi's
-    if gen_rules.__class__ is tuple:  # a list of rules can change between calls
-        _KEEPS = ((gen_rules, keeps),) + _KEEPS[:1]
-    return keeps
 
 
 def _differentiate_with(e: Expr, gen_rules: tuple[Expr, ...]) -> Expr:

@@ -5,8 +5,8 @@ With q = exp(2*pi*i*tau) and u = exp(2*pi*i*z):
     wp(tau; z)  = (2*pi*i)^2 sum_{m in Z} u q^m / (1 - u q^m)^2  -  eta1
     wp'(tau; z) = (2*pi*i)^3   sum_{m in Z} u q^m (1 + u q^m) / (1 - u q^m)^3
     zeta(tau;z) = 2*pi*i [ sum_{n >= 0} -q^n u / (1 - q^n u)
-                           + sum_{n >= 1} (q^n / u) / (1 - q^n / u) ]
-                  + eta1 * z - pi*i
+                           + sum_{n >= 1} (q^n / u) / (1 - q^n / u) - 1/2 ]
+                  + eta1 * z
 
 with eta1 = (pi^2/3) E2(tau), since 1/12 - 2 sum_{m >= 1} q^m / (1 - q^m)^2
 = E2/12.  One loop sums the three q-sums at a point (_point_values); eta1
@@ -27,7 +27,7 @@ from functools import partial
 
 from .core import DEFAULT_POLICY, TWO_PI_I, _coords, ensure_finite, require_upper_half
 from .eisenstein import _TAIL_TARGET, _cot, _csc2, _csc2_bound, _reduced_basis, _rows_settled
-from .errors import ConvergenceDomain, PoleProximity
+from .errors import PoleProximity
 
 _MACHINE = 1e-15
 
@@ -49,28 +49,30 @@ class WValue:
 
 def _point_values(tau: complex, q: complex, order: int,
                   z: complex) -> tuple[complex, complex, complex]:
-    """The q-sums of (wp, wp', zeta) at a complex z for a checked tau and
-    its nome q, after the convergence checks; the caller has held z to the
-    pole guard.  One loop sums the m = 0 term, then m = 1..order: with
-    w = u q^m, v = q^m/u, a = 1/(1 - w) and b = 1/(1 - v), the terms are
-    w a and v b (zeta), x = w a^2 and y = v b^2 (wp), and x (2a - 1) and
-    y (2b - 1) (wp'), summed as 2 sum(x a - y b) - sum(x - y).  Returned
-    without eta1: wp' is complete, wp is (2*pi*i)^2 sum - eta1 and zeta is
-    2*pi*i s1 + eta1*z - pi*i, which the caller forms once it has E2(tau).
-    Each caller checks the values it returns.
+    """The q-sums of (wp, wp', zeta) at a z of the centred cell of a reduced
+    tau, with q its nome; the caller has held z to the pole guard.  One
+    loop sums the m = 0 term, then m = 1..order: with w = u q^m, v = q^m/u,
+    a = 1/(1 - w) and b = 1/(1 - v), the terms are w a and v b (zeta),
+    x = w a^2 and y = v b^2 (wp), and x (2a - 1) and y (2b - 1) (wp'),
+    summed as 2 sum(x a - y b) - sum(x - y).  Returned without eta1: wp' is
+    complete, wp is (2*pi*i)^2 sum - eta1 and zeta is 2*pi*i (s1 - 1/2) +
+    eta1*z, which the caller forms once it has E2(tau).  Each caller checks
+    the values it returns.
+
+    wp is even, and wp', zeta and eta1*z are odd, so the zeta sum is odd
+    too: at Im(z) < 0 the pass sums at -z and negates the odd two, so the
+    parity holds bit for bit.  Then |u| <= 1 and |q/u| <= |q|^(1/2), so no
+    exponential overflows and the series converges at every z the centred
+    cell holds.
 
     r = q/u is formed as exp(2*pi*i*(tau - z)): high in the cell both q and
     u underflow to 0 while their quotient is still a normal number.
     """
-    try:
-        u = cmath.exp(TWO_PI_I * z)
-        r = cmath.exp(TWO_PI_I * (tau - z))
-    except OverflowError as exc:  # z far below or above the cell
-        raise ConvergenceDomain(f"exp(2*pi*i*z) overflows at z = {z}") from exc
-    if abs(q * u) >= 1.0 or abs(r) >= 1.0:
-        raise ConvergenceDomain(
-            "need |q*u| < 1 and |q/u| < 1; reduce z into the period cell first"
-        )
+    odd = z.imag < 0.0
+    if odd:
+        z = -z
+    u = cmath.exp(TWO_PI_I * z)
+    r = cmath.exp(TWO_PI_I * (tau - z))
     a = 1.0 / (1.0 - u)
     wa = u * a
     s1, sx, sy = -wa, wa * a, 0j
@@ -89,7 +91,10 @@ def _point_values(tau: complex, q: complex, order: int,
         sy += y
         t += x * a - y * b
         v *= q
-    return _TWO_PI_I_2 * (sx + sy), _TWO_PI_I_3 * (2.0 * t - sx + sy), TWO_PI_I * s1
+    wp = _TWO_PI_I_2 * (sx + sy)
+    wp1 = _TWO_PI_I_3 * (2.0 * t - sx + sy)
+    zeta = TWO_PI_I * (s1 - 0.5)
+    return (wp, -wp1, -zeta) if odd else (wp, wp1, zeta)
 
 
 def _est_error(value: complex, dist: float) -> float:

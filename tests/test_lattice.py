@@ -143,10 +143,12 @@ def _golden_outcome(fn, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
-# SHA-256 of the golden sweep's outcomes, recorded before the Lattice took
-# gamma as four ints, the order a table and the transports one finiteness
-# test: values, est_error and exceptions have not moved by a bit since.
-GOLDEN_SHA256 = "9acd602b61200e1f92f578cc29d29b2faf7e1b9b064f041d4b591e7bb5ce9cbc"
+# SHA-256 of the golden sweep's outcomes, recorded when the split moved to
+# the centred cell: the point columns moved in their last bits (z* is split
+# to the nearest lattice point, and the pass sums below the real axis at
+# -z) and a z that has lost its place raises ConvergenceDomain whatever its
+# distance; the columns of the functions of tau alone did not move a bit.
+GOLDEN_SHA256 = "12e09988a7b4488b89823d514924b5ad81c9f4b38038c8fa22ef1638f8d13e9e"
 
 
 def test_the_evaluators_match_the_golden_sweep_bit_for_bit():
@@ -284,7 +286,7 @@ def test_the_frame_stays_inside_reduction():
              "_e4", "_e6", "_points",
              "_place", "_point", "_fresh_point", "_wp", "_wp_prime", "_zeta", "_e2_star",
              "_too_near"}
-    allowed = {"symbolic": {"_tau_lattice"}, "verify": {"_wp_add", "_cell_distance"},
+    allowed = {"symbolic": {"_tau_lattice"}, "verify": {"_wp_add"},
                "cli": set()}
     for name, own in allowed.items():
         tree = ast.parse((ROOT / "src" / "wpfield" / f"{name}.py").read_text())

@@ -48,9 +48,9 @@ def test_python_blocks_run_and_show_their_values():
     assert ns["p"] == wp  # a held Lattice reads the value the evaluator does
     r = ns["r"]
     assert r.gamma == UnimodularMatrix(1, -3, 1, -2)
-    assert (r.m, r.n) == (8, -5)
+    assert (r.m, r.n) == (8, -4)
     assert abs(r.tau_star - complex(-0.2, 1.6)) < 1e-12
-    assert abs(r.z_star - complex(0.184, 1.488)) < 1e-12
+    assert abs(r.z_star - complex(0.384, -0.112)) < 1e-12
     assert abs(r.scale - complex(0.3, 0.4)) < 1e-12
     assert expr_to_text(ns["d"]) == "-(wp)"
     assert ns["residual"] < 1e-10

@@ -136,39 +136,31 @@ def _split(tau, z):
     return rr.m, rr.n, rr.z_star
 
 
+def _assert_centred(tau_star, z_star, m, n, w):
+    """z* = a*tau* + b lies in the centred cell, |a|, |b| <= 1/2 up to the
+    rounding of the split, about 2^-52 |w| at w = z/s, and z* + m + n*tau*
+    is w up to that rounding."""
+    a, b = _coords(tau_star, z_star)
+    edge = 0.5 + 1e-15 * max(1.0, abs(w))
+    assert abs(a) <= edge and abs(b) <= edge, (tau_star, w)
+    assert abs(z_star + m + n * tau_star - w) <= 1e-15 * abs(w), (tau_star, w)
+
+
 def test_reduce_point_splits_a_reduced_tau_exactly():
     tau = complex(-0.2, 1.6)
     z = complex(3.7, -2.9)
     m, n, z_star = _split(tau, z)
-    a, b = _coords(tau, z_star)
-    assert 0.0 <= a < 1.0 and 0.0 <= b < 1.0
-    assert abs(z_star + m + n * tau - z) < 1e-12
-
-
-@pytest.mark.parametrize("z", [complex(0.5, -1e-17), -1e-17 + 0.5 * complex(0.1, 1.3)],
-                         ids=["a-edge", "b-edge"])
-def test_reduce_point_moves_a_far_edge_point_to_the_near_edge(z):
-    # a coordinate a rounding below an integer rounds the subtraction onto
-    # a or b = 1; at a = 1, |q/u| = 1 and the pass refused a point 0.5 from
-    # the lattice
-    tau = complex(0.1, 1.3)
-    m, n, z_star = _split(tau, z)
-    a, b = _coords(tau, z_star)
-    assert 0.0 <= a < 1.0 and 0.0 <= b < 1.0
-    assert abs(z_star + m + n * tau - z) < 1e-15
-    for evaluate, oracle in ((wp_anywhere, wp_lattice_oracle),
-                             (zeta_anywhere, zeta_lattice_oracle)):
-        want = oracle(tau, z, 400)
-        assert abs(evaluate(tau, z).value - want) <= 1e-13 * abs(want)
+    assert (m, n) == (3, -2)
+    _assert_centred(tau, z_star, m, n, z)
 
 
 def test_reduce_point_pins_near_edge_points_in_the_cell():
     # 200000 points (m0 + eps_b) + (n0 + eps_a) tau at 200 reduced tau, each
-    # eps one of 0, +-1e-17, +-1e-16 or U(0, 1): the subtraction rounds b a
-    # rounding below 0 at about one point in five unless b is pinned at 0
+    # eps a rounding of 0 or of +-1/2 (the centred cell's edges), or
+    # U(-1, 1): the nearest lattice point keeps every z* in the centred cell
     rng = random.Random(5)
-    roundings = (0.0, 1e-17, -1e-17, 1e-16, -1e-16)
-    eps = [rng.choice(roundings) if rng.random() < 5 / 6 else rng.random()
+    roundings = [c + d for c in (0.0, 0.5, -0.5) for d in (0.0, 1e-17, -1e-17, 1e-16, -1e-16)]
+    eps = [rng.choice(roundings) if rng.random() < 5 / 6 else rng.uniform(-1.0, 1.0)
            for _ in range(1009)]
     for _ in range(200):
         tau = 0.5j
@@ -179,32 +171,35 @@ def test_reduce_point_pins_near_edge_points_in_the_cell():
         for k in range(1000):
             m0, n0 = k % 13 - 6, k // 13 % 13 - 6
             z = (m0 + eps[k]) + (n0 + eps[(7 * k + 3) % 1009]) * tau
-            z_star = reduce_point(lat, z).z_star
-            a, b = _coords(tau, z_star)
-            assert 0.0 <= a < 1.0 and 0.0 <= b < 1.0, (tau, z)
+            rr = reduce_point(lat, z)
+            _assert_centred(tau, rr.z_star, rr.m, rr.n, z)
 
 
 def _edge_sweep():
     """3000 tau, Re ~ U(-3, 3) and Im log-uniform in [0.1, 5] (Random(3)),
-    each with the points 1/2, tau*/2, (1 + tau*)/2, 0.3 and 0.7 of its
-    reduced cell carried back by s, so that z/s falls on a cell edge."""
+    each with the points 1/2, tau*/2, (1 + tau*)/2, (1 - tau*)/2, 0.3 and
+    0.7 of its reduced cell carried back by s, so that z/s falls on an edge
+    of the centred cell or splits to its far side."""
     rng = random.Random(3)
     for _ in range(3000):
         tau = complex(rng.uniform(-3.0, 3.0), math.exp(rng.uniform(math.log(0.1), math.log(5.0))))
         rr = reduce_point(tau)
-        for p in (0.5, rr.tau_star / 2.0, (1.0 + rr.tau_star) / 2.0, 0.3, 0.7):
+        for p in (0.5, rr.tau_star / 2.0, (1.0 + rr.tau_star) / 2.0, (1.0 - rr.tau_star) / 2.0,
+                  0.3, 0.7):
             yield tau, rr.scale * p
 
 
 def test_edge_points_split_into_the_cell_and_evaluate():
-    # z/s lands within a rounding of a cell edge: a z* rounded onto the far
-    # edge (a = 1) would make |q/u| = 1, which the series pass refuses
-    for k, (tau, z) in enumerate(_edge_sweep()):
+    # z/s lands within a rounding of an edge of the centred cell, where the
+    # series sums at |q/u| = |q|^(1/2); and at a reduced tau, z a rounding
+    # off a lattice line, where z* is a rounding off 0
+    tau = complex(0.1, 1.3)
+    edges = [(tau, complex(0.5, -1e-17)), (tau, -1e-17 + 0.5 * tau)]
+    for k, (tau, z) in enumerate(edges + list(_edge_sweep())):
         rr = reduce_point(tau, z)
-        a, b = _coords(rr.tau_star, rr.z_star)
-        assert 0.0 <= a < 1.0 and 0.0 <= b < 1.0, (tau, z)
+        _assert_centred(rr.tau_star, rr.z_star, rr.m, rr.n, z / rr.scale)
         wp, zeta = wp_anywhere(tau, z), zeta_anywhere(tau, z)
-        if k % 100 == 0:
+        if k % 100 < 2:
             assert abs(wp.value - wp_lattice_oracle(tau, z, 400)) <= wp.est_error, (tau, z)
             assert abs(zeta.value - zeta_lattice_oracle(tau, z, 400)) <= zeta.est_error, (tau, z)
 
@@ -213,8 +208,8 @@ def test_reduce_point_frozen_example():
     rr = reduce_point(complex(0.3, 0.4), complex(1.7, 2.2))
     assert (rr.gamma.a, rr.gamma.b, rr.gamma.c, rr.gamma.d) == (1, -1, 1, 0)
     assert abs(rr.tau_star - complex(-0.2, 1.6)) < 1e-12
-    assert (rr.m, rr.n) == (5, -1)
-    assert abs(rr.z_star - complex(0.36, 1.52)) < 1e-12
+    assert (rr.m, rr.n) == (6, 0)
+    assert abs(rr.z_star - complex(-0.44, -0.08)) < 1e-12
     assert abs(rr.scale - complex(0.3, 0.4)) < 1e-15
 
 
@@ -235,7 +230,7 @@ def test_wp_anywhere_agrees_with_direct_series_on_reduced_input():
     wp, _, zeta = _point_values(tau, q, order, z)
     eta1 = (math.pi**2 / 3.0) * _e_series("e2", q, order)
     assert wp_anywhere(tau, z).value == wp - eta1
-    assert zeta_anywhere(tau, z).value == zeta + eta1 * z - 1j * math.pi
+    assert zeta_anywhere(tau, z).value == zeta + eta1 * z
 
 
 def test_translation_invariance_of_wp():
@@ -440,13 +435,12 @@ def test_lattice_distance_is_exact_on_sheared_bases():
 
 
 def test_a_point_split_out_of_its_cell_is_on_the_lattice():
-    # at |z/s| = 1e200 the split z/s - m - n*tau* cancels to a z* millions of
-    # cells away: its place in the cell is lost to rounding
+    # at |z/s| = 1e200 the split z/s - m - n*tau* would cancel to a z*
+    # millions of cells away: its place in the cell is lost to rounding, and
+    # the split, the distance and every evaluator refuse it as one
     tau, z = complex(-2.4396007645409723, 1e8), complex(1e200, 1e15)
-    assert abs(reduce_point(tau, z).z_star) > 1e6
-    assert lattice_distance(tau, z) == 0.0
-    for fn in POINT_EVALUATORS:
-        with pytest.raises(PoleProximity):
+    for fn in (reduce_point, lattice_distance, *POINT_EVALUATORS):
+        with pytest.raises(ConvergenceDomain):
             fn(tau, z)
 
 
@@ -464,8 +458,12 @@ def test_a_point_split_out_of_its_cell_is_on_the_lattice():
         # the pole guard is 1e-3 and z rounds by |z| 2^-52: from |z| = 4.5e12
         # on, whatever tau is
         lambda: lattice_distance(1j, 1e13 + 0.5),
+        # however near the lattice a z that has lost its place is
+        lambda: lattice_distance(complex(0.1, 1.0), complex(1e300, 1e300)),
+        lambda: wp_anywhere(complex(0.1, 1.0), complex(1e300, 1e300)),
     ],
-    ids=["wp_anywhere", "wp_add", "lattice_distance", "reduce_point", "lattice_distance-1e13"],
+    ids=["wp_anywhere", "wp_add", "lattice_distance", "reduce_point", "lattice_distance-1e13",
+         "lattice_distance-on-lattice", "wp_anywhere-on-lattice"],
 )
 def test_a_point_that_lost_its_place_in_the_cell_is_refused(evaluate):
     with pytest.raises(ConvergenceDomain):

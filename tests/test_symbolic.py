@@ -872,14 +872,11 @@ def test_other_tables_fall_back_to_the_full_quotient_rule(var):
 
 
 def test_a_rule_tuple_is_decided_once_and_a_rule_list_on_every_call():
-    # a tuple of Expr never changes, so whether it keeps constants is decided
-    # once (for the last two tuples asked about: a table's z and tau rules);
-    # a list can change between calls
+    # whether a table keeps constants is decided on every call, so a list of
+    # rules changed between calls, or a tuple built from it, is decided anew
     table = build_rule_table()
     d = differentiate(parse_expr("(E6*zeta+3*E6)/(wp1^2+1/3)"), "tau", table)
     differentiate(d, "z", table)
-    kept = {id(rules) for rules, _ in symbolic._KEEPS}
-    assert kept == {id(table["z"]), id(table["tau"])}
     rules = list(table["tau"])
     assert differentiate(d, "tau", {"tau": rules})._base is not None
     rules[-1] = ONE  # pi's rule: pi is no longer constant in tau
@@ -994,6 +991,8 @@ def test_deep_derivative_prints_the_recorded_text():
 def test_grammar_derivatives_print_and_evaluate_the_recorded_values():
     # the z, tau, tau-z and tau-tau derivatives of 16 grammar expressions:
     # how monomials are stored must change neither the text nor the value
+    # (the values were re-recorded when the zeta sum took its -pi*i inside,
+    # which moved them by at most 3.5e-15 relative)
     digest, terms = hashlib.sha256(), 0
     for e in _grammar_expressions("packed", 16):
         d_tau = differentiate(e, "tau")
@@ -1003,7 +1002,7 @@ def test_grammar_derivatives_print_and_evaluate_the_recorded_values():
             terms += len(d.num)
     assert terms == 2429
     assert digest.hexdigest() == (
-        "dfa1595d50ec2b66f3e80357d9ba722f186aa12e9610d361686017cb376a8c72")
+        "c13c186442ea9ae570e4b57459b8ccea69f9bf2267d396ba75d72dabc608a9b4")
 
 
 def test_catalogue_derivatives_equal_the_full_quotient_rule():

@@ -546,11 +546,19 @@ def test_cli_reduce_frozen_example(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["gamma"] == {"a": 1, "b": -1, "c": 1, "d": 0}
-    assert doc["m"] == 5 and doc["n"] == -1
+    assert doc["m"] == 6 and doc["n"] == 0
     assert abs(doc["tau_star"][0] + 0.2) < 1e-9
     assert abs(doc["tau_star"][1] - 1.6) < 1e-9
-    assert abs(doc["z_star"][0] - 0.36) < 1e-9
-    assert abs(doc["z_star"][1] - 1.52) < 1e-9
+    assert abs(doc["z_star"][0] + 0.44) < 1e-9
+    assert abs(doc["z_star"][1] + 0.08) < 1e-9
+
+
+def test_cli_reduce_of_a_z_that_lost_its_place_is_exit_3(capsys):
+    # z/s = 1e300 + 1e300i rounds by 3e284: no split of it means anything
+    code, out, err = run_cli(capsys, ["reduce", "--tau", "0.1,1", "--z", "1e300,1e300"])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "ConvergenceDomain"
 
 
 def test_cli_reduce_without_z(capsys):

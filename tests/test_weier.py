@@ -8,13 +8,13 @@ import random
 import pytest
 
 from wpfield import reduction
-from wpfield.core import TWO_PI_I, _nome
+from wpfield.core import TWO_PI_I
 from wpfield.eisenstein import _TAIL_TARGET, _e_series, _order
 from wpfield.errors import ConvergenceDomain, PoleProximity
 from wpfield.reduction import (HalfPeriodData, Lattice, half_periods, invariants_anywhere,
                                wp_anywhere, wp_prime_anywhere, zeta_anywhere)
 from wpfield.symbolic import E4, E6, WP1, eval_expr
-from wpfield.weier import _est_error, _point_values, wp_lattice_oracle, zeta_lattice_oracle
+from wpfield.weier import _est_error, wp_lattice_oracle, zeta_lattice_oracle
 
 from order_walk import walk_order
 
@@ -190,20 +190,14 @@ def test_pole_guard():
         Lattice(complex(1e300, 2.3655365626216405)).wp(complex(1e-300, -1e-200))
 
 
-def _pass(tau, z):
-    """(wp, wp', zeta) at (tau, z) as a Lattice forms them once z has passed
-    the pole guard, which the pass itself does not hold: weier._point_values,
-    then eta1 = (pi^2/3) E2(tau) applied to wp and zeta."""
-    q = _nome(tau)
-    order = _order(abs(q))
-    wp, wp1, zeta = _point_values(tau, q, order, z)
-    eta1 = (math.pi**2 / 3.0) * _e_series("e2", q, order)
-    return wp - eta1, wp1, zeta + eta1 * z - 1j * math.pi
-
-
 def _ref_point_values(tau, q, order, z, e2):
     """The reference kernel: weier._point_values as it was while it took
-    E2(tau) and applied eta1 to wp and zeta itself, kept verbatim."""
+    E2(tau) and applied eta1 to wp and zeta itself, kept verbatim but for
+    what the centred cell adds: wp is even and wp' and zeta - eta1*z odd,
+    so below the real axis it sums at -z and negates those two."""
+    odd = z.imag < 0
+    if odd:
+        z = -z
     try:
         u = cmath.exp(TWO_PI_I * z)
         r = cmath.exp(TWO_PI_I * (tau - z))
@@ -232,8 +226,11 @@ def _ref_point_values(tau, q, order, z, e2):
         t += x * a - y * b
         v *= q
     eta1 = (math.pi**2 / 3.0) * e2
-    return (TWO_PI_I**2 * (sx + sy) - eta1, TWO_PI_I**3 * (2.0 * t - sx + sy),
-            TWO_PI_I * s1 + eta1 * z - 1j * math.pi)
+    wp1 = TWO_PI_I**3 * (2.0 * t - sx + sy)
+    zeta = TWO_PI_I * (s1 - 0.5)
+    if odd:
+        z, wp1, zeta = -z, -wp1, -zeta
+    return TWO_PI_I**2 * (sx + sy) - eta1, wp1, zeta + eta1 * z
 
 
 def _ref_evaluators(lat):
@@ -251,11 +248,11 @@ def _ref_evaluators(lat):
 
     def wp(z):
         _, _, dist, _, value, _, _ = point(z)
-        return reduction._transport(value, _est_error(value, dist), s, 2, "wp")
+        return reduction._transport(value, s, 2, "wp", _est_error(value, dist))
 
     def wp_prime(z):
         _, _, dist, _, _, value, _ = point(z)
-        return reduction._transport(value, _est_error(value, dist), s, 3, "wp'")
+        return reduction._transport(value, s, 3, "wp'", _est_error(value, dist))
 
     def zeta(z):
         m, n, dist, e2, _, _, zeta = point(z)
@@ -264,7 +261,7 @@ def _ref_evaluators(lat):
             eta1 = (math.pi**2 / 3.0) * e2
             value += (m + n * tau_star) * eta1 - 2j * math.pi * n
         est = _est_error(zeta, dist) * (1.0 + abs(m) + abs(n))
-        return reduction._transport(value, est, s, 1, "zeta")
+        return reduction._transport(value, s, 1, "zeta", est)
 
     def halves():
         (a, b, c, d), values = lat._gamma, []
@@ -275,7 +272,7 @@ def _ref_evaluators(lat):
                 raise lat._too_near(f"half period ({p} + {r}*tau)/2 of tau = {lat.tau}", dist)
             e2 = _e_series("e2", q, order)
             value = _ref_point_values(tau_star, q, order, z_star, e2)[0]
-            values.append(reduction._divide_by_sk(value, s, 2, "wp"))
+            values.append(reduction._transport(value, s, 2, "wp"))
         return HalfPeriodData(*values)
 
     return {"wp": wp, "wp_prime": wp_prime, "zeta": zeta, "half_periods": halves}
@@ -328,19 +325,74 @@ def test_the_point_path_equals_the_reference_kernel_bit_for_bit():
     assert unwound > 1000 and raised > 100
 
 
-def test_convergence_guard_far_below_the_cell():
-    # the pass refuses a z outside the strip |q u| < 1, |q/u| < 1 that
-    # Lattice's split keeps it in
-    with pytest.raises(ConvergenceDomain):
-        _pass(1j, complex(0.5, -2.2))
-    with pytest.raises(ConvergenceDomain):
-        _pass(1j, complex(0.5, 2.2) + 2j)
-    # so far from the cell that exp(2*pi*i*z) or exp(2*pi*i*(tau - z)) overflows
-    for tau, z in ((complex(0.5, 0.866), complex(1e8, 1e8)),
-                   (complex(1e15, 1.0), complex(0.25, 1e8)),
-                   (complex(1e15, 1.0), complex(0.25, -1e8))):
-        with pytest.raises(ConvergenceDomain):
-            _pass(tau, z)
+def _centred_cell_sweep(seed, count):
+    """(tau, z): count reduced tau (Random(seed)), each with ten points
+    b + a*tau of its centred cell, |a|, |b| <= 1/2, at least 0.01 from 0."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        tau = 0.5j
+        while abs(tau) < 1.0:
+            tau = complex(rng.uniform(-0.5, 0.5), math.exp(rng.uniform(0.0, math.log(5.0))))
+        for _ in range(10):
+            z = 0j
+            while abs(z) < 0.01:
+                z = rng.uniform(-0.5, 0.5) + rng.uniform(-0.5, 0.5) * tau
+            yield tau, z
+
+
+def test_the_parity_of_wp_wp_prime_and_zeta_is_exact():
+    # the pass sums below the real axis at -z and negates what is odd, and
+    # the split, eta1*z, the unwinding and the transport all negate exactly,
+    # so the values keep their parity bit for bit: at reduced tau, where
+    # z is a point of the centred cell, and at any tau with |z| up to 60
+    rng = random.Random(36)
+    pairs = list(_centred_cell_sweep(36, 200))
+    pairs += [(complex(rng.uniform(-1.0, 1.0), math.exp(rng.uniform(math.log(0.005), 1.6))),
+               cmath.rect(60.0 * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi)))
+              for _ in range(2000)]
+    for tau, z in pairs:
+        lat = Lattice(tau)
+        try:
+            plus = lat.wp(z), lat.wp_prime(z), lat.zeta(z)
+        except PoleProximity:
+            continue
+        minus = lat.wp(-z), lat.wp_prime(-z), lat.zeta(-z)
+        assert minus[0] == plus[0], (tau, z)
+        for odd, even in zip(minus[1:], plus[1:]):
+            assert (odd.value, odd.est_error) == (-even.value, even.est_error), (tau, z)
+
+
+def test_the_pass_sums_inside_its_strip(monkeypatch):
+    # the pass holds no convergence check: every z it is given by a split
+    # (here of |z| up to 60, of points near the lattice and of cell edges)
+    # or by a half period has |u| <= 1 and |q/u| <= |q|^(1/2) once it sums
+    # at -z below the real axis, i.e. |Im z| <= Im(tau)/2 up to the
+    # rounding of the split
+    seen = []
+    run = reduction._point_values
+
+    def counted(tau, q, order, z):
+        seen.append((tau, z))
+        return run(tau, q, order, z)
+
+    monkeypatch.setattr(reduction, "_point_values", counted)
+    rng = random.Random(36)
+    for _ in range(300):
+        tau = complex(rng.uniform(-1.0, 1.0), math.exp(rng.uniform(math.log(0.005), math.log(5.0))))
+        lat = Lattice(tau)
+        lat.half_periods()
+        rr = reduction.reduce_point(lat)
+        zs = [cmath.rect(60.0 * math.sqrt(rng.random()), rng.uniform(0.0, 2.0 * math.pi)),
+              rr.scale * (0.5 + 0.5 * rr.tau_star), rr.scale * (0.5 - 0.5 * rr.tau_star),
+              rng.randint(-3, 3) + rng.randint(-3, 3) * tau + 0.01 * cmath.exp(1j * rng.random())]
+        for z in zs:
+            try:
+                lat.wp(z)
+            except PoleProximity:
+                pass
+    assert len(seen) > 1500
+    for tau, z in seen:
+        assert abs(z.imag) <= 0.5 * tau.imag * (1.0 + 1e-12), (tau, z)
 
 
 def test_order_rule_bounds_every_kernel_tail():
